@@ -1,0 +1,82 @@
+"""Golden pins for the Kikuchi builders and one odd certificate.
+
+The files under golden/ hold only integers and exact rationals, so they match
+on any BLAS. They were written by the per-edge loop builders that the edge
+arrays replaced; any change to edge order, provenance or deletion shows here.
+"""
+
+import json
+import pathlib
+from fractions import Fraction
+
+import pytest
+
+from kcert import Hypergraph, gen_random, load_xor, refute_odd
+from kcert.decomposition import Decomposition, Group
+from kcert.kikuchi_even import build_even_kikuchi, dump_even
+from kcert.kikuchi_odd import build_colored_kikuchi, dump_colored
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+EVEN_CASES = {
+    "even_k4_n9_r3": (gen_random(9, 4, 12, seed=41, mode="hyg-multi"), 3),
+    "even_k6_n9_r4": (gen_random(9, 6, 6, seed=42, mode="hyg-multi"), 4),
+}
+
+# groups at t = 1 and t = 2 side by side; clause 6 of the k = 3 case repeats
+# clause 5, and the t = 1 group there overlaps beyond its center
+K3 = Hypergraph(n=6, k=3, edges=((0, 1, 2), (0, 3, 4), (0, 1, 5), (1, 2, 3), (2, 3, 4),
+                                 (2, 3, 5), (2, 3, 5), (1, 4, 5), (3, 4, 5)))
+K3_PIECES = {1: (Group(center=(0,), clause_indices=(0, 1, 2), level=1),
+                 Group(center=(5,), clause_indices=(7, 8), level=1)),
+             2: (Group(center=(2, 3), clause_indices=(3, 4, 5, 6), level=2),)}
+K5 = Hypergraph(n=7, k=5, edges=((0, 1, 2, 3, 4), (0, 2, 4, 5, 6), (0, 1, 3, 5, 6),
+                                 (1, 2, 3, 4, 6), (1, 2, 4, 5, 6)))
+K5_PIECES = {1: (Group(center=(0,), clause_indices=(0, 1, 2), level=1),),
+             2: (Group(center=(1, 2), clause_indices=(3, 4), level=2),)}
+COLORED_CASES = {"colored_k3_n6_r3": (K3, K3_PIECES, 3), "colored_k5_n7_r4": (K5, K5_PIECES, 4)}
+
+ODD_INSTANCE = "odd_k3_n4_two_levels.xor"
+ODD_ARGS = {"r": 2, "eps": Fraction(49, 100), "eta": 80, "relax_r_range": True}
+ODD_FIELDS = ("vertices", "edges", "alpha", "kappa", "rho", "surviving_edges", "d",
+              "tr_gamma", "method")
+
+
+def _decomposition(h, pieces, r):
+    full = {t: pieces.get(t, ()) for t in range(1, h.k)}
+    return Decomposition(mode="refute", n=h.n, k=h.k, r=r, eps=Fraction(1, 4),
+                         pieces=full, thresholds={t: 2 for t in range(1, h.k)})
+
+
+def even_dump(name):
+    h, r = EVEN_CASES[name]
+    return dump_even(build_even_kikuchi(h, r))
+
+
+def colored_dump(name, level):
+    h, pieces, r = COLORED_CASES[name]
+    return dump_colored(build_colored_kikuchi(h, _decomposition(h, pieces, r), level, r))
+
+
+def odd_certificate_fields():
+    cert = refute_odd(load_xor(GOLDEN / ODD_INSTANCE), **ODD_ARGS)
+    return [{key: rec[key] for key in ("t",) + ODD_FIELDS} for rec in cert["levels"]]
+
+
+@pytest.mark.parametrize("name", sorted(EVEN_CASES))
+def test_even_dump_golden(name):
+    assert even_dump(name) == (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(COLORED_CASES))
+@pytest.mark.parametrize("level", [1, 2])
+def test_colored_dump_golden(name, level):
+    text = colored_dump(name, level)
+    assert text.count("\n") > 1
+    assert text == (GOLDEN / f"{name}_t{level}.txt").read_text()
+
+
+def test_odd_certificate_golden():
+    levels = odd_certificate_fields()
+    assert [rec["method"] for rec in levels] == ["spectral", "spectral"]
+    assert levels == json.loads((GOLDEN / "odd_k3_n4_two_levels.json").read_text())
