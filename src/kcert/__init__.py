@@ -19,7 +19,7 @@ from .moore import (NbSequence, ihara_moore_certificate, moore_bound_audit, nb_d
                     nb_matrices)
 from .refuter import (CertificateError, certificate_from_json, certificate_to_json,
                       instance_digest, refute_even, refute_odd, verify_certificate)
-from .spectral import (NonConvergenceError, WeightedOperator, exact_trace_power, psd_margin,
-                       spectral_norm_reweighted, trace_bound_rhs)
+from .spectral import (NonConvergenceError, exact_trace_power, psd_margin, spectral_norm_reweighted,
+                       trace_bound_rhs)
 
 __version__ = "0.1.0"

@@ -12,8 +12,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .core import (CapacityError, KcertError, gen_random, graph_girth,
                    min_even_cover_oracle, verify_even_cover)
 from .decomposition import decompose_for_cover, decompose_for_refutation, validate_decomposition
@@ -202,11 +200,7 @@ def _cmd_audit(args) -> int:
         raise CapacityError(
             f"exact trace audit supports at most 2000 Kikuchi vertices, got {g.num_vertices}"
         )
-    a = np.zeros((g.num_vertices, g.num_vertices), dtype=object)
-    for s, t, _c in g.edges:
-        a[s, t] += 1
-        a[t, s] += 1
-    tr = exact_trace_power(a, g.gamma_diagonal(), args.ell)
+    tr = exact_trace_power(g.adjacency().toarray(), g.gamma_diagonal(), args.ell)
     rhs = trace_bound_rhs(h.n, args.r, args.ell, g.average_degree)
     ok = tr <= rhs
     print(f"trace = {tr}")

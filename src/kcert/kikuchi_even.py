@@ -1,9 +1,15 @@
 """Even-arity Kikuchi graphs: explicit construction, reweighting data, signed
-variant, and even-cover extraction from closed walks.
+variant, and even-cover extraction from closed walks; also the edge-array
+layout that the colored graphs of kikuchi_odd share.
 
 Vertices are the r-subsets S of the vertex set, indexed by colex rank; S ~ T
 iff S xor T is a hyperedge, and the edge remembers which one. Every clause
 contributes exactly alpha = C(k-1, k/2-1) * C(n-k, r-k/2) unordered edges.
+
+Edges live in parallel int64 arrays (s_rank, t_rank, provenance), sorted as the
+tuples (s_rank, t_rank, *provenance) sort. Builds gather the subsets of whole
+blocks of edges through index patterns every clause shares and rank them
+through a binomial table.
 """
 
 from __future__ import annotations
@@ -11,15 +17,19 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
 from math import comb
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .core import CapacityError, EvenCover, Hypergraph, XorInstance
-from .subsets import all_subset_masks_colex, colex_rank
+from .subsets import (all_subset_masks_colex, binomial_table, colex_ranks, combination_rows,
+                      complement_rows, joined_rows)
+
+# edges generated per block; bounds the working arrays of a build
+BLOCK_EDGES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -33,47 +43,91 @@ class Caps:
 DEFAULT_CAPS = Caps()
 
 
-@dataclass
-class EvenKikuchiGraph:
+@dataclass(eq=False)
+class KikuchiEdges:
+    """Edge arrays of a Kikuchi graph on the r-subsets of range(COLORS * n);
+    s_rank < t_rank are endpoint colex ranks. Subclasses add the provenance,
+    named in PROVENANCE, and edge_signs(signs): per-edge from per-clause signs."""
+
     n: int
     k: int
     r: int
-    m: int
-    vertex_masks: list[int]                    # colex order
-    edges: list[tuple[int, int, int]]          # (s_rank, t_rank, clause_index), s < t
-    degrees: np.ndarray                        # per-vertex, edge multiplicity counted
-    alpha: int                                 # unordered edges per clause
-    clause_masks: tuple[int, ...]              # hyperedge bitmasks, by clause index
+    s_rank: np.ndarray
+    t_rank: np.ndarray
+
+    COLORS = 1
+    PROVENANCE: ClassVar[tuple[str, ...]] = ()
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertex_masks)
+        return comb(self.COLORS * self.n, self.r)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.s_rank)
 
     @property
     def average_degree(self) -> Fraction:
         return Fraction(2 * self.num_edges, self.num_vertices)
 
-    def gamma_diagonal(self) -> list[Fraction]:
-        d = self.average_degree
-        return [Fraction(int(ds)) + d for ds in self.degrees]
+    @cached_property
+    def vertex_masks(self) -> list[int]:
+        """Vertex bitmasks in colex order; built only when first asked for."""
+        return all_subset_masks_colex(self.COLORS * self.n, self.r)
 
-    def adjacency(self, signs: Optional[list[int]] = None) -> sp.csr_matrix:
-        """Symmetric (signed) adjacency; parallel edges accumulate."""
+    @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """Read-only tuple view (s_rank, t_rank, *provenance), in stored order."""
+        cols = [self.s_rank, self.t_rank] + [getattr(self, f) for f in self.PROVENANCE]
+        return tuple(zip(*(c.tolist() for c in cols)))
+
+    # per-vertex degree, edge multiplicity counted
+    degrees = property(lambda self: self.subgraph_degrees())
+
+    def subgraph_degrees(self, keep=None) -> np.ndarray:
+        s, t = self.s_rank, self.t_rank
+        if keep is not None:
+            s, t = s[keep], t[keep]
         nv = self.num_vertices
-        if not self.edges:
-            return sp.csr_matrix((nv, nv))
-        rows, cols, vals = [], [], []
-        for s, t, c in self.edges:
-            w = 1 if signs is None else signs[c]
-            rows += [s, t]
-            cols += [t, s]
-            vals += [w, w]
-        a = sp.coo_matrix((vals, (rows, cols)), shape=(nv, nv), dtype=np.float64)
+        return np.bincount(s, minlength=nv) + np.bincount(t, minlength=nv)
+
+    def gamma_diagonal(self, degrees=None) -> list[Fraction]:
+        """Gamma = D + d*Id of the graph, or of the subgraph with these degrees."""
+        deg = self.degrees if degrees is None else degrees
+        d = Fraction(int(np.sum(deg)), self.num_vertices)
+        return [Fraction(x) + d for x in np.asarray(deg).tolist()]
+
+    def adjacency(self, signs=None, keep=None) -> sp.csr_matrix:
+        """Symmetric adjacency of the subgraph kept by the boolean edge mask keep
+        (default all), signed by per-clause signs; parallel edges accumulate."""
+        nv = self.num_vertices
+        s, t = self.s_rank, self.t_rank
+        w = np.ones(len(s)) if signs is None else self.edge_signs(np.asarray(signs, dtype=float))
+        if keep is not None:
+            s, t, w = s[keep], t[keep], w[keep]
+        rows, cols = np.concatenate([s, t]), np.concatenate([t, s])
+        a = sp.coo_matrix((np.concatenate([w, w]), (rows, cols)), shape=(nv, nv), dtype=np.float64)
         return a.tocsr()
+
+
+def sorted_edge_arrays(s: np.ndarray, t: np.ndarray, tiebreak: np.ndarray) -> list[np.ndarray]:
+    """Orient every edge as s < t and sort by (s, t, tiebreak)."""
+    lo, hi = np.minimum(s, t), np.maximum(s, t)
+    order = np.lexsort((tiebreak, hi, lo))
+    return [lo[order], hi[order], tiebreak[order]]
+
+
+@dataclass(eq=False)
+class EvenKikuchiGraph(KikuchiEdges):
+    m: int
+    clause: np.ndarray                         # per-edge clause index
+    alpha: int                                 # unordered edges per clause
+    clause_masks: tuple[int, ...]              # hyperedge bitmasks, by clause index
+
+    PROVENANCE = ("clause",)
+
+    def edge_signs(self, signs) -> np.ndarray:
+        return signs[self.clause]
 
 
 @dataclass
@@ -98,42 +152,38 @@ def build_even_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_CAPS) -> Even
             f"estimated {alpha * h.m} edges (alpha = {alpha}, m = {h.m}) exceeds cap {caps.max_edges}"
         )
 
-    vertex_masks = all_subset_masks_colex(h.n, r)
-    edges: list[tuple[int, int, int]] = []
-    need_w = r - half
-    for ci, edge in enumerate(h.edges):
-        rest = [v for v in range(h.n) if v not in edge]
-        if need_w > len(rest):
-            continue
-        v0, tail = edge[0], edge[1:]
-        for half_tail in combinations(tail, half - 1):
-            # unordered splits, pinned by keeping the clause minimum on one side
-            half_set = (v0,) + half_tail
-            other = tuple(v for v in edge if v not in half_set)
-            for w in combinations(rest, need_w):
-                sr = colex_rank(sorted(half_set + w))
-                tr = colex_rank(sorted(other + w))
-                edges.append((min(sr, tr), max(sr, tr), ci))
-    edges.sort()
+    clauses = np.array(h.edges, dtype=np.int64).reshape(h.m, h.k)
+    s_all, t_all = np.empty((2, alpha * h.m), dtype=np.int64)
+    if alpha:
+        table = binomial_table(h.n, r)
+        # column patterns into [clause | rest of range(n)]: one side takes a
+        # split half, both sides the same r - k/2 vertices of the rest; the
+        # halves holding the clause minimum (the first C(k-1, k/2-1) in
+        # lexicographic order) go to S, so each edge shows up once
+        s_half = combination_rows(h.k, half)[:comb(h.k - 1, half - 1)]
+        w = combination_rows(h.n - h.k, r - half) + h.k
+        s_pat, t_pat = joined_rows(s_half, w), joined_rows(complement_rows(s_half, h.k), w)
+        step = max(1, BLOCK_EDGES // alpha)
+        for lo in range(0, h.m, step):
+            block = clauses[lo:lo + step]
+            ground = np.hstack([block, complement_rows(block, h.n)])
+            out = slice(lo * alpha, (lo + len(block)) * alpha)
+            s_all[out] = colex_ranks(ground[:, s_pat].reshape(-1, r), table)
+            t_all[out] = colex_ranks(ground[:, t_pat].reshape(-1, r), table)
+    s_rank, t_rank, clause = sorted_edge_arrays(
+        s_all, t_all, np.repeat(np.arange(h.m, dtype=np.int64), alpha))
 
-    degrees = np.zeros(nv, dtype=np.int64)
-    per_clause = Counter()
-    for s, t, c in edges:
-        degrees[s] += 1
-        degrees[t] += 1
-        per_clause[c] += 1
-    for c, cnt in per_clause.items():
-        if cnt != alpha:
-            raise AssertionError(f"clause {c} contributed {cnt} edges, expected alpha = {alpha}")
+    per_clause = set(np.bincount(clause, minlength=h.m).tolist())
+    if per_clause - {alpha}:
+        raise AssertionError(f"clauses contributed {sorted(per_clause)} edges, not alpha = {alpha}")
 
-    return EvenKikuchiGraph(n=h.n, k=h.k, r=r, m=h.m, vertex_masks=vertex_masks,
-                            edges=edges, degrees=degrees, alpha=alpha,
-                            clause_masks=h.edge_masks())
+    return EvenKikuchiGraph(n=h.n, k=h.k, r=r, s_rank=s_rank, t_rank=t_rank, m=h.m,
+                            clause=clause, alpha=alpha, clause_masks=h.edge_masks())
 
 
 def signed_even_kikuchi(inst: XorInstance, r: int, caps: Caps = DEFAULT_CAPS) -> SignedEvenKikuchi:
     g = build_even_kikuchi(inst.hypergraph, r, caps)
-    return SignedEvenKikuchi(graph=g, edge_signs=[inst.signs[c] for (_, _, c) in g.edges])
+    return SignedEvenKikuchi(graph=g, edge_signs=g.edge_signs(np.asarray(inst.signs)).tolist())
 
 
 def kikuchi_stats(g: EvenKikuchiGraph) -> dict:
@@ -200,8 +250,10 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
                 cover = EvenCover(frozenset(idxs[:2]))
                 return 2, cover
 
+    # the edges are sorted, so each vertex lists its (neighbour, clause) steps
+    # ascending; the covers the BFS finds depend on this order
     adj: dict[int, list[tuple[int, int]]] = {}
-    for s, t, c in g.edges:
+    for s, t, c in zip(g.s_rank.tolist(), g.t_rank.tolist(), g.clause.tolist()):
         adj.setdefault(s, []).append((t, c))
         adj.setdefault(t, []).append((s, c))
 

@@ -8,6 +8,11 @@ clause pair (C, C') of a group with center U, edges connect S to
 T = S xor (green C~ xor blue C~') subject to the balanced intersection rule.
 Edge bookkeeping is per ordered pair; alpha is the measured per-ordered-pair
 count of unordered edges (the closed form is reported, never assumed).
+
+Edges use the arrays of kikuchi_even.KikuchiEdges; each edge's provenance is
+its ordered pair, a row (group, C, C') of a pair table. All pairs share one set
+of index patterns, so builds gather whole blocks of pairs at once, and deletion
+and equalization are array passes over the same layout.
 """
 
 from __future__ import annotations
@@ -16,86 +21,51 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
 from math import comb
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import CapacityError, EvenCover, Hypergraph
 from .decomposition import Decomposition, Group
-from .kikuchi_even import Caps, DEFAULT_CAPS
-from .subsets import all_subset_masks_colex, mask_from, vertices_from
+from .kikuchi_even import BLOCK_EDGES, DEFAULT_CAPS, Caps, KikuchiEdges, sorted_edge_arrays
+from .subsets import (binomial_table, colex_ranks, combination_rows, complement_rows, joined_rows,
+                      mask_from, vertices_from)
 
-Edge = tuple[int, int, int, int, int]     # (s_rank, t_rank, group, green clause, blue clause)
 
-
-@dataclass
-class ColoredKikuchiGraph:
-    n: int
-    k: int
-    r: int
+@dataclass(eq=False)
+class ColoredKikuchiGraph(KikuchiEdges):
     t: int                                   # common center size of the groups
     groups: tuple[Group, ...]
-    vertex_masks: list[int]                  # colex over 2n bit positions
-    edges: list[Edge]
-    degrees: np.ndarray
+    pair_table: np.ndarray                   # ordered_pair_table(groups)
+    pair: np.ndarray                         # per-edge row of pair_table
     alpha: Optional[int]                     # measured unordered edges per ordered pair
     alpha_closed_form: int                   # per unordered pair, as displayed
+
+    COLORS = 2
+    PROVENANCE = ("group", "green", "blue")
 
     @property
     def p(self) -> int:
         return len(self.groups)
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertex_masks)
+    # per-edge provenance, read through the edge's ordered pair
+    group = property(lambda self: self.pair_table[self.pair, 0])
+    green = property(lambda self: self.pair_table[self.pair, 1])     # clause C
+    blue = property(lambda self: self.pair_table[self.pair, 2])      # clause C'
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
+    @cached_property
+    def ordered_pairs(self) -> list[tuple[int, int, int]]:
+        """(group, C, C') of every ordered pair, indexed like pair_table."""
+        return list(map(tuple, self.pair_table[:, :3].tolist()))
 
     @property
     def num_ordered_pairs(self) -> int:
-        return sum(len(g.clause_indices) * (len(g.clause_indices) - 1) for g in self.groups)
+        return len(self.pair_table)
 
-    @property
-    def average_degree(self) -> Fraction:
-        return Fraction(2 * self.num_edges, self.num_vertices)
-
-    def gamma_diagonal(self, degrees=None) -> list[Fraction]:
-        deg = self.degrees if degrees is None else degrees
-        total = int(np.sum(deg))
-        d = Fraction(total, self.num_vertices)
-        return [Fraction(int(x)) + d for x in deg]
-
-    def adjacency(self, signs=None, keep=None) -> sp.csr_matrix:
-        """Signed adjacency of (a subgraph of) the colored Kikuchi graph.
-
-        signs: per-clause instance signs; an edge gets b_C * b_C'.
-        keep:  boolean mask over self.edges selecting the subgraph.
-        """
-        nv = self.num_vertices
-        rows, cols, vals = [], [], []
-        for pos, (s, t, gi, a, b) in enumerate(self.edges):
-            if keep is not None and not keep[pos]:
-                continue
-            w = 1.0 if signs is None else float(signs[a] * signs[b])
-            rows += [s, t]
-            cols += [t, s]
-            vals += [w, w]
-        if not rows:
-            return sp.csr_matrix((nv, nv))
-        return sp.coo_matrix((vals, (rows, cols)), shape=(nv, nv), dtype=np.float64).tocsr()
-
-    def subgraph_degrees(self, keep) -> np.ndarray:
-        deg = np.zeros(self.num_vertices, dtype=np.int64)
-        for pos, (s, t, *_rest) in enumerate(self.edges):
-            if keep[pos]:
-                deg[s] += 1
-                deg[t] += 1
-        return deg
+    def edge_signs(self, signs) -> np.ndarray:
+        return (signs[self.pair_table[:, 1]] * signs[self.pair_table[:, 2]])[self.pair]
 
     def clause_type_degree(self, h: Hypergraph, vertex_mask: int, gi: int) -> int:
         """Typed degree d_{S,i}: clauses of group gi whose reduced set meets the
@@ -114,6 +84,20 @@ class ColoredKikuchiGraph:
             if g1 in (hb, lb) or g2 in (hb, lb):
                 cnt += 1
         return cnt
+
+
+def ordered_pair_table(groups) -> np.ndarray:
+    """One row (group, C, C', slot of C, slot of C') per ordered pair of distinct
+    clauses of a group, sorted by (group, C, C'). Slots number the (group,
+    clause) memberships densely: groups in order, clauses ascending."""
+    blocks, first = [np.empty((0, 5), dtype=np.int64)], 0
+    for gi, grp in enumerate(groups):
+        clauses = np.array(sorted(grp.clause_indices), dtype=np.int64)
+        ia, ib = np.nonzero(~np.eye(len(clauses), dtype=bool))
+        blocks.append(np.column_stack([np.full(len(ia), gi), clauses[ia], clauses[ib],
+                                       first + ia, first + ib]))
+        first += len(clauses)
+    return np.concatenate(blocks)
 
 
 def build_colored_kikuchi(h: Hypergraph, decomp: Decomposition, level: int, r: int,
@@ -136,10 +120,8 @@ def build_colored_kikuchi(h: Hypergraph, decomp: Decomposition, level: int, r: i
         raise CapacityError(f"C({2 * h.n},{r}) = {nv} vertices exceeds cap {caps.max_vertices}")
     wneed = r - kt
     free_count = 2 * h.n - 2 * kt
-    if 0 <= wneed <= free_count:
-        closed = comb(kt, lb) * comb(kt, hb) * comb(free_count, wneed) * (2 if kt % 2 else 1)
-    else:
-        closed = 0
+    closed = (comb(kt, lb) * comb(kt, hb) * comb(free_count, wneed) * (2 if kt % 2 else 1)
+              if wneed >= 0 else 0)
     pairs = sum(comb(len(g.clause_indices), 2) for g in groups)
     if pairs * closed > caps.max_edges:
         raise CapacityError(
@@ -147,60 +129,46 @@ def build_colored_kikuchi(h: Hypergraph, decomp: Decomposition, level: int, r: i
             f"exceeds cap {caps.max_edges}"
         )
 
-    vertex_masks = all_subset_masks_colex(2 * h.n, r)
-    rank_of: dict[int, int] = {mk: i for i, mk in enumerate(vertex_masks)}
-    masks = h.edge_masks()
-    edges: list[Edge] = []
-    per_pair: dict[tuple[int, int, int], int] = {}
-    for gi, grp in enumerate(groups):
-        umask = mask_from(grp.center)
-        for a in grp.clause_indices:
-            for b in grp.clause_indices:
-                if a == b:
-                    continue
-                per_pair[(gi, a, b)] = 0
-                if wneed < 0 or wneed > free_count:
-                    continue
-                ct = vertices_from(masks[a] ^ umask)       # C~  (green side)
-                cpt = vertices_from(masks[b] ^ umask)      # C~' (blue side)
-                diff = mask_from(ct) | (mask_from(cpt) << h.n)
-                free = [pos for pos in range(2 * h.n) if not (diff >> pos) & 1]
-                # for even k-t the two balanced splits coincide, so each unordered
-                # edge would be produced from both sides; pinning min(C~) to the
-                # green S-side half keeps exactly one representative
-                if kt % 2 == 0:
-                    a_choices = [(ct[0],) + rest for rest in combinations(ct[1:], hb - 1)]
-                else:
-                    a_choices = list(combinations(ct, hb))
-                cnt = 0
-                for aset in a_choices:
-                    for bset in combinations(cpt, lb):
-                        base = mask_from(aset) | (mask_from(bset) << h.n)
-                        for w in combinations(free, wneed):
-                            smask = base | mask_from(w)
-                            tmask = smask ^ diff
-                            sr = rank_of[smask]
-                            tr = rank_of[tmask]
-                            edges.append((min(sr, tr), max(sr, tr), gi, a, b))
-                            cnt += 1
-                per_pair[(gi, a, b)] = cnt
-    edges.sort()
+    # column patterns into [C~ | C~' + n | free positions]; for even k-t the two
+    # balanced splits coincide, so each unordered edge would be produced from
+    # both sides, and pinning min(C~) to the green S-side half (the first
+    # C(kt-1, hb-1) halves in lexicographic order) keeps one
+    a_pos = combination_rows(kt, hb)[:comb(kt - 1, hb - 1) if kt % 2 == 0 else None]
+    b_pos = combination_rows(kt, lb)
+    w_pos = combination_rows(free_count, wneed) + 2 * kt
+    s_pat = joined_rows(a_pos, b_pos + kt, w_pos)
+    t_pat = joined_rows(complement_rows(a_pos, kt), complement_rows(b_pos, kt) + kt, w_pos)
+    per_pair = len(s_pat)
 
-    alpha: Optional[int] = None
+    pair_table = ordered_pair_table(groups)
+    num_pairs = len(pair_table)
+    cols = np.empty((3, num_pairs * per_pair), dtype=np.int64)   # s, t, pair
     if per_pair:
-        values = set(per_pair.values())
-        if len(values) != 1:
-            raise AssertionError(f"per-ordered-pair edge counts are not constant: {sorted(values)}")
-        alpha = values.pop()
+        table = binomial_table(2 * h.n, r)
+        # C~ of every (group, clause) membership, indexed by slot
+        reduced = np.array([[v for v in h.edges[c] if v not in grp.center] for grp in groups
+                            for c in sorted(grp.clause_indices)], dtype=np.int64).reshape(-1, kt)
+        step = max(1, BLOCK_EDGES // per_pair)
+        for lo in range(0, num_pairs, step):
+            rows = pair_table[lo:lo + step]
+            sides = np.hstack([reduced[rows[:, 3]], reduced[rows[:, 4]] + h.n])
+            ground = np.hstack([sides, complement_rows(sides, 2 * h.n)])
+            out = slice(lo * per_pair, (lo + len(rows)) * per_pair)
+            cols[0, out] = colex_ranks(ground[:, s_pat].reshape(-1, r), table)
+            cols[1, out] = colex_ranks(ground[:, t_pat].reshape(-1, r), table)
+            cols[2, out] = np.repeat(np.arange(lo, lo + len(rows)), per_pair)
+    # pair_table rows are sorted by (group, C, C'), so this sorts like the
+    # tuples (s, t, group, C, C')
+    s_rank, t_rank, pair = sorted_edge_arrays(*cols)
 
-    degrees = np.zeros(nv, dtype=np.int64)
-    for s, t, *_rest in edges:
-        degrees[s] += 1
-        degrees[t] += 1
+    values = set(np.bincount(pair, minlength=num_pairs).tolist())
+    if len(values) > 1:
+        raise AssertionError(f"per-ordered-pair edge counts are not constant: {sorted(values)}")
+    alpha = values.pop() if values else None
 
-    return ColoredKikuchiGraph(n=h.n, k=h.k, r=r, t=level, groups=groups,
-                               vertex_masks=vertex_masks, edges=edges, degrees=degrees,
-                               alpha=alpha, alpha_closed_form=closed)
+    return ColoredKikuchiGraph(n=h.n, k=h.k, r=r, s_rank=s_rank, t_rank=t_rank, t=level,
+                               groups=groups, pair_table=pair_table, pair=pair, alpha=alpha,
+                               alpha_closed_form=closed)
 
 
 @dataclass
@@ -227,30 +195,22 @@ def delete_heavy_edges(g: ColoredKikuchiGraph, eta) -> DeletionResult:
     """
     if eta != math.inf and eta < 1:
         raise ValueError("eta must be >= 1 (or math.inf)")
-    nedges = g.num_edges
-    surviving = np.ones(nedges, dtype=bool)
-    if eta != math.inf and nedges:
-        inc = Counter()
-        for s, t, gi, a, b in g.edges:
-            inc[(s, gi, a)] += 1
-            inc[(s, gi, b)] += 1
-            inc[(t, gi, a)] += 1
-            inc[(t, gi, b)] += 1
-        for pos, (s, t, gi, a, b) in enumerate(g.edges):
-            if (inc[(s, gi, a)] > eta or inc[(s, gi, b)] > eta
-                    or inc[(t, gi, a)] > eta or inc[(t, gi, b)] > eta):
-                surviving[pos] = False
-    per_pair: dict[tuple[int, int, int], int] = {}
-    for grp_i, grp in enumerate(g.groups):
-        for a in grp.clause_indices:
-            for b in grp.clause_indices:
-                if a != b:
-                    per_pair[(grp_i, a, b)] = 0
-    for pos, (s, t, gi, a, b) in enumerate(g.edges):
-        if surviving[pos]:
-            per_pair[(gi, a, b)] += 1
-    return DeletionResult(surviving=surviving, per_pair_survival=per_pair,
-                          eta=eta, equalized=False)
+    surviving = np.ones(g.num_edges, dtype=bool)
+    if eta != math.inf and g.num_edges:
+        # one key per (vertex, group, clause) incidence, (group, clause) as its slot
+        num_slots = sum(len(grp.clause_indices) for grp in g.groups)
+        slots = [g.pair_table[g.pair, col] for col in (3, 4)]
+        incidences = [(v, slot) for v in (g.s_rank, g.t_rank) for slot in slots]
+        keys = np.concatenate([v * num_slots + slot for v, slot in incidences])
+        keys.sort()
+        # in sorted order, a key met more than eta times recurs eta places on
+        e = math.floor(eta)
+        heavy = np.unique(keys[e:][keys[e:] == keys[:-e]])
+        surviving = ~np.any([np.isin(v * num_slots + slot, heavy) for v, slot in incidences],
+                            axis=0)
+    per_pair = dict(zip(g.ordered_pairs,
+                        np.bincount(g.pair[surviving], minlength=g.num_ordered_pairs).tolist()))
+    return DeletionResult(surviving=surviving, per_pair_survival=per_pair, eta=eta, equalized=False)
 
 
 def equalize_deletion(g: ColoredKikuchiGraph, pre: DeletionResult) -> DeletionResult:
@@ -262,23 +222,20 @@ def equalize_deletion(g: ColoredKikuchiGraph, pre: DeletionResult) -> DeletionRe
     """
     if pre.equalized:
         raise ValueError("deletion result is already equalized")
-    if g.alpha is None or not g.edges:
+    if g.alpha is None or not g.num_edges:
         return DeletionResult(surviving=pre.surviving.copy(), per_pair_survival=dict(pre.per_pair_survival),
                               eta=pre.eta, equalized=True, kappa=None, rho=Fraction(0),
                               degenerate=True)
     kappa = min(pre.per_pair_survival.values())
-    surviving = pre.surviving.copy()
-    by_pair: dict[tuple[int, int, int], list[int]] = {}
-    for pos, (s, t, gi, a, b) in enumerate(g.edges):
-        if surviving[pos]:
-            by_pair.setdefault((gi, a, b), []).append(pos)
-    for key, positions in by_pair.items():
-        excess = len(positions) - kappa
-        if excess > 0:
-            # edges are stored sorted, so trailing positions are lexicographically largest
-            for pos in positions[-excess:]:
-                surviving[pos] = False
-    per_pair = {key: min(cnt, kappa) for key, cnt in pre.per_pair_survival.items()}
+    # survivors grouped by pair, each pair's in stored (sorted) order; keep the first kappa
+    alive = np.flatnonzero(pre.surviving)
+    alive = alive[np.argsort(g.pair[alive], kind="stable")]
+    pairs = g.pair[alive]
+    running = np.arange(len(alive)) - np.searchsorted(pairs, pairs)
+    surviving = np.zeros(g.num_edges, dtype=bool)
+    surviving[alive[running < kappa]] = True
+    counts = np.fromiter(pre.per_pair_survival.values(), dtype=np.int64)
+    per_pair = dict(zip(pre.per_pair_survival, np.minimum(counts, kappa).tolist()))
     rho = 1 - Fraction(kappa, g.alpha)
     return DeletionResult(surviving=surviving, per_pair_survival=per_pair, eta=pre.eta,
                           equalized=True, kappa=kappa, rho=rho, degenerate=(kappa == 0))

@@ -37,6 +37,10 @@ from .kikuchi_odd import build_colored_kikuchi, delete_heavy_edges, equalize_del
 from .spectral import spectral_norm_reweighted
 
 VERIFY_SEED_OFFSET = 1_000_003
+# the verifier recomputes every norm at its own tolerance, whatever tol a
+# certificate records, and allows recorded norms this relative shortfall
+VERIFY_TOL = 1e-9
+NORM_ALLOWANCE = 10 * VERIFY_TOL
 
 
 class CertificateError(KcertError):
@@ -126,16 +130,70 @@ def refute_even(inst: XorInstance, r: int, caps: Caps = DEFAULT_CAPS,
     }
 
 
+_LEVEL_KEYS = ("t", "tau", "p", "m_t", "pairs", "alpha", "alpha_closed", "vertices", "edges",
+               "surviving_edges", "kappa", "rho", "d", "tr_gamma", "lambda", "residual",
+               "lambda_cert", "first_term", "fhat_bound", "psi_bound", "method")
+
+
 def _level_record(t: int, tau: int, p: int, m_t: int) -> dict:
-    return {
-        "t": t, "tau": tau, "p": p, "m_t": m_t,
-        "pairs": 0, "alpha": None, "alpha_closed": None,
-        "vertices": None, "edges": None, "surviving_edges": None,
-        "kappa": None, "rho": None, "d": None, "tr_gamma": None,
-        "lambda": None, "residual": None, "lambda_cert": None,
-        "first_term": None, "fhat_bound": None,
-        "psi_bound": "0/1", "method": "empty",
-    }
+    return {**dict.fromkeys(_LEVEL_KEYS), "t": t, "tau": tau, "p": p, "m_t": m_t, "pairs": 0,
+            "psi_bound": "0/1", "method": "empty"}
+
+
+def _spectral_level_bound(k: int, m: int, p: int, alpha: int, m_t: int, lam_cert: float,
+                          tr_gamma: Fraction, rho: Fraction, first_term: Fraction
+                          ) -> tuple[Fraction, Fraction]:
+    """fhat and the level's psi bound from lambda_cert, in exact arithmetic."""
+    fhat = Fraction(k * k * p, 2 * alpha * m * m) * Fraction(lam_cert) * tr_gamma
+    return fhat, min(_sqrt_upper(first_term + fhat / (1 - rho)), Fraction(k * m_t, m))
+
+
+def _settle(rec: dict, bound: Fraction, method: str) -> dict:
+    rec["psi_bound"] = _frac_str(bound)
+    rec["method"] = method
+    return rec
+
+
+def _odd_level(inst: XorInstance, decomp, t: int, r: int, eta, caps: Caps, tol: float,
+               seed: int) -> dict:
+    """The certificate record of level t; its psi_bound bounds psi_t."""
+    h, k, m = inst.hypergraph, inst.k, inst.m
+    groups, p, m_t = decomp.groups_at(t), decomp.p(t), decomp.m_t(t)
+    rec = _level_record(t, decomp.thresholds[t], p, m_t)
+    if m_t == 0:
+        return rec
+    trivial = Fraction(k * m_t, m)
+    first_term = Fraction(k * k * p * m_t, m * m)
+    rec["first_term"] = _frac_str(first_term)
+    rec["pairs"] = sum(len(g.clause_indices) * (len(g.clause_indices) - 1) for g in groups)
+    if rec["pairs"] == 0:
+        return _settle(rec, min(_sqrt_upper(first_term), trivial), "first-term")
+
+    g = build_colored_kikuchi(h, decomp, t, r, caps)
+    rec.update({"alpha_closed": g.alpha_closed_form, "vertices": g.num_vertices,
+                "alpha": g.alpha, "edges": g.num_edges})
+    if not g.alpha:
+        # geometry cannot carry the quadratic form at this r
+        return _settle(rec, trivial, "trivial")
+
+    result = equalize_deletion(g, delete_heavy_edges(g, eta))
+    rec.update({"kappa": result.kappa, "rho": _frac_str(result.rho),
+                "surviving_edges": result.num_surviving})
+    if result.degenerate or result.rho > Fraction(1, 2):
+        return _settle(rec, trivial, "trivial")
+
+    sub_deg = g.subgraph_degrees(result.surviving)
+    gamma = g.gamma_diagonal(sub_deg)
+    a_hat = g.adjacency(signs=list(inst.signs), keep=result.surviving)
+    lam, resid = spectral_norm_reweighted(a_hat, gamma, tol=tol, seed=seed + t)
+    lam_cert = lam + resid
+    tr_gamma = Fraction(2 * int(np.sum(sub_deg)))
+    fhat, bound = _spectral_level_bound(k, m, p, g.alpha, m_t, lam_cert, tr_gamma, result.rho,
+                                        first_term)
+    rec.update({"d": _frac_str(Fraction(int(np.sum(sub_deg)), g.num_vertices)),
+                "tr_gamma": _frac_str(tr_gamma), "lambda": lam, "residual": resid,
+                "lambda_cert": lam_cert, "fhat_bound": _frac_str(fhat)})
+    return _settle(rec, bound, "spectral")
 
 
 def refute_odd(inst: XorInstance, r: int, eps, eta: Optional[int] = None,
@@ -160,79 +218,8 @@ def refute_odd(inst: XorInstance, r: int, eps, eta: Optional[int] = None,
     decomp = decompose_for_refutation(h, r, eps, enforce_ranges=not relax_r_range)
 
     k, m = h.k, h.m
-    levels = []
-    psi_bounds: list[Fraction] = []
-    for t in range(1, k):
-        groups = decomp.groups_at(t)
-        p = decomp.p(t)
-        m_t = decomp.m_t(t)
-        rec = _level_record(t, decomp.thresholds[t], p, m_t)
-        if m_t == 0:
-            levels.append(rec)
-            psi_bounds.append(Fraction(0))
-            continue
-
-        trivial = Fraction(k * m_t, m)
-        first_term = Fraction(k * k * p * m_t, m * m)
-        rec["first_term"] = _frac_str(first_term)
-        pairs = sum(len(g.clause_indices) * (len(g.clause_indices) - 1) for g in groups)
-        rec["pairs"] = pairs
-
-        if pairs == 0:
-            bound = min(_sqrt_upper(first_term), trivial)
-            rec["psi_bound"] = _frac_str(bound)
-            rec["method"] = "first-term"
-            levels.append(rec)
-            psi_bounds.append(bound)
-            continue
-
-        g = build_colored_kikuchi(h, decomp, t, r, caps)
-        rec["alpha_closed"] = g.alpha_closed_form
-        rec["vertices"] = g.num_vertices
-        rec["alpha"] = g.alpha
-        rec["edges"] = g.num_edges
-        if not g.alpha:
-            # geometry cannot carry the quadratic form at this r
-            rec["psi_bound"] = _frac_str(trivial)
-            rec["method"] = "trivial"
-            levels.append(rec)
-            psi_bounds.append(trivial)
-            continue
-
-        pre = delete_heavy_edges(g, eta)
-        result = equalize_deletion(g, pre)
-        rec["kappa"] = result.kappa
-        rec["rho"] = _frac_str(result.rho)
-        rec["surviving_edges"] = result.num_surviving
-        if result.degenerate or result.rho > Fraction(1, 2):
-            rec["psi_bound"] = _frac_str(trivial)
-            rec["method"] = "trivial"
-            levels.append(rec)
-            psi_bounds.append(trivial)
-            continue
-
-        sub_deg = g.subgraph_degrees(result.surviving)
-        gamma = g.gamma_diagonal(sub_deg)
-        d_hat = Fraction(int(np.sum(sub_deg)), g.num_vertices)
-        a_hat = g.adjacency(signs=list(inst.signs), keep=result.surviving)
-        lam, resid = spectral_norm_reweighted(a_hat, gamma, tol=tol, seed=seed + t)
-        lam_cert = lam + resid
-        tr_gamma = Fraction(2 * int(np.sum(sub_deg)))
-        rec["d"] = _frac_str(d_hat)
-        rec["tr_gamma"] = _frac_str(tr_gamma)
-        rec["lambda"] = lam
-        rec["residual"] = resid
-        rec["lambda_cert"] = lam_cert
-
-        fhat = Fraction(k * k * p, 2 * g.alpha * m * m) * Fraction(lam_cert) * tr_gamma
-        rec["fhat_bound"] = _frac_str(fhat)
-        bound = min(_sqrt_upper(first_term + fhat / (1 - result.rho)), trivial)
-        rec["psi_bound"] = _frac_str(bound)
-        rec["method"] = "spectral"
-        levels.append(rec)
-        psi_bounds.append(bound)
-
-    certified = sum(psi_bounds, Fraction(0)) / k
+    levels = [_odd_level(inst, decomp, t, r, eta, caps, tol, seed) for t in range(1, k)]
+    certified = sum((_parse_frac(rec["psi_bound"]) for rec in levels), Fraction(0)) / k
     return {
         "format": "kcert-certificate-v1",
         "mode": "odd",
@@ -260,83 +247,103 @@ def certificate_from_json(text: str) -> dict:
     return json.loads(text)
 
 
-def _close(a: float, b: float, band: float) -> bool:
-    return abs(a - b) <= band
+_TOP_KEYS = ("mode", "r", "seed", "tol", "certified_bound")
+_EVEN_EXACT = ("vertices", "edges", "alpha", "d", "tr_gamma")
+_LEVEL_EXACT = ("tau", "p", "m_t", "pairs", "alpha", "alpha_closed", "vertices", "edges",
+                "surviving_edges", "kappa", "rho", "d", "tr_gamma", "first_term", "method")
+_NORM_KEYS = ("lambda", "residual", "lambda_cert")
+
+
+def _missing(record, keys, where: str) -> list[str]:
+    if not isinstance(record, dict):
+        return [f"{where} is not an object"]
+    return [f"{where} has no key {key!r}" for key in keys if key not in record]
+
+
+def _mismatches(where: str, rec: dict, new: dict, keys) -> list[str]:
+    return [f"{where} {key}: recorded {rec[key]!r} != recomputed {new[key]!r}"
+            for key in keys if rec[key] != new[key]]
+
+
+def _check_norm(where: str, rec: dict, fresh_lambda: float) -> list[str]:
+    """lambda and residual must be finite, non-negative and add up to lambda_cert,
+    which may fall below the recomputed Ritz value (a lower bound on the norm)
+    by NORM_ALLOWANCE at most: no recorded float widens this check."""
+    if not all(type(rec[key]) in (int, float) and math.isfinite(rec[key]) and rec[key] >= 0
+               for key in _NORM_KEYS):
+        return [f"{where}: lambda, residual and lambda_cert must be finite and non-negative"]
+    reasons = []
+    if float(rec["lambda_cert"]) != float(rec["lambda"]) + float(rec["residual"]):
+        reasons.append(f"{where}: lambda_cert != lambda + residual")
+    if rec["lambda_cert"] < fresh_lambda - NORM_ALLOWANCE * max(1.0, fresh_lambda):
+        reasons.append(f"{where}: lambda_cert {rec['lambda_cert']} is below the recomputed "
+                       f"norm {fresh_lambda}")
+    return reasons
 
 
 def verify_certificate(inst: XorInstance, cert: dict,
                        caps: Caps = DEFAULT_CAPS) -> tuple[bool, list[str]]:
     """Recompute every certified quantity from scratch and compare.
 
-    Exact fields must match exactly; lambda is recomputed with an independent
-    seed and must agree within 10 * tol plus both residuals; the arithmetic
-    chain down to certified_bound is rechecked exactly from the recorded
-    lambda_cert. Returns (ok, list of failure reasons).
+    Missing keys fail. Exact fields must match exactly, level by level. lambda
+    is recomputed with an independent seed at VERIFY_TOL and bounds the
+    recorded lambda_cert from below (see _check_norm); the arithmetic chain
+    down to certified_bound is rechecked exactly from the recorded lambda_cert.
+    Returns (ok, list of failure reasons).
     """
-    reasons: list[str] = []
     if cert.get("digest") != instance_digest(inst):
         raise CertificateError("certificate digest does not match the instance")
     mode = cert.get("mode")
-    tol = float(cert.get("tol", 1e-9))
-    seed = int(cert.get("seed", 0))
-    r = int(cert["r"])
+    if mode not in ("even", "odd"):
+        raise CertificateError(f"unknown certificate mode {mode!r}")
+    keys = _TOP_KEYS + (("even",) if mode == "even" else ("eps", "eta", "levels"))
+    reasons = _missing(cert, keys, "certificate")
+    if mode == "even" and not reasons:
+        reasons = _missing(cert["even"], _EVEN_EXACT + _NORM_KEYS, "even")
+    if mode == "odd" and not reasons:
+        records = cert["levels"] if isinstance(cert["levels"], list) else [None]
+        reasons = [msg for i, rec in enumerate(records)
+                   for msg in _missing(rec, _LEVEL_KEYS, f"level record {i}")]
+    if reasons:
+        return False, reasons
+    seed, r = int(cert["seed"]) + VERIFY_SEED_OFFSET, int(cert["r"])
 
     if mode == "even":
-        fresh = refute_even(inst, r, caps=caps, tol=tol, seed=seed + VERIFY_SEED_OFFSET)
-        rec, new = cert["even"], fresh["even"]
-        for key in ("vertices", "edges", "alpha", "d", "tr_gamma"):
-            if rec.get(key) != new.get(key):
-                reasons.append(f"even.{key}: recorded {rec.get(key)!r} != recomputed {new.get(key)!r}")
-        band = 10 * tol * max(1.0, abs(new["lambda"])) + rec.get("residual", 0.0) + new["residual"]
-        if not _close(float(rec["lambda_cert"]), new["lambda_cert"], band):
-            reasons.append(
-                f"lambda_cert {rec['lambda_cert']} vs recomputed {new['lambda_cert']} (band {band})"
-            )
-        if float(rec["lambda_cert"]) != float(rec["lambda"]) + float(rec["residual"]):
-            reasons.append("lambda_cert != lambda + residual")
-        expect = 2 * Fraction(float(rec["lambda_cert"]))
-        if _parse_frac(cert["certified_bound"]) != expect:
+        rec = cert["even"]
+        new = refute_even(inst, r, caps=caps, tol=VERIFY_TOL, seed=seed)["even"]
+        norm = _check_norm("even", rec, new["lambda"])
+        reasons = _mismatches("even", rec, new, _EVEN_EXACT) + norm
+        if not norm and _parse_frac(cert["certified_bound"]) != 2 * Fraction(rec["lambda_cert"]):
             reasons.append("certified_bound does not equal 2 * lambda_cert")
         return not reasons, reasons
 
-    if mode == "odd":
-        eps = _parse_frac(cert["eps"])
-        eta = cert["eta"]
-        fresh = refute_odd(inst, r, eps, eta=eta, caps=caps, tol=tol,
-                           seed=seed + VERIFY_SEED_OFFSET,
-                           relax_r_range=bool(cert.get("relaxed_r_range", False)))
-        k, m = inst.k, inst.m
-        psi_total = Fraction(0)
-        for rec, new in zip(cert["levels"], fresh["levels"]):
-            t = rec["t"]
-            for key in ("t", "tau", "p", "m_t", "pairs", "alpha", "alpha_closed",
-                        "vertices", "edges", "surviving_edges", "kappa", "rho",
-                        "d", "tr_gamma", "first_term", "method"):
-                if rec.get(key) != new.get(key):
-                    reasons.append(
-                        f"level {t} field {key}: recorded {rec.get(key)!r} != {new.get(key)!r}"
-                    )
-            if rec["method"] == "spectral":
-                band = (10 * tol * max(1.0, abs(new["lambda"]))
-                        + rec.get("residual", 0.0) + new["residual"])
-                if not _close(float(rec["lambda_cert"]), new["lambda_cert"], band):
-                    reasons.append(f"level {t} lambda_cert outside tolerance band {band}")
-                # exact chain from the recorded lambda_cert
-                fhat = (Fraction(k * k * rec["p"], 2 * rec["alpha"] * m * m)
-                        * Fraction(float(rec["lambda_cert"])) * _parse_frac(rec["tr_gamma"]))
-                if _parse_frac(rec["fhat_bound"]) != fhat:
-                    reasons.append(f"level {t} fhat_bound does not recompute from lambda_cert")
-                rho = _parse_frac(rec["rho"])
-                trivial = Fraction(k * rec["m_t"], m)
-                expect = min(_sqrt_upper(_parse_frac(rec["first_term"]) + fhat / (1 - rho)), trivial)
-                if _parse_frac(rec["psi_bound"]) != expect:
-                    reasons.append(f"level {t} psi_bound does not recompute")
-            else:
-                if rec.get("psi_bound") != new.get("psi_bound"):
-                    reasons.append(f"level {t} psi_bound: {rec.get('psi_bound')!r} != {new.get('psi_bound')!r}")
-            psi_total += _parse_frac(rec["psi_bound"])
-        if _parse_frac(cert["certified_bound"]) != psi_total / k:
-            reasons.append("certified_bound does not equal (1/k) * sum of level bounds")
-        return not reasons, reasons
-
-    raise CertificateError(f"unknown certificate mode {mode!r}")
+    fresh = refute_odd(inst, r, _parse_frac(cert["eps"]), eta=cert["eta"], caps=caps,
+                       tol=VERIFY_TOL, seed=seed,
+                       relax_r_range=bool(cert.get("relaxed_r_range", False)))["levels"]
+    if [rec["t"] for rec in records] != [new["t"] for new in fresh]:
+        return False, [f"levels: recorded t = {[rec['t'] for rec in records]} != recomputed "
+                       f"{[new['t'] for new in fresh]}"]
+    k, m = inst.k, inst.m
+    psi_total = Fraction(0)
+    for rec, new in zip(records, fresh):
+        where = f"level {rec['t']}"
+        reasons += _mismatches(where, rec, new, _LEVEL_EXACT)
+        if rec["method"] == new["method"] == "spectral":
+            norm = _check_norm(where, rec, new["lambda"])
+            reasons += norm
+            if norm:
+                continue
+            # the exact chain from the recorded lambda_cert, on recomputed exact fields
+            exact = [_parse_frac(new[key]) for key in ("tr_gamma", "rho", "first_term")]
+            fhat, expect = _spectral_level_bound(k, m, new["p"], new["alpha"], new["m_t"],
+                                                 rec["lambda_cert"], *exact)
+            if _parse_frac(rec["fhat_bound"]) != fhat:
+                reasons.append(f"{where} fhat_bound does not recompute from lambda_cert")
+            if _parse_frac(rec["psi_bound"]) != expect:
+                reasons.append(f"{where} psi_bound does not recompute")
+        else:
+            reasons += _mismatches(where, rec, new, ("psi_bound",))
+        psi_total += _parse_frac(rec["psi_bound"])
+    if _parse_frac(cert["certified_bound"]) != psi_total / k:
+        reasons.append("certified_bound does not equal (1/k) * sum of level bounds")
+    return not reasons, reasons

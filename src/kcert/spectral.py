@@ -11,7 +11,6 @@ must widen the returned value by the residual before using it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -35,39 +34,21 @@ class NonConvergenceError(KcertError):
         self.best_residual = best_residual
 
 
-@dataclass(frozen=True)
-class WeightedOperator:
-    """Sparse symmetric matrix together with its positive diagonal weight."""
-
-    matrix: sp.csr_matrix
-    gamma: tuple[Fraction, ...]
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
 def _as_csr(a) -> sp.csr_matrix:
     if sp.issparse(a):
         return a.tocsr()
     return sp.csr_matrix(np.asarray(a, dtype=np.float64))
 
 
-def spectral_norm_reweighted(a, gamma=None, tol: float = 1e-9, max_iter=None,
+def spectral_norm_reweighted(a, gamma, tol: float = 1e-9, max_iter=None,
                              seed: int = 0) -> tuple[float, float]:
     """Spectral norm of Gamma^{-1/2} A Gamma^{-1/2} with a certified residual.
 
-    a      : symmetric matrix (dense or scipy sparse), or a WeightedOperator
+    a      : symmetric matrix (dense or scipy sparse)
     gamma  : positive diagonal entries (Fractions or floats)
     returns (lambda, residual) where residual = ||A~ v - lambda_signed v|| for
     the returned Ritz vector v; deterministic for a fixed seed.
     """
-    if isinstance(a, WeightedOperator):
-        if gamma is not None:
-            raise ValueError("gamma is part of the WeightedOperator")
-        a, gamma = a.matrix, a.gamma
-    if gamma is None:
-        raise ValueError("gamma is required")
     A = _as_csr(a)
     nv = A.shape[0]
     if nv == 0:

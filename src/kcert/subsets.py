@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
+
+import numpy as np
 
 
 def mask_from(vertices) -> int:
@@ -14,41 +16,47 @@ def mask_from(vertices) -> int:
 
 
 def vertices_from(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
-
-
-def colex_rank(vertices_sorted) -> int:
-    """Rank of a sorted subset among all same-size subsets, colex order."""
-    return sum(comb(v, i + 1) for i, v in enumerate(vertices_sorted))
-
-
-def colex_rank_mask(mask: int) -> int:
-    return colex_rank(vertices_from(mask))
-
-
-def colex_unrank(rank: int, r: int) -> tuple[int, ...]:
-    """Inverse of colex_rank for subsets of size r."""
-    out = []
-    for i in range(r, 0, -1):
-        # largest v with comb(v, i) <= rank
-        v = i - 1
-        while comb(v + 1, i) <= rank:
-            v += 1
-        out.append(v)
-        rank -= comb(v, i)
-    return tuple(reversed(out))
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def all_subset_masks_colex(n: int, r: int) -> list[int]:
-    """All r-subsets of range(n) as bitmasks, indexed by colex rank."""
-    out = [0] * comb(n, r)
-    for combo in combinations(range(n), r):
-        out[colex_rank(combo)] = mask_from(combo)
-    return out
+    """All r-subsets of range(n) as bitmasks, indexed by colex rank: colex order
+    compares the largest differing element, so it is the masks' numeric order."""
+    return sorted(mask_from(combo) for combo in combinations(range(n), r))
+
+
+def combination_rows(n: int, k: int) -> np.ndarray:
+    """All k-subsets of range(n) in lexicographic order, one int64 row each
+    (none for k < 0)."""
+    rows = list(combinations(range(n), k)) if k >= 0 else []
+    return np.array(rows, dtype=np.int64).reshape(len(rows), max(k, 0))
+
+
+def joined_rows(*parts: np.ndarray) -> np.ndarray:
+    """Every concatenation of one row from each part, the last part varying fastest."""
+    rows = [sum(choice, []) for choice in product(*(p.tolist() for p in parts))]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), sum(p.shape[1] for p in parts))
+
+
+def binomial_table(n: int, r: int) -> np.ndarray:
+    """C(v, j) as int64 for v < n, j <= r: the colex rank of v_0 < ... < v_{r-1}
+    is the sum of C(v_i, i + 1). As v_i <= n - r + i, only the band v - j < n - r
+    is filled, so every entry is below C(n, r) and none can overflow."""
+    table = np.zeros((n, r + 1), dtype=np.int64)
+    for v in range(n):
+        for j in range(max(0, v - (n - r) + 1), min(v, r) + 1):
+            table[v, j] = comb(v, j)
+    return table
+
+
+def colex_ranks(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Colex ranks of the subsets given as rows (in any order within a row)."""
+    rows = np.sort(rows, axis=1)
+    return table[rows, np.arange(1, rows.shape[1] + 1)].sum(axis=1)
+
+
+def complement_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """Per row of distinct members of range(n), the sorted rest of range(n)."""
+    rest = np.ones((len(rows), n), dtype=bool)
+    rest[np.arange(len(rows))[:, None], rows] = False
+    return np.nonzero(rest)[1].reshape(len(rows), n - rows.shape[1])

@@ -187,3 +187,73 @@ def test_odd_dense_instance_certifies_nontrivial_bound():
     bound = _bound(cert)
     assert bound <= Fraction(1, 2)
     assert bound >= brute_force_max_xor(inst)
+
+
+def test_verify_rejects_dropped_odd_levels():
+    inst = gen_random(16, 3, 1500, seed=3, mode="xor-multi")
+    cert = refute_odd(inst, 2, Fraction(1, 4), relax_r_range=True)
+    assert verify_certificate(inst, cert)[0]
+    tampered = copy.deepcopy(cert)
+    tampered["levels"] = []
+    tampered["certified_bound"] = "0/1"
+    ok, reasons = verify_certificate(inst, tampered)
+    assert not ok and any("levels" in reason for reason in reasons)
+
+
+def test_verify_rejects_residual_widening_its_own_band():
+    inst = gen_random(20, 2, 60, seed=5, mode="xor-multi")
+    cert = refute_even(inst, 1)
+    assert brute_force_max_xor(inst) == Fraction(17, 30)
+    tampered = copy.deepcopy(cert)
+    rec = tampered["even"]
+    rec["residual"] = rec["lambda_cert"]
+    rec["lambda"] = -rec["residual"]
+    rec["lambda_cert"] = 0.0
+    tampered["certified_bound"] = "0/1"
+    ok, reasons = verify_certificate(inst, tampered)
+    assert not ok and reasons
+
+
+def test_verify_ignores_recorded_tolerance():
+    # a large recorded tol must neither loosen the recomputation nor the check
+    inst = gen_random(20, 2, 60, seed=5, mode="xor-multi")
+    tampered = refute_even(inst, 1)
+    rec = tampered["even"]
+    rec["lambda"] = rec["lambda_cert"] = rec["lambda_cert"] / 2
+    rec["residual"] = 0.0
+    tampered["tol"] = 0.9
+    bound = 2 * Fraction(rec["lambda_cert"])
+    tampered["certified_bound"] = f"{bound.numerator}/{bound.denominator}"
+    ok, reasons = verify_certificate(inst, tampered)
+    assert not ok and any("below the recomputed norm" in reason for reason in reasons)
+
+
+@pytest.mark.parametrize("value", [float("nan"), -0.25, None])
+def test_verify_rejects_bad_norm_floats(value):
+    inst = gen_random(9, 2, 40, seed=3, mode="xor-multi")
+    cert = refute_even(inst, 1, seed=11)
+    for key in ("lambda", "residual"):
+        tampered = copy.deepcopy(cert)
+        tampered["even"][key] = value
+        ok, reasons = verify_certificate(inst, tampered)
+        assert not ok and reasons
+
+
+def test_verify_rejects_missing_keys():
+    inst = gen_random(9, 2, 40, seed=3, mode="xor-multi")
+    cert = refute_even(inst, 1, seed=11)
+    for path in (("even", "residual"), ("certified_bound",), ("even",)):
+        tampered = copy.deepcopy(cert)
+        record = tampered
+        for key in path[:-1]:
+            record = record[key]
+        del record[path[-1]]
+        ok, reasons = verify_certificate(inst, tampered)
+        assert not ok and any(repr(path[-1]) in reason for reason in reasons)
+
+    inst3 = gen_random(9, 3, 30, seed=4, mode="xor-multi")
+    cert3 = refute_odd(inst3, 2, Fraction(1, 3), relax_r_range=True, seed=7)
+    tampered = copy.deepcopy(cert3)
+    del tampered["levels"][0]["lambda_cert"]
+    ok, reasons = verify_certificate(inst3, tampered)
+    assert not ok and any("'lambda_cert'" in reason for reason in reasons)
