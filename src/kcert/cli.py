@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -31,19 +30,6 @@ def _write_output(text: str, path) -> None:
     else:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("KCERT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise KcertError(f"KCERT_THREADS must be an integer, got {raw!r}") from None
-    if val < 1:
-        raise KcertError("KCERT_THREADS must be >= 1")
-    return val
 
 
 def _caps(args) -> Caps:
@@ -285,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _thread_count()      # validate the env override even though workers are fixed at 1
         return args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

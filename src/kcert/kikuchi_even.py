@@ -91,11 +91,21 @@ class KikuchiEdges:
         nv = self.num_vertices
         return np.bincount(s, minlength=nv) + np.bincount(t, minlength=nv)
 
+    def _degrees_and_d(self, degrees) -> tuple[np.ndarray, Fraction]:
+        deg = self.degrees if degrees is None else np.asarray(degrees)
+        return deg, Fraction(int(np.sum(deg)), self.num_vertices)
+
     def gamma_diagonal(self, degrees=None) -> list[Fraction]:
         """Gamma = D + d*Id of the graph, or of the subgraph with these degrees."""
-        deg = self.degrees if degrees is None else degrees
-        d = Fraction(int(np.sum(deg)), self.num_vertices)
-        return [Fraction(x) + d for x in np.asarray(deg).tolist()]
+        deg, d = self._degrees_and_d(degrees)
+        return [Fraction(x) + d for x in deg.tolist()]
+
+    def gamma_floats(self, degrees=None) -> np.ndarray:
+        """gamma_diagonal(degrees) as float64, equal to float() of each entry:
+        under Caps every numerator deg * q + p stays below 2^53, so the one
+        rounding is that of the division."""
+        deg, d = self._degrees_and_d(degrees)
+        return (deg * d.denominator + d.numerator) / d.denominator
 
     def adjacency(self, signs=None, keep=None) -> sp.csr_matrix:
         """Symmetric adjacency of the subgraph kept by the boolean edge mask keep

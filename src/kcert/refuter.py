@@ -15,7 +15,7 @@ odd k:   decompose, then per level t (via Cauchy-Schwarz over the p_t groups)
          the trivial bound k m_t / m when its spectral route degenerates.
 
 All certificate arithmetic is exact rationals except lambda_cert, which is a
-float carrying its Lanczos residual (already added in as a safety margin).
+float carrying its eigenpair residual (already added in as a safety margin).
 """
 
 from __future__ import annotations
@@ -81,6 +81,14 @@ def default_eta(k: int, eps: Fraction) -> int:
     return max(1, int(-((-val) // 1)))
 
 
+def _even_bound(lam_cert: float, tr_gamma: Fraction, vertices: int, d: Fraction) -> Fraction:
+    """lambda_cert * tr(Gamma) / (C(n,r) d), in exact arithmetic; tr(Gamma) = 2 C(n,r) d,
+    so this is exactly 2 * lambda_cert."""
+    bound = Fraction(lam_cert) * tr_gamma / (vertices * d)
+    assert bound == 2 * Fraction(lam_cert)
+    return bound
+
+
 def refute_even(inst: XorInstance, r: int, caps: Caps = DEFAULT_CAPS,
                 tol: float = 1e-9, seed: int = 0) -> dict:
     """Certificate that psi(x) <= 2 * lambda_cert for all x, k even."""
@@ -96,14 +104,13 @@ def refute_even(inst: XorInstance, r: int, caps: Caps = DEFAULT_CAPS,
             f"the Kikuchi graph at r = {r} has no edges (alpha = 0); increase r"
         )
     d = g.average_degree
-    gamma = g.gamma_diagonal()
+    gamma = g.gamma_floats()
     a_signed = g.adjacency(signs=list(inst.signs))
     lam, resid = spectral_norm_reweighted(a_signed, gamma, tol=tol, seed=seed)
     lam_cert = lam + resid
     tr_gamma = Fraction(2 * comb(h.n, r)) * d
     assert tr_gamma == Fraction(4 * g.num_edges)
-    certified = Fraction(lam_cert) * tr_gamma / (Fraction(comb(h.n, r)) * d)
-    assert certified == 2 * Fraction(lam_cert)
+    certified = _even_bound(lam_cert, tr_gamma, g.num_vertices, d)
     return {
         "format": "kcert-certificate-v1",
         "mode": "even",
@@ -183,7 +190,7 @@ def _odd_level(inst: XorInstance, decomp, t: int, r: int, eta, caps: Caps, tol: 
         return _settle(rec, trivial, "trivial")
 
     sub_deg = g.subgraph_degrees(result.surviving)
-    gamma = g.gamma_diagonal(sub_deg)
+    gamma = g.gamma_floats(sub_deg)
     a_hat = g.adjacency(signs=list(inst.signs), keep=result.surviving)
     lam, resid = spectral_norm_reweighted(a_hat, gamma, tol=tol, seed=seed + t)
     lam_cert = lam + resid
@@ -265,6 +272,27 @@ def _mismatches(where: str, rec: dict, new: dict, keys) -> list[str]:
             for key in keys if rec[key] != new[key]]
 
 
+def _rational(s) -> Optional[Fraction]:
+    """The value of a recorded "p/q" field, or None when it is malformed."""
+    try:
+        return _parse_frac(s)
+    except (AttributeError, ValueError, ZeroDivisionError):
+        return None
+
+
+def _scalar_reasons(cert: dict, mode: str) -> list[str]:
+    """Type checks on the recorded parameters the verifier recomputes from; bool
+    is no integer here, and a float r would be truncated."""
+    reasons = [f"certificate {key} must be an integer, got {cert[key]!r}"
+               for key in ("r", "seed") if type(cert[key]) is not int]
+    if mode == "odd":
+        if cert["eta"] is not None and type(cert["eta"]) is not int:
+            reasons.append(f"certificate eta must be an integer or null, got {cert['eta']!r}")
+        if _rational(cert["eps"]) is None:
+            reasons.append(f"certificate eps must be a rational \"p/q\", got {cert['eps']!r}")
+    return reasons
+
+
 def _check_norm(where: str, rec: dict, fresh_lambda: float) -> list[str]:
     """lambda and residual must be finite, non-negative and add up to lambda_cert,
     which may fall below the recomputed Ritz value (a lower bound on the norm)
@@ -285,7 +313,8 @@ def verify_certificate(inst: XorInstance, cert: dict,
                        caps: Caps = DEFAULT_CAPS) -> tuple[bool, list[str]]:
     """Recompute every certified quantity from scratch and compare.
 
-    Missing keys fail. Exact fields must match exactly, level by level. lambda
+    Missing keys, ill-typed or malformed parameters, and parameters the
+    recomputation refuses fail. Exact fields must match exactly, level by level. lambda
     is recomputed with an independent seed at VERIFY_TOL and bounds the
     recorded lambda_cert from below (see _check_norm); the arithmetic chain
     down to certified_bound is rechecked exactly from the recorded lambda_cert.
@@ -304,22 +333,31 @@ def verify_certificate(inst: XorInstance, cert: dict,
         records = cert["levels"] if isinstance(cert["levels"], list) else [None]
         reasons = [msg for i, rec in enumerate(records)
                    for msg in _missing(rec, _LEVEL_KEYS, f"level record {i}")]
+    reasons = reasons or _scalar_reasons(cert, mode)
     if reasons:
         return False, reasons
-    seed, r = int(cert["seed"]) + VERIFY_SEED_OFFSET, int(cert["r"])
+    seed, r = cert["seed"] + VERIFY_SEED_OFFSET, cert["r"]
+
+    try:
+        if mode == "even":
+            new = refute_even(inst, r, caps=caps, tol=VERIFY_TOL, seed=seed)["even"]
+        else:
+            fresh = refute_odd(inst, r, _parse_frac(cert["eps"]), eta=cert["eta"], caps=caps,
+                               tol=VERIFY_TOL, seed=seed,
+                               relax_r_range=bool(cert.get("relaxed_r_range", False)))["levels"]
+    except ValueError as exc:
+        return False, [f"the recorded parameters do not recompute: {exc}"]
 
     if mode == "even":
         rec = cert["even"]
-        new = refute_even(inst, r, caps=caps, tol=VERIFY_TOL, seed=seed)["even"]
         norm = _check_norm("even", rec, new["lambda"])
         reasons = _mismatches("even", rec, new, _EVEN_EXACT) + norm
-        if not norm and _parse_frac(cert["certified_bound"]) != 2 * Fraction(rec["lambda_cert"]):
+        if not norm and _rational(cert["certified_bound"]) != _even_bound(
+                rec["lambda_cert"], _parse_frac(new["tr_gamma"]), new["vertices"],
+                _parse_frac(new["d"])):
             reasons.append("certified_bound does not equal 2 * lambda_cert")
         return not reasons, reasons
 
-    fresh = refute_odd(inst, r, _parse_frac(cert["eps"]), eta=cert["eta"], caps=caps,
-                       tol=VERIFY_TOL, seed=seed,
-                       relax_r_range=bool(cert.get("relaxed_r_range", False)))["levels"]
     if [rec["t"] for rec in records] != [new["t"] for new in fresh]:
         return False, [f"levels: recorded t = {[rec['t'] for rec in records]} != recomputed "
                        f"{[new['t'] for new in fresh]}"]
@@ -337,13 +375,13 @@ def verify_certificate(inst: XorInstance, cert: dict,
             exact = [_parse_frac(new[key]) for key in ("tr_gamma", "rho", "first_term")]
             fhat, expect = _spectral_level_bound(k, m, new["p"], new["alpha"], new["m_t"],
                                                  rec["lambda_cert"], *exact)
-            if _parse_frac(rec["fhat_bound"]) != fhat:
+            if _rational(rec["fhat_bound"]) != fhat:
                 reasons.append(f"{where} fhat_bound does not recompute from lambda_cert")
-            if _parse_frac(rec["psi_bound"]) != expect:
-                reasons.append(f"{where} psi_bound does not recompute")
         else:
-            reasons += _mismatches(where, rec, new, ("psi_bound",))
-        psi_total += _parse_frac(rec["psi_bound"])
-    if _parse_frac(cert["certified_bound"]) != psi_total / k:
+            expect = _parse_frac(new["psi_bound"])
+        if _rational(rec["psi_bound"]) != expect:
+            reasons.append(f"{where} psi_bound does not recompute")
+        psi_total += expect
+    if _rational(cert["certified_bound"]) != psi_total / k:
         reasons.append("certified_bound does not equal (1/k) * sum of level bounds")
     return not reasons, reasons

@@ -1,11 +1,12 @@
 """Numerical core: certified spectral norms of reweighted matrices, PSD margins,
 and exact rational trace powers.
 
-The spectral norm of Gamma^{-1/2} A Gamma^{-1/2} is computed by symmetric
-Lanczos with full reorthogonalization. The routine is deterministic given the
-seed, reports the residual ||A~ v - theta v|| of the returned Ritz pair, and
-restarts on breakdown so the Krylov basis can exhaust the space; certificates
-must widen the returned value by the residual before using it.
+The spectral norm of Gamma^{-1/2} A Gamma^{-1/2} is computed by ARPACK
+(scipy.sparse.linalg.eigsh, implicitly restarted Lanczos, so memory stays at a
+few Krylov vectors) from a seeded start vector. The routine is deterministic
+given the seed and reports the residual ||A~ v - theta v|| of the returned
+eigenpair, recomputed from A itself; certificates must widen the returned value
+by the residual before using it.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .core import CapacityError, KcertError
 
@@ -26,7 +27,7 @@ PSD_DENSE_LIMIT = 4000
 
 
 class NonConvergenceError(KcertError):
-    """Lanczos failed to converge; carries the best Ritz estimate found."""
+    """The eigensolver failed to converge; carries the best estimate found."""
 
     def __init__(self, message: str, best_value: float, best_residual: float):
         super().__init__(message)
@@ -40,104 +41,56 @@ def _as_csr(a) -> sp.csr_matrix:
     return sp.csr_matrix(np.asarray(a, dtype=np.float64))
 
 
-def spectral_norm_reweighted(a, gamma, tol: float = 1e-9, max_iter=None,
-                             seed: int = 0) -> tuple[float, float]:
+def spectral_norm_reweighted(a, gamma, tol: float = 1e-9, seed: int = 0) -> tuple[float, float]:
     """Spectral norm of Gamma^{-1/2} A Gamma^{-1/2} with a certified residual.
 
-    a      : symmetric matrix (dense or scipy sparse)
+    a      : symmetric matrix (dense or scipy sparse); left unmodified
     gamma  : positive diagonal entries (Fractions or floats)
     returns (lambda, residual) where residual = ||A~ v - lambda_signed v|| for
-    the returned Ritz vector v; deterministic for a fixed seed.
+    the returned eigenvector v; deterministic for a fixed seed.
     """
     A = _as_csr(a)
     nv = A.shape[0]
-    if nv == 0:
-        return 0.0, 0.0
-    if A.nnz == 0:
+    if nv == 0 or not A.data.any():
         return 0.0, 0.0
     skew = A - A.T
     if skew.nnz and float(np.max(np.abs(skew.data))) > 0.0:
         raise ValueError("matrix must be symmetric")
-    gf = np.array([float(g) for g in gamma], dtype=np.float64)
-    if gf.shape[0] != nv:
+    gf = np.asarray(gamma, dtype=np.float64)
+    if gf.shape != (nv,):
         raise ValueError("gamma length must match matrix dimension")
     if np.any(gf <= 0):
         raise ValueError("gamma must be strictly positive when A is nonzero")
     isq = 1.0 / np.sqrt(gf)
 
-    def matvec(v: np.ndarray) -> np.ndarray:
-        return isq * (A @ (isq * v))
-
-    mmax = min(nv, max_iter) if max_iter is not None else min(nv, 1000)
-    rng = np.random.default_rng(seed)
-    scale = float(np.max(np.abs(A.data))) * float(np.max(isq)) ** 2
-
-    V = np.zeros((nv, mmax))
-    alphas: list[float] = []
-    betas: list[float] = []
-    v = rng.standard_normal(nv)
-    v /= np.linalg.norm(v)
-    theta_prev = None
-    theta = 0.0
-    z = None
-    converged = False
-    j = 0
-    while j < mmax:
-        V[:, j] = v
-        w = matvec(v)
-        alpha = float(v @ w)
-        alphas.append(alpha)
-        # full reorthogonalization, twice for stability
-        w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
-        w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
-        beta = float(np.linalg.norm(w))
-
-        evals, evecs = scipy.linalg.eigh_tridiagonal(alphas, betas)
-        idx = int(np.argmax(np.abs(evals)))
-        theta = float(evals[idx])
-        z = evecs[:, idx]
-        ritz_resid = beta * abs(float(z[-1]))
-
-        stable = theta_prev is not None and abs(theta - theta_prev) <= tol * max(abs(theta), 1e-30)
-        if ritz_resid <= tol * max(abs(theta), 1e-30) and (stable or j + 1 == nv):
-            converged = True
-            j += 1
-            break
-        theta_prev = theta
-
-        if beta <= 1e-13 * max(scale, 1.0):
-            # invariant subspace: restart orthogonally or stop if space exhausted
-            if j + 1 == nv:
-                converged = True
-                j += 1
-                break
-            fresh = rng.standard_normal(nv)
-            fresh -= V[:, : j + 1] @ (V[:, : j + 1].T @ fresh)
-            norm = np.linalg.norm(fresh)
-            if norm <= 1e-12:
-                converged = True
-                j += 1
-                break
-            v = fresh / norm
-            betas.append(0.0)
-        else:
-            v = w / beta
-            betas.append(beta)
-        j += 1
-
-    y = V[:, :j] @ z
-    ynorm = np.linalg.norm(y)
-    if ynorm > 0:
-        y /= ynorm
-    residual = float(np.linalg.norm(matvec(y) - theta * y))
+    # A~ as a scaled copy: _as_csr hands back the caller's own CSR matrix
+    m = A.astype(np.float64, copy=True)
+    m.data *= isq[np.repeat(np.arange(nv), np.diff(m.indptr))] * isq[m.indices]
+    m.eliminate_zeros()
+    converged = True
+    if nv == 1:
+        # eigsh needs k < N
+        vals, vecs = m.toarray()[0], np.ones((1, 1))
+    else:
+        # ARPACK draws a fresh start vector from rng whenever the Krylov space
+        # turns invariant; left unset, that generator is seeded by the OS
+        rng = np.random.default_rng(seed)
+        try:
+            vals, vecs = eigsh(m, k=1, which="LM", v0=rng.standard_normal(nv), tol=tol, rng=rng)
+        except ArpackNoConvergence as exc:
+            vals, vecs, converged = exc.eigenvalues, exc.eigenvectors, False
+    if len(vals) == 0:
+        raise NonConvergenceError("ARPACK converged to no eigenpair", best_value=math.nan,
+                                  best_residual=math.inf)
+    theta, y = float(vals[0]), vecs[:, 0]
+    residual = float(np.linalg.norm(isq * (A @ (isq * y)) - theta * y))
     # widen by a rounding allowance so lambda + residual stays a one-sided
     # margin even when the Ritz value lands a few ulps under the true norm
     eps = float(np.finfo(np.float64).eps)
     residual += 64.0 * eps * max(1.0, abs(theta)) * max(1.0, math.sqrt(nv))
     if not converged:
         raise NonConvergenceError(
-            f"Lanczos did not converge in {mmax} iterations "
-            f"(best value {abs(theta)}, residual {residual})",
+            f"ARPACK did not converge (best value {abs(theta)}, residual {residual})",
             best_value=abs(theta),
             best_residual=residual,
         )

@@ -160,10 +160,3 @@ def test_cli_audit(tmp_path, capsys):
     assert main(["audit", "trace", str(c8), "--r", "1", "--ell", "4"]) == 0
     out = capsys.readouterr().out
     assert "ok" in out
-
-
-def test_cli_bad_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("KCERT_THREADS", "zero")
-    f = tmp_path / "tri.hyg"
-    f.write_text(TRIANGLE_TEXT)
-    assert main(["audit", "girth", str(f)]) == 1

@@ -121,6 +121,8 @@ def test_adjacency_and_degrees_match_edge_loop(seed, colored):
     assert np.array_equal(g.degrees, deg)
     assert np.array_equal(g.subgraph_degrees(keep), sub)
     assert g.gamma_diagonal(sub) == [Fraction(int(x)) + Fraction(int(sub.sum()), nv) for x in sub]
+    for degrees in (None, sub):
+        assert g.gamma_floats(degrees).tolist() == [float(x) for x in g.gamma_diagonal(degrees)]
 
 
 def incidences(g, keep=None):

@@ -257,3 +257,47 @@ def test_verify_rejects_missing_keys():
     del tampered["levels"][0]["lambda_cert"]
     ok, reasons = verify_certificate(inst3, tampered)
     assert not ok and any("'lambda_cert'" in reason for reason in reasons)
+
+
+def _odd_fixture():
+    inst = gen_random(9, 3, 30, seed=4, mode="xor-multi")
+    return inst, refute_odd(inst, 2, Fraction(1, 3), relax_r_range=True, seed=7)
+
+
+def _rejected(inst, cert, key, value, needle):
+    tampered = copy.deepcopy(cert)
+    tampered[key] = value
+    ok, reasons = verify_certificate(inst, tampered)
+    assert not ok and any(needle in reason for reason in reasons), reasons
+
+
+def test_verify_rejects_malformed_eps():
+    inst, cert = _odd_fixture()
+    _rejected(inst, cert, "eps", "x", "eps")
+
+
+def test_verify_rejects_non_integer_seed():
+    inst, cert = _odd_fixture()
+    _rejected(inst, cert, "seed", "abc", "seed")
+    _rejected(inst, cert, "seed", True, "seed")
+
+
+def test_verify_rejects_non_integer_eta():
+    inst, cert = _odd_fixture()
+    _rejected(inst, cert, "eta", "x", "eta")
+
+
+def test_verify_rejects_fractional_r():
+    # r = 2.5 used to be truncated to the recorded graph's r = 2 and accepted
+    inst, cert = _odd_fixture()
+    assert cert["r"] == 2 and verify_certificate(inst, cert)[0]
+    _rejected(inst, cert, "r", 2.5, "r must be an integer")
+
+
+def test_verify_rejects_out_of_domain_fields():
+    inst, cert = _odd_fixture()
+    _rejected(inst, cert, "r", 0, "do not recompute")
+    _rejected(inst, cert, "eps", "3/1", "do not recompute")
+    _rejected(inst, cert, "certified_bound", "1/0", "certified_bound")
+    even_inst = gen_random(9, 2, 40, seed=3, mode="xor-multi")
+    _rejected(even_inst, refute_even(even_inst, 1), "certified_bound", None, "certified_bound")

@@ -5,9 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from kcert import (CapacityError, Hypergraph, exact_trace_power, gen_random, graph_girth,
-                   psd_margin, spectral_norm_reweighted, trace_bound_rhs)
+from kcert import (CapacityError, Hypergraph, NonConvergenceError, exact_trace_power, gen_random,
+                   graph_girth, psd_margin, spectral_norm_reweighted, trace_bound_rhs)
 from kcert.kikuchi_even import build_even_kikuchi
 
 TRIANGLE = Hypergraph(n=3, k=2, edges=((0, 1), (1, 2), (0, 2)))
@@ -159,3 +162,85 @@ def test_norm_rejects_nonsymmetric():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="symmetric"):
         spectral_norm_reweighted(a, [Fraction(1), Fraction(1)])
+
+
+@st.composite
+def signed_multigraphs(draw):
+    """A signed multigraph (loops allowed) as a CSR matrix with its Gamma: one
+    to three disconnected blocks, trailing isolated vertices, and parallel
+    edges that may cancel, leaving explicit zeros in the matrix."""
+    blocks = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    n = sum(blocks) + draw(st.integers(0, 2))
+    rows, cols, vals = [], [], []
+    start = 0
+    for size in blocks:
+        ends = st.integers(start, start + size - 1)
+        for u, v, w, cancel in draw(st.lists(
+                st.tuples(ends, ends, st.sampled_from([-1.0, 1.0]), st.booleans()), max_size=8)):
+            for x in ((w, -w) if cancel else (w,)):
+                rows += [u] if u == v else [u, v]
+                cols += [v] if u == v else [v, u]
+                vals += [x] if u == v else [x, x]
+        start += size
+    a = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    gamma = [Fraction(num, 4) for num in draw(st.lists(st.integers(1, 40), min_size=n,
+                                                          max_size=n))]
+    return a, gamma
+
+
+def _dense_norm(a, gamma):
+    isq = 1 / np.sqrt(np.array([float(g) for g in gamma]))
+    return float(np.max(np.abs(np.linalg.eigvalsh(isq[:, None] * a.toarray() * isq))))
+
+
+@given(signed_multigraphs(), st.integers(0, 2**31 - 1))
+@settings(max_examples=150, deadline=None)
+def test_norm_matches_dense_eigvalsh(graph, seed):
+    a, gamma = graph
+    before = (a.data.copy(), a.indices.copy(), a.indptr.copy())
+    lam, resid = spectral_norm_reweighted(a, gamma, seed=seed)
+    expect = _dense_norm(a, gamma)
+    assert lam + resid >= expect
+    assert abs(lam - expect) <= 1e-8 * max(1.0, expect)
+    assert spectral_norm_reweighted(a, gamma, seed=seed) == (lam, resid)
+    for old, new in zip(before, (a.data, a.indices, a.indptr)):
+        assert np.array_equal(old, new)
+
+
+@pytest.mark.parametrize("entries, expect", [
+    ([[3.0]], 0.75),
+    ([[0.0]], 0.0),
+    ([[0.0, -2.0], [-2.0, 0.0]], 0.5),
+    ([[1.0, 1.0], [1.0, 1.0]], 0.5),
+])
+def test_norm_one_and_two_dimensional(entries, expect):
+    a = sp.csr_matrix(np.array(entries))
+    lam, resid = spectral_norm_reweighted(a, [Fraction(4)] * len(entries))
+    assert abs(lam - expect) <= 1e-12 and lam + resid >= expect
+    assert resid == 0.0 if expect == 0.0 else resid < 1e-12
+
+
+def test_norm_cancelled_parallel_edges_is_zero():
+    a = sp.coo_matrix(([1.0, -1.0, 1.0, -1.0], ([0, 0, 1, 1], [1, 1, 0, 0])), shape=(2, 2))
+    assert spectral_norm_reweighted(a.tocsr(), [Fraction(2)] * 2) == (0.0, 0.0)
+
+
+def test_norm_reports_arpack_non_convergence(monkeypatch):
+    def stalled(m, **kwargs):
+        n = m.shape[0]
+        raise ArpackNoConvergence("stalled", np.array([0.25]), np.full((n, 1), n ** -0.5))
+
+    monkeypatch.setattr("kcert.spectral.eigsh", stalled)
+    with pytest.raises(NonConvergenceError) as info:
+        spectral_norm_reweighted(_graph_adjacency(TRIANGLE), [Fraction(4)] * 3)
+    assert info.value.best_value == 0.25
+    # the all-ones vector is the eigenvector of 1/2, so the residual is 1/4
+    assert abs(info.value.best_residual - 0.25) < 1e-12
+
+
+def test_norm_repeatable_when_arpack_restarts():
+    # the only eigenvalues are 2 and 0, so the Krylov space turns invariant
+    # after two steps and ARPACK draws a new start vector: from the seed
+    a = sp.csr_matrix(np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
+    results = {spectral_norm_reweighted(a, [Fraction(1, 2)] * 6, seed=5) for _ in range(10)}
+    assert len(results) == 1
