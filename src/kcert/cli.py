@@ -53,7 +53,10 @@ def _cmd_cover(args) -> int:
     h = load_hypergraph(args.file)
     if args.action == "verify":
         indices = [int(t) for t in args.indices.split(",") if t]
-        ok = verify_even_cover(h, indices) and len(indices) > 0
+        try:
+            ok = verify_even_cover(h, indices) and len(indices) > 0
+        except IndexError as exc:
+            raise ValueError(exc) from None
         print("true" if ok else "false")
         return 0 if ok else 1
     if args.action == "oracle":

@@ -19,14 +19,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import ClassVar, Optional
+from typing import TYPE_CHECKING, ClassVar, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import CapacityError, EvenCover, Hypergraph, XorInstance
 from .subsets import (all_subset_masks_colex, binomial_table, colex_ranks, combination_rows,
                       complement_rows, joined_rows)
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # edges generated per block; bounds the working arrays of a build
 BLOCK_EDGES = 1 << 15
@@ -109,7 +111,10 @@ class KikuchiEdges:
 
     def adjacency(self, signs=None, keep=None) -> sp.csr_matrix:
         """Symmetric adjacency of the subgraph kept by the boolean edge mask keep
-        (default all), signed by per-clause signs; parallel edges accumulate."""
+        (default all), signed by per-clause signs; parallel edges accumulate.
+        SciPy is imported here, on first use, to keep it out of `import kcert`."""
+        import scipy.sparse as sp
+
         nv = self.num_vertices
         s, t = self.s_rank, self.t_rank
         w = np.ones(len(s)) if signs is None else self.edge_signs(np.asarray(signs, dtype=float))

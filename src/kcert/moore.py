@@ -9,6 +9,7 @@ step may return along a distinct parallel edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,9 +134,7 @@ def _floor_log(base: Fraction, x: int) -> int:
     """Largest j >= 0 with base^j <= x, for base > 1, exact."""
     if base <= 1:
         raise ValueError("base must exceed 1")
-    import math as _math
-
-    guess = max(0, int(_math.log(x) / _math.log(float(base))))
+    guess = max(0, int(math.log(x) / math.log(float(base))))
     p, q = base.numerator, base.denominator
     while p**(guess + 1) <= x * q**(guess + 1):
         guess += 1
@@ -148,9 +147,7 @@ def _ceil_log(base: Fraction, x: int) -> int:
     """Smallest j >= 0 with base^j >= x, for base > 1, exact."""
     if base <= 1:
         raise ValueError("base must exceed 1")
-    import math as _math
-
-    guess = max(0, int(_math.log(x) / _math.log(float(base))))
+    guess = max(0, int(math.log(x) / math.log(float(base))))
     p, q = base.numerator, base.denominator
     while p**guess < x * q**guess:
         guess += 1

@@ -7,6 +7,9 @@ few Krylov vectors) from a seeded start vector. The routine is deterministic
 given the seed and reports the residual ||A~ v - theta v|| of the returned
 eigenpair, recomputed from A itself; certificates must widen the returned value
 by the residual before using it.
+
+SciPy is imported on the first norm or PSD margin (and by the first Kikuchi
+adjacency), not with the module, so `import kcert` and the CLI start without it.
 """
 
 from __future__ import annotations
@@ -14,12 +17,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .core import CapacityError, KcertError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 TRACE_DIM_LIMIT = 2000
 TRACE_POWER_LIMIT = 12
@@ -36,6 +41,8 @@ class NonConvergenceError(KcertError):
 
 
 def _as_csr(a) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     if sp.issparse(a):
         return a.tocsr()
     return sp.csr_matrix(np.asarray(a, dtype=np.float64))
@@ -49,6 +56,8 @@ def spectral_norm_reweighted(a, gamma, tol: float = 1e-9, seed: int = 0) -> tupl
     returns (lambda, residual) where residual = ||A~ v - lambda_signed v|| for
     the returned eigenvector v; deterministic for a fixed seed.
     """
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
     A = _as_csr(a)
     nv = A.shape[0]
     if nv == 0 or not A.data.any():
@@ -99,6 +108,8 @@ def spectral_norm_reweighted(a, gamma, tol: float = 1e-9, seed: int = 0) -> tupl
 
 def psd_margin(m, tol: float = 1e-9) -> float:
     """Minimum eigenvalue of a symmetric matrix (negative means not PSD)."""
+    import scipy.sparse as sp
+
     if sp.issparse(m):
         m = m.toarray()
     dense = np.asarray(m, dtype=np.float64)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kcert
 from kcert import parse_hypergraph, parse_xor
 from kcert.cli import main
 from kcert.io import ParseError, serialize_hypergraph, serialize_xor
@@ -67,6 +72,23 @@ def test_cli_cover_verify(tmp_path, capsys):
     assert main(["cover", "verify", str(f), "--indices", "0,1,2"]) == 0
     assert capsys.readouterr().out.strip() == "true"
     assert main(["cover", "verify", str(f), "--indices", "0,1"]) == 1
+
+
+def test_cli_cover_verify_index_out_of_range(tmp_path, capsys):
+    f = tmp_path / "cycle.hyg"
+    f.write_text("hyg 12 12 2\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 12)) + "1 12\n")
+    assert main(["cover", "verify", str(f), "--indices", "99"]) == 1
+    assert capsys.readouterr().err == "error: edge index 99 out of range 0..11\n"
+
+
+def test_import_loads_no_scipy():
+    # SciPy loads on the first adjacency or norm, not with the package
+    code = ("import sys, kcert, kcert.io, kcert.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(kcert.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_cli_cover_find(tmp_path, capsys):

@@ -230,7 +230,7 @@ def test_norm_reports_arpack_non_convergence(monkeypatch):
         n = m.shape[0]
         raise ArpackNoConvergence("stalled", np.array([0.25]), np.full((n, 1), n ** -0.5))
 
-    monkeypatch.setattr("kcert.spectral.eigsh", stalled)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", stalled)
     with pytest.raises(NonConvergenceError) as info:
         spectral_norm_reweighted(_graph_adjacency(TRIANGLE), [Fraction(4)] * 3)
     assert info.value.best_value == 0.25
