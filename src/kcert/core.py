@@ -108,6 +108,14 @@ class EvenCover:
         return len(self.edge_indices)
 
 
+def odd_use_cover(indices) -> EvenCover:
+    """The indices that occur an odd number of times in a sequence of uses."""
+    odd: set[int] = set()
+    for i in indices:
+        odd ^= {i}
+    return EvenCover(frozenset(odd))
+
+
 Assignment = Sequence[int]       # n entries in {-1, +1}
 
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, ClassVar, Optional
 
 import numpy as np
 
-from .core import CapacityError, EvenCover, Hypergraph, XorInstance
+from .core import CapacityError, EvenCover, Hypergraph, XorInstance, odd_use_cover
 from .subsets import (all_subset_masks_colex, binomial_table, colex_ranks, combination_rows,
                       complement_rows, joined_rows)
 
@@ -229,16 +229,15 @@ def extract_cover_from_closed_walk(g: EvenKikuchiGraph, walk: list[int]) -> Even
     lookup: dict[int, int] = {}
     for i, mk in enumerate(g.clause_masks):
         lookup.setdefault(mk, i)
-    parity: Counter = Counter()
+    steps = []
     for i, s in enumerate(walk):
         t = walk[(i + 1) % len(walk)]
         diff = g.vertex_masks[s] ^ g.vertex_masks[t]
         ci = lookup.get(diff)
         if ci is None:
             raise ValueError(f"walk step {i}: symmetric difference is not a hyperedge")
-        parity[ci] += 1
-    odd = frozenset(c for c, cnt in parity.items() if cnt % 2 == 1)
-    return EvenCover(odd)
+        steps.append(ci)
+    return odd_use_cover(steps)
 
 
 def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_CAPS,
@@ -293,16 +292,15 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
                         length = dist[u] + dist[v] + 1
                         if length > cap or (best and length >= best[0]):
                             continue
-                        parity: Counter = Counter([c])
+                        steps = [c]
                         for end in (u, v):
                             x = end
                             while x != root:
-                                px, pc = parent[x]
-                                parity[pc] += 1
-                                x = px
-                        odd = frozenset(i for i, cnt in parity.items() if cnt % 2 == 1)
-                        if odd:
-                            best = (length, EvenCover(odd))
+                                x, pc = parent[x]
+                                steps.append(pc)
+                        cover = odd_use_cover(steps)
+                        if cover.edge_indices:
+                            best = (length, cover)
                             limit = length
             frontier = nxt
     return best

@@ -18,7 +18,6 @@ and equalization are array passes over the same layout.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CapacityError, EvenCover, Hypergraph
+from .core import CapacityError, EvenCover, Hypergraph, odd_use_cover
 from .decomposition import Decomposition, Group
 from .kikuchi_even import BLOCK_EDGES, DEFAULT_CAPS, Caps, KikuchiEdges, sorted_edge_arrays
 from .subsets import (binomial_table, colex_ranks, combination_rows, complement_rows, joined_rows,
@@ -325,12 +324,7 @@ def map_reduced_cover_back(back_map: list[tuple[int, int]], cover) -> EvenCover:
     """Pull an even cover of the reduced hypergraph back to the original:
     sources appearing an odd number of times across the selected chain edges."""
     indices = cover.edge_indices if isinstance(cover, EvenCover) else frozenset(cover)
-    parity: Counter = Counter()
-    for i in indices:
-        a, b = back_map[i]
-        parity[a] += 1
-        parity[b] += 1
-    return EvenCover(frozenset(c for c, cnt in parity.items() if cnt % 2 == 1))
+    return odd_use_cover(source for i in indices for source in back_map[i])
 
 
 def dump_colored(g: ColoredKikuchiGraph) -> str:

@@ -118,6 +118,39 @@ def test_cli_refute_even_and_verify(tmp_path, capsys):
     assert main(["verify-cert", str(inst_path), str(bad_path)]) == 2
 
 
+def test_cli_refute_odd_and_verify(tmp_path, capsys):
+    inst_path = tmp_path / "odd.xor"
+    assert main(["gen", "--type", "xor", "--n", "9", "--k", "3", "--m", "30", "--multi",
+                 "--seed", "4", "--out", str(inst_path)]) == 0
+    cert_path = tmp_path / "cert.json"
+    assert main(["refute", str(inst_path), "--r", "2", "--seed", "7", "--eps", "1/3",
+                 "--relax-r-range", "--out", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    assert cert["relaxed_r_range"] is True
+    assert any(rec["method"] == "spectral" for rec in cert["levels"])
+    assert main(["verify-cert", str(inst_path), str(cert_path)]) == 0
+
+    cert["levels"][0]["psi_bound"] = "0/1"
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(cert, sort_keys=True))
+    capsys.readouterr()
+    assert main(["verify-cert", str(inst_path), str(bad_path)]) == 2
+    assert "mismatch: certificate['levels'][0]['psi_bound']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "certificate is not a JSON object"),
+    ("[" * 100_000 + "]" * 100_000, "certificate JSON is nested too deeply"),
+], ids=["array", "deep"])
+def test_cli_verify_cert_malformed_json(tmp_path, capsys, text, message):
+    inst_path = tmp_path / "one.xor"
+    inst_path.write_text(SINGLE_XOR_TEXT)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(text + "\n")
+    assert main(["verify-cert", str(inst_path), str(cert_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_refute_deterministic_bytes(tmp_path):
     inst_path = tmp_path / "i.xor"
     assert main(["gen", "--type", "xor", "--n", "9", "--k", "3", "--m", "20",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kcert import (CapacityError, Hypergraph, XorInstance, brute_force_max_xor,
                    eval_xor, gen_random, graph_girth, min_even_cover_oracle,
                    random_assignment, verify_even_cover)
+from kcert.core import EvenCover, odd_use_cover
 
 TRIANGLE = Hypergraph(n=3, k=2, edges=((0, 1), (1, 2), (0, 2)))
 
@@ -47,6 +48,11 @@ def test_verify_even_cover_empty_and_errors():
     assert verify_even_cover(TRIANGLE, set())
     with pytest.raises(IndexError):
         verify_even_cover(TRIANGLE, {5})
+
+
+def test_odd_use_cover():
+    assert odd_use_cover([3, 1, 3, 2, 1, 1]) == EvenCover(frozenset({1, 2}))
+    assert odd_use_cover(iter([4, 4])) == EvenCover(frozenset())
 
 
 def test_oracle_triangle():

@@ -127,6 +127,17 @@ def test_verify_fresh_certificates():
     assert ok3, reasons3
 
 
+def test_verify_accepts_int_tol_and_truthy_relax():
+    # the prover records tol as a float and relaxed_r_range as a bool, the types
+    # the verifier demands
+    inst = gen_random(9, 2, 40, seed=3, mode="xor-multi")
+    cert = refute_even(inst, 1, tol=1)
+    assert cert["tol"] == 1.0 and verify_certificate(inst, cert) == (True, [])
+    inst3 = gen_random(9, 3, 30, seed=4, mode="xor-multi")
+    cert3 = refute_odd(inst3, 2, Fraction(1, 3), relax_r_range=1, seed=7)
+    assert cert3["relaxed_r_range"] is True and verify_certificate(inst3, cert3) == (True, [])
+
+
 def test_verify_rejects_lowered_lambda():
     inst = gen_random(9, 2, 40, seed=3, mode="xor-multi")
     cert = refute_even(inst, 1, seed=11)
@@ -264,10 +275,32 @@ def _odd_fixture():
     return inst, refute_odd(inst, 2, Fraction(1, 3), relax_r_range=True, seed=7)
 
 
-def _rejected(inst, cert, key, value, needle):
+def _even_fixture():
+    inst = gen_random(9, 2, 40, seed=3, mode="xor-multi")
+    return inst, refute_even(inst, 1, seed=11)
+
+
+_DELETED = object()
+
+
+def _edited(cert, path, value):
+    """A copy of cert with the field at path (a tuple of keys) set to value, or
+    deleted when value is _DELETED."""
     tampered = copy.deepcopy(cert)
-    tampered[key] = value
-    ok, reasons = verify_certificate(inst, tampered)
+    *parents, last = path
+    record = tampered
+    for key in parents:
+        record = record[key]
+    if value is _DELETED:
+        del record[last]
+    else:
+        record[last] = value
+    return tampered
+
+
+def _rejected(inst, cert, key, value, needle):
+    path = key if isinstance(key, tuple) else (key,)
+    ok, reasons = verify_certificate(inst, _edited(cert, path, value))
     assert not ok and any(needle in reason for reason in reasons), reasons
 
 
@@ -301,3 +334,113 @@ def test_verify_rejects_out_of_domain_fields():
     _rejected(inst, cert, "certified_bound", "1/0", "certified_bound")
     even_inst = gen_random(9, 2, 40, seed=3, mode="xor-multi")
     _rejected(even_inst, refute_even(even_inst, 1), "certified_bound", None, "certified_bound")
+
+
+@pytest.mark.parametrize("fixture, key, value, needle", [
+    (_even_fixture, "format", "garbage", "['format']"),
+    (_even_fixture, "n", 999, "['n']"),
+    (_even_fixture, "k", 7, "['k']"),
+    (_even_fixture, "m", 1, "['m']"),
+    (_even_fixture, "eps", "1/3", "['eps']"),
+    (_even_fixture, "eta", 256, "['eta']"),
+    (_even_fixture, "extra", 1, "['extra'] is unexpected"),
+    (_even_fixture, "tol", "x", "tol must be a float"),
+    (_odd_fixture, "format", "garbage", "['format']"),
+    (_odd_fixture, "k", 7, "['k']"),
+    (_odd_fixture, "extra", 1, "['extra'] is unexpected"),
+    (_odd_fixture, ("levels", 1, "lambda"), 123.0, "['levels'][1]['lambda']"),
+    (_odd_fixture, ("levels", 1, "fhat_bound"), "5/1", "['levels'][1]['fhat_bound']"),
+    (_odd_fixture, "relaxed_r_range", "yes", "relaxed_r_range must be a bool"),
+    (_odd_fixture, "tol", "x", "tol must be a float"),
+])
+def test_verify_rejects_unlisted_fields(fixture, key, value, needle):
+    inst, cert = fixture()
+    if isinstance(key, tuple):
+        assert cert["levels"][1]["method"] == "empty"
+    _rejected(inst, cert, key, value, needle)
+
+
+def _single_edits(record, path=()):
+    """(path, value) for every one-leaf edit below record: each leaf takes another
+    value of its type and a value of another type, and each key is deleted."""
+    items = record.items() if isinstance(record, dict) else enumerate(record)
+    for key, value in items:
+        here = path + (key,)
+        if isinstance(record, dict):
+            yield here, _DELETED
+        if isinstance(value, (dict, list)):
+            yield from _single_edits(value, here)
+            continue
+        if isinstance(value, bool):
+            yield here, not value
+        elif isinstance(value, (int, float)):
+            yield here, value * 2 + 1
+        elif isinstance(value, str):
+            yield here, value + "0"
+        yield here, "0/1" if value is None else None
+
+
+@pytest.mark.parametrize("fixture, replayed", [
+    (_even_fixture, {"r", "seed", "tol"}),
+    (_odd_fixture, {"r", "seed", "tol", "eps", "eta", "relaxed_r_range"}),
+])
+def test_verify_rejects_every_single_edit(fixture, replayed):
+    # every field but the parameters the verifier replays from is pinned
+    inst, cert = fixture()
+    assert verify_certificate(inst, cert) == (True, [])
+    edits = [(path, value) for path, value in _single_edits(cert) if path[0] not in replayed]
+    assert len(edits) > 40
+    for path, value in edits:
+        tampered = _edited(cert, path, value)
+        if path[0] in ("digest", "mode"):
+            with pytest.raises(CertificateError):
+                verify_certificate(inst, tampered)
+        else:
+            ok, reasons = verify_certificate(inst, tampered)
+            assert not ok and reasons, (path, value)
+
+
+def _nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("key, value, needle", [
+    ("levels", 5, "['levels']"),
+    ("levels", {"0": {}}, "['levels']"),
+    ("levels", [1, 2], "['levels'][0]"),
+    ("levels", [None, None], "['levels'][1]"),
+    (("levels", 0, "t"), [1], "['levels'][0]['t']"),
+    (("levels", 0, "t"), {"t": 1}, "['levels'][0]['t']"),
+    (("levels", 0, "lambda"), 10**400, "level 1"),
+    (("levels", 0, "vertices"), _nested(10_000), "['levels'][0]['vertices']"),
+    ("n", _nested(10_000), "['n']"),
+], ids=["levels-int", "levels-object", "records-int", "records-null", "t-list", "t-object",
+        "lambda-huge-int", "vertices-deep", "n-deep"])
+def test_verify_rejects_malformed_records(key, value, needle):
+    # never an exception: non-list levels, non-object records, unhashable or
+    # huge values, nesting deeper than repr can print
+    inst, cert = _odd_fixture()
+    _rejected(inst, cert, key, value, needle)
+
+
+def test_verify_rejects_spectral_bound_past_trivial():
+    # a huge but finite lambda_cert: the level falls back to the trivial bound
+    # instead of overflowing the float square root
+    inst, cert = _odd_fixture()
+    tampered = copy.deepcopy(cert)
+    rec = tampered["levels"][0]
+    assert rec["method"] == "spectral"
+    rec["lambda"] = rec["lambda_cert"] = 1.5e308
+    rec["residual"] = 0.0
+    ok, reasons = verify_certificate(inst, tampered)
+    assert not ok and any("['psi_bound']" in reason for reason in reasons), reasons
+
+
+def test_verify_non_object_certificate_errors():
+    inst, _ = _even_fixture()
+    for cert in ([], "cert", None):
+        with pytest.raises(CertificateError, match="not a JSON object"):
+            verify_certificate(inst, cert)
