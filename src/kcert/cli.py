@@ -154,7 +154,7 @@ def _cmd_verify_cert(args) -> int:
     inst = load_xor(args.file)
     with open(args.cert, "r", encoding="ascii") as fh:
         cert = certificate_from_json(fh.read())
-    ok, reasons = verify_certificate(inst, cert)
+    ok, reasons = verify_certificate(inst, cert, caps=_caps(args))
     if ok:
         print("certificate ok")
         return 0
@@ -258,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     vc = sub.add_parser("verify-cert", help="recheck a certificate against its instance")
     vc.add_argument("file")
     vc.add_argument("cert")
+    _add_caps(vc)
     vc.set_defaults(func=_cmd_verify_cert)
 
     au = sub.add_parser("audit", help="girth, Moore-bound and trace-bound audits")

@@ -19,7 +19,8 @@ import numpy as np
 
 from .subsets import mask_from
 
-ORACLE_EDGE_LIMIT = 44        # meet-in-the-middle on 2^(m/2) masks
+ORACLE_EDGE_LIMIT = 44        # meet-in-the-middle on 2^(m/2) subsets; of the least
+                              # covers, the least (left bitmask, right bitmask) wins
 BRUTE_FORCE_VAR_LIMIT = 24    # Walsh-Hadamard scan over 2^n assignments
 
 
@@ -142,11 +143,49 @@ def verify_even_cover(h: Hypergraph, cover) -> bool:
     return acc == 0
 
 
+def _span_coordinates(masks: Sequence[int]) -> list[int]:
+    """Each mask's coordinates in the basis of the masks' span that takes, in
+    order, every mask independent of the ones before it; bit j is basis mask j.
+
+    The map is linear and injective on the span, so two subsets have equal
+    xors exactly when their coordinates do, and the coordinates have at most
+    len(masks) bits however wide the masks are. The masks before any cut span
+    exactly the coordinates below 2^(their rank).
+    """
+    rows: dict[int, tuple[int, int]] = {}   # pivot (highest bit) -> (reduced mask, coordinates)
+    coords = []
+    for v in masks:
+        c = 0
+        while v and v.bit_length() - 1 in rows:
+            rv, rc = rows[v.bit_length() - 1]
+            v, c = v ^ rv, c ^ rc
+        if v:
+            new = 1 << len(rows)
+            rows[v.bit_length() - 1] = (v, c ^ new)
+            c = new
+        coords.append(c)
+    return coords
+
+
+def _subset_xors(coords: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and the size of every subset of coords; bit i of the index selects coords[i]."""
+    xs = np.zeros(1, dtype=np.int64)
+    sz = np.zeros(1, dtype=np.int64)
+    for c in coords:
+        xs = np.concatenate((xs, xs ^ c))
+        sz = np.concatenate((sz, sz + 1))
+    return xs, sz
+
+
 def min_even_cover_oracle(h: Hypergraph, size_cap: int) -> Optional[tuple[int, EvenCover]]:
     """Smallest nonempty even cover of size <= size_cap, by exhaustive F2 search.
 
-    Meet-in-the-middle over subsets of the edge list; exact. Returns None when
-    no nonempty even cover of size <= size_cap exists.
+    Meet-in-the-middle over the subsets of the first m // 2 edges (left) and of
+    the rest (right), run as array passes on the edges' span coordinates;
+    exact. Of the covers of least size it returns the one whose left subset
+    bitmask is least, then whose right subset bitmask is least (bit i selects
+    the i-th edge of its half). Returns None when no nonempty even cover of
+    size <= size_cap exists.
     """
     m = h.m
     if m > ORACLE_EDGE_LIMIT:
@@ -155,47 +194,41 @@ def min_even_cover_oracle(h: Hypergraph, size_cap: int) -> Optional[tuple[int, E
         )
     if m == 0 or size_cap < 1:
         return None
-    masks = h.edge_masks()
+    coords = _span_coordinates(h.edge_masks())
     a = m // 2
-    left, right = masks[:a], masks[a:]
-
-    # best (size, subset bitmask) per xor value over all left subsets, empty included
-    best_left: dict[int, tuple[int, int]] = {}
-    xors = [0] * (1 << a)
-    for sub in range(1 << a):
-        if sub:
-            low = (sub & -sub).bit_length() - 1
-            xors[sub] = xors[sub & (sub - 1)] ^ left[low]
-        key = xors[sub]
-        cand = (sub.bit_count(), sub)
-        if key not in best_left or cand < best_left[key]:
-            best_left[key] = cand
-
-    # nonempty left subsets with xor 0 are covers on their own
-    best: Optional[tuple[int, int, int]] = None   # (size, left_sub, right_sub)
-    for sub in range(1, 1 << a):
-        if xors[sub] == 0:
-            cand = (sub.bit_count(), sub, 0)
-            if best is None or cand < best:
-                best = cand
-
     b = m - a
-    rx = [0] * (1 << b)
-    for sub in range(1, 1 << b):
-        low = (sub & -sub).bit_length() - 1
-        rx[sub] = rx[sub & (sub - 1)] ^ right[low]
-        match = best_left.get(rx[sub])
-        if match is not None:
-            cand = (match[0] + sub.bit_count(), match[1], sub)
-            if best is None or cand < best:
-                best = cand
+    left_span = 1 << max(coords[:a], default=0).bit_length()
 
-    if best is None or best[0] > size_cap:
+    # every left subset as one key ordered by (xor, size < 2^6, bitmask); every
+    # xor below left_span occurs, so run j of the sorted keys holds xor j and
+    # opens with that xor's best (size, bitmask)
+    xs, sz = _subset_xors(coords[:a])
+    keys = np.sort((xs << (a + 6)) | (sz << a) | np.arange(1 << a))
+    del xs, sz
+    opens = np.ones(len(keys), dtype=bool)
+    opens[1:] = keys[1:] >> (a + 6) != keys[:-1] >> (a + 6)
+    best_left = keys[opens] & ((1 << (a + 6)) - 1)        # (size << a) | bitmask per xor
+
+    # a candidate (size, left bitmask, right bitmask) packs into one int64
+    # whose numeric order is the lexicographic one
+    cands = []
+    if len(keys) > 1 and keys[1] >> (a + 6) == 0:
+        # the zero run opens with the empty subset; its second row is a left-only cover
+        cands.append(keys[1:2] << b)
+    rx, rsz = _subset_xors(coords[a:])
+    rsub = np.flatnonzero(rx < left_span)[1:]            # right subsets a left one can cancel
+    left = best_left[rx[rsub]]
+    cands.append((((left >> a) + rsz[rsub]) << m) | ((left & ((1 << a) - 1)) << b) | rsub)
+
+    cands = np.concatenate(cands)
+    if not len(cands):
         return None
-    size, lsub, rsub = best
-    idx = {i for i in range(a) if (lsub >> i) & 1}
-    idx |= {a + i for i in range(b) if (rsub >> i) & 1}
-    cover = EvenCover(frozenset(idx))
+    best = int(cands.min())
+    size = best >> m
+    if size > size_cap:
+        return None
+    chosen = (best >> b & ((1 << a) - 1)) | (best & ((1 << b) - 1)) << a
+    cover = EvenCover(frozenset(i for i in range(m) if chosen >> i & 1))
     assert verify_even_cover(h, cover)
     return size, cover
 

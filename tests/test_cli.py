@@ -118,6 +118,20 @@ def test_cli_refute_even_and_verify(tmp_path, capsys):
     assert main(["verify-cert", str(inst_path), str(bad_path)]) == 2
 
 
+def test_cli_verify_cert_takes_caps(tmp_path, capsys):
+    # r = 2 on n = 9 vertices: the Kikuchi graph has C(9, 2) = 36 vertices
+    inst_path = tmp_path / "even.xor"
+    assert main(["gen", "--type", "xor", "--n", "9", "--k", "2", "--m", "40", "--multi",
+                 "--seed", "3", "--out", str(inst_path)]) == 0
+    cert_path = tmp_path / "cert.json"
+    assert main(["refute", str(inst_path), "--r", "2", "--seed", "0", "--out", str(cert_path)]) == 0
+    assert json.loads(cert_path.read_text())["even"]["vertices"] == 36
+    capsys.readouterr()
+    assert main(["verify-cert", str(inst_path), str(cert_path), "--max-vertices", "35"]) == 2
+    assert "exceeds cap 35" in capsys.readouterr().err
+    assert main(["verify-cert", str(inst_path), str(cert_path), "--max-vertices", "36"]) == 0
+
+
 def test_cli_refute_odd_and_verify(tmp_path, capsys):
     inst_path = tmp_path / "odd.xor"
     assert main(["gen", "--type", "xor", "--n", "9", "--k", "3", "--m", "30", "--multi",

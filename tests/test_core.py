@@ -104,6 +104,43 @@ def test_oracle_minimality_rescan():
             assert not verify_even_cover(h, sub)
 
 
+def _least_cover_by_scan(h):
+    """The nonempty cover least by (size, low-half bitmask, high-half bitmask),
+    low half = the first m // 2 edges, by a scan of all 2^m subsets."""
+    masks, a = h.edge_masks(), h.m // 2
+    xors = [0] * (1 << h.m)
+    best = None
+    for sub in range(1, 1 << h.m):
+        xors[sub] = xors[sub & (sub - 1)] ^ masks[(sub & -sub).bit_length() - 1]
+        if xors[sub] == 0:
+            key = (sub.bit_count(), sub & ((1 << a) - 1), sub >> a)
+            if best is None or key < best:
+                best = key
+    return best
+
+
+@given(st.integers(0, 2**30 - 1), st.integers(2, 5), st.integers(0, 14),
+       st.integers(0, 7), st.integers(0, 119), st.data())
+@settings(max_examples=80, deadline=None)
+def test_oracle_property_least_cover(seed, k, m, extra, wide, data):
+    # a multi-hypergraph on few vertices has covers; scattering those vertices
+    # over range(n), n up to 119, makes masks wider than 64 bits
+    few = k + extra
+    h = gen_random(few, k, m, seed=seed, mode="hyg-multi")
+    n = max(few, wide)
+    rename = random.Random(seed).sample(range(n), few)
+    h = Hypergraph(n=n, k=k, edges=tuple(tuple(rename[v] for v in e) for e in h.edges))
+    cap = data.draw(st.integers(0, m + 1))
+    best = _least_cover_by_scan(h)
+    res = min_even_cover_oracle(h, cap)
+    if best is None or best[0] > cap:
+        assert res is None
+        return
+    size, low, high = best
+    chosen = low | high << (m // 2)
+    assert res == (size, EvenCover(frozenset(i for i in range(m) if chosen >> i & 1)))
+
+
 def test_oracle_capacity():
     h = Hypergraph(n=50, k=2, edges=tuple((i, i + 1) for i in range(45)))
     with pytest.raises(CapacityError):

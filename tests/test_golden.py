@@ -1,8 +1,10 @@
-"""Golden pins for the Kikuchi builders and one odd certificate.
+"""Golden pins for the Kikuchi builders, one odd certificate and oracle covers.
 
 The files under golden/ hold only integers and exact rationals, so they match
 on any BLAS. They were written by the per-edge loop builders that the edge
 arrays replaced; any change to edge order, provenance or deletion shows here.
+oracle_covers.json was written by the pure-Python meet-in-the-middle oracle
+that the array passes replaced.
 """
 
 import json
@@ -11,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from kcert import Hypergraph, gen_random, load_xor, refute_odd
+from kcert import Hypergraph, gen_random, load_xor, min_even_cover_oracle, refute_odd
 from kcert.decomposition import Decomposition, Group
 from kcert.kikuchi_even import build_even_kikuchi, dump_even
 from kcert.kikuchi_odd import build_colored_kikuchi, dump_colored
@@ -80,3 +82,13 @@ def test_odd_certificate_golden():
     levels = odd_certificate_fields()
     assert [rec["method"] for rec in levels] == ["spectral", "spectral"]
     assert levels == json.loads((GOLDEN / "odd_k3_n4_two_levels.json").read_text())
+
+
+def test_oracle_covers():
+    """Oracle covers on instances of the cover-find benchmark's shape (n=20,
+    k=4, m=34, out of reach of a 2^m scan) and one on 70 vertices."""
+    for row in json.loads((GOLDEN / "oracle_covers.json").read_text()):
+        h = gen_random(row["n"], row["k"], row["m"], seed=row["seed"], mode=row["mode"])
+        res = min_even_cover_oracle(h, h.m)
+        got = (None, None) if res is None else (res[0], sorted(res[1].edge_indices))
+        assert got == (row["size"], row["cover"]), row
