@@ -136,6 +136,8 @@ def _cmd_kikuchi(args) -> int:
 def _cmd_refute(args) -> int:
     inst = load_xor(args.file)
     if inst.k % 2 == 0:
+        if args.eps is not None or args.eta is not None or args.relax_r_range:
+            raise KcertError("--eps, --eta and --relax-r-range apply to odd k only")
         cert = refute_even(inst, args.r, caps=_caps(args), tol=args.tol, seed=args.seed)
     else:
         if args.eps is None:

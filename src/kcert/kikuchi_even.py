@@ -1,20 +1,21 @@
 """Even-arity Kikuchi graphs: explicit construction, reweighting data, signed
-variant, and even-cover extraction from closed walks; also the edge-array
-layout that the colored graphs of kikuchi_odd share.
+variant, and even-cover extraction from closed walks; also what the colored
+graphs of kikuchi_odd share: the edge-array layout, the edge generator, the
+capacity check and the text dump.
 
 Vertices are the r-subsets S of the vertex set, indexed by colex rank; S ~ T
 iff S xor T is a hyperedge, and the edge remembers which one. Every clause
 contributes exactly alpha = C(k-1, k/2-1) * C(n-k, r-k/2) unordered edges.
 
 Edges live in parallel int64 arrays (s_rank, t_rank, provenance), sorted as the
-tuples (s_rank, t_rank, *provenance) sort. Builds gather the subsets of whole
-blocks of edges through index patterns every clause shares and rank them
-through a binomial table.
+tuples (s_rank, t_rank, *provenance) sort. pattern_edges builds them for both
+graph kinds: every item (a clause here, an ordered clause pair there) yields
+its edges through the same index patterns, so whole blocks of items are
+gathered at once and ranked through a binomial table.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,6 +41,15 @@ class Caps:
 
     max_vertices: int = 5_000_000
     max_edges: int = 50_000_000
+
+    def check(self, ground: int, r: int, edges: int, why: str) -> None:
+        """Raise CapacityError before a graph on the r-subsets of range(ground)
+        with an estimated `edges` edges is built; why explains the estimate."""
+        nv = comb(ground, r)
+        if nv > self.max_vertices:
+            raise CapacityError(f"C({ground},{r}) = {nv} vertices exceeds cap {self.max_vertices}")
+        if edges > self.max_edges:
+            raise CapacityError(f"estimated {edges} edges ({why}) exceeds cap {self.max_edges}")
 
 
 DEFAULT_CAPS = Caps()
@@ -125,11 +135,39 @@ class KikuchiEdges:
         return a.tocsr()
 
 
-def sorted_edge_arrays(s: np.ndarray, t: np.ndarray, tiebreak: np.ndarray) -> list[np.ndarray]:
-    """Orient every edge as s < t and sort by (s, t, tiebreak)."""
-    lo, hi = np.minimum(s, t), np.maximum(s, t)
-    order = np.lexsort((tiebreak, hi, lo))
-    return [lo[order], hi[order], tiebreak[order]]
+def pattern_edges(num_items: int, front, ground: int, r: int, s_pat: np.ndarray,
+                  t_pat: np.ndarray) -> list[np.ndarray]:
+    """Edges of a Kikuchi graph on the r-subsets of range(ground) whose items all
+    share one set of index patterns: s_rank < t_rank and each edge's item,
+    sorted by (s_rank, t_rank, item).
+
+    front(lo, hi) gives one row per item lo..hi-1, the vertices the item fixes;
+    the rest of range(ground), ascending, follows it. Row j of s_pat and t_pat
+    picks the columns of the two endpoints of each item's j-th edge. Items are
+    taken BLOCK_EDGES edges at a time, which bounds the working arrays.
+    """
+    per_item = len(s_pat)
+    s_all, t_all = np.empty((2, num_items * per_item), dtype=np.int64)
+    if per_item:
+        table = binomial_table(ground, r)
+        step = max(1, BLOCK_EDGES // per_item)
+        for lo in range(0, num_items, step):
+            rows = front(lo, min(lo + step, num_items))
+            rows = np.hstack([rows, complement_rows(rows, ground)])
+            out = slice(lo * per_item, (lo + len(rows)) * per_item)
+            s_all[out] = colex_ranks(rows[:, s_pat].reshape(-1, r), table)
+            t_all[out] = colex_ranks(rows[:, t_pat].reshape(-1, r), table)
+    item = np.repeat(np.arange(num_items, dtype=np.int64), per_item)
+    s, t = np.minimum(s_all, t_all), np.maximum(s_all, t_all)
+    order = np.lexsort((item, t, s))
+    return [s[order], t[order], item[order]]
+
+
+def dump_edges(header: str, g: KikuchiEdges) -> str:
+    """Text edge list: the header, then one line per edge of its stored tuple
+    (s_rank, t_rank, *provenance)."""
+    lines = [header] + [" ".join(map(str, e)) for e in g.edges]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(eq=False)
@@ -158,39 +196,20 @@ def build_even_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_CAPS) -> Even
     half = h.k // 2
     if r < half or r > h.n:
         raise ValueError(f"level parameter must satisfy k/2 <= r <= n, got r = {r}")
-    nv = comb(h.n, r)
     alpha = comb(h.k - 1, half - 1) * comb(h.n - h.k, r - half) if r - half <= h.n - h.k else 0
-    if nv > caps.max_vertices:
-        raise CapacityError(f"C({h.n},{r}) = {nv} vertices exceeds cap {caps.max_vertices}")
-    if alpha * h.m > caps.max_edges:
-        raise CapacityError(
-            f"estimated {alpha * h.m} edges (alpha = {alpha}, m = {h.m}) exceeds cap {caps.max_edges}"
-        )
+    caps.check(h.n, r, alpha * h.m, f"alpha = {alpha}, m = {h.m}")
 
+    # column patterns into [clause | rest of range(n)]: one side takes a split
+    # half, both sides the same r - k/2 vertices of the rest; the halves holding
+    # the clause minimum (the first C(k-1, k/2-1) in lexicographic order) go to
+    # S, so each edge shows up once
+    s_half = combination_rows(h.k, half)[:comb(h.k - 1, half - 1)]
+    w = combination_rows(h.n - h.k, r - half) + h.k
+    s_pat, t_pat = joined_rows(s_half, w), joined_rows(complement_rows(s_half, h.k), w)
+    assert len(s_pat) == alpha, (len(s_pat), alpha)
     clauses = np.array(h.edges, dtype=np.int64).reshape(h.m, h.k)
-    s_all, t_all = np.empty((2, alpha * h.m), dtype=np.int64)
-    if alpha:
-        table = binomial_table(h.n, r)
-        # column patterns into [clause | rest of range(n)]: one side takes a
-        # split half, both sides the same r - k/2 vertices of the rest; the
-        # halves holding the clause minimum (the first C(k-1, k/2-1) in
-        # lexicographic order) go to S, so each edge shows up once
-        s_half = combination_rows(h.k, half)[:comb(h.k - 1, half - 1)]
-        w = combination_rows(h.n - h.k, r - half) + h.k
-        s_pat, t_pat = joined_rows(s_half, w), joined_rows(complement_rows(s_half, h.k), w)
-        step = max(1, BLOCK_EDGES // alpha)
-        for lo in range(0, h.m, step):
-            block = clauses[lo:lo + step]
-            ground = np.hstack([block, complement_rows(block, h.n)])
-            out = slice(lo * alpha, (lo + len(block)) * alpha)
-            s_all[out] = colex_ranks(ground[:, s_pat].reshape(-1, r), table)
-            t_all[out] = colex_ranks(ground[:, t_pat].reshape(-1, r), table)
-    s_rank, t_rank, clause = sorted_edge_arrays(
-        s_all, t_all, np.repeat(np.arange(h.m, dtype=np.int64), alpha))
-
-    per_clause = set(np.bincount(clause, minlength=h.m).tolist())
-    if per_clause - {alpha}:
-        raise AssertionError(f"clauses contributed {sorted(per_clause)} edges, not alpha = {alpha}")
+    s_rank, t_rank, clause = pattern_edges(h.m, lambda lo, hi: clauses[lo:hi], h.n, r,
+                                           s_pat, t_pat)
 
     return EvenKikuchiGraph(n=h.n, k=h.k, r=r, s_rank=s_rank, t_rank=t_rank, m=h.m,
                             clause=clause, alpha=alpha, clause_masks=h.edge_masks())
@@ -202,16 +221,14 @@ def signed_even_kikuchi(inst: XorInstance, r: int, caps: Caps = DEFAULT_CAPS) ->
 
 
 def kikuchi_stats(g: EvenKikuchiGraph) -> dict:
-    """Exact summary: alpha, sizes, average degree, degree histogram, Gamma diagonal."""
-    d = g.average_degree
-    hist = Counter(int(x) for x in g.degrees)
+    """Exact summary: alpha, sizes, average degree, degree histogram."""
+    degree, count = np.unique(g.degrees, return_counts=True)
     return {
         "alpha": g.alpha,
         "num_vertices": g.num_vertices,
         "num_edges": g.num_edges,
-        "average_degree": d,
-        "degree_histogram": dict(sorted(hist.items())),
-        "gamma_diagonal": g.gamma_diagonal(),
+        "average_degree": g.average_degree,
+        "degree_histogram": dict(zip(degree.tolist(), count.tolist())),
         "degenerate": g.num_edges == 0,
     }
 
@@ -308,6 +325,4 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
 
 def dump_even(g: EvenKikuchiGraph) -> str:
     """Text edge list: header then one 'S_rank T_rank clause_index' line per edge."""
-    lines = [f"kikuchi-even {g.n} {g.r} {g.m}"]
-    lines += [f"{s} {t} {c}" for (s, t, c) in g.edges]
-    return "\n".join(lines) + "\n"
+    return dump_edges(f"kikuchi-even {g.n} {g.r} {g.m}", g)

@@ -6,13 +6,15 @@ A vertex is a pair (S1, S2) of subsets of [n] with |S1| + |S2| = r, encoded as
 an r-subset of [2n] (green bits 0..n-1, blue bits n..2n-1). For an ordered
 clause pair (C, C') of a group with center U, edges connect S to
 T = S xor (green C~ xor blue C~') subject to the balanced intersection rule.
-Edge bookkeeping is per ordered pair; alpha is the measured per-ordered-pair
-count of unordered edges (the closed form is reported, never assumed).
+Edge bookkeeping is per ordered pair; alpha is the per-ordered-pair count of
+unordered edges that the index patterns produce (the closed form is reported,
+never assumed).
 
 Edges use the arrays of kikuchi_even.KikuchiEdges; each edge's provenance is
 its ordered pair, a row (group, C, C') of a pair table. All pairs share one set
-of index patterns, so builds gather whole blocks of pairs at once, and deletion
-and equalization are array passes over the same layout.
+of index patterns, so kikuchi_even.pattern_edges builds them as it builds the
+even graphs, with the pair as the item; deletion and equalization are array
+passes over the same layout.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CapacityError, EvenCover, Hypergraph, odd_use_cover
+from .core import EvenCover, Hypergraph, odd_use_cover
 from .decomposition import Decomposition, Group
-from .kikuchi_even import BLOCK_EDGES, DEFAULT_CAPS, Caps, KikuchiEdges, sorted_edge_arrays
-from .subsets import (binomial_table, colex_ranks, combination_rows, complement_rows, joined_rows,
-                      mask_from, vertices_from)
+from .kikuchi_even import DEFAULT_CAPS, Caps, KikuchiEdges, dump_edges, pattern_edges
+from .subsets import combination_rows, complement_rows, joined_rows, mask_from, vertices_from
 
 
 @dataclass(eq=False)
@@ -39,7 +40,7 @@ class ColoredKikuchiGraph(KikuchiEdges):
     groups: tuple[Group, ...]
     pair_table: np.ndarray                   # ordered_pair_table(groups)
     pair: np.ndarray                         # per-edge row of pair_table
-    alpha: Optional[int]                     # measured unordered edges per ordered pair
+    alpha: Optional[int]                     # unordered edges per ordered pair; None: no pairs
     alpha_closed_form: int                   # per unordered pair, as displayed
 
     COLORS = 2
@@ -114,19 +115,12 @@ def build_colored_kikuchi(h: Hypergraph, decomp: Decomposition, level: int, r: i
 
     kt = h.k - level
     hb, lb = (kt + 1) // 2, kt // 2
-    nv = comb(2 * h.n, r)
-    if nv > caps.max_vertices:
-        raise CapacityError(f"C({2 * h.n},{r}) = {nv} vertices exceeds cap {caps.max_vertices}")
     wneed = r - kt
     free_count = 2 * h.n - 2 * kt
     closed = (comb(kt, lb) * comb(kt, hb) * comb(free_count, wneed) * (2 if kt % 2 else 1)
               if wneed >= 0 else 0)
     pairs = sum(comb(len(g.clause_indices), 2) for g in groups)
-    if pairs * closed > caps.max_edges:
-        raise CapacityError(
-            f"estimated {pairs * closed} edges ({pairs} pairs, alpha_t = {closed}) "
-            f"exceeds cap {caps.max_edges}"
-        )
+    caps.check(2 * h.n, r, pairs * closed, f"{pairs} pairs, alpha_t = {closed}")
 
     # column patterns into [C~ | C~' + n | free positions]; for even k-t the two
     # balanced splits coincide, so each unordered edge would be produced from
@@ -137,33 +131,20 @@ def build_colored_kikuchi(h: Hypergraph, decomp: Decomposition, level: int, r: i
     w_pos = combination_rows(free_count, wneed) + 2 * kt
     s_pat = joined_rows(a_pos, b_pos + kt, w_pos)
     t_pat = joined_rows(complement_rows(a_pos, kt), complement_rows(b_pos, kt) + kt, w_pos)
-    per_pair = len(s_pat)
 
     pair_table = ordered_pair_table(groups)
-    num_pairs = len(pair_table)
-    cols = np.empty((3, num_pairs * per_pair), dtype=np.int64)   # s, t, pair
-    if per_pair:
-        table = binomial_table(2 * h.n, r)
-        # C~ of every (group, clause) membership, indexed by slot
-        reduced = np.array([[v for v in h.edges[c] if v not in grp.center] for grp in groups
-                            for c in sorted(grp.clause_indices)], dtype=np.int64).reshape(-1, kt)
-        step = max(1, BLOCK_EDGES // per_pair)
-        for lo in range(0, num_pairs, step):
-            rows = pair_table[lo:lo + step]
-            sides = np.hstack([reduced[rows[:, 3]], reduced[rows[:, 4]] + h.n])
-            ground = np.hstack([sides, complement_rows(sides, 2 * h.n)])
-            out = slice(lo * per_pair, (lo + len(rows)) * per_pair)
-            cols[0, out] = colex_ranks(ground[:, s_pat].reshape(-1, r), table)
-            cols[1, out] = colex_ranks(ground[:, t_pat].reshape(-1, r), table)
-            cols[2, out] = np.repeat(np.arange(lo, lo + len(rows)), per_pair)
+    # C~ of every (group, clause) membership, indexed by slot
+    reduced = np.array([[v for v in h.edges[c] if v not in grp.center] for grp in groups
+                        for c in sorted(grp.clause_indices)], dtype=np.int64).reshape(-1, kt)
+
+    def sides(lo, hi):
+        rows = pair_table[lo:hi]
+        return np.hstack([reduced[rows[:, 3]], reduced[rows[:, 4]] + h.n])
+
     # pair_table rows are sorted by (group, C, C'), so this sorts like the
     # tuples (s, t, group, C, C')
-    s_rank, t_rank, pair = sorted_edge_arrays(*cols)
-
-    values = set(np.bincount(pair, minlength=num_pairs).tolist())
-    if len(values) > 1:
-        raise AssertionError(f"per-ordered-pair edge counts are not constant: {sorted(values)}")
-    alpha = values.pop() if values else None
+    s_rank, t_rank, pair = pattern_edges(len(pair_table), sides, 2 * h.n, r, s_pat, t_pat)
+    alpha = len(s_pat) if len(pair_table) else None
 
     return ColoredKikuchiGraph(n=h.n, k=h.k, r=r, s_rank=s_rank, t_rank=t_rank, t=level,
                                groups=groups, pair_table=pair_table, pair=pair, alpha=alpha,
@@ -329,6 +310,4 @@ def map_reduced_cover_back(back_map: list[tuple[int, int]], cover) -> EvenCover:
 
 def dump_colored(g: ColoredKikuchiGraph) -> str:
     """Text edge list: header then 'S_rank T_rank group C_index C'_index' lines."""
-    lines = [f"kikuchi-odd {g.n} {g.r} {g.t} {g.p}"]
-    lines += [f"{s} {t} {gi} {a} {b}" for (s, t, gi, a, b) in g.edges]
-    return "\n".join(lines) + "\n"
+    return dump_edges(f"kikuchi-odd {g.n} {g.r} {g.t} {g.p}", g)

@@ -1,7 +1,9 @@
 """End-to-end refutation certificates for semirandom k-XOR instances.
 
-Every step of the certified chain holds pointwise in the assignment, so a
-certificate is sound unconditionally:
+Every step of the certified chain holds pointwise in the assignment, and each
+is exact except the spectral norm: lambda_cert is ARPACK's Ritz value plus its
+residual, which bounds the norm only numerically (a Ritz value that missed the
+top of the spectrum would undercount it). The chain:
 
 even k:  psi(x) = (x^r)' A_b (x^r) / (C(n,r) d)  <=  lambda_cert * tr(Gamma) / (C(n,r) d)
          which collapses to exactly 2 * lambda_cert.
@@ -17,12 +19,15 @@ odd k:   decompose, then per level t (via Cauchy-Schwarz over the p_t groups)
 All certificate arithmetic is exact rationals except lambda_cert, which is a
 float carrying its eigenpair residual (already added in as a safety margin).
 
-One builder per arity writes the certificate, and the reweighted spectral norm,
-its only numerical step, is passed in as a function. refute_even/refute_odd pass
-ARPACK at their tol. verify_certificate replays the same builder from the
-recorded parameters with a step that recomputes each norm independently, checks
-the recorded norm against it and carries the recorded one on; the certificate
-must then equal the replay, field for field and type for type.
+One builder per arity writes the certificate on a shared head (_head). Both run
+one spectral step (_spectral_step: degrees, Gamma, signed adjacency, norm), the
+even builder on every edge of its graph, each odd level on its surviving edges.
+The reweighted spectral norm, the only numerical step, is passed in as a
+function: refute_even/refute_odd pass ARPACK at their tol. verify_certificate
+replays the same builder from the recorded parameters with a step that
+recomputes each norm independently, checks the recorded norm against it and
+carries the recorded one on; the certificate must then equal the replay, field
+for field and type for type.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import json
 import math
 import reprlib
 from fractions import Fraction
-from math import comb
 from typing import Optional
 
 import numpy as np
@@ -94,52 +98,47 @@ def _arpack(tol: float):
     return lambda key, a, gamma, seed: spectral_norm_reweighted(a, gamma, tol=tol, seed=seed)
 
 
+def _head(inst: XorInstance, mode: str, r: int, seed: int, tol: float) -> dict:
+    """The fields both certificate kinds open with, once mode fits k's parity
+    and the instance has clauses."""
+    h = inst.hypergraph
+    if h.k % 2 != (mode == "odd"):
+        raise ValueError(f"refute_{mode} requires {mode} k")
+    if h.m == 0:
+        raise ValueError("cannot refute an empty instance")
+    return {"format": "kcert-certificate-v1", "mode": mode, "digest": instance_digest(inst),
+            "n": h.n, "k": h.k, "m": h.m, "r": r, "seed": seed, "tol": float(tol)}
+
+
+def _spectral_step(g, inst: XorInstance, keep, norm, key, seed: int) -> dict:
+    """The reweighted spectral step on the subgraph of g kept by the edge mask
+    keep (None keeps every edge): Gamma = D + d*Id from its degrees, its signed
+    adjacency A and one call norm(key, A, gamma, seed) -> (lambda, residual).
+    Returns the record fields d, tr_gamma, lambda, residual and lambda_cert."""
+    deg = g.subgraph_degrees(keep)
+    total = int(np.sum(deg))                 # twice the kept edges
+    a_signed = g.adjacency(signs=list(inst.signs), keep=keep)
+    lam, resid = norm(key, a_signed, g.gamma_floats(deg), seed)
+    return {"d": _frac_str(Fraction(total, g.num_vertices)),
+            "tr_gamma": _frac_str(Fraction(2 * total)),
+            "lambda": lam, "residual": resid, "lambda_cert": lam + resid}
+
+
 def _even_certificate(inst: XorInstance, r: int, caps: Caps, tol: float, seed: int,
                       norm) -> dict:
     """The even certificate; norm(key, A, gamma, seed) -> (lambda, residual) is
     called once, with key "even"."""
-    h = inst.hypergraph
-    if h.k % 2 != 0:
-        raise ValueError("refute_even requires even k")
-    if h.m == 0:
-        raise ValueError("cannot refute an empty instance")
+    head = _head(inst, "even", r, seed, tol)
     g = signed_even_kikuchi(inst, r, caps).graph
     if g.num_edges == 0:
         raise ValueError(f"the Kikuchi graph at r = {r} has no edges (alpha = 0); increase r")
-    d = g.average_degree
-    gamma = g.gamma_floats()
-    a_signed = g.adjacency(signs=list(inst.signs))
-    lam, resid = norm("even", a_signed, gamma, seed)
-    lam_cert = lam + resid
-    tr_gamma = Fraction(2 * comb(h.n, r)) * d
-    assert tr_gamma == Fraction(4 * g.num_edges)
-    # lambda_cert * tr(Gamma) / (C(n,r) d), exactly 2 * lambda_cert
-    certified = Fraction(lam_cert) * tr_gamma / (g.num_vertices * d)
-    assert certified == 2 * Fraction(lam_cert)
-    return {
-        "format": "kcert-certificate-v1",
-        "mode": "even",
-        "digest": instance_digest(inst),
-        "n": h.n,
-        "k": h.k,
-        "m": h.m,
-        "r": r,
-        "eps": None,
-        "eta": None,
-        "seed": seed,
-        "tol": float(tol),
-        "even": {
-            "vertices": g.num_vertices,
-            "edges": g.num_edges,
-            "alpha": g.alpha,
-            "d": _frac_str(d),
-            "tr_gamma": _frac_str(tr_gamma),
-            "lambda": lam,
-            "residual": resid,
-            "lambda_cert": lam_cert,
-        },
-        "certified_bound": _frac_str(certified),
-    }
+    step = _spectral_step(g, inst, None, norm, "even", seed)
+    # psi <= lambda_cert * tr(Gamma) / (C(n,r) d), and tr(Gamma) = 2 C(n,r) d,
+    # so the bound is exactly 2 * lambda_cert
+    certified = 2 * Fraction(step["lambda_cert"])
+    return {**head, "eps": None, "eta": None,
+            "even": {"vertices": g.num_vertices, "edges": g.num_edges, "alpha": g.alpha, **step},
+            "certified_bound": _frac_str(certified)}
 
 
 def refute_even(inst: XorInstance, r: int, caps: Caps = DEFAULT_CAPS,
@@ -192,19 +191,13 @@ def _odd_level(inst: XorInstance, decomp, t: int, r: int, eta, caps: Caps, seed:
     if result.degenerate or result.rho > Fraction(1, 2):
         return _settle(rec, trivial, "trivial")
 
-    sub_deg = g.subgraph_degrees(result.surviving)
-    gamma = g.gamma_floats(sub_deg)
-    a_hat = g.adjacency(signs=list(inst.signs), keep=result.surviving)
-    lam, resid = norm(t, a_hat, gamma, seed + t)
-    lam_cert = lam + resid
-    tr_gamma = Fraction(2 * int(np.sum(sub_deg)))
-    fhat = Fraction(k * k * p, 2 * g.alpha * m * m) * Fraction(lam_cert) * tr_gamma
+    rec.update(_spectral_step(g, inst, result.surviving, norm, t, seed + t))
+    fhat = (Fraction(k * k * p, 2 * g.alpha * m * m) * Fraction(rec["lambda_cert"])
+            * _parse_frac(rec["tr_gamma"]))
     square = first_term + fhat / (1 - result.rho)
     # min(sqrt(square), trivial); a huge lambda_cert never reaches the float sqrt
     bound = trivial if square >= trivial * trivial else min(_sqrt_upper(square), trivial)
-    rec.update({"d": _frac_str(Fraction(int(np.sum(sub_deg)), g.num_vertices)),
-                "tr_gamma": _frac_str(tr_gamma), "lambda": lam, "residual": resid,
-                "lambda_cert": lam_cert, "fhat_bound": _frac_str(fhat)})
+    rec["fhat_bound"] = _frac_str(fhat)
     return _settle(rec, bound, "spectral")
 
 
@@ -212,11 +205,8 @@ def _odd_certificate(inst: XorInstance, r: int, eps, eta: Optional[int], caps: C
                      tol: float, seed: int, relax_r_range: bool, norm) -> dict:
     """The odd certificate; norm(key, A, gamma, seed) -> (lambda, residual) is
     called once per spectral level, with key t."""
+    head = _head(inst, "odd", r, seed, tol)
     h = inst.hypergraph
-    if h.k % 2 != 1:
-        raise ValueError("refute_odd requires odd k")
-    if h.m == 0:
-        raise ValueError("cannot refute an empty instance")
     eps = Fraction(eps)
     # the decomposition rejects an eps outside (0, 1/2) before default_eta divides by it
     decomp = decompose_for_refutation(h, r, eps, enforce_ranges=not relax_r_range)
@@ -225,25 +215,10 @@ def _odd_certificate(inst: XorInstance, r: int, eps, eta: Optional[int], caps: C
     if eta != math.inf and eta < 1:
         raise ValueError("eta must be >= 1")
 
-    k, m = h.k, h.m
-    levels = [_odd_level(inst, decomp, t, r, eta, caps, seed, norm) for t in range(1, k)]
-    certified = sum((_parse_frac(rec["psi_bound"]) for rec in levels), Fraction(0)) / k
-    return {
-        "format": "kcert-certificate-v1",
-        "mode": "odd",
-        "digest": instance_digest(inst),
-        "n": h.n,
-        "k": k,
-        "m": m,
-        "r": r,
-        "eps": _frac_str(eps),
-        "eta": eta,
-        "seed": seed,
-        "tol": float(tol),
-        "relaxed_r_range": bool(relax_r_range),
-        "levels": levels,
-        "certified_bound": _frac_str(certified),
-    }
+    levels = [_odd_level(inst, decomp, t, r, eta, caps, seed, norm) for t in range(1, h.k)]
+    certified = sum((_parse_frac(rec["psi_bound"]) for rec in levels), Fraction(0)) / h.k
+    return {**head, "eps": _frac_str(eps), "eta": eta, "relaxed_r_range": bool(relax_r_range),
+            "levels": levels, "certified_bound": _frac_str(certified)}
 
 
 def refute_odd(inst: XorInstance, r: int, eps, eta: Optional[int] = None,

@@ -118,6 +118,18 @@ def test_cli_refute_even_and_verify(tmp_path, capsys):
     assert main(["verify-cert", str(inst_path), str(bad_path)]) == 2
 
 
+@pytest.mark.parametrize("knob", [["--eps", "1/4"], ["--eta", "5"], ["--relax-r-range"]])
+def test_cli_refute_even_rejects_odd_knobs(tmp_path, capsys, knob):
+    inst_path = tmp_path / "one.xor"
+    inst_path.write_text(SINGLE_XOR_TEXT)
+    out_path = tmp_path / "cert.json"
+    assert main(["refute", str(inst_path), "--r", "1", "--seed", "0", "--out", str(out_path)]
+                + knob) == 1
+    assert capsys.readouterr().err == \
+        "error: --eps, --eta and --relax-r-range apply to odd k only\n"
+    assert not out_path.exists()
+
+
 def test_cli_verify_cert_takes_caps(tmp_path, capsys):
     # r = 2 on n = 9 vertices: the Kikuchi graph has C(9, 2) = 36 vertices
     inst_path = tmp_path / "even.xor"

@@ -92,3 +92,40 @@ def test_oracle_covers():
         res = min_even_cover_oracle(h, h.m)
         got = (None, None) if res is None else (res[0], sorted(res[1].edge_indices))
         assert got == (row["size"], row["cover"]), row
+
+
+@pytest.mark.parametrize("block", [1, 7, 100])
+def test_dumps_do_not_depend_on_block_size(block, monkeypatch):
+    """Builds generate edges in blocks of BLOCK_EDGES; the golden cases all fit
+    in one block at the default, so smaller blocks split them at every size."""
+    from kcert import kikuchi_even
+
+    monkeypatch.setattr(kikuchi_even, "BLOCK_EDGES", block)
+    for name in EVEN_CASES:
+        assert even_dump(name) == (GOLDEN / f"{name}.txt").read_text()
+    for name in COLORED_CASES:
+        for level in (1, 2):
+            assert colored_dump(name, level) == (GOLDEN / f"{name}_t{level}.txt").read_text()
+
+
+@pytest.mark.parametrize("name, level, vertices, edges", [
+    ("colored_k3_n6_r3", 1, "C(12,3) = 220 vertices exceeds cap 219",
+     "estimated 128 edges (4 pairs, alpha_t = 32) exceeds cap 127"),
+    ("colored_k3_n6_r3", 2, "C(12,3) = 220 vertices exceeds cap 219",
+     "estimated 540 edges (6 pairs, alpha_t = 90) exceeds cap 10"),
+    ("colored_k5_n7_r4", 2, "C(14,4) = 1001 vertices exceeds cap 1000",
+     "estimated 144 edges (1 pairs, alpha_t = 144) exceeds cap 10"),
+])
+def test_colored_caps(name, level, vertices, edges):
+    from kcert import CapacityError, Caps
+
+    h, pieces, r = COLORED_CASES[name]
+    decomp = _decomposition(h, pieces, r)
+    nv, cap = int(vertices.split()[2]), int(edges.split()[-1])
+    with pytest.raises(CapacityError) as exc:
+        build_colored_kikuchi(h, decomp, level, r, Caps(max_vertices=nv - 1))
+    assert str(exc.value) == vertices
+    with pytest.raises(CapacityError) as exc:
+        build_colored_kikuchi(h, decomp, level, r, Caps(max_edges=cap))
+    assert str(exc.value) == edges
+    assert build_colored_kikuchi(h, decomp, level, r, Caps(max_vertices=nv)).num_vertices == nv

@@ -33,8 +33,8 @@ def test_single_quad_example():
 
 def test_stats_gamma_and_degenerate():
     g = build_even_kikuchi(TRIANGLE, 1)
-    st = kikuchi_stats(g)
-    assert st["gamma_diagonal"] == [Fraction(4)] * 3    # d_S = 2, d = 2
+    assert g.gamma_diagonal() == [Fraction(4)] * 3    # d_S = 2, d = 2
+    assert kikuchi_stats(g)["degree_histogram"] == {2: 3}
     empty = build_even_kikuchi(Hypergraph(n=4, k=2, edges=()), 1)
     st2 = kikuchi_stats(empty)
     assert st2["degenerate"] and st2["average_degree"] == 0
@@ -54,9 +54,10 @@ def test_degree_sum_and_clause_counts():
 def test_build_rejects_odd_k_and_caps():
     with pytest.raises(ValueError):
         build_even_kikuchi(Hypergraph(n=5, k=3, edges=((0, 1, 2),)), 2)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"^C\(6,3\) = 20 vertices exceeds cap 10$"):
         build_even_kikuchi(ONE_QUAD, 3, caps=Caps(max_vertices=10))
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError,
+                       match=r"^estimated 3 edges \(alpha = 3, m = 1\) exceeds cap 2$"):
         build_even_kikuchi(ONE_QUAD, 2, caps=Caps(max_edges=2))
 
 
