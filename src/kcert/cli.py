@@ -21,7 +21,7 @@ from .kikuchi_odd import build_colored_kikuchi, dump_colored
 from .moore import moore_bound_audit
 from .refuter import (certificate_from_json, certificate_to_json, refute_even, refute_odd,
                       verify_certificate)
-from .spectral import exact_trace_power, trace_bound_rhs
+from .spectral import TRACE_DIM_LIMIT, exact_trace_power, trace_bound_rhs
 
 
 def _write_output(text: str, path) -> None:
@@ -187,10 +187,9 @@ def _cmd_audit(args) -> int:
     g = build_even_kikuchi(h, args.r, caps=_caps(args))
     if g.num_edges == 0:
         raise KcertError("Kikuchi graph has no edges; increase r")
-    if g.num_vertices > 2000:
-        raise CapacityError(
-            f"exact trace audit supports at most 2000 Kikuchi vertices, got {g.num_vertices}"
-        )
+    if g.num_vertices > TRACE_DIM_LIMIT:
+        raise CapacityError(f"exact trace audit supports at most {TRACE_DIM_LIMIT} Kikuchi "
+                            f"vertices, got {g.num_vertices}")
     tr = exact_trace_power(g.adjacency().toarray(), g.gamma_diagonal(), args.ell)
     rhs = trace_bound_rhs(h.n, args.r, args.ell, g.average_degree)
     ok = tr <= rhs
@@ -275,7 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; here 2 means a rejected certificate
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except CapacityError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import ceil, isqrt
 from typing import Optional
 
 from .core import Hypergraph
@@ -25,16 +25,8 @@ def ceil_rational_power_half(num: int, den: int, e2: int) -> int:
     """
     if num < den or den <= 0:
         raise ValueError("requires num >= den > 0")
-    if e2 <= 0:
-        return 1
-    q = Fraction(num, den) ** e2          # the square of the target value
-    a, b = q.numerator, q.denominator
-    c = isqrt((a + b - 1) // b)
-    while c * c * b < a:
-        c += 1
-    while c > 1 and (c - 1) * (c - 1) * b >= a:
-        c -= 1
-    return c
+    # an integer c has c^2 >= q exactly when c^2 >= ceil(q)
+    return isqrt(ceil(Fraction(num, den) ** e2) - 1) + 1
 
 
 def cover_group_size(n: int, r: int, k: int, t: int) -> int:
@@ -45,8 +37,7 @@ def cover_group_size(n: int, r: int, k: int, t: int) -> int:
 def refutation_threshold(n: int, r: int, k: int, t: int, eps: Fraction) -> int:
     """Threshold tau_t = max{1, ceil((n/r)^(k/2 - t))} * ceil(4k / eps^2)."""
     eps = Fraction(eps)
-    mult = -((-Fraction(4 * k)) // (eps * eps))      # ceil(4k / eps^2)
-    return max(1, ceil_rational_power_half(n, r, k - 2 * t)) * int(mult)
+    return max(1, ceil_rational_power_half(n, r, k - 2 * t)) * ceil(Fraction(4 * k) / (eps * eps))
 
 
 @dataclass(frozen=True)

@@ -186,7 +186,7 @@ class EvenKikuchiGraph(KikuchiEdges):
 @dataclass
 class SignedEvenKikuchi:
     graph: EvenKikuchiGraph
-    edge_signs: list[int]          # aligned with graph.edges; b of the edge's clause
+    edge_signs: np.ndarray         # aligned with graph.edges; b of the edge's clause
 
 
 def build_even_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_CAPS) -> EvenKikuchiGraph:
@@ -217,7 +217,7 @@ def build_even_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_CAPS) -> Even
 
 def signed_even_kikuchi(inst: XorInstance, r: int, caps: Caps = DEFAULT_CAPS) -> SignedEvenKikuchi:
     g = build_even_kikuchi(inst.hypergraph, r, caps)
-    return SignedEvenKikuchi(graph=g, edge_signs=g.edge_signs(np.asarray(inst.signs)).tolist())
+    return SignedEvenKikuchi(graph=g, edge_signs=g.edge_signs(np.asarray(inst.signs)))
 
 
 def kikuchi_stats(g: EvenKikuchiGraph) -> dict:

@@ -145,15 +145,8 @@ def _floor_log(base: Fraction, x: int) -> int:
 
 def _ceil_log(base: Fraction, x: int) -> int:
     """Smallest j >= 0 with base^j >= x, for base > 1, exact."""
-    if base <= 1:
-        raise ValueError("base must exceed 1")
-    guess = max(0, int(math.log(x) / math.log(float(base))))
-    p, q = base.numerator, base.denominator
-    while p**guess < x * q**guess:
-        guess += 1
-    while guess > 0 and p**(guess - 1) >= x * q**(guess - 1):
-        guess -= 1
-    return guess
+    j = _floor_log(base, x)
+    return j if base**j == x else j + 1
 
 
 def moore_bound_audit(h: Hypergraph) -> dict:

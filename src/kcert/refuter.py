@@ -89,8 +89,7 @@ def default_eta(k: int, eps: Fraction) -> int:
     """max{1, ceil(4^k / eps^2)}: keeps the predicted deletion fraction <= 1/2
     under the decomposition's caps."""
     eps = Fraction(eps)
-    val = Fraction(4**k) / (eps * eps)
-    return max(1, int(-((-val) // 1)))
+    return max(1, math.ceil(Fraction(4**k) / (eps * eps)))
 
 
 def _arpack(tol: float):
@@ -212,8 +211,9 @@ def _odd_certificate(inst: XorInstance, r: int, eps, eta: Optional[int], caps: C
     decomp = decompose_for_refutation(h, r, eps, enforce_ranges=not relax_r_range)
     if eta is None:
         eta = default_eta(h.k, eps)
-    if eta != math.inf and eta < 1:
-        raise ValueError("eta must be >= 1")
+    # the verifier's own test, so every eta the prover records replays
+    if not _PARAMS["eta"][1](eta) or eta < 1:
+        raise ValueError(f"eta must be an integer >= 1 or None, got {_SHOW.repr(eta)}")
 
     levels = [_odd_level(inst, decomp, t, r, eta, caps, seed, norm) for t in range(1, h.k)]
     certified = sum((_parse_frac(rec["psi_bound"]) for rec in levels), Fraction(0)) / h.k

@@ -125,13 +125,6 @@ def psd_margin(m, tol: float = 1e-9) -> float:
     return float(w[0])
 
 
-def _lcm_many(values) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out
-
-
 def exact_trace_power(a, gamma, ell: int) -> Fraction:
     """Exact tr((Gamma^{-1} A)^ell) for an integer matrix A and rational Gamma.
 
@@ -154,26 +147,13 @@ def exact_trace_power(a, gamma, ell: int) -> Fraction:
         raise ValueError("gamma length must match matrix dimension")
     if any(g <= 0 for g in gam):
         raise ValueError("gamma must be strictly positive")
-    q = _lcm_many(g.denominator for g in gam)
+    q = math.lcm(*(g.denominator for g in gam))
     dint = [int(g * q) for g in gam]
-    L = _lcm_many(set(dint))
-    B = np.empty((nv, nv), dtype=object)
-    for i in range(nv):
-        scale = L // dint[i]
-        for jj in range(nv):
-            B[i, jj] = int(A[i, jj]) * scale
-
-    # binary powering over exact integers
-    result = None
-    base = B
-    e = ell
-    while e:
-        if e & 1:
-            result = base if result is None else result @ base
-        e >>= 1
-        if e:
-            base = base @ base
-    tr = sum(int(result[i, i]) for i in range(nv))
+    L = math.lcm(*dint)
+    scale = np.array([L // x for x in dint], dtype=object)
+    B = np.frompyfunc(int, 1, 1)(A) * scale[:, None]
+    # object arrays multiply exactly, by binary powering
+    tr = int(np.linalg.matrix_power(B, ell).trace())
     return Fraction(q**ell * tr, L**ell)
 
 

@@ -27,8 +27,8 @@ def all_subset_masks_colex(n: int, r: int) -> list[int]:
 
 def combination_rows(n: int, k: int) -> np.ndarray:
     """All k-subsets of range(n) in lexicographic order, one int64 row each
-    (none for k < 0)."""
-    rows = list(combinations(range(n), k)) if k >= 0 else []
+    (none for k < 0 or n < 0)."""
+    rows = list(combinations(range(n), k)) if k >= 0 and n >= 0 else []
     return np.array(rows, dtype=np.int64).reshape(len(rows), max(k, 0))
 
 

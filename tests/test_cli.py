@@ -241,3 +241,26 @@ def test_cli_audit(tmp_path, capsys):
     assert main(["audit", "trace", str(c8), "--r", "1", "--ell", "4"]) == 0
     out = capsys.readouterr().out
     assert "ok" in out
+
+
+def test_cli_fewer_vertices_than_arity(tmp_path, capsys):
+    f = tmp_path / "small.hyg"
+    f.write_text("hyg 3 0 4\n")
+    assert main(["kikuchi", "stats", str(f), "--r", "2"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert (stats["vertices"], stats["edges"], stats["alpha"]) == (3, 0, 0)
+    assert stats["degenerate"] is True
+    assert main(["cover", "find", str(f), "--r", "2"]) == 0
+    assert capsys.readouterr().out == "none\n"
+    assert main(["audit", "trace", str(f), "--r", "2"]) == 1
+    assert "Kikuchi graph has no edges" in capsys.readouterr().err
+
+
+def test_cli_usage_error_is_not_a_verification_failure(tmp_path, capsys):
+    # exit 2 means a rejected certificate; a bad command line is a usage error
+    inst_path = tmp_path / "one.xor"
+    inst_path.write_text(SINGLE_XOR_TEXT)
+    assert main(["verify-cert", str(inst_path), str(tmp_path / "c.json"), "--bogus"]) == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: kcert")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcert import (Hypergraph, decompose_for_cover, decompose_for_refutation, gen_random,
                    validate_decomposition)
@@ -16,6 +18,27 @@ def test_ceil_rational_power_half():
     assert ceil_rational_power_half(9, 2, 3) == 10
     assert ceil_rational_power_half(8, 2, 2) == 4
     assert ceil_rational_power_half(5, 2, 1) == 2      # sqrt(2.5) = 1.58 -> 2
+
+
+@given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(-4, 12))
+@settings(max_examples=300, deadline=None)
+def test_ceil_rational_power_half_is_the_least_integer_at_least_the_power(a, b, e2):
+    num, den = max(a, b), min(a, b)
+    c = ceil_rational_power_half(num, den, e2)
+    q = Fraction(num, den) ** e2             # c^2 * den^e2 >= num^e2, as a fraction
+    assert c >= 1 and c * c >= q and (c - 1) ** 2 < q
+
+
+@given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(2, 9), st.data())
+@settings(max_examples=200, deadline=None)
+def test_refutation_threshold_matches_a_fraction_ceiling(a, b, k, data):
+    n, r = max(a, b), min(a, b)
+    t = data.draw(st.integers(1, k - 1))
+    eps = Fraction(data.draw(st.integers(1, 10**6)), data.draw(st.integers(2, 10**6)))
+    head = max(1, ceil_rational_power_half(n, r, k - 2 * t))
+    mult, rest = divmod(refutation_threshold(n, r, k, t, eps), head)
+    x = Fraction(4 * k) / (eps * eps)
+    assert rest == 0 and mult >= x > mult - 1
 
 
 def test_cover_hand_trace():

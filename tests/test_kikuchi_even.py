@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
 
 from kcert import (CapacityError, Caps, Hypergraph, eval_xor, gen_random,
@@ -8,6 +10,7 @@ from kcert import (CapacityError, Caps, Hypergraph, eval_xor, gen_random,
 from kcert.kikuchi_even import (build_even_kikuchi, dump_even, extract_cover_from_closed_walk,
                                 kikuchi_stats, shortest_even_cover_via_kikuchi,
                                 signed_even_kikuchi)
+from kcert.subsets import combination_rows
 
 TRIANGLE = Hypergraph(n=3, k=2, edges=((0, 1), (1, 2), (0, 2)))
 ONE_QUAD = Hypergraph(n=6, k=4, edges=((0, 1, 2, 3),))
@@ -38,6 +41,18 @@ def test_stats_gamma_and_degenerate():
     empty = build_even_kikuchi(Hypergraph(n=4, k=2, edges=()), 1)
     st2 = kikuchi_stats(empty)
     assert st2["degenerate"] and st2["average_degree"] == 0
+
+
+@pytest.mark.parametrize("n, k, r", [(3, 4, 2), (1, 2, 1)])
+def test_fewer_vertices_than_arity_gives_an_empty_graph(n, k, r):
+    # C(n - k, 0) is 0 for n < k: no free vertices to share, so no edges
+    assert combination_rows(n - k, 0).shape == (0, 0)
+    h = Hypergraph(n=n, k=k, edges=())
+    g = build_even_kikuchi(h, r)
+    st = kikuchi_stats(g)
+    assert (st["num_vertices"], st["num_edges"], st["alpha"]) == (comb(n, r), 0, 0)
+    assert st["degenerate"]
+    assert shortest_even_cover_via_kikuchi(h, r) is None
 
 
 def test_degree_sum_and_clause_counts():
@@ -82,6 +97,13 @@ def test_quadratic_form_identity():
                     xt *= x[v]
             quad += 2 * sign * xs * xt
         assert eval_xor(inst, x) * comb(8, 2) * d == quad
+
+
+def test_signed_even_kikuchi_keeps_the_sign_array():
+    inst = gen_random(8, 4, 20, seed=12, mode="xor-multi")
+    skg = signed_even_kikuchi(inst, 2)
+    assert isinstance(skg.edge_signs, np.ndarray)
+    assert skg.edge_signs.tolist() == [inst.signs[c] for c in skg.graph.clause.tolist()]
 
 
 def test_extract_cover_trivial_walk():

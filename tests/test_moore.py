@@ -1,11 +1,15 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcert import (Hypergraph, gen_random, graph_girth, ihara_moore_certificate,
                    moore_bound_audit, nb_direct_count, nb_matrices)
+from kcert.moore import _ceil_log, _floor_log
 
 PETERSEN = Hypergraph(n=10, k=2, edges=tuple(
     [(i, (i + 1) % 5) for i in range(5)]
@@ -152,3 +156,24 @@ def test_moore_audit_weak_bound_dense():
     rep = moore_bound_audit(k20)
     assert rep["average_degree"] == 19
     assert rep["weak_bound"] is not None and rep["girth_le_weak"]
+
+
+@st.composite
+def log_cases(draw):
+    """(base, x) with base > 1 rational and x >= 1, often next to or at a power
+    of base (exactly at one whenever base is an integer)."""
+    p = draw(st.integers(2, 60))
+    base = Fraction(p, draw(st.one_of(st.just(1), st.integers(1, p - 1))))
+    near = max(1, math.floor(base ** draw(st.integers(0, 40))) + draw(st.integers(-1, 1)))
+    return base, draw(st.one_of(st.just(near), st.integers(1, 10**30)))
+
+
+@given(log_cases())
+@settings(max_examples=300, deadline=None)
+def test_floor_and_ceil_log_match_an_exact_scan(case):
+    base, x = case
+    j, power = 0, Fraction(1)
+    while power * base <= x:
+        j, power = j + 1, power * base
+    assert _floor_log(base, x) == j
+    assert _ceil_log(base, x) == (j if power == x else j + 1)

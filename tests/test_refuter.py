@@ -1,8 +1,11 @@
 import copy
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcert import (Hypergraph, XorInstance, brute_force_max_xor, gen_random, refute_even,
                    refute_odd, verify_certificate)
@@ -91,6 +94,23 @@ def test_odd_desk_scale_override_instance():
 def test_odd_default_eta():
     assert default_eta(3, Fraction(1, 2)) == 256
     assert default_eta(3, Fraction(2, 5)) == 400
+
+
+@given(st.integers(1, 12), st.integers(1, 10**9), st.integers(1, 10**9))
+@settings(max_examples=200, deadline=None)
+def test_default_eta_is_the_least_integer_at_least_4k_over_eps_squared(k, num, den):
+    eps = Fraction(num, den)
+    x = Fraction(4**k) / (eps * eps)
+    eta = default_eta(k, eps)
+    assert eta >= 1 and eta >= x and (eta == 1 or eta - 1 < x)
+
+
+@pytest.mark.parametrize("eta", [math.inf, 2.5, True])
+def test_odd_rejects_eta_the_verifier_rejects(eta):
+    # each of these used to yield a certificate that verify_certificate refuses
+    inst = gen_random(9, 3, 30, seed=4, mode="xor-multi")
+    with pytest.raises(ValueError, match="eta must be an integer >= 1 or None"):
+        refute_odd(inst, 2, Fraction(1, 3), eta=eta, relax_r_range=True, seed=7)
 
 
 def test_odd_duplication_monotonicity():

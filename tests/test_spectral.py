@@ -120,6 +120,37 @@ def test_exact_trace_power_mixed_gamma_matches_float():
     assert abs(float(exact) - approx) < 1e-9
 
 
+@st.composite
+def trace_cases(draw):
+    """(A, gamma, ell): an n x n matrix, n <= 8, as int64, object or float64
+    (entries truncated by int()), positive rational gamma and ell in 0..8."""
+    nv = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["int", "object", "float"]))
+    if kind == "float":
+        entries = st.floats(-20, 20, allow_nan=False)
+    else:
+        entries = st.integers(-10**15 if kind == "object" else -20, 20)
+    cells = draw(st.lists(entries, min_size=nv * nv, max_size=nv * nv))
+    dtype = {"int": np.int64, "object": object, "float": np.float64}[kind]
+    a = np.array(cells, dtype=dtype).reshape(nv, nv)
+    gamma = draw(st.lists(st.fractions(min_value=Fraction(1, 12), max_value=50,
+                                       max_denominator=12), min_size=nv, max_size=nv))
+    return a, gamma, draw(st.integers(0, 8))
+
+
+@given(trace_cases())
+@settings(max_examples=200, deadline=None)
+def test_exact_trace_power_matches_fraction_products(case):
+    a, gamma, ell = case
+    nv = len(gamma)
+    step = [[Fraction(int(a[i, j])) / gamma[i] for j in range(nv)] for i in range(nv)]
+    power = [[Fraction(int(i == j)) for j in range(nv)] for i in range(nv)]
+    for _ in range(ell):
+        power = [[sum((power[i][h] * step[h][j] for h in range(nv)), Fraction(0))
+                  for j in range(nv)] for i in range(nv)]
+    assert exact_trace_power(a, gamma, ell) == sum((power[i][i] for i in range(nv)), Fraction(0))
+
+
 def test_exact_trace_power_capacity():
     with pytest.raises(CapacityError):
         exact_trace_power(np.zeros((3, 3), dtype=object), [Fraction(1)] * 3, 13)
