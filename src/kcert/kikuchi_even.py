@@ -263,11 +263,23 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
     """Search short non-trivial closed walks and extract an even cover.
 
     Strategy: duplicate clauses give a 2-step walk immediately; otherwise BFS
-    from every vertex, and every non-tree edge closing two root paths yields a
-    candidate closed walk whose odd-multiplicity clause set is tested. Returns
-    (walk length, cover) for the shortest candidate with a nonempty extraction,
-    or None. The walk length proves cover size <= length; minimality is the
-    exhaustive oracle's job, not this routine's.
+    from every vertex of positive degree, in rank order, and every non-tree
+    edge closing two root paths yields a candidate closed walk whose
+    odd-multiplicity clause set is tested. Returns (walk length, cover) for the
+    shortest candidate with a nonempty extraction, or None. The walk length
+    proves cover size <= length; minimality is the exhaustive oracle's job,
+    not this routine's.
+
+    Neighbour lists are flat numpy arrays: a stable argsort of the endpoint
+    ranks (t_rank, then s_rank) lists each vertex's (neighbour, clause) steps
+    ascending, since the edges are sorted by (s_rank, t_rank, clause), and a
+    bincount/cumsum gives each vertex's slice. The covers found depend on this
+    order. The search stops at the first walk of length 3, and that is exact:
+    the duplicate check has returned every 2-step walk, since two steps
+    between the same vertices take clauses of one mask; a closed walk with a
+    nonempty odd-use set therefore takes 3 or more steps; and a later root
+    replaces the best walk only with a strictly shorter one. Only numpy is
+    used, so the search never loads SciPy.
     """
     g = build_even_kikuchi(h, r, caps)
     cap = max_len if max_len is not None else g.num_vertices + 1
@@ -281,16 +293,15 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
                 cover = EvenCover(frozenset(idxs[:2]))
                 return 2, cover
 
-    # the edges are sorted, so each vertex lists its (neighbour, clause) steps
-    # ascending; the covers the BFS finds depend on this order
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for s, t, c in zip(g.s_rank.tolist(), g.t_rank.tolist(), g.clause.tolist()):
-        adj.setdefault(s, []).append((t, c))
-        adj.setdefault(t, []).append((s, c))
+    ends = np.concatenate([g.t_rank, g.s_rank])
+    order = np.argsort(ends, kind="stable")
+    nbr = np.concatenate([g.s_rank, g.t_rank])[order].tolist()
+    step = np.concatenate([g.clause, g.clause])[order].tolist()
+    degree = np.bincount(ends, minlength=g.num_vertices)
+    start = np.concatenate([[0], np.cumsum(degree)]).tolist()
 
     best: Optional[tuple[int, EvenCover]] = None
-    roots = sorted(adj)
-    for root in roots:
+    for root in np.flatnonzero(degree).tolist():
         dist = {root: 0}
         parent: dict[int, tuple[int, int]] = {}
         frontier = [root]
@@ -300,7 +311,8 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
             for u in frontier:
                 if 2 * dist[u] + 1 >= limit:
                     continue
-                for v, c in adj[u]:
+                lo, hi = start[u], start[u + 1]
+                for v, c in zip(nbr[lo:hi], step[lo:hi]):
                     if v not in dist:
                         dist[v] = dist[u] + 1
                         parent[v] = (u, c)
@@ -320,6 +332,8 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
                             best = (length, cover)
                             limit = length
             frontier = nxt
+        if best and best[0] <= 3:
+            break
     return best
 
 

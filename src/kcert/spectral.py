@@ -133,6 +133,8 @@ def exact_trace_power(a, gamma, ell: int) -> Fraction:
     B = (L * D^{-1}) A is integral.
     """
     A = np.asarray(a, dtype=object)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("matrix must be square")
     nv = A.shape[0]
     if nv > TRACE_DIM_LIMIT:
         raise CapacityError(f"exact trace power supports dimension <= {TRACE_DIM_LIMIT}")

@@ -91,6 +91,19 @@ def test_import_loads_no_scipy():
     assert out.stdout == "[]\n"
 
 
+def test_cover_find_loads_no_scipy(tmp_path):
+    # the closed-walk search builds its neighbour lists with numpy alone
+    f = tmp_path / "tri.hyg"
+    f.write_text(TRIANGLE_TEXT)
+    code = ("import sys; from kcert.cli import main; "
+            f"main(['cover', 'find', {str(f)!r}, '--r', '1']); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(kcert.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.splitlines() == ["3", "0 1 2", "[]"]
+
+
 def test_cli_cover_find(tmp_path, capsys):
     f = tmp_path / "tri.hyg"
     f.write_text(TRIANGLE_TEXT)

@@ -4,7 +4,8 @@ The files under golden/ hold only integers and exact rationals, so they match
 on any BLAS. They were written by the per-edge loop builders that the edge
 arrays replaced; any change to edge order, provenance or deletion shows here.
 oracle_covers.json was written by the pure-Python meet-in-the-middle oracle
-that the array passes replaced.
+that the array passes replaced; kikuchi_covers.json by the closed-walk search
+that built its neighbour lists in a dict and scanned every root.
 """
 
 import json
@@ -15,7 +16,7 @@ import pytest
 
 from kcert import Hypergraph, gen_random, load_xor, min_even_cover_oracle, refute_odd
 from kcert.decomposition import Decomposition, Group
-from kcert.kikuchi_even import build_even_kikuchi, dump_even
+from kcert.kikuchi_even import build_even_kikuchi, dump_even, shortest_even_cover_via_kikuchi
 from kcert.kikuchi_odd import build_colored_kikuchi, dump_colored
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -92,6 +93,17 @@ def test_oracle_covers():
         res = min_even_cover_oracle(h, h.m)
         got = (None, None) if res is None else (res[0], sorted(res[1].edge_indices))
         assert got == (row["size"], row["cover"]), row
+
+
+def test_kikuchi_covers():
+    """Closed-walk covers on instances of the cover-find benchmark's shape
+    (n=36, k=4, m=240, r=3): two walks of length 3, one of length 4, and that
+    one again under a cap of 3, which leaves no walk."""
+    for row in json.loads((GOLDEN / "kikuchi_covers.json").read_text()):
+        h = gen_random(row["n"], row["k"], row["m"], seed=row["seed"], mode=row["mode"])
+        res = shortest_even_cover_via_kikuchi(h, row["r"], max_len=row["max_len"])
+        got = (None, None) if res is None else (res[0], sorted(res[1].edge_indices))
+        assert got == (row["length"], row["cover"]), row
 
 
 @pytest.mark.parametrize("block", [1, 7, 100])

@@ -4,9 +4,12 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kcert import (CapacityError, Caps, Hypergraph, eval_xor, gen_random,
+from kcert import (CapacityError, Caps, EvenCover, Hypergraph, eval_xor, gen_random,
                    min_even_cover_oracle, random_assignment, verify_even_cover)
+from kcert.core import odd_use_cover
 from kcert.kikuchi_even import (build_even_kikuchi, dump_even, extract_cover_from_closed_walk,
                                 kikuchi_stats, shortest_even_cover_via_kikuchi,
                                 signed_even_kikuchi)
@@ -147,6 +150,14 @@ def test_shortest_cover_triangle():
     assert res[0] == 3 and res[1].edge_indices == frozenset({0, 1, 2})
 
 
+def test_search_scans_on_past_a_four_step_walk():
+    # r = 1 gives the graph itself; the BFS from vertex 0 closes the 4-cycle
+    # 0-2-1-4 first, and only the later root 1 finds the triangle 1-2-3
+    h = Hypergraph(n=5, k=2, edges=((2, 3), (1, 4), (0, 2), (1, 2), (1, 3), (0, 4)))
+    length, cover = shortest_even_cover_via_kikuchi(h, 1)
+    assert (length, sorted(cover.edge_indices)) == (3, [0, 3, 4])
+
+
 def test_shortest_cover_respects_oracle():
     h = gen_random(10, 4, 60, seed=5, mode="hyg-multi")
     res = shortest_even_cover_via_kikuchi(h, 2)
@@ -155,6 +166,86 @@ def test_shortest_cover_respects_oracle():
         assert verify_even_cover(h, res[1])
         if oracle is not None:
             assert len(res[1].edge_indices) >= oracle[0]
+
+
+def _reference_search(h, r, max_len=None):
+    """The closed-walk search as it was before its neighbour lists became
+    numpy arrays: a dict of per-vertex lists, and a BFS from every root."""
+    g = build_even_kikuchi(h, r)
+    cap = max_len if max_len is not None else g.num_vertices + 1
+
+    by_mask: dict[int, list[int]] = {}
+    for i, mk in enumerate(h.edge_masks()):
+        by_mask.setdefault(mk, []).append(i)
+    if g.alpha >= 1:
+        for mk, idxs in by_mask.items():
+            if len(idxs) >= 2 and 2 <= cap:
+                cover = EvenCover(frozenset(idxs[:2]))
+                return 2, cover
+
+    # the edges are sorted, so each vertex lists its (neighbour, clause) steps
+    # ascending; the covers the BFS finds depend on this order
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for s, t, c in zip(g.s_rank.tolist(), g.t_rank.tolist(), g.clause.tolist()):
+        adj.setdefault(s, []).append((t, c))
+        adj.setdefault(t, []).append((s, c))
+
+    best = None
+    roots = sorted(adj)
+    for root in roots:
+        dist = {root: 0}
+        parent: dict[int, tuple[int, int]] = {}
+        frontier = [root]
+        limit = (best[0] if best else cap + 1)
+        while frontier:
+            nxt = []
+            for u in frontier:
+                if 2 * dist[u] + 1 >= limit:
+                    continue
+                for v, c in adj[u]:
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        parent[v] = (u, c)
+                        nxt.append(v)
+                    elif parent.get(u, (None, None))[0] != v:
+                        length = dist[u] + dist[v] + 1
+                        if length > cap or (best and length >= best[0]):
+                            continue
+                        steps = [c]
+                        for end in (u, v):
+                            x = end
+                            while x != root:
+                                x, pc = parent[x]
+                                steps.append(pc)
+                        cover = odd_use_cover(steps)
+                        if cover.edge_indices:
+                            best = (length, cover)
+                            limit = length
+            frontier = nxt
+    return best
+
+
+def _walk_and_cover(res):
+    return None if res is None else (res[0], sorted(res[1].edge_indices))
+
+
+@st.composite
+def _search_cases(draw):
+    k = draw(st.sampled_from([2, 4, 6]))
+    n = draw(st.integers(k, k + 5))
+    mode = draw(st.sampled_from(["hyg", "hyg-multi"]))
+    m = draw(st.integers(0, 3 * n if mode == "hyg-multi" else min(comb(n, k), 3 * n)))
+    r = draw(st.integers(k // 2, min(n, k // 2 + 2)))
+    return gen_random(n, k, m, draw(st.integers(0, 2**30 - 1)), mode=mode), r
+
+
+@given(_search_cases())
+@settings(max_examples=150, deadline=None)
+def test_search_matches_the_reference(case):
+    h, r = case
+    for max_len in (None, 2, 3, 4, 6):
+        got = shortest_even_cover_via_kikuchi(h, r, max_len=max_len)
+        assert _walk_and_cover(got) == _walk_and_cover(_reference_search(h, r, max_len))
 
 
 def _all_closed_walks(adj, length):

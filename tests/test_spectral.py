@@ -151,6 +151,12 @@ def test_exact_trace_power_matches_fraction_products(case):
     assert exact_trace_power(a, gamma, ell) == sum((power[i][i] for i in range(nv)), Fraction(0))
 
 
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_exact_trace_power_rejects_a_non_square_matrix(ell):
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        exact_trace_power(np.ones((2, 3)), [Fraction(1)] * 2, ell)
+
+
 def test_exact_trace_power_capacity():
     with pytest.raises(CapacityError):
         exact_trace_power(np.zeros((3, 3), dtype=object), [Fraction(1)] * 3, 13)
