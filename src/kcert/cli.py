@@ -41,6 +41,21 @@ def _add_caps(parser) -> None:
     parser.add_argument("--max-edges", type=int, default=Caps().max_edges)
 
 
+def _eps(text) -> Fraction:
+    """--eps as an exact rational; a malformed value or a zero denominator is a
+    usage error, not a traceback."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"--eps {text} has a zero denominator") from None
+
+
+def _refutation_decomposition(h, args):
+    """The refutation decomposition of decompose --mode refute and kikuchi --odd."""
+    eps = _eps("1/4" if args.eps is None else args.eps)
+    return decompose_for_refutation(h, args.r, eps, enforce_ranges=not args.relax_r_range)
+
+
 def _cmd_gen(args) -> int:
     mode = args.type + ("-multi" if args.multi else "")
     obj = gen_random(args.n, args.k, args.m, args.seed, mode=mode)
@@ -82,10 +97,11 @@ def _cmd_cover(args) -> int:
 def _cmd_decompose(args) -> int:
     h = load_hypergraph(args.file)
     if args.mode == "cover":
+        if args.eps is not None or args.relax_r_range:
+            raise KcertError("--eps and --relax-r-range apply to --mode refute only")
         d = decompose_for_cover(h, args.r)
     else:
-        d = decompose_for_refutation(h, args.r, Fraction(args.eps),
-                                     enforce_ranges=not args.relax_r_range)
+        d = _refutation_decomposition(h, args)
     report = validate_decomposition(h, d)
     payload = d.to_json_dict()
     payload["valid"] = report.passed
@@ -100,9 +116,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_kikuchi(args) -> int:
     h = load_hypergraph(args.file)
     if args.odd:
-        d = decompose_for_refutation(h, args.r, Fraction(args.eps),
-                                     enforce_ranges=not args.relax_r_range)
-        g = build_colored_kikuchi(h, d, args.level, args.r, caps=_caps(args))
+        g = build_colored_kikuchi(h, _refutation_decomposition(h, args),
+                                  1 if args.level is None else args.level, args.r, caps=_caps(args))
         if args.action == "dump":
             _write_output(dump_colored(g), args.out)
         else:
@@ -116,6 +131,8 @@ def _cmd_kikuchi(args) -> int:
             }
             _write_output(json.dumps(stats, sort_keys=True, indent=2) + "\n", args.out)
         return 0
+    if args.level is not None or args.eps is not None or args.relax_r_range:
+        raise KcertError("--level, --eps and --relax-r-range apply to --odd only")
     g = build_even_kikuchi(h, args.r, caps=_caps(args))
     if args.action == "dump":
         _write_output(dump_even(g), args.out)
@@ -142,7 +159,7 @@ def _cmd_refute(args) -> int:
     else:
         if args.eps is None:
             raise KcertError("odd k requires --eps")
-        cert = refute_odd(inst, args.r, Fraction(args.eps), eta=args.eta,
+        cert = refute_odd(inst, args.r, _eps(args.eps), eta=args.eta,
                           caps=_caps(args), tol=args.tol, seed=args.seed,
                           relax_r_range=args.relax_r_range)
     text = certificate_to_json(cert)
@@ -227,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("file")
     d.add_argument("--mode", choices=("cover", "refute"), default="cover")
     d.add_argument("--r", type=int, required=True)
-    d.add_argument("--eps", default="1/4")
-    d.add_argument("--relax-r-range", action="store_true")
+    d.add_argument("--eps", default=None, help="refute mode only (default 1/4)")
+    d.add_argument("--relax-r-range", action="store_true", help="refute mode only")
     d.add_argument("--out", "-o", default=None)
     d.set_defaults(func=_cmd_decompose)
 
@@ -237,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     kk.add_argument("file")
     kk.add_argument("--r", type=int, required=True)
     kk.add_argument("--odd", action="store_true", help="colored construction from a refutation decomposition")
-    kk.add_argument("--level", type=int, default=1)
-    kk.add_argument("--eps", default="1/4")
-    kk.add_argument("--relax-r-range", action="store_true")
+    kk.add_argument("--level", type=int, default=None, help="--odd only (default 1)")
+    kk.add_argument("--eps", default=None, help="--odd only (default 1/4)")
+    kk.add_argument("--relax-r-range", action="store_true", help="--odd only")
     kk.add_argument("--out", "-o", default=None)
     _add_caps(kk)
     kk.set_defaults(func=_cmd_kikuchi)

@@ -14,7 +14,8 @@ Edges use the arrays of kikuchi_even.KikuchiEdges; each edge's provenance is
 its ordered pair, a row (group, C, C') of a pair table. All pairs share one set
 of index patterns, so kikuchi_even.pattern_edges builds them as it builds the
 even graphs, with the pair as the item; deletion and equalization are array
-passes over the same layout.
+passes over the same layout, and the per-pair survival counts they report are
+an int64 array indexed like the pair table's rows.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 from typing import Optional
 
@@ -54,15 +54,6 @@ class ColoredKikuchiGraph(KikuchiEdges):
     group = property(lambda self: self.pair_table[self.pair, 0])
     green = property(lambda self: self.pair_table[self.pair, 1])     # clause C
     blue = property(lambda self: self.pair_table[self.pair, 2])      # clause C'
-
-    @cached_property
-    def ordered_pairs(self) -> list[tuple[int, int, int]]:
-        """(group, C, C') of every ordered pair, indexed like pair_table."""
-        return list(map(tuple, self.pair_table[:, :3].tolist()))
-
-    @property
-    def num_ordered_pairs(self) -> int:
-        return len(self.pair_table)
 
     def edge_signs(self, signs) -> np.ndarray:
         return (signs[self.pair_table[:, 1]] * signs[self.pair_table[:, 2]])[self.pair]
@@ -154,11 +145,9 @@ def build_colored_kikuchi(h: Hypergraph, decomp: Decomposition, level: int, r: i
 @dataclass
 class DeletionResult:
     surviving: np.ndarray                    # boolean over graph.edges
-    per_pair_survival: dict[tuple[int, int, int], int]
-    eta: float
-    equalized: bool
-    kappa: Optional[int] = None
-    rho: Optional[Fraction] = None
+    pair_survival: np.ndarray                # int64 surviving edges per row of pair_table
+    kappa: Optional[int] = None              # common per-pair count once equalized
+    rho: Optional[Fraction] = None           # set once equalized: 1 - kappa/alpha
     degenerate: bool = False
 
     @property
@@ -188,9 +177,8 @@ def delete_heavy_edges(g: ColoredKikuchiGraph, eta) -> DeletionResult:
         heavy = np.unique(keys[e:][keys[e:] == keys[:-e]])
         surviving = ~np.any([np.isin(v * num_slots + slot, heavy) for v, slot in incidences],
                             axis=0)
-    per_pair = dict(zip(g.ordered_pairs,
-                        np.bincount(g.pair[surviving], minlength=g.num_ordered_pairs).tolist()))
-    return DeletionResult(surviving=surviving, per_pair_survival=per_pair, eta=eta, equalized=False)
+    return DeletionResult(surviving=surviving,
+                          pair_survival=np.bincount(g.pair[surviving], minlength=len(g.pair_table)))
 
 
 def equalize_deletion(g: ColoredKikuchiGraph, pre: DeletionResult) -> DeletionResult:
@@ -200,13 +188,12 @@ def equalize_deletion(g: ColoredKikuchiGraph, pre: DeletionResult) -> DeletionRe
     The resulting quadratic form satisfies x' A_hat x = (1 - rho) x' A x for
     every assignment-induced x, exactly.
     """
-    if pre.equalized:
+    if pre.rho is not None:
         raise ValueError("deletion result is already equalized")
     if g.alpha is None or not g.num_edges:
-        return DeletionResult(surviving=pre.surviving.copy(), per_pair_survival=dict(pre.per_pair_survival),
-                              eta=pre.eta, equalized=True, kappa=None, rho=Fraction(0),
-                              degenerate=True)
-    kappa = min(pre.per_pair_survival.values())
+        return DeletionResult(surviving=pre.surviving.copy(), pair_survival=pre.pair_survival.copy(),
+                              rho=Fraction(0), degenerate=True)
+    kappa = int(pre.pair_survival.min())
     # survivors grouped by pair, each pair's in stored (sorted) order; keep the first kappa
     alive = np.flatnonzero(pre.surviving)
     alive = alive[np.argsort(g.pair[alive], kind="stable")]
@@ -214,11 +201,9 @@ def equalize_deletion(g: ColoredKikuchiGraph, pre: DeletionResult) -> DeletionRe
     running = np.arange(len(alive)) - np.searchsorted(pairs, pairs)
     surviving = np.zeros(g.num_edges, dtype=bool)
     surviving[alive[running < kappa]] = True
-    counts = np.fromiter(pre.per_pair_survival.values(), dtype=np.int64)
-    per_pair = dict(zip(pre.per_pair_survival, np.minimum(counts, kappa).tolist()))
     rho = 1 - Fraction(kappa, g.alpha)
-    return DeletionResult(surviving=surviving, per_pair_survival=per_pair, eta=pre.eta,
-                          equalized=True, kappa=kappa, rho=rho, degenerate=(kappa == 0))
+    return DeletionResult(surviving=surviving, pair_survival=np.minimum(pre.pair_survival, kappa),
+                          kappa=kappa, rho=rho, degenerate=(kappa == 0))
 
 
 def predicted_deletion_fraction(k: int, n: int, r: int, level: int, eta,
@@ -264,10 +249,11 @@ def predicted_deletion_fraction(k: int, n: int, r: int, level: int, eta,
 
 
 def measured_deletion_fractions(g: ColoredKikuchiGraph, result: DeletionResult) -> dict:
-    """Per ordered pair, the fraction of its edges deleted."""
+    """Per ordered pair (group, C, C'), the fraction of its edges deleted."""
     if g.alpha in (None, 0):
         return {}
-    return {key: 1 - Fraction(cnt, g.alpha) for key, cnt in result.per_pair_survival.items()}
+    return {tuple(key): 1 - Fraction(cnt, g.alpha)
+            for key, cnt in zip(g.pair_table[:, :3].tolist(), result.pair_survival.tolist())}
 
 
 def reduce_large_intersection(h: Hypergraph, groups) -> tuple[Hypergraph, list[tuple[int, int]]]:

@@ -103,6 +103,9 @@ def _head(inst: XorInstance, mode: str, r: int, seed: int, tol: float) -> dict:
     h = inst.hypergraph
     if h.k % 2 != (mode == "odd"):
         raise ValueError(f"refute_{mode} requires {mode} k")
+    # the verifier's own test, so every tol the prover records replays
+    if not _PARAMS["tol"][1](float(tol)):
+        raise ValueError(f"tol must be {_PARAMS['tol'][0]}, got {_SHOW.repr(tol)}")
     if h.m == 0:
         raise ValueError("cannot refute an empty instance")
     return {"format": "kcert-certificate-v1", "mode": mode, "digest": instance_digest(inst),
@@ -234,8 +237,9 @@ def refute_odd(inst: XorInstance, r: int, eps, eta: Optional[int] = None,
 
 
 def certificate_to_json(cert: dict) -> str:
-    """Canonical serialization: sorted keys, compact separators, one trailing LF."""
-    return json.dumps(cert, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical serialization: sorted keys, compact separators, one trailing LF;
+    a non-finite float is an error, since JSON has no spelling for it."""
+    return json.dumps(cert, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def certificate_from_json(text: str) -> dict:
@@ -254,11 +258,12 @@ def _rational(s) -> Optional[Fraction]:
 
 
 # the parameters a replay starts from; bool is no integer here, a float r would
-# be truncated, and tol and relaxed_r_range are only echoed, so their type is
-# all there is to check
+# be truncated, tol must be a tolerance ARPACK takes, and relaxed_r_range is
+# only echoed, so its type is all there is to check
 _PARAMS = {"r": ("an integer", lambda v: type(v) is int),
            "seed": ("an integer", lambda v: type(v) is int),
-           "tol": ("a float", lambda v: type(v) is float),
+           "tol": ("a float, finite and >= 0",
+                   lambda v: type(v) is float and math.isfinite(v) and v >= 0),
            "eps": ('a rational "p/q"', lambda v: _rational(v) is not None),
            "eta": ("an integer or null", lambda v: v is None or type(v) is int),
            "relaxed_r_range": ("a bool", lambda v: type(v) is bool)}

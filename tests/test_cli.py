@@ -143,6 +143,73 @@ def test_cli_refute_even_rejects_odd_knobs(tmp_path, capsys, knob):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_cli_refute_rejects_bad_tol(tmp_path, capsys, tol):
+    inst_path = tmp_path / "one.xor"
+    inst_path.write_text(SINGLE_XOR_TEXT)
+    out_path = tmp_path / "cert.json"
+    assert main(["refute", str(inst_path), "--r", "1", "--seed", "0", "--tol", tol,
+                 "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: tol must be a float, finite and >= 0")
+    assert not out_path.exists()
+
+    # a certificate edited to such a tol, as JSON text, is rejected
+    assert main(["refute", str(inst_path), "--r", "1", "--seed", "0", "--out", str(out_path)]) == 0
+    text = out_path.read_text()
+    spelled = {"inf": "Infinity", "nan": "NaN"}.get(tol, tol)      # as json.loads reads them
+    assert text.endswith('"tol":1e-09}\n')
+    out_path.write_text(text.replace('"tol":1e-09}', '"tol":%s}' % spelled))
+    capsys.readouterr()
+    assert main(["verify-cert", str(inst_path), str(out_path)]) == 2
+    assert "mismatch: certificate tol must be a float, finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["refute", "{xor}", "--r", "2", "--seed", "0", "--eps", "1/0"],
+    ["decompose", "{hyg}", "--mode", "refute", "--r", "2", "--eps", "1/0"],
+    ["kikuchi", "stats", "{hyg}", "--r", "2", "--odd", "--eps", "1/0"],
+], ids=["refute", "decompose", "kikuchi"])
+def test_cli_eps_with_zero_denominator_is_a_usage_error(tmp_path, capsys, argv):
+    paths = {"xor": tmp_path / "odd.xor", "hyg": tmp_path / "odd.hyg"}
+    paths["xor"].write_text("xor 5 2 3\n+1 1 2 3\n-1 1 4 5\n")
+    paths["hyg"].write_text("hyg 5 2 3\n1 2 3\n1 4 5\n")
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr().err == "error: --eps 1/0 has a zero denominator\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "{hyg}", "--mode", "cover", "--r", "2", "--eps", "1/4"],
+     "--eps and --relax-r-range apply to --mode refute only"),
+    (["decompose", "{hyg}", "--r", "2", "--relax-r-range"],
+     "--eps and --relax-r-range apply to --mode refute only"),
+    (["kikuchi", "stats", "{hyg}", "--r", "2", "--level", "1"],
+     "--level, --eps and --relax-r-range apply to --odd only"),
+    (["kikuchi", "dump", "{hyg}", "--r", "2", "--eps", "1/4"],
+     "--level, --eps and --relax-r-range apply to --odd only"),
+    (["kikuchi", "dump", "{hyg}", "--r", "2", "--relax-r-range"],
+     "--level, --eps and --relax-r-range apply to --odd only"),
+], ids=["cover-eps", "cover-relax", "even-level", "even-eps", "even-relax"])
+def test_cli_rejects_odd_only_knobs_where_they_do_nothing(tmp_path, capsys, argv, message):
+    hyg = tmp_path / "h.hyg"
+    hyg.write_text("hyg 5 2 3\n1 2 3\n1 4 5\n")
+    out_path = tmp_path / "out.txt"
+    assert main([arg.format(hyg=hyg) for arg in argv] + ["--out", str(out_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_path.exists()
+
+
+def test_cli_odd_knob_defaults(tmp_path, capsys):
+    # --level 1 and --eps 1/4 stay the defaults where they apply
+    hyg = tmp_path / "h.hyg"
+    hyg.write_text("hyg 9 4 3\n1 2 3\n1 4 5\n1 6 7\n2 8 9\n")
+    for cmd in (["decompose", str(hyg), "--mode", "refute"], ["kikuchi", "dump", str(hyg), "--odd"]):
+        outputs = []
+        for extra in ([], ["--eps", "1/4"] + (["--level", "1"] if cmd[0] == "kikuchi" else [])):
+            assert main(cmd + ["--r", "2", "--relax-r-range"] + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0]
+
+
 def test_cli_verify_cert_takes_caps(tmp_path, capsys):
     # r = 2 on n = 9 vertices: the Kikuchi graph has C(9, 2) = 36 vertices
     inst_path = tmp_path / "even.xor"

@@ -5,19 +5,23 @@ on any BLAS. They were written by the per-edge loop builders that the edge
 arrays replaced; any change to edge order, provenance or deletion shows here.
 oracle_covers.json was written by the pure-Python meet-in-the-middle oracle
 that the array passes replaced; kikuchi_covers.json by the closed-walk search
-that built its neighbour lists in a dict and scanned every root.
+that built its neighbour lists in a dict and scanned every root; deletions.json
+by the deletion step that kept its per-pair counts in dicts keyed by
+(group, C, C').
 """
 
 import json
 import pathlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kcert import Hypergraph, gen_random, load_xor, min_even_cover_oracle, refute_odd
 from kcert.decomposition import Decomposition, Group
 from kcert.kikuchi_even import build_even_kikuchi, dump_even, shortest_even_cover_via_kikuchi
-from kcert.kikuchi_odd import build_colored_kikuchi, dump_colored
+from kcert.kikuchi_odd import (build_colored_kikuchi, delete_heavy_edges, dump_colored,
+                               equalize_deletion)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -83,6 +87,24 @@ def test_odd_certificate_golden():
     levels = odd_certificate_fields()
     assert [rec["method"] for rec in levels] == ["spectral", "spectral"]
     assert levels == json.loads((GOLDEN / "odd_k3_n4_two_levels.json").read_text())
+
+
+def test_deletions():
+    """Heavy-edge deletion and equalization on both colored cases at each level
+    and eta in {1, 2, 3}: surviving edge positions after each step, the
+    per-pair counts before equalization as (group, C, C', count) rows, kappa
+    and rho."""
+    for row in json.loads((GOLDEN / "deletions.json").read_text()):
+        h, pieces, r = COLORED_CASES[row["case"]]
+        g = build_colored_kikuchi(h, _decomposition(h, pieces, r), row["level"], r)
+        pre = delete_heavy_edges(g, row["eta"])
+        res = equalize_deletion(g, pre)
+        assert pre.pair_survival.dtype == np.int64
+        got = {"after_delete": np.flatnonzero(pre.surviving).tolist(),
+               "after_equalize": np.flatnonzero(res.surviving).tolist(),
+               "pair_survival": np.column_stack([g.pair_table[:, :3], pre.pair_survival]).tolist(),
+               "kappa": res.kappa, "rho": str(res.rho)}
+        assert got == {key: row[key] for key in got}, row
 
 
 def test_oracle_covers():

@@ -125,6 +125,11 @@ def test_adjacency_and_degrees_match_edge_loop(seed, colored):
         assert g.gamma_floats(degrees).tolist() == [float(x) for x in g.gamma_diagonal(degrees)]
 
 
+def pair_keys(g):
+    """(group, C, C') of every row of the pair table, in row order."""
+    return [tuple(row) for row in g.pair_table[:, :3].tolist()]
+
+
 def incidences(g, keep=None):
     inc = Counter()
     for pos, (s, t, gi, a, b) in enumerate(g.edges):
@@ -146,7 +151,7 @@ def test_deletion_drops_exactly_the_heavy_edges(seed, eta):
         touches_heavy = any(before[(v, gi, c)] > eta for v in (s, t) for c in (a, b))
         assert res.surviving[pos] == (not touches_heavy)
     per_pair = Counter(e[2:] for pos, e in enumerate(g.edges) if res.surviving[pos])
-    assert res.per_pair_survival == {
+    assert dict(zip(pair_keys(g), res.pair_survival.tolist())) == {
         (gi, a, b): per_pair[(gi, a, b)] for gi, grp in enumerate(g.groups)
         for a in grp.clause_indices for b in grp.clause_indices if a != b}
     assert delete_heavy_edges(g, math.inf).num_surviving == g.num_edges
@@ -164,11 +169,11 @@ def test_equalization_keeps_the_first_kappa_of_each_pair(seed, eta):
     for pos, edge in enumerate(g.edges):
         if pre.surviving[pos]:
             survivors.setdefault(edge[2:], []).append(pos)
-    kept = {key: [] for key in pre.per_pair_survival}
+    kept = {key: [] for key in pair_keys(g)}
     for pos, edge in enumerate(g.edges):
         if res.surviving[pos]:
             kept[edge[2:]].append(pos)
     for key, positions in kept.items():
         assert len(positions) == res.kappa
         assert positions == survivors.get(key, [])[:res.kappa]
-    assert res.per_pair_survival == {key: res.kappa for key in kept}
+    assert dict(zip(pair_keys(g), res.pair_survival.tolist())) == {key: res.kappa for key in kept}

@@ -138,7 +138,7 @@ def test_equalize_cuts_every_pair_to_kappa():
     g = build_colored_kikuchi(h, d, 1, 2)
     pre = delete_heavy_edges(g, 1)
     res = equalize_deletion(g, pre)
-    counts = set(res.per_pair_survival.values())
+    counts = set(res.pair_survival.tolist())
     assert counts == {res.kappa}
     assert res.rho == 1 - Fraction(res.kappa, g.alpha)
     per_pair = {}
@@ -154,6 +154,19 @@ def test_equalize_no_deletions_rho_zero():
     g = build_colored_kikuchi(h, d, 1, 2)
     res = equalize_deletion(g, delete_heavy_edges(g, 5))
     assert res.rho == 0 and not res.degenerate
+
+
+def test_equalize_rejects_an_equalized_result():
+    h = Hypergraph(n=6, k=3, edges=((0, 1, 2), (0, 3, 4), (0, 1, 5)))
+    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1, 2), level=1)], 2)
+    for level in (1, 2):                 # level 2 has no groups: the degenerate path
+        g = build_colored_kikuchi(h, d, level, 2)
+        pre = delete_heavy_edges(g, math.inf)
+        res = equalize_deletion(g, pre)
+        assert res.degenerate == (level == 2) and pre.rho is None
+        assert res.pair_survival is not pre.pair_survival and res.surviving is not pre.surviving
+        with pytest.raises(ValueError, match="already equalized"):
+            equalize_deletion(g, res)
 
 
 def test_equalization_identity_exact():

@@ -347,6 +347,28 @@ def test_verify_rejects_fractional_r():
     _rejected(inst, cert, "r", 2.5, "r must be an integer")
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+def test_tol_must_be_finite_and_non_negative(tol):
+    # inf was written as the non-JSON token Infinity and verified, -1 was
+    # recorded and verified, and nan ended in an ARPACK error
+    needle = "tol must be a float, finite and >= 0"
+    even_inst, even_cert = _even_fixture()
+    odd_inst, odd_cert = _odd_fixture()
+    with pytest.raises(ValueError, match=needle):
+        refute_even(even_inst, 1, seed=11, tol=tol)
+    with pytest.raises(ValueError, match=needle):
+        refute_odd(odd_inst, 2, Fraction(1, 3), relax_r_range=True, seed=7, tol=tol)
+    _rejected(even_inst, even_cert, "tol", tol, needle)
+    _rejected(odd_inst, odd_cert, "tol", tol, needle)
+
+
+def test_certificate_json_refuses_non_finite_floats():
+    _, cert = _even_fixture()
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            certificate_to_json({**cert, "tol": value})
+
+
 def test_verify_rejects_out_of_domain_fields():
     inst, cert = _odd_fixture()
     _rejected(inst, cert, "r", 0, "do not recompute")
