@@ -12,9 +12,8 @@ from .kikuchi_even import (Caps, EvenKikuchiGraph, SignedEvenKikuchi, build_even
                            extract_cover_from_closed_walk, kikuchi_stats,
                            shortest_even_cover_via_kikuchi, signed_even_kikuchi)
 from .kikuchi_odd import (ColoredKikuchiGraph, DeletionResult, build_colored_kikuchi,
-                          delete_heavy_edges, equalize_deletion, map_reduced_cover_back,
-                          measured_deletion_fractions, predicted_deletion_fraction,
-                          reduce_large_intersection)
+                          delete_heavy_edges, equalize_deletion, measured_deletion_fractions,
+                          predicted_deletion_fraction)
 from .moore import (NbSequence, ihara_moore_certificate, moore_bound_audit, nb_direct_count,
                     nb_matrices)
 from .refuter import (CertificateError, certificate_from_json, certificate_to_json,

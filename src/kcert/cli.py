@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -191,7 +192,9 @@ def _cmd_audit(args) -> int:
     if args.action == "moore":
         rep = moore_bound_audit(h)
         printable = {k: (str(v) if isinstance(v, Fraction) else v) for k, v in rep.items()}
-        print(json.dumps(printable, sort_keys=True, indent=2))
+        if printable["girth"] == math.inf:
+            printable["girth"] = None        # a forest: JSON has no infinity
+        print(json.dumps(printable, sort_keys=True, indent=2, allow_nan=False))
         if rep["girth_le_exact"] is False or rep["girth_le_weak"] is False:
             return 1
         return 0

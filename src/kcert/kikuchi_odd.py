@@ -1,6 +1,6 @@
-"""Colored Kikuchi graphs for odd arity: green/blue vertex pairs, typed degrees,
-the heavy-edge deletion process with parameter eta, the equalizing step, the
-predicted deletion-rate bound, and the large-intersection reduction.
+"""Colored Kikuchi graphs for odd arity: green/blue vertex pairs, the heavy-edge
+deletion process with parameter eta, the equalizing step and the predicted
+deletion-rate bound.
 
 A vertex is a pair (S1, S2) of subsets of [n] with |S1| + |S2| = r, encoded as
 an r-subset of [2n] (green bits 0..n-1, blue bits n..2n-1). For an ordered
@@ -28,10 +28,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import EvenCover, Hypergraph, odd_use_cover
+from .core import Hypergraph
 from .decomposition import Decomposition, Group
 from .kikuchi_even import DEFAULT_CAPS, Caps, KikuchiEdges, dump_edges, pattern_edges
-from .subsets import combination_rows, complement_rows, joined_rows, mask_from, vertices_from
+from .subsets import combination_rows, complement_rows, joined_rows
 
 
 @dataclass(eq=False)
@@ -57,24 +57,6 @@ class ColoredKikuchiGraph(KikuchiEdges):
 
     def edge_signs(self, signs) -> np.ndarray:
         return (signs[self.pair_table[:, 1]] * signs[self.pair_table[:, 2]])[self.pair]
-
-    def clause_type_degree(self, h: Hypergraph, vertex_mask: int, gi: int) -> int:
-        """Typed degree d_{S,i}: clauses of group gi whose reduced set meets the
-        green or blue side of S in one of the two balanced sizes."""
-        grp = self.groups[gi]
-        umask = mask_from(grp.center)
-        kt = self.k - self.t
-        hb, lb = (kt + 1) // 2, kt // 2
-        green = vertex_mask & ((1 << self.n) - 1)
-        blue = vertex_mask >> self.n
-        cnt = 0
-        for c in grp.clause_indices:
-            ct = h.edge_masks()[c] ^ umask
-            g1 = (ct & green).bit_count()
-            g2 = (ct & blue).bit_count()
-            if g1 in (hb, lb) or g2 in (hb, lb):
-                cnt += 1
-        return cnt
 
 
 def ordered_pair_table(groups) -> np.ndarray:
@@ -207,45 +189,23 @@ def equalize_deletion(g: ColoredKikuchiGraph, pre: DeletionResult) -> DeletionRe
 
 
 def predicted_deletion_fraction(k: int, n: int, r: int, level: int, eta,
-                                thresholds: Optional[dict[int, int]] = None,
-                                h: Optional[Hypergraph] = None,
-                                groups: Optional[tuple[Group, ...]] = None) -> Fraction:
-    """Upper bound on the per-pair deletion fraction.
-
-    Refutation form (thresholds given):
+                                thresholds: dict[int, int]) -> Fraction:
+    """Upper bound on the per-pair deletion fraction from the decomposition's
+    thresholds tau_s:
         (4^k / eta) * sum_{s=level}^{floor((k+level)/2)} tau_s * (r/n)^{floor((k+level)/2) - s}
-    Cover form (groups given): the finite sum with the measured intersection
-    counts of each clause substituted for the caps,
-        (4 * 2^k / eta) * max_{j, C} sum_s cnt_{j,C,s} * (r/n)^{floor((k-level)/2) - s + level}.
     """
     if eta != math.inf and eta < 1:
         raise ValueError("eta must be >= 1")
     if eta == math.inf:
         return Fraction(0)
-    if thresholds is not None:
-        top = (k + level) // 2
-        total = Fraction(0)
-        for s in range(level, top + 1):
-            tau = thresholds.get(s)
-            if tau is None:
-                raise ValueError(f"threshold tau_{s} missing")
-            total += tau * Fraction(r, n) ** (top - s)
-        return Fraction(4**k, 1) / eta * total
-    if h is None or groups is None:
-        raise ValueError("provide thresholds (refutation) or h and groups (cover)")
-    masks = h.edge_masks()
-    worst = Fraction(0)
-    e0 = (k - level) // 2
-    for grp in groups:
-        for a in grp.clause_indices:
-            val = Fraction(0)
-            for b in grp.clause_indices:
-                if b == a:
-                    continue
-                s = (masks[a] & masks[b]).bit_count()
-                val += Fraction(r, n) ** (e0 - s + level)
-            worst = max(worst, val)
-    return Fraction(4 * 2**k, 1) / eta * worst
+    top = (k + level) // 2
+    total = Fraction(0)
+    for s in range(level, top + 1):
+        tau = thresholds.get(s)
+        if tau is None:
+            raise ValueError(f"threshold tau_{s} missing")
+        total += tau * Fraction(r, n) ** (top - s)
+    return Fraction(4**k, 1) / eta * total
 
 
 def measured_deletion_fractions(g: ColoredKikuchiGraph, result: DeletionResult) -> dict:
@@ -254,44 +214,6 @@ def measured_deletion_fractions(g: ColoredKikuchiGraph, result: DeletionResult) 
         return {}
     return {tuple(key): 1 - Fraction(cnt, g.alpha)
             for key, cnt in zip(g.pair_table[:, :3].tolist(), result.pair_survival.tolist())}
-
-
-def reduce_large_intersection(h: Hypergraph, groups) -> tuple[Hypergraph, list[tuple[int, int]]]:
-    """Chain each group into consecutive symmetric differences.
-
-    Requires every pair inside a group to intersect exactly at the group center;
-    emits |group| - 1 hyperedges of size 2(k - t) per group. Returns the reduced
-    hypergraph and the per-edge source pair (clause indices) for the back-map.
-    """
-    groups = tuple(groups)
-    if not groups:
-        raise ValueError("need at least one group")
-    level = len(groups[0].center)
-    masks = h.edge_masks()
-    new_edges = []
-    back_map: list[tuple[int, int]] = []
-    for gi, grp in enumerate(groups):
-        umask = mask_from(grp.center)
-        idx = sorted(grp.clause_indices)
-        for a in idx:
-            for b in idx:
-                if a < b and (masks[a] & masks[b]) != umask:
-                    raise ValueError(
-                        f"clauses {a} and {b} in group {gi} intersect beyond the center"
-                    )
-        for a, b in zip(idx, idx[1:]):
-            diff = masks[a] ^ masks[b]
-            new_edges.append(vertices_from(diff))
-            back_map.append((a, b))
-    hhat = Hypergraph(n=h.n, k=2 * (h.k - level), edges=tuple(new_edges))
-    return hhat, back_map
-
-
-def map_reduced_cover_back(back_map: list[tuple[int, int]], cover) -> EvenCover:
-    """Pull an even cover of the reduced hypergraph back to the original:
-    sources appearing an odd number of times across the selected chain edges."""
-    indices = cover.edge_indices if isinstance(cover, EvenCover) else frozenset(cover)
-    return odd_use_cover(source for i in indices for source in back_map[i])
 
 
 def dump_colored(g: ColoredKikuchiGraph) -> str:

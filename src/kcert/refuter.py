@@ -103,13 +103,15 @@ def _head(inst: XorInstance, mode: str, r: int, seed: int, tol: float) -> dict:
     h = inst.hypergraph
     if h.k % 2 != (mode == "odd"):
         raise ValueError(f"refute_{mode} requires {mode} k")
-    # the verifier's own test, so every tol the prover records replays
-    if not _PARAMS["tol"][1](float(tol)):
-        raise ValueError(f"tol must be {_PARAMS['tol'][0]}, got {_SHOW.repr(tol)}")
+    # the verifier's own tests, so every r, seed and tol the prover records replays
+    params = {"r": r, "seed": seed, "tol": float(tol)}
+    for key, value in params.items():
+        if not _PARAMS[key][1](value):
+            raise ValueError(f"{key} must be {_PARAMS[key][0]}, got {_SHOW.repr(value)}")
     if h.m == 0:
         raise ValueError("cannot refute an empty instance")
     return {"format": "kcert-certificate-v1", "mode": mode, "digest": instance_digest(inst),
-            "n": h.n, "k": h.k, "m": h.m, "r": r, "seed": seed, "tol": float(tol)}
+            "n": h.n, "k": h.k, "m": h.m, **params}
 
 
 def _spectral_step(g, inst: XorInstance, keep, norm, key, seed: int) -> dict:

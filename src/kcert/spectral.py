@@ -159,24 +159,14 @@ def exact_trace_power(a, gamma, ell: int) -> Fraction:
     return Fraction(q**ell * tr, L**ell)
 
 
-def trace_bound_rhs(n: int, r: int, ell: int, d, eta=None, colored: bool = False) -> Fraction:
-    """Closed-walk count bound 2^ell * min(n^r, C(N, r)) * (ell/d)^{ell/2},
-    with (2*eta*ell/d) replacing (ell/d) in the typed-degree (odd) form.
-
-    N is n for the plain Kikuchi graph and 2n for the colored one; the binomial
-    replaces n^r whenever it is tighter.
+def trace_bound_rhs(n: int, r: int, ell: int, d) -> Fraction:
+    """Closed-walk count bound 2^ell * C(n, r) * (ell/d)^{ell/2} for the Kikuchi
+    graph of level r over n vertices with average degree d. Its C(n, r) vertices
+    stand in for the n^r of the paper's statement, never larger.
     """
     if ell <= 0 or ell % 2 != 0:
         raise ValueError("ell must be a positive even integer")
     d = Fraction(d)
     if d <= 0:
         raise ValueError("average degree must be positive")
-    ground = 2 * n if colored else n
-    count = min(n**r, comb(ground, r))
-    if eta is None:
-        inner = Fraction(ell) / d
-    else:
-        if eta < 1:
-            raise ValueError("eta must be >= 1")
-        inner = Fraction(2 * eta * ell) / d
-    return Fraction(2**ell) * count * inner ** (ell // 2)
+    return Fraction(2**ell) * comb(n, r) * (Fraction(ell) / d) ** (ell // 2)

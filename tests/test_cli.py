@@ -323,6 +323,19 @@ def test_cli_audit(tmp_path, capsys):
     assert "ok" in out
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_cli_audit_moore_on_a_forest_prints_strict_json(tmp_path, capsys):
+    # a forest's girth is infinite; it was printed as the non-JSON Infinity
+    path = tmp_path / "path.hyg"
+    path.write_text("hyg 4 3 2\n1 2\n2 3\n3 4\n")
+    assert main(["audit", "moore", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert rep["girth"] is None and rep["exact_bound"] is None
+
+
 def test_cli_fewer_vertices_than_arity(tmp_path, capsys):
     f = tmp_path / "small.hyg"
     f.write_text("hyg 3 0 4\n")

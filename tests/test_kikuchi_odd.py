@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from kcert import (Hypergraph, gen_random, random_assignment, verify_even_cover)
+from kcert import Hypergraph, gen_random, random_assignment
 from kcert.decomposition import Decomposition, Group, decompose_for_refutation
 from kcert.kikuchi_odd import (build_colored_kikuchi, delete_heavy_edges, dump_colored,
-                               equalize_deletion, map_reduced_cover_back,
-                               measured_deletion_fractions, predicted_deletion_fraction,
-                               reduce_large_intersection)
+                               equalize_deletion, measured_deletion_fractions,
+                               predicted_deletion_fraction)
 from kcert.subsets import vertices_from
 
 
@@ -78,22 +77,6 @@ def test_disjoint_groups_additive():
     assert per_group == {0: 4, 1: 4}
     single = build_colored_kikuchi(h, _decomp_from_groups(h, [g1], 2), 1, 2)
     assert single.num_edges == 4
-    # typed degrees add across disjoint groups
-    some_vertex = g.edges[0][0]
-    dd = g.clause_type_degree(h, g.vertex_masks[some_vertex], 0) + \
-        g.clause_type_degree(h, g.vertex_masks[some_vertex], 1)
-    assert dd >= g.clause_type_degree(h, g.vertex_masks[some_vertex], 0)
-
-
-def test_typed_degree_matches_figure_pattern():
-    # k = 5, t = 2 sizes: C~ of size 3, splits 2/1
-    h = Hypergraph(n=9, k=5, edges=((0, 1, 2, 3, 4), (0, 1, 5, 6, 7)))
-    grp = Group(center=(0, 1), clause_indices=(0, 1), level=2)
-    d = _decomp_from_groups(h, [grp], 5)
-    g = build_colored_kikuchi(h, d, 2, 5)
-    # S with green {2,3,5}, blue {5,8}: meets C~ = {2,3,4} in 2 (green), C~' = {5,6,7} in 1 (blue)
-    sm = (1 << 2) | (1 << 3) | (1 << 5) | (1 << (9 + 5)) | (1 << (9 + 8))
-    assert g.clause_type_degree(h, sm, 0) == 2
 
 
 def test_delete_nothing_on_single_pair():
@@ -190,6 +173,7 @@ def test_equalization_identity_exact():
 
 def test_measured_below_predicted_refutation_form():
     rng = random.Random(31)
+    closed_forms = 0
     for trial in range(5):
         k = rng.choice([3, 5])
         n = rng.randrange(2 * k, 2 * k + 5)
@@ -202,69 +186,19 @@ def test_measured_below_predicted_refutation_form():
             g = build_colored_kikuchi(h, d, t, max(2, k - t))
             if not g.alpha:
                 continue
+            predicted = {eta: predicted_deletion_fraction(k, n, g.r, t, eta, d.thresholds)
+                         for eta in (1, 2)}
+            assert predicted[1] == 2 * predicted[2]             # exact 1/eta scaling
+            if (k, t) == (3, 1):
+                tau, rn = d.thresholds, Fraction(g.r, n)
+                assert predicted[1] == 4**3 * (tau[1] * rn + tau[2])
+                closed_forms += 1
             for eta in (1, 2):
                 res = delete_heavy_edges(g, eta)
                 fracs = measured_deletion_fractions(g, res)
                 measured = max(fracs.values(), default=Fraction(0))
-                predicted = predicted_deletion_fraction(k, n, g.r, t, eta,
-                                                        thresholds=d.thresholds)
-                assert measured <= predicted
-
-
-def test_predicted_cover_form_and_scaling():
-    h = Hypergraph(n=8, k=3, edges=((0, 1, 2), (0, 3, 4), (0, 5, 6)))
-    groups = (Group(center=(0,), clause_indices=(0, 1, 2), level=1),)
-    pred1 = predicted_deletion_fraction(3, 8, 2, 1, 1, h=h, groups=groups)
-    pred2 = predicted_deletion_fraction(3, 8, 2, 1, 2, h=h, groups=groups)
-    assert pred1 == 2 * pred2                          # exact 1/eta scaling
-    d = _decomp_from_groups(h, groups, 2)
-    g = build_colored_kikuchi(h, d, 1, 2)
-    res = delete_heavy_edges(g, 1)
-    measured = max(measured_deletion_fractions(g, res).values())
-    assert measured <= pred1
-
-
-def test_predicted_single_term_when_intersections_are_centers():
-    # all pairwise intersections equal the center: only the s = level term remains
-    h = Hypergraph(n=9, k=3, edges=((0, 1, 2), (0, 3, 4), (0, 5, 6)))
-    groups = (Group(center=(0,), clause_indices=(0, 1, 2), level=1),)
-    pred = predicted_deletion_fraction(3, 9, 2, 1, 1, h=h, groups=groups)
-    e0 = (3 - 1) // 2
-    expect = Fraction(4 * 2**3) * 2 * Fraction(2, 9) ** (e0 - 1 + 1)
-    assert pred == expect
-
-
-def test_reduce_large_intersection_examples():
-    h = Hypergraph(n=5, k=3, edges=((0, 1, 2), (0, 3, 4)))
-    groups = [Group(center=(0,), clause_indices=(0, 1), level=1)]
-    hhat, back = reduce_large_intersection(h, groups)
-    assert hhat.k == 4 and hhat.edges == ((1, 2, 3, 4),)
-    assert back == [(0, 1)]
-
-    h2 = Hypergraph(n=10, k=3, edges=((0, 1, 2), (0, 3, 4), (5, 6, 7), (5, 8, 9)))
-    groups2 = [Group(center=(0,), clause_indices=(0, 1), level=1),
-               Group(center=(5,), clause_indices=(2, 3), level=1)]
-    hhat2, _ = reduce_large_intersection(h2, groups2)
-    assert hhat2.m == 2
-
-
-def test_reduce_precondition_error_names_pair():
-    h = Hypergraph(n=6, k=3, edges=((0, 1, 2), (0, 1, 3)))
-    groups = [Group(center=(0,), clause_indices=(0, 1), level=1)]
-    with pytest.raises(ValueError, match="0 and 1"):
-        reduce_large_intersection(h, groups)
-
-
-def test_reduce_collision_back_maps_to_even_cover():
-    # two groups emitting the same reduced edge: the four sources form a 4-cover
-    h = Hypergraph(n=7, k=3, edges=((0, 1, 2), (0, 3, 4), (5, 1, 2), (5, 3, 4)))
-    groups = [Group(center=(0,), clause_indices=(0, 1), level=1),
-              Group(center=(5,), clause_indices=(2, 3), level=1)]
-    hhat, back = reduce_large_intersection(h, groups)
-    assert hhat.edges[0] == hhat.edges[1]
-    cover = map_reduced_cover_back(back, {0, 1})
-    assert cover.edge_indices == frozenset({0, 1, 2, 3})
-    assert verify_even_cover(h, cover)
+                assert measured <= predicted[eta]
+    assert closed_forms
 
 
 def test_dump_colored_format():

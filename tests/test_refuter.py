@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -360,6 +361,21 @@ def test_tol_must_be_finite_and_non_negative(tol):
         refute_odd(odd_inst, 2, Fraction(1, 3), relax_r_range=True, seed=7, tol=tol)
     _rejected(even_inst, even_cert, "tol", tol, needle)
     _rejected(odd_inst, odd_cert, "tol", tol, needle)
+
+
+@pytest.mark.parametrize("prove", [
+    lambda r, seed: refute_even(gen_random(9, 2, 40, seed=3, mode="xor-multi"), r, seed=seed),
+    lambda r, seed: refute_odd(gen_random(9, 3, 30, seed=4, mode="xor-multi"), r,
+                               Fraction(1, 3), relax_r_range=True, seed=seed),
+], ids=["even", "odd"])
+@pytest.mark.parametrize("key, value", [("seed", True), ("seed", np.int64(3)),
+                                        ("r", True), ("r", np.int64(2))],
+                         ids=["seed-bool", "seed-int64", "r-bool", "r-int64"])
+def test_prover_rejects_an_r_or_seed_the_verifier_rejects(prove, key, value):
+    # these were recorded as given: the verifier then rejected the certificate,
+    # and certificate_to_json could not write a numpy integer
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
+        prove(**{"r": 2, "seed": 0, key: value})
 
 
 def test_certificate_json_refuses_non_finite_floats():

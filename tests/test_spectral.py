@@ -163,12 +163,9 @@ def test_exact_trace_power_capacity():
 
 
 def test_trace_bound_rhs_forms():
-    # eta = 1 odd form equals 2^l n^r (2 l / d)^(l/2)
-    v = trace_bound_rhs(5, 1, 2, Fraction(2), eta=1)
-    assert v == Fraction(2**2 * 5) * Fraction(2 * 1 * 2, 2)
-    # even form at l = 2, d = l, r = 1: 4n
+    # l = 2, d = l, r = 1: 4n
     assert trace_bound_rhs(7, 1, 2, Fraction(2)) == 28
-    # binomial replaces n^r when tighter
+    # the C(n, r) Kikuchi vertices, not n^r
     assert trace_bound_rhs(6, 3, 2, Fraction(1)) == Fraction(4 * 20 * 2)
 
 
