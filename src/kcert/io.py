@@ -1,12 +1,27 @@
 """Text file formats. Vertex ids are 1-based on disk, 0-based in memory.
 
-Hypergraph:  line 1 "hyg <n> <m> <k>", then m lines of k sorted vertex ids.
+Hypergraph:  line 1 "hyg <n> <m> <k>", then m lines of k vertex ids.
 XOR:         line 1 "xor <n> <m> <k>", then m lines "<+1|-1> v1 .. vk".
+
+Within a line the vertex ids are strictly ascending, and any whitespace
+separates tokens (tabs, runs of spaces and CRLF line ends included). Parsed
+instances store their vertices as Python ints. A malformed file raises a
+ParseError that names its first faulty line (a wrong line count is found
+first, and names the file's last line).
+
+Both formats share one body reader: it splits the body once and checks every
+hyperedge in whole-array numpy passes. Only a body that fails those checks (or
+holds ids beyond int64) is read again line by line, to name the first fault.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .core import Hypergraph, KcertError, XorInstance
+
+_END = ";"                        # closes each body line in the token stream; int() rejects it
+_SIGNS = {"+1": 1, "-1": -1}
 
 
 class ParseError(KcertError):
@@ -45,38 +60,74 @@ def _parse_vertices(tokens: list[str], n: int, k: int, lineno: int) -> tuple[int
     return tuple(v - 1 for v in verts)
 
 
-def _data_lines(text: str, m: int, tag: str) -> list[tuple[int, str]]:
-    raw = text.split("\n")
-    if raw and raw[-1] == "":
-        raw.pop()
-    if len(raw) != m + 1:
-        raise ParseError(len(raw), f"{tag} file must have {m + 1} lines, found {len(raw)}")
-    return [(i + 2, line) for i, line in enumerate(raw[1:])]
+def _rows_at_once(body: str, n: int, m: int, k: int, signed: bool):
+    """(rows, signs) of a body of m lines, or None if any line is faulty.
+
+    A sentinel closes each line, so one split yields the whole token stream,
+    and int() runs once per distinct token. Read as an (m, w+1) array, w = k
+    plus the sign column, it proves that every line has w tokens: the
+    sentinel reads 0 and is no sign, so with signs and ids in 1..n in the
+    first w columns, each of the m sentinels must sit in the last column.
+    Strict ascent of each row then also proves its ids sorted and distinct.
+    """
+    tokens = body.replace("\n", f" {_END} ").split()
+    if not body.endswith("\n"):
+        tokens.append(_END)
+    width = k + signed
+    if len(tokens) != m * (width + 1):
+        return None
+    vocab = set(tokens)
+    vocab.discard(_END)
+    try:
+        value = {t: int(t) for t in vocab}
+        value[_END] = 0
+        grid = np.fromiter(map(value.__getitem__, tokens), np.int64, len(tokens))
+        signs = tuple(map(_SIGNS.__getitem__, tokens[::width + 1])) if signed else ()
+    except (KeyError, ValueError, OverflowError):
+        return None
+    grid = grid.reshape(m, width + 1)
+    ids = grid[:, signed:width]
+    if not ((ids[:, 1:] > ids[:, :-1]).all() and ids[:, 0].min() >= 1
+            and ids[:, -1].max() <= n):
+        return None
+    return tuple(zip(*(ids - 1).T.tolist())), signs
+
+
+def _rows_by_line(body: str, n: int, m: int, k: int, signed: bool):
+    """(rows, signs) of a body of m lines, checked line by line from line 2 down;
+    raises ParseError at the first faulty line."""
+    rows, signs = [], []
+    for lineno, line in enumerate(body.split("\n")[:m], start=2):
+        tokens = line.split()
+        if signed:
+            if not tokens:
+                raise ParseError(lineno, "empty clause line")
+            if tokens[0] not in _SIGNS:
+                raise ParseError(lineno, f"sign must be +1 or -1, got {tokens[0]!r}")
+            signs.append(_SIGNS[tokens.pop(0)])
+        rows.append(_parse_vertices(tokens, n, k, lineno))
+    return tuple(rows), tuple(signs)
+
+
+def _parse(text: str, tag: str) -> tuple[Hypergraph, tuple[int, ...]]:
+    """The hypergraph of a hyg or xor file and its signs (empty for hyg)."""
+    first, _, body = text.partition("\n")
+    n, m, k = _parse_header(first, tag)
+    lines = text.count("\n") + 1 - text.endswith("\n")
+    if lines != m + 1:
+        raise ParseError(lines, f"{tag} file must have {m + 1} lines, found {lines}")
+    signed = tag == "xor"
+    rows, signs = _rows_at_once(body, n, m, k, signed) or _rows_by_line(body, n, m, k, signed)
+    return Hypergraph._of_valid_rows(n, k, rows), signs
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    first = text.split("\n", 1)[0]
-    n, m, k = _parse_header(first, "hyg")
-    edges = []
-    for lineno, line in _data_lines(text, m, "hyg"):
-        edges.append(_parse_vertices(line.split(), n, k, lineno))
-    return Hypergraph(n=n, k=k, edges=tuple(edges))
+    return _parse(text, "hyg")[0]
 
 
 def parse_xor(text: str) -> XorInstance:
-    first = text.split("\n", 1)[0]
-    n, m, k = _parse_header(first, "xor")
-    edges, signs = [], []
-    for lineno, line in _data_lines(text, m, "xor"):
-        tokens = line.split()
-        if not tokens:
-            raise ParseError(lineno, "empty clause line")
-        if tokens[0] not in ("+1", "-1"):
-            raise ParseError(lineno, f"sign must be +1 or -1, got {tokens[0]!r}")
-        signs.append(1 if tokens[0] == "+1" else -1)
-        edges.append(_parse_vertices(tokens[1:], n, k, lineno))
-    return XorInstance(hypergraph=Hypergraph(n=n, k=k, edges=tuple(edges)),
-                       signs=tuple(signs))
+    h, signs = _parse(text, "xor")
+    return XorInstance(hypergraph=h, signs=signs)
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:

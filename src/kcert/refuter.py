@@ -106,8 +106,9 @@ def _head(inst: XorInstance, mode: str, r: int, seed: int, tol: float) -> dict:
     # the verifier's own tests, so every r, seed and tol the prover records replays
     params = {"r": r, "seed": seed, "tol": float(tol)}
     for key, value in params.items():
-        if not _PARAMS[key][1](value):
-            raise ValueError(f"{key} must be {_PARAMS[key][0]}, got {_SHOW.repr(value)}")
+        fault = _param_fault(key, value)
+        if fault:
+            raise ValueError(fault)
     if h.m == 0:
         raise ValueError("cannot refute an empty instance")
     return {"format": "kcert-certificate-v1", "mode": mode, "digest": instance_digest(inst),
@@ -217,7 +218,7 @@ def _odd_certificate(inst: XorInstance, r: int, eps, eta: Optional[int], caps: C
     if eta is None:
         eta = default_eta(h.k, eps)
     # the verifier's own test, so every eta the prover records replays
-    if not _PARAMS["eta"][1](eta) or eta < 1:
+    if _param_fault("eta", eta) or eta < 1:
         raise ValueError(f"eta must be an integer >= 1 or None, got {_SHOW.repr(eta)}")
 
     levels = [_odd_level(inst, decomp, t, r, eta, caps, seed, norm) for t in range(1, h.k)]
@@ -259,16 +260,18 @@ def _rational(s) -> Optional[Fraction]:
         return None
 
 
-# the parameters a replay starts from; bool is no integer here, a float r would
-# be truncated, tol must be a tolerance ARPACK takes, and relaxed_r_range is
-# only echoed, so its type is all there is to check
-_PARAMS = {"r": ("an integer", lambda v: type(v) is int),
-           "seed": ("an integer", lambda v: type(v) is int),
-           "tol": ("a float, finite and >= 0",
-                   lambda v: type(v) is float and math.isfinite(v) and v >= 0),
-           "eps": ('a rational "p/q"', lambda v: _rational(v) is not None),
-           "eta": ("an integer or null", lambda v: v is None or type(v) is int),
-           "relaxed_r_range": ("a bool", lambda v: type(v) is bool)}
+# the parameters a replay starts from, each with (what it must be, test) pairs
+# tried in order; bool is no integer here, a float r would be truncated, a seed
+# must be one numpy's generators take, tol must be a tolerance ARPACK takes,
+# and relaxed_r_range is only echoed, so its type is all there is to check
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_PARAMS = {"r": (_INTEGER,),
+           "seed": (_INTEGER, ("an integer >= 0", lambda v: v >= 0)),
+           "tol": (("a float, finite and >= 0",
+                    lambda v: type(v) is float and math.isfinite(v) and v >= 0),),
+           "eps": (('a rational "p/q"', lambda v: _rational(v) is not None),),
+           "eta": (("an integer or null", lambda v: v is None or type(v) is int),),
+           "relaxed_r_range": (("a bool", lambda v: type(v) is bool),)}
 _REPLAYED = {"even": ("r", "seed", "tol"), "odd": tuple(_PARAMS)}
 _NORM_KEYS = ("lambda", "residual", "lambda_cert")
 
@@ -277,11 +280,17 @@ _SHOW = reprlib.Repr()
 _SHOW.maxstring = _SHOW.maxother = 100
 
 
+def _param_fault(key: str, value) -> Optional[str]:
+    """What is wrong with value as parameter key, from the first test it fails; None if nothing."""
+    return next((f"{key} must be {what}, got {_SHOW.repr(value)}"
+                 for what, test in _PARAMS[key] if not test(value)), None)
+
+
 def _scalar_reasons(cert: dict, mode: str) -> list[str]:
     """Presence and type of each parameter the replay of mode starts from."""
-    return [f"certificate has no key {key!r}" if key not in cert else
-            f"certificate {key} must be {_PARAMS[key][0]}, got {_SHOW.repr(cert[key])}"
-            for key in _REPLAYED[mode] if key not in cert or not _PARAMS[key][1](cert[key])]
+    faults = (_param_fault(key, cert[key]) if key in cert else f"has no key {key!r}"
+              for key in _REPLAYED[mode])
+    return [f"certificate {fault}" for fault in faults if fault]
 
 
 def _check_norm(where: str, rec: dict, fresh_lambda: float) -> list[str]:

@@ -164,6 +164,17 @@ def test_cli_refute_rejects_bad_tol(tmp_path, capsys, tol):
     assert "mismatch: certificate tol must be a float, finite and >= 0" in capsys.readouterr().err
 
 
+def test_cli_refute_rejects_negative_seed(tmp_path, capsys):
+    # numpy used to stop it with a bare "expected non-negative integer"
+    inst_path = tmp_path / "one.xor"
+    inst_path.write_text(SINGLE_XOR_TEXT)
+    out_path = tmp_path / "cert.json"
+    assert main(["refute", str(inst_path), "--r", "1", "--seed", "-1",
+                 "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["refute", "{xor}", "--r", "2", "--seed", "0", "--eps", "1/0"],
     ["decompose", "{hyg}", "--mode", "refute", "--r", "2", "--eps", "1/0"],

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,18 @@ def test_hypergraph_validation():
         Hypergraph(n=3, k=2, edges=((0, 3),))
     h = Hypergraph(n=4, k=3, edges=((2, 0, 1),))
     assert h.edges == ((0, 1, 2),)
+
+
+def test_numpy_integer_vertices_are_stored_as_python_ints():
+    # numpy ints used to be kept as given: 1 << 70 wrapped around in int64, so a
+    # single edge verified as an even cover, the oracle died on bit_length, and
+    # an equal hypergraph of Python ints got the same cached masks
+    h = Hypergraph(n=80, k=2, edges=tuple(map(tuple, np.array([[0, 70], [70, 71], [0, 71]]))))
+    assert all(type(v) is int for e in h.edges for v in e)
+    assert not verify_even_cover(h, {1})
+    assert min_even_cover_oracle(h, 3) == (3, EvenCover(frozenset({0, 1, 2})))
+    same = Hypergraph(n=80, k=2, edges=((0, 70), (70, 71), (0, 71)))
+    assert same == h and not verify_even_cover(same, {1})
 
 
 def test_verify_even_cover_triangle():

@@ -242,3 +242,13 @@ def test_measured_alpha_equals_half_closed_form_at_desk_scale():
             if g.alpha is None:
                 continue
             assert 2 * g.alpha == g.alpha_closed_form
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_predicted_deletion_fraction_sums_up_to_floor_of_half_k_plus_level(k):
+    # at level 2 with k odd, (k + level) // 2 stops one term before
+    # (k + level + 1) // 2 would; thresholds are given past both
+    taus = {s: 10 + s for s in range(1, k + 2)}
+    rn = Fraction(4, 30)
+    terms = {3: taus[2], 5: taus[2] * rn + taus[3]}[k]
+    assert predicted_deletion_fraction(k, 30, 4, 2, 3, taus) == Fraction(4**k, 3) * terms

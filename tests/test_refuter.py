@@ -336,6 +336,18 @@ def test_verify_rejects_non_integer_seed():
     _rejected(inst, cert, "seed", True, "seed")
 
 
+def test_seed_must_be_non_negative():
+    # a seed edited to -1 used to verify, though the prover could never write it
+    inst, cert = _even_fixture()
+    _rejected(inst, cert, "seed", -1, "certificate seed must be an integer >= 0, got -1")
+    odd_inst, odd_cert = _odd_fixture()
+    _rejected(odd_inst, odd_cert, "seed", -1, "certificate seed must be an integer >= 0, got -1")
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1$"):
+        refute_even(inst, 1, seed=-1)
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1$"):
+        refute_odd(odd_inst, 2, Fraction(1, 3), relax_r_range=True, seed=-1)
+
+
 def test_verify_rejects_non_integer_eta():
     inst, cert = _odd_fixture()
     _rejected(inst, cert, "eta", "x", "eta")
