@@ -37,8 +37,8 @@ class Hypergraph:
     """k-uniform hypergraph on vertices 0..n-1 with an ordered hyperedge list.
 
     Hyperedges are stored sorted; duplicates are legal (a duplicated pair is
-    itself an even cover of size 2). Integer vertices, numpy integers included,
-    are stored as Python ints.
+    itself an even cover of size 2). Numpy integer vertices are stored as
+    Python ints; other vertices are stored as given.
     """
 
     n: int
@@ -50,19 +50,15 @@ class Hypergraph:
             raise ValueError("vertex count must be positive")
         if self.k < 2:
             raise ValueError("uniformity k must be >= 2")
-        edges = _int_rows(self.edges, self.n, self.k)
-        if edges is None:
-            # ragged, non-integer or faulty input: the first bad edge is named
-            edges = tuple(map(self._checked_edge, self.edges))
-        object.__setattr__(self, "edges", edges)
-
-    def _checked_edge(self, e) -> tuple:
-        t = tuple(sorted(e))
-        if len(t) != self.k or len(set(t)) != self.k:
-            raise ValueError(f"hyperedge {e!r} must have exactly {self.k} distinct vertices")
-        if t[0] < 0 or t[-1] >= self.n:
-            raise ValueError(f"hyperedge {e!r} has a vertex outside 0..{self.n - 1}")
-        return t
+        norm = []
+        for e in self.edges:
+            t = tuple(sorted(int(v) if isinstance(v, np.integer) else v for v in e))
+            if len(t) != self.k or len(set(t)) != self.k:
+                raise ValueError(f"hyperedge {e!r} must have exactly {self.k} distinct vertices")
+            if t[0] < 0 or t[-1] >= self.n:
+                raise ValueError(f"hyperedge {e!r} has a vertex outside 0..{self.n - 1}")
+            norm.append(t)
+        object.__setattr__(self, "edges", tuple(norm))
 
     @classmethod
     def _of_valid_rows(cls, n: int, k: int, edges: tuple[tuple[int, ...], ...]) -> Hypergraph:
@@ -80,21 +76,6 @@ class Hypergraph:
 
     def edge_masks(self) -> tuple[int, ...]:
         return _edge_masks(self)
-
-
-def _int_rows(edges, n: int, k: int) -> Optional[tuple[tuple[int, ...], ...]]:
-    """edges as sorted tuples of Python ints, checked in one numpy pass, if they
-    form a nonempty (m, k) integer array of distinct vertices in 0..n-1; else None."""
-    try:
-        a = np.array(edges)
-    except ValueError:                     # ragged rows
-        return None
-    if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] != k or a.dtype.kind not in "iu":
-        return None
-    a.sort(axis=1)
-    if (a[:, 1:] == a[:, :-1]).any() or a[:, 0].min() < 0 or a[:, -1].max() >= n:
-        return None
-    return tuple(zip(*a.T.tolist()))
 
 
 @lru_cache(maxsize=256)

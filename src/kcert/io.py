@@ -64,10 +64,10 @@ def _rows_at_once(body: str, n: int, m: int, k: int, signed: bool):
     """(rows, signs) of a body of m lines, or None if any line is faulty.
 
     A sentinel closes each line, so one split yields the whole token stream,
-    and int() runs once per distinct token. Read as an (m, w+1) array, w = k
-    plus the sign column, it proves that every line has w tokens: the
-    sentinel reads 0 and is no sign, so with signs and ids in 1..n in the
-    first w columns, each of the m sentinels must sit in the last column.
+    and int() converts each token. Read as an (m, w+1) array, w = k plus the
+    sign column, it proves that every line has w tokens: the sentinel reads 0
+    and is no sign, so with signs and ids in 1..n in the first w columns, each
+    of the m sentinels must sit in the last column.
     Strict ascent of each row then also proves its ids sorted and distinct.
     """
     tokens = body.replace("\n", f" {_END} ").split()
@@ -76,12 +76,8 @@ def _rows_at_once(body: str, n: int, m: int, k: int, signed: bool):
     width = k + signed
     if len(tokens) != m * (width + 1):
         return None
-    vocab = set(tokens)
-    vocab.discard(_END)
     try:
-        value = {t: int(t) for t in vocab}
-        value[_END] = 0
-        grid = np.fromiter(map(value.__getitem__, tokens), np.int64, len(tokens))
+        grid = np.fromiter((0 if t == _END else int(t) for t in tokens), np.int64, len(tokens))
         signs = tuple(map(_SIGNS.__getitem__, tokens[::width + 1])) if signed else ()
     except (KeyError, ValueError, OverflowError):
         return None

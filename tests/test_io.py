@@ -1,5 +1,5 @@
-"""The one-pass readers of kcert.io and the numpy check of Hypergraph, each
-against a copy of the line-by-line code it replaced: the same object for every
+"""The one-pass readers of kcert.io and the edge check of Hypergraph, each
+against a copy of the line-by-line code before them: the same object for every
 valid input, the same error (type, message, line) for every faulty one."""
 
 import random
@@ -165,7 +165,8 @@ def test_parse_matches_line_by_line_reference(seed, signed, k, spare, m, faults,
         mutate(rng, rows[i], n, signed)         # two faults land on different lines
     if lines == "shifted" and m > 1:          # token counts off on two lines, total kept
         i = rng.randrange(m - 1)
-        rows[i + 1].insert(0, rows[i].pop())
+        if rows[i]:                           # a blanked line has no token to move
+            rows[i + 1].insert(0, rows[i].pop())
     body = [" ".join(row) for row in rows]
     if lines == "missing":
         body.pop(rng.randrange(m))
@@ -216,7 +217,7 @@ def test_ids_beyond_int64_parse_as_before():
     assert h.edges == ((0, 2**69 - 1),) and h == ref_parse_hypergraph(text)
 
 
-# --- Hypergraph: the numpy check against the per-edge loop --------------------
+# --- Hypergraph: Python and numpy integer rows against the per-edge loop ------
 
 def _ref_edges(n, k, edges):
     norm = []
