@@ -14,8 +14,7 @@ from .kikuchi_even import (Caps, EvenKikuchiGraph, SignedEvenKikuchi, build_even
 from .kikuchi_odd import (ColoredKikuchiGraph, DeletionResult, build_colored_kikuchi,
                           delete_heavy_edges, equalize_deletion, measured_deletion_fractions,
                           predicted_deletion_fraction)
-from .moore import (NbSequence, ihara_moore_certificate, moore_bound_audit, nb_direct_count,
-                    nb_matrices)
+from .moore import ihara_moore_certificate, moore_bound_audit, nb_direct_count, nb_matrices
 from .refuter import (CertificateError, certificate_from_json, certificate_to_json,
                       instance_digest, refute_even, refute_odd, verify_certificate)
 from .spectral import (NonConvergenceError, exact_trace_power, psd_margin, spectral_norm_reweighted,

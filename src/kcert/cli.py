@@ -76,22 +76,15 @@ def _cmd_cover(args) -> int:
         print("true" if ok else "false")
         return 0 if ok else 1
     if args.action == "oracle":
-        cap = args.cap if args.cap is not None else h.m
-        res = min_even_cover_oracle(h, cap)
-        if res is None:
-            print("none")
-            return 0
-        size, cover = res
-        print(size)
-        print(" ".join(str(i) for i in sorted(cover.edge_indices)))
-        return 0
-    res = shortest_even_cover_via_kikuchi(h, args.r, caps=_caps(args), max_len=args.cap)
+        res = min_even_cover_oracle(h, args.cap if args.cap is not None else h.m)
+    else:
+        res = shortest_even_cover_via_kikuchi(h, args.r, caps=_caps(args), max_len=args.cap)
     if res is None:
         print("none")
-        return 0
-    length, cover = res
-    print(len(cover.edge_indices))
-    print(" ".join(str(i) for i in sorted(cover.edge_indices)))
+    else:
+        indices = sorted(res[1].edge_indices)
+        print(len(indices))
+        print(" ".join(map(str, indices)))
     return 0
 
 

@@ -37,8 +37,8 @@ class Hypergraph:
     """k-uniform hypergraph on vertices 0..n-1 with an ordered hyperedge list.
 
     Hyperedges are stored sorted; duplicates are legal (a duplicated pair is
-    itself an even cover of size 2). Numpy integer vertices are stored as
-    Python ints; other vertices are stored as given.
+    itself an even cover of size 2). Vertices are Python or numpy integers,
+    not bools, and are stored as Python ints.
     """
 
     n: int
@@ -52,7 +52,9 @@ class Hypergraph:
             raise ValueError("uniformity k must be >= 2")
         norm = []
         for e in self.edges:
-            t = tuple(sorted(int(v) if isinstance(v, np.integer) else v for v in e))
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in e):
+                raise ValueError(f"hyperedge {e!r} has a vertex that is not an integer")
+            t = tuple(sorted(int(v) for v in e))
             if len(t) != self.k or len(set(t)) != self.k:
                 raise ValueError(f"hyperedge {e!r} must have exactly {self.k} distinct vertices")
             if t[0] < 0 or t[-1] >= self.n:

@@ -1,10 +1,11 @@
 """Greedy hypergraph partitioners (cover and refutation modes) and their validator.
 
-Both modes repeatedly extract groups of clauses sharing a common center set,
-working from large centers down to small ones; the refutation mode then splits
-the leftovers into per-vertex parts. Tie-breaking is deterministic: the
+Both modes extract groups of clauses sharing a common center set, working
+from large centers down to small ones; the refutation mode then splits the
+leftovers into per-vertex parts. Tie-breaking is deterministic: the
 lexicographically smallest qualifying center wins, and a group takes the
-earliest qualifying clause indices.
+earliest qualifying clause indices. Both modes share one level loop, which
+makes one ascending pass per level over the centers that qualify at its start.
 """
 
 from __future__ import annotations
@@ -89,42 +90,46 @@ class Decomposition:
         }
 
 
-def _greedy_level(h: Hypergraph, current: list[int], t: int, need: int) -> list[Group]:
-    """Extract groups of exactly `need` clauses around size-t centers while possible."""
-    groups = []
-    while True:
-        counts: dict[tuple[int, ...], int] = {}
+def _extract_levels(h: Hypergraph,
+                    sizes: dict[int, int]) -> tuple[dict[int, tuple[Group, ...]], list[int]]:
+    """Groups of exactly sizes[t] clauses around size-t centers, at levels k-1 .. 1;
+    returns the groups per level and the clauses no group took.
+
+    This is the greedy rule "take the least center in at least sizes[t] clauses
+    left, with its earliest such clauses, until none is" in one ascending pass
+    per level. Counts only fall as clauses leave, so the least qualifying center
+    never decreases: the centers that qualify at the start of the level are met
+    in ascending order, each once, and no other center takes a clause while one
+    is taking groups.
+    """
+    pieces: dict[int, tuple[Group, ...]] = {}
+    current = list(range(h.m))
+    for t in range(h.k - 1, 0, -1):
+        need = sizes[t]
+        clauses_of: dict[tuple[int, ...], list[int]] = {}
         for idx in current:
             for sub in combinations(h.edges[idx], t):
-                counts[sub] = counts.get(sub, 0) + 1
-        candidates = [u for u, c in counts.items() if c >= need]
-        if not candidates:
-            return groups
-        center = min(candidates)
-        cset = set(center)
-        chosen = []
-        for idx in current:
-            if cset.issubset(h.edges[idx]):
-                chosen.append(idx)
-                if len(chosen) == need:
-                    break
-        groups.append(Group(center=center, clause_indices=tuple(chosen), level=t))
-        chosen_set = set(chosen)
-        current[:] = [i for i in current if i not in chosen_set]
+                clauses_of.setdefault(sub, []).append(idx)
+        groups = []
+        taken: set[int] = set()
+        for center in sorted(u for u, ids in clauses_of.items() if len(ids) >= need):
+            ids = [i for i in clauses_of[center] if i not in taken]
+            for start in range(0, len(ids) - need + 1, need):
+                chosen = tuple(ids[start:start + need])
+                groups.append(Group(center=center, clause_indices=chosen, level=t))
+                taken.update(chosen)
+        pieces[t] = tuple(groups)
+        current = [i for i in current if i not in taken]
+    return pieces, current
 
 
 def decompose_for_cover(h: Hypergraph, r: int) -> Decomposition:
     """Partition into levels k-1 .. 1 by greedy center extraction; leftovers at level 0."""
     if not 1 <= r <= h.n:
         raise ValueError(f"r must satisfy 1 <= r <= n, got r = {r}")
-    current = list(range(h.m))
-    pieces: dict[int, tuple[Group, ...]] = {}
-    sizes: dict[int, int] = {}
-    for t in range(h.k - 1, 0, -1):
-        need = cover_group_size(h.n, r, h.k, t)
-        sizes[t] = need
-        pieces[t] = tuple(_greedy_level(h, current, t, need))
-    pieces[0] = (Group(center=(), clause_indices=tuple(current), level=0),) if current else ()
+    sizes = {t: cover_group_size(h.n, r, h.k, t) for t in range(h.k - 1, 0, -1)}
+    pieces, rest = _extract_levels(h, sizes)
+    pieces[0] = (Group(center=(), clause_indices=tuple(rest), level=0),) if rest else ()
     return Decomposition(mode="cover", n=h.n, k=h.k, r=r, eps=None,
                          pieces=pieces, thresholds=sizes)
 
@@ -144,12 +149,9 @@ def decompose_for_refutation(h: Hypergraph, r: int, eps,
     if not Fraction(0) < eps < Fraction(1, 2):
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
     taus = {t: refutation_threshold(h.n, r, h.k, t, eps) for t in range(1, h.k)}
-    current = list(range(h.m))
-    pieces: dict[int, tuple[Group, ...]] = {}
-    for t in range(h.k - 1, 0, -1):
-        pieces[t] = tuple(_greedy_level(h, current, t, taus[t]))
+    pieces, rest = _extract_levels(h, taus)
     leftovers: dict[int, list[int]] = {}
-    for idx in current:
+    for idx in rest:
         leftovers.setdefault(h.edges[idx][0], []).append(idx)
     extra = tuple(
         Group(center=(v,), clause_indices=tuple(ids), level=1)

@@ -10,7 +10,6 @@ step may return along a distinct parallel edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -34,24 +33,9 @@ def _adjacency_and_degrees(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     return a, deg
 
 
-@dataclass(frozen=True)
-class NbSequence:
-    """Exact integer matrices A^(0) .. A^(s_max) plus the degree vector."""
-
-    matrices: tuple[np.ndarray, ...]
-    degrees: np.ndarray
-
-    def __getitem__(self, s: int) -> np.ndarray:
-        return self.matrices[s]
-
-    @property
-    def s_max(self) -> int:
-        return len(self.matrices) - 1
-
-
-def nb_matrices(h: Hypergraph, s_max: int) -> NbSequence:
-    """A^(0) = Id, A^(1) = A, A^(2) = A^2 - D, then
-    A^(s) = A^(s-1) A - A^(s-2) (D - Id)."""
+def nb_matrices(h: Hypergraph, s_max: int) -> tuple[np.ndarray, ...]:
+    """Exact integer matrices A^(0) .. A^(s_max): A^(0) = Id, A^(1) = A,
+    A^(2) = A^2 - D, then A^(s) = A^(s-1) A - A^(s-2) (D - Id)."""
     if h.n > NB_DENSE_LIMIT:
         raise CapacityError(f"nb_matrices supports n <= {NB_DENSE_LIMIT}, got {h.n}")
     if s_max < 0:
@@ -69,7 +53,7 @@ def nb_matrices(h: Hypergraph, s_max: int) -> NbSequence:
     for s, m in enumerate(mats):
         if any(int(x) < 0 for x in m.flat):
             raise AssertionError(f"A^({s}) has a negative entry; input is not a graph")
-    return NbSequence(matrices=tuple(mats), degrees=deg)
+    return tuple(mats)
 
 
 def nb_direct_count(h: Hypergraph, s: int) -> np.ndarray:

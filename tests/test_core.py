@@ -43,6 +43,17 @@ def test_numpy_integer_vertices_are_stored_as_python_ints():
     assert same == h and not verify_even_cover(same, {1})
 
 
+@pytest.mark.parametrize("vertex", [1.5, 1.0, True, np.float64(1.0)],
+                         ids=["float", "integral-float", "bool", "np-float64"])
+def test_non_integer_vertices_are_refused(vertex):
+    # an integral float used to be stored as given, so a duplicated edge passed
+    # construction and verify_even_cover then raised TypeError on 1 << 1.0
+    with pytest.raises(ValueError, match=r"hyperedge \(0, .+\) has a vertex that is not"):
+        Hypergraph(n=5, k=2, edges=((0, vertex), (0, vertex)))
+    with pytest.raises(ValueError, match="not an integer"):
+        Hypergraph(n=5, k=2, edges=((0, 2), (vertex, 3)))
+
+
 def test_verify_even_cover_triangle():
     assert verify_even_cover(TRIANGLE, {0, 1, 2})
 

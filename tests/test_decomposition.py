@@ -1,5 +1,13 @@
+"""The greedy partitioners and their validator. decompose_for_cover and
+decompose_for_refutation are held to golden/decompositions.json, written by the
+recount loop that the one ascending pass per level replaced, and to a copy of
+that loop kept below as the reference."""
+
+import json
+import pathlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +15,11 @@ from hypothesis import strategies as st
 
 from kcert import (Hypergraph, decompose_for_cover, decompose_for_refutation, gen_random,
                    validate_decomposition)
-from kcert.decomposition import (Group, ceil_rational_power_half, cover_group_size,
+from kcert.decomposition import (Decomposition, Group, _extract_levels,
+                                 ceil_rational_power_half, cover_group_size,
                                  refutation_threshold)
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def test_ceil_rational_power_half():
@@ -168,3 +179,104 @@ def test_cover_level0_multiplicity_below_level1_threshold():
                 for v in h.edges[idx]:
                     counts[v] += 1
         assert max(counts, default=0) < thr1
+
+
+# --- reference: the recount loop, as it was before the one ascending pass ------
+
+def _ref_greedy_level(h, current, t, need):
+    groups = []
+    while True:
+        counts = {}
+        for idx in current:
+            for sub in combinations(h.edges[idx], t):
+                counts[sub] = counts.get(sub, 0) + 1
+        candidates = [u for u, c in counts.items() if c >= need]
+        if not candidates:
+            return groups
+        center = min(candidates)
+        cset = set(center)
+        chosen = []
+        for idx in current:
+            if cset.issubset(h.edges[idx]):
+                chosen.append(idx)
+                if len(chosen) == need:
+                    break
+        groups.append(Group(center=center, clause_indices=tuple(chosen), level=t))
+        chosen_set = set(chosen)
+        current[:] = [i for i in current if i not in chosen_set]
+
+
+def ref_decompose_for_cover(h, r):
+    current = list(range(h.m))
+    pieces, sizes = {}, {}
+    for t in range(h.k - 1, 0, -1):
+        need = cover_group_size(h.n, r, h.k, t)
+        sizes[t] = need
+        pieces[t] = tuple(_ref_greedy_level(h, current, t, need))
+    pieces[0] = (Group(center=(), clause_indices=tuple(current), level=0),) if current else ()
+    return Decomposition(mode="cover", n=h.n, k=h.k, r=r, eps=None,
+                         pieces=pieces, thresholds=sizes)
+
+
+def ref_decompose_for_refutation(h, r, eps):
+    taus = {t: refutation_threshold(h.n, r, h.k, t, eps) for t in range(1, h.k)}
+    current = list(range(h.m))
+    pieces = {}
+    for t in range(h.k - 1, 0, -1):
+        pieces[t] = tuple(_ref_greedy_level(h, current, t, taus[t]))
+    leftovers = {}
+    for idx in current:
+        leftovers.setdefault(h.edges[idx][0], []).append(idx)
+    extra = tuple(Group(center=(v,), clause_indices=tuple(ids), level=1)
+                  for v, ids in sorted(leftovers.items()))
+    pieces[1] = pieces[1] + extra
+    return Decomposition(mode="refute", n=h.n, k=h.k, r=r, eps=eps,
+                         pieces=pieces, thresholds=taus)
+
+
+def test_golden_decompositions():
+    """Both modes at k = 3, 4 and 5, on gen_random instances (hyg and
+    hyg-multi) and on two planted ones, where one center fills several groups
+    and leaves a remainder that a later level or the leftovers take."""
+    rows = json.loads((GOLDEN / "decompositions.json").read_text())
+    assert {(row["mode"], row["decomposition"]["k"]) for row in rows} == {
+        (mode, k) for mode in ("cover", "refute") for k in (3, 4, 5)}
+    for row in rows:
+        if "gen" in row:
+            h = gen_random(**row["gen"])
+        else:
+            h = Hypergraph(n=row["n"], k=row["k"], edges=tuple(map(tuple, row["edges"])))
+        if row["mode"] == "cover":
+            d = decompose_for_cover(h, row["r"])
+        else:
+            d = decompose_for_refutation(h, row["r"], Fraction(row["eps"]), enforce_ranges=False)
+        assert d.to_json_dict() == row["decomposition"], row
+
+
+@st.composite
+def _clause_lists(draw):
+    """Clauses over few vertices, so centers repeat and duplicates are common."""
+    k = draw(st.integers(3, 5))
+    n = draw(st.integers(k, k + 4))
+    clause = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+    return Hypergraph(n=n, k=k, edges=tuple(map(tuple, draw(st.lists(clause, max_size=60)))))
+
+
+@given(h=_clause_lists(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_decompositions_match_the_recount_loop(h, data):
+    r = data.draw(st.integers(1, h.n))
+    assert decompose_for_cover(h, r) == ref_decompose_for_cover(h, r)
+    # eps near 1/2 keeps tau_t small enough for groups to form
+    eps = Fraction(data.draw(st.integers(40, 49)), 100)
+    got = decompose_for_refutation(h, r, eps, enforce_ranges=False)
+    assert got == ref_decompose_for_refutation(h, r, eps)
+
+
+@given(h=_clause_lists(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_level_loop_matches_the_recount_loop_at_any_group_size(h, data):
+    sizes = {t: data.draw(st.integers(1, 6)) for t in range(1, h.k)}
+    current = list(range(h.m))
+    want = {t: tuple(_ref_greedy_level(h, current, t, sizes[t])) for t in range(h.k - 1, 0, -1)}
+    assert _extract_levels(h, sizes) == (want, current)
