@@ -33,6 +33,9 @@ if TYPE_CHECKING:
 
 # edges generated per block; bounds the working arrays of a build
 BLOCK_EDGES = 1 << 15
+# pattern_edges sorts by the key s_rank * C + t_rank on C vertices, which must
+# fit in 64 bits, so no cap admits C >= 2^32
+KEY_VERTEX_LIMIT = (1 << 32) - 1
 
 
 @dataclass(frozen=True)
@@ -45,9 +48,9 @@ class Caps:
     def check(self, ground: int, r: int, edges: int, why: str) -> None:
         """Raise CapacityError before a graph on the r-subsets of range(ground)
         with an estimated `edges` edges is built; why explains the estimate."""
-        nv = comb(ground, r)
-        if nv > self.max_vertices:
-            raise CapacityError(f"C({ground},{r}) = {nv} vertices exceeds cap {self.max_vertices}")
+        nv, cap = comb(ground, r), min(self.max_vertices, KEY_VERTEX_LIMIT)
+        if nv > cap:
+            raise CapacityError(f"C({ground},{r}) = {nv} vertices exceeds cap {cap}")
         if edges > self.max_edges:
             raise CapacityError(f"estimated {edges} edges ({why}) exceeds cap {self.max_edges}")
 
@@ -121,7 +124,10 @@ class KikuchiEdges:
 
     def adjacency(self, signs=None, keep=None) -> sp.csr_matrix:
         """Symmetric adjacency of the subgraph kept by the boolean edge mask keep
-        (default all), signed by per-clause signs; parallel edges accumulate.
+        (default all), signed by per-clause signs; parallel edges accumulate,
+        and where they cancel the entry stays as an explicit zero. The edges
+        are sorted by (s_rank, t_rank), so each run of parallel edges is summed
+        in one np.add.reduceat before the COO to CSR step.
         SciPy is imported here, on first use, to keep it out of `import kcert`."""
         import scipy.sparse as sp
 
@@ -130,6 +136,9 @@ class KikuchiEdges:
         w = np.ones(len(s)) if signs is None else self.edge_signs(np.asarray(signs, dtype=float))
         if keep is not None:
             s, t, w = s[keep], t[keep], w[keep]
+        if len(s):
+            first = np.flatnonzero(np.concatenate([[True], (s[1:] != s[:-1]) | (t[1:] != t[:-1])]))
+            s, t, w = s[first], t[first], np.add.reduceat(w, first)
         rows, cols = np.concatenate([s, t]), np.concatenate([t, s])
         a = sp.coo_matrix((np.concatenate([w, w]), (rows, cols)), shape=(nv, nv), dtype=np.float64)
         return a.tocsr()
@@ -142,25 +151,36 @@ def pattern_edges(num_items: int, front, ground: int, r: int, s_pat: np.ndarray,
     sorted by (s_rank, t_rank, item).
 
     front(lo, hi) gives one row per item lo..hi-1, the vertices the item fixes;
-    the rest of range(ground), ascending, follows it. Row j of s_pat and t_pat
+    the rest of range(ground), ascending, follows it; the rest is built only
+    when a pattern reaches past the front. Row j of s_pat and t_pat
     picks the columns of the two endpoints of each item's j-th edge. Items are
     taken BLOCK_EDGES edges at a time, which bounds the working arrays.
+
+    One stable argsort of the key s_rank * C(ground, r) + t_rank, held in the
+    narrowest unsigned dtype that fits C(ground, r)^2 - 1, gives the order:
+    edges are generated item by item, so ties keep ascending items, and on up
+    to 256 vertices the key has 16 bits, where numpy's stable sort is a radix
+    sort.
     """
     per_item = len(s_pat)
+    nv = comb(ground, r)
     s_all, t_all = np.empty((2, num_items * per_item), dtype=np.int64)
     if per_item:
         table = binomial_table(ground, r)
         step = max(1, BLOCK_EDGES // per_item)
+        width = 1 + max(s_pat.max(initial=-1), t_pat.max(initial=-1))
         for lo in range(0, num_items, step):
             rows = front(lo, min(lo + step, num_items))
-            rows = np.hstack([rows, complement_rows(rows, ground)])
+            if width > rows.shape[1]:
+                rows = np.hstack([rows, complement_rows(rows, ground)])
             out = slice(lo * per_item, (lo + len(rows)) * per_item)
             s_all[out] = colex_ranks(rows[:, s_pat].reshape(-1, r), table)
             t_all[out] = colex_ranks(rows[:, t_pat].reshape(-1, r), table)
-    item = np.repeat(np.arange(num_items, dtype=np.int64), per_item)
     s, t = np.minimum(s_all, t_all), np.maximum(s_all, t_all)
-    order = np.lexsort((item, t, s))
-    return [s[order], t[order], item[order]]
+    key_type = np.min_scalar_type(nv * nv - 1)
+    key = s.astype(key_type) * key_type.type(nv) + t.astype(key_type)
+    order = np.argsort(key, kind="stable")
+    return [s[order], t[order], order // per_item]
 
 
 def dump_edges(header: str, g: KikuchiEdges) -> str:

@@ -148,17 +148,18 @@ def delete_heavy_edges(g: ColoredKikuchiGraph, eta) -> DeletionResult:
         raise ValueError("eta must be >= 1 (or math.inf)")
     surviving = np.ones(g.num_edges, dtype=bool)
     if eta != math.inf and g.num_edges:
-        # one key per (vertex, group, clause) incidence, (group, clause) as its slot
+        # one key per (vertex, group, clause) incidence, (group, clause) as its
+        # slot, packed in the narrowest dtype that holds every key
         num_slots = sum(len(grp.clause_indices) for grp in g.groups)
-        slots = [g.pair_table[g.pair, col] for col in (3, 4)]
-        incidences = [(v, slot) for v in (g.s_rank, g.t_rank) for slot in slots]
-        keys = np.concatenate([v * num_slots + slot for v, slot in incidences])
-        keys.sort()
+        key_type = np.min_scalar_type(g.num_vertices * num_slots - 1)
+        slots = [g.pair_table[g.pair, col].astype(key_type) for col in (3, 4)]
+        ends = [v.astype(key_type) * key_type.type(num_slots) for v in (g.s_rank, g.t_rank)]
+        keys = np.stack([v + slot for v in ends for slot in slots])
+        ordered = np.sort(keys, axis=None)
         # in sorted order, a key met more than eta times recurs eta places on
         e = math.floor(eta)
-        heavy = np.unique(keys[e:][keys[e:] == keys[:-e]])
-        surviving = ~np.any([np.isin(v * num_slots + slot, heavy) for v, slot in incidences],
-                            axis=0)
+        heavy = np.unique(ordered[e:][ordered[e:] == ordered[:-e]])
+        surviving = ~np.isin(keys, heavy).any(axis=0)
     return DeletionResult(surviving=surviving,
                           pair_survival=np.bincount(g.pair[surviving], minlength=len(g.pair_table)))
 
@@ -178,8 +179,9 @@ def equalize_deletion(g: ColoredKikuchiGraph, pre: DeletionResult) -> DeletionRe
     kappa = int(pre.pair_survival.min())
     # survivors grouped by pair, each pair's in stored (sorted) order; keep the first kappa
     alive = np.flatnonzero(pre.surviving)
-    alive = alive[np.argsort(g.pair[alive], kind="stable")]
-    pairs = g.pair[alive]
+    pair_ids = g.pair[alive].astype(np.min_scalar_type(len(g.pair_table) - 1))
+    order = np.argsort(pair_ids, kind="stable")
+    alive, pairs = alive[order], pair_ids[order]
     running = np.arange(len(alive)) - np.searchsorted(pairs, pairs)
     surviving = np.zeros(g.num_edges, dtype=bool)
     surviving[alive[running < kappa]] = True

@@ -50,9 +50,18 @@ def binomial_table(n: int, r: int) -> np.ndarray:
 
 
 def colex_ranks(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Colex ranks of the subsets given as rows (in any order within a row)."""
-    rows = np.sort(rows, axis=1)
-    return table[rows, np.arange(1, rows.shape[1] + 1)].sum(axis=1)
+    """Colex ranks of the subsets given as rows of distinct members, in any order
+    within a row. No row is sorted: a member's place in its sorted row is 1 plus
+    the number of members of the row below it, counted by one comparison per
+    pair of columns, and the rank sums table[v, place] over the row."""
+    cols = rows.T
+    place = np.ones(cols.shape, dtype=np.intp)
+    for i in range(len(cols)):
+        for j in range(i + 1, len(cols)):
+            less = cols[i] < cols[j]
+            place[j] += less
+            place[i] += ~less
+    return table[cols, place].sum(axis=0)
 
 
 def complement_rows(rows: np.ndarray, n: int) -> np.ndarray:

@@ -3,6 +3,9 @@
 The files under golden/ hold only integers and exact rationals, so they match
 on any BLAS. They were written by the per-edge loop builders that the edge
 arrays replaced; any change to edge order, provenance or deletion shows here.
+dump_digests.json holds the sha256 of dumps on 1,001 to 91,390 vertices, written
+by the builders that sorted edges with np.lexsort((item, t, s)) and ranked
+sorted rows, before the one-key sort and the sort-free ranks replaced them.
 oracle_covers.json was written by the pure-Python meet-in-the-middle oracle
 that the array passes replaced; kikuchi_covers.json by the closed-walk search
 that built its neighbour lists in a dict and scanned every root; deletions.json
@@ -10,6 +13,7 @@ by the deletion step that kept its per-pair counts in dicts keyed by
 (group, C, C').
 """
 
+import hashlib
 import json
 import pathlib
 from fractions import Fraction
@@ -18,7 +22,7 @@ import numpy as np
 import pytest
 
 from kcert import Hypergraph, gen_random, load_xor, min_even_cover_oracle, refute_odd
-from kcert.decomposition import Decomposition, Group
+from kcert.decomposition import Decomposition, Group, decompose_for_refutation
 from kcert.kikuchi_even import build_even_kikuchi, dump_even, shortest_even_cover_via_kikuchi
 from kcert.kikuchi_odd import (build_colored_kikuchi, delete_heavy_edges, dump_colored,
                                equalize_deletion)
@@ -81,6 +85,24 @@ def test_colored_dump_golden(name, level):
     text = colored_dump(name, level)
     assert text.count("\n") > 1
     assert text == (GOLDEN / f"{name}_t{level}.txt").read_text()
+
+
+@pytest.mark.parametrize("row", json.loads((GOLDEN / "dump_digests.json").read_text()),
+                         ids=lambda row: f"{row['kind']}-n{row['n']}-r{row['r']}")
+def test_dump_digests_above_256_vertices(row):
+    """Dumps where the edge sort key is 32 or 64 bits wide; the colored ones
+    are level 1 of the refutation decomposition, as `kcert kikuchi dump --odd
+    --relax-r-range` builds it."""
+    h = gen_random(row["n"], row["k"], row["m"], seed=row["seed"], mode="hyg-multi")
+    if row["kind"] == "even":
+        g = build_even_kikuchi(h, row["r"])
+        text = dump_even(g)
+    else:
+        d = decompose_for_refutation(h, row["r"], Fraction(row["eps"]), enforce_ranges=False)
+        g = build_colored_kikuchi(h, d, row["level"], row["r"])
+        text = dump_colored(g)
+    assert (g.num_vertices, g.num_edges) == (row["vertices"], row["edges"])
+    assert hashlib.sha256(text.encode()).hexdigest() == row["sha256"]
 
 
 def test_odd_certificate_golden():

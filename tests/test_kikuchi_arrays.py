@@ -1,4 +1,7 @@
-"""Property tests: the edge-array Kikuchi core against plain loops over edges."""
+"""Property tests: the edge-array Kikuchi core against plain loops over edges,
+and the array kernels against the numpy passes they replaced: np.sort per row
+for colex ranks, np.lexsort((item, t, s)) for the edge order and a COO to CSR
+conversion of every edge for the adjacency."""
 
 import math
 import random
@@ -13,7 +16,7 @@ from kcert import Hypergraph, gen_random
 from kcert.decomposition import Decomposition, Group
 from kcert.kikuchi_even import build_even_kikuchi
 from kcert.kikuchi_odd import build_colored_kikuchi, delete_heavy_edges, equalize_deletion
-from kcert.subsets import mask_from
+from kcert.subsets import all_subset_masks_colex, binomial_table, colex_ranks, mask_from
 
 SEEDS = st.integers(0, 2**30 - 1)
 
@@ -116,8 +119,8 @@ def test_adjacency_and_degrees_match_edge_loop(seed, colored):
             sub[[s, t]] += 1
     a = g.adjacency(signs=signs, keep=keep).tocoo()
     assert a.shape == (nv, nv)
-    got = {(i, j): v for i, j, v in zip(a.row.tolist(), a.col.tolist(), a.data.tolist()) if v}
-    assert got == {key: v for key, v in entries.items() if v}
+    # parallel edges that cancel leave an explicit zero
+    assert dict(zip(zip(a.row.tolist(), a.col.tolist()), a.data.tolist())) == dict(entries)
     assert np.array_equal(g.degrees, deg)
     assert np.array_equal(g.subgraph_degrees(keep), sub)
     assert g.gamma_diagonal(sub) == [Fraction(int(x)) + Fraction(int(sub.sum()), nv) for x in sub]
@@ -177,3 +180,153 @@ def test_equalization_keeps_the_first_kappa_of_each_pair(seed, eta):
         assert len(positions) == res.kappa
         assert positions == survivors.get(key, [])[:res.kappa]
     assert dict(zip(pair_keys(g), res.pair_survival.tolist())) == {key: res.kappa for key in kept}
+
+
+def coo_reference(g, signs, keep):
+    """The adjacency as a COO matrix of every kept edge, both orientations,
+    converted to CSR, which sums the parallel edges."""
+    import scipy.sparse as sp
+
+    w = np.ones(g.num_edges) if signs is None else g.edge_signs(np.asarray(signs, dtype=float))
+    s, t, w = g.s_rank[keep], g.t_rank[keep], w[keep]
+    nv = g.num_vertices
+    return sp.coo_matrix((np.concatenate([w, w]), (np.concatenate([s, t]), np.concatenate([t, s]))),
+                         shape=(nv, nv), dtype=np.float64).tocsr()
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape and a.format == b.format == "csr"
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
+
+
+@given(SEEDS, st.booleans(), st.sampled_from(["random", "all", "none"]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_adjacency_equals_the_coo_reference(seed, colored, mask, signed):
+    if colored:
+        h, g, rng = random_colored_graph(seed)
+    else:
+        (h, g), rng = random_even_graph(seed), random.Random(seed)
+    signs = [rng.choice([-1, 1]) for _ in range(h.m)] if signed else None
+    keep = {"random": np.array([rng.random() < 0.6 for _ in range(g.num_edges)], dtype=bool),
+            "all": np.ones(g.num_edges, dtype=bool),
+            "none": np.zeros(g.num_edges, dtype=bool)}[mask]
+    want = coo_reference(g, signs, keep)
+    assert_same_csr(g.adjacency(signs=signs, keep=keep), want)
+    if mask == "all":
+        assert_same_csr(g.adjacency(signs=signs), want)
+
+
+def test_cancelling_parallel_edges_stay_explicit_zeros():
+    # clauses 0 and 1 are the same pair with opposite signs: their edges
+    # {0}-{1} cancel, and the entry is kept as a stored zero
+    h = Hypergraph(n=3, k=2, edges=((0, 1), (0, 1), (1, 2)))
+    g = build_even_kikuchi(h, 1)
+    a = g.adjacency(signs=[1, -1, 1])
+    assert_same_csr(a, coo_reference(g, [1, -1, 1], np.ones(g.num_edges, dtype=bool)))
+    coo = a.tocoo()
+    assert list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())) == [
+        (0, 1, 0.0), (1, 0, 0.0), (1, 2, 1.0), (2, 1, 1.0)]
+
+
+@given(st.integers(1, 6), st.integers(0, 64), SEEDS)
+@settings(max_examples=100, deadline=None)
+def test_colex_ranks_match_the_sorted_row_reference(r, extra, seed):
+    ground = r + extra
+    rng = np.random.default_rng(seed)
+    rows = np.array([rng.permutation(ground)[:r] for _ in range(50)], dtype=np.int64)
+    table = binomial_table(ground, r)
+    sorted_rows = np.sort(rows, axis=1)
+    want = table[sorted_rows, np.arange(1, r + 1)].sum(axis=1)
+    got = colex_ranks(rows, table)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    if ground <= 12:
+        masks = all_subset_masks_colex(ground, r)
+        assert [masks[i] for i in got.tolist()] == [mask_from(row) for row in rows.tolist()]
+
+
+BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
+
+def popcount(x):
+    return BYTE_POPCOUNT[x.view(np.uint8)].reshape(len(x), 8).sum(axis=1)
+
+
+def scanned_edges(masks, items, one_side):
+    """Edges found by scanning every vertex mask, in the order of
+    np.lexsort((item, t, s)), as int64 arrays (s, t, item). items yields
+    (item, mask, parts, pin): S is joined to S xor mask when S meets each part
+    mask in its count of vertices and holds pin; with one_side, both ends of
+    an edge pass the scan and only the one with the lower rank is kept."""
+    cols = [[np.empty(0, dtype=np.int64)] for _ in range(3)]
+    for item, mask, parts, pin in items:
+        hit = np.all([popcount(masks & p) == c for p, c in parts], axis=0)
+        s = np.flatnonzero(hit & ((masks & pin) == pin))
+        t = np.searchsorted(masks, masks[s] ^ mask)
+        assert np.array_equal(masks[t], masks[s] ^ mask)
+        if one_side:
+            s, t = s[s < t], t[s < t]
+        cols[0].append(np.minimum(s, t))
+        cols[1].append(np.maximum(s, t))
+        cols[2].append(np.full(len(s), item))
+    s, t, item = (np.concatenate(c).astype(np.int64) for c in cols)
+    order = np.lexsort((item, t, s))
+    return s[order], t[order], item[order]
+
+
+# vertex counts on both sides of 256 and of 65,536, where the sort key widens
+# from 16 to 32 and from 32 to 64 bits
+EVEN_SIZES = [(5, 2, 8), (12, 2, 30), (12, 4, 30), (40, 4, 3)]
+COLORED_SIZES = [(6, 3), (7, 3), (20, 4)]
+
+
+@given(st.sampled_from(EVEN_SIZES), SEEDS)
+@settings(max_examples=12, deadline=None)
+def test_even_edge_order_matches_lexsort_across_key_widths(size, seed):
+    n, r, max_m = size
+    h = gen_random(n, 4, random.Random(seed).randrange(1, max_m + 1), seed, mode="hyg-multi")
+    g = build_even_kikuchi(h, r)
+    masks = np.array(all_subset_masks_colex(n, r), dtype=np.uint64)
+    want = scanned_edges(masks, [(c, np.uint64(cm), [(np.uint64(cm), 2)], np.uint64(0))
+                                 for c, cm in enumerate(h.edge_masks())], one_side=True)
+    for got, ref in zip((g.s_rank, g.t_rank, g.clause), want):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref)
+
+
+@given(st.sampled_from(COLORED_SIZES), SEEDS)
+@settings(max_examples=9, deadline=None)
+def test_colored_edge_order_matches_lexsort_across_key_widths(size, seed):
+    n, r = size
+    rng = random.Random(seed)
+    level = rng.randrange(1, 3)
+    edges, groups = [], []
+    for _ in range(rng.randrange(1, 3)):
+        center = tuple(sorted(rng.sample(range(n), level)))
+        others = [v for v in range(n) if v not in center]
+        ids = []
+        for _ in range(rng.randrange(2, 4)):
+            ids.append(len(edges))
+            edges.append(tuple(sorted(center + tuple(rng.sample(others, 3 - level)))))
+        groups.append(Group(center=center, clause_indices=tuple(ids), level=level))
+    h = Hypergraph(n=n, k=3, edges=tuple(edges))
+    pieces = {t: (tuple(groups) if t == level else ()) for t in range(1, 3)}
+    decomp = Decomposition(mode="refute", n=n, k=3, r=r, eps=Fraction(1, 4), pieces=pieces,
+                           thresholds={1: 2, 2: 2})
+    g = build_colored_kikuchi(h, decomp, level, r)
+    kt, masks = 3 - level, h.edge_masks()
+    items = []
+    for row, (gi, a, b) in enumerate(g.pair_table[:, :3].tolist()):
+        umask = mask_from(g.groups[gi].center)
+        green, blue = masks[a] ^ umask, (masks[b] ^ umask) << n
+        pin = green & -green if kt % 2 == 0 else 0
+        parts = [(np.uint64(green), (kt + 1) // 2), (np.uint64(blue), kt // 2)]
+        items.append((row, np.uint64(green | blue), parts, np.uint64(pin)))
+    want = scanned_edges(np.array(all_subset_masks_colex(2 * n, r), dtype=np.uint64), items,
+                         one_side=False)
+    for got, ref in zip((g.s_rank, g.t_rank, g.pair), want):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref)

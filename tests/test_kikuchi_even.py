@@ -79,6 +79,18 @@ def test_build_rejects_odd_k_and_caps():
         build_even_kikuchi(ONE_QUAD, 2, caps=Caps(max_edges=2))
 
 
+def test_no_cap_admits_two_to_the_32_vertices():
+    # the edge sort key s_rank * C + t_rank must fit in 64 bits; these graphs
+    # are refused before anything of their size is built
+    wide = Caps(max_vertices=10**15, max_edges=10**15)
+    wide.check(92682, 2, 0, "")                      # C = 4,294,930,221 < 2^32
+    with pytest.raises(CapacityError,
+                       match=r"^C\(92683,2\) = 4295022903 vertices exceeds cap 4294967295$"):
+        wide.check(92683, 2, 0, "")
+    with pytest.raises(CapacityError, match=r"^C\(100,7\) = 16007560800 vertices exceeds cap"):
+        build_even_kikuchi(Hypergraph(n=100, k=4, edges=((0, 1, 2, 3),)), 7, caps=wide)
+
+
 def test_quadratic_form_identity():
     # psi(x) * C(n,r) * d equals the signed quadratic form, exactly
     from math import comb

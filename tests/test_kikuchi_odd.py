@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kcert import Hypergraph, gen_random, random_assignment
+from kcert import CapacityError, Caps, Hypergraph, gen_random, random_assignment
 from kcert.decomposition import Decomposition, Group, decompose_for_refutation
 from kcert.kikuchi_odd import (build_colored_kikuchi, delete_heavy_edges, dump_colored,
                                equalize_deletion, measured_deletion_fractions,
@@ -77,6 +77,16 @@ def test_disjoint_groups_additive():
     assert per_group == {0: 4, 1: 4}
     single = build_colored_kikuchi(h, _decomp_from_groups(h, [g1], 2), 1, 2)
     assert single.num_edges == 4
+
+
+def test_no_cap_admits_two_to_the_32_vertices():
+    # 2n = 100 colored positions at r = 7: C(100, 7) >= 2^32, refused before
+    # anything of that size is built, however high the caps are set
+    h = Hypergraph(n=50, k=3, edges=((0, 1, 2), (0, 3, 4)))
+    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1), level=1)], 7)
+    with pytest.raises(CapacityError,
+                       match=r"^C\(100,7\) = 16007560800 vertices exceeds cap 4294967295$"):
+        build_colored_kikuchi(h, d, 1, 7, Caps(max_vertices=10**15, max_edges=10**15))
 
 
 def test_delete_nothing_on_single_pair():
