@@ -192,6 +192,8 @@ def _cmd_audit(args) -> int:
             return 1
         return 0
     # trace audit: requires the instance to be oracle-certified cover-free at ell
+    if args.ell <= 0 or args.ell % 2:
+        raise KcertError(f"--ell {args.ell} is not a positive even integer")
     res = min_even_cover_oracle(h, args.ell)
     if res is not None:
         print(f"instance has an even cover of size {res[0]} <= ell = {args.ell}; "
@@ -228,13 +230,19 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_gen)
 
     c = sub.add_parser("cover", help="find / verify / exactly minimize even covers")
-    c.add_argument("action", choices=("find", "verify", "oracle"))
-    c.add_argument("file")
-    c.add_argument("--indices", default="", help="comma-separated clause indices (verify)")
-    c.add_argument("--cap", type=int, default=None)
-    c.add_argument("--r", type=int, default=1)
-    _add_caps(c)
     c.set_defaults(func=_cmd_cover)
+    cover = c.add_subparsers(dest="action", required=True)
+    cf = cover.add_parser("find", help="Kikuchi closed-walk search")
+    cf.add_argument("file")
+    cf.add_argument("--cap", type=int, default=None, help="longest closed walk searched")
+    cf.add_argument("--r", type=int, default=1)
+    _add_caps(cf)
+    cv = cover.add_parser("verify", help="check that clause indices form an even cover")
+    cv.add_argument("file")
+    cv.add_argument("--indices", default="", help="comma-separated clause indices")
+    co = cover.add_parser("oracle", help="exact minimum even cover")
+    co.add_argument("file")
+    co.add_argument("--cap", type=int, default=None, help="largest cover size (default m)")
 
     d = sub.add_parser("decompose", help="partition a hypergraph (cover or refutation mode)")
     d.add_argument("file")
@@ -276,12 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     vc.set_defaults(func=_cmd_verify_cert)
 
     au = sub.add_parser("audit", help="girth, Moore-bound and trace-bound audits")
-    au.add_argument("action", choices=("moore", "girth", "trace"))
-    au.add_argument("file")
-    au.add_argument("--r", type=int, default=1)
-    au.add_argument("--ell", type=int, default=4)
-    _add_caps(au)
     au.set_defaults(func=_cmd_audit)
+    audit = au.add_subparsers(dest="action", required=True)
+    audit.add_parser("moore", help="girth against the Moore bounds (JSON)").add_argument("file")
+    audit.add_parser("girth", help="girth of the graph").add_argument("file")
+    at = audit.add_parser("trace", help="exact trace power against the closed-walk bound")
+    at.add_argument("file")
+    at.add_argument("--r", type=int, default=1)
+    at.add_argument("--ell", type=int, default=4, help="walk length, a positive even integer")
+    _add_caps(at)
 
     return ap
 

@@ -4,8 +4,10 @@ graphs of kikuchi_odd share: the edge-array layout, the edge generator, the
 capacity check and the text dump.
 
 Vertices are the r-subsets S of the vertex set, indexed by colex rank; S ~ T
-iff S xor T is a hyperedge, and the edge remembers which one. Every clause
-contributes exactly alpha = C(k-1, k/2-1) * C(n-k, r-k/2) unordered edges.
+iff S xor T is a hyperedge, and the edge remembers which one, so a closed
+walk's clauses are read off the edge arrays: no vertex or clause is ever held
+as a bitmask. Every clause contributes exactly
+alpha = C(k-1, k/2-1) * C(n-k, r-k/2) unordered edges.
 
 Edges live in parallel int64 arrays (s_rank, t_rank, provenance), sorted as the
 tuples (s_rank, t_rank, *provenance) sort. pattern_edges builds them for both
@@ -16,6 +18,7 @@ gathered at once and ranked through a binomial table.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,8 +28,7 @@ from typing import TYPE_CHECKING, ClassVar, Optional
 import numpy as np
 
 from .core import CapacityError, EvenCover, Hypergraph, XorInstance, odd_use_cover
-from .subsets import (all_subset_masks_colex, binomial_table, colex_ranks, combination_rows,
-                      complement_rows, joined_rows)
+from .subsets import binomial_table, colex_ranks, combination_rows, complement_rows, joined_rows
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -84,11 +86,6 @@ class KikuchiEdges:
     @property
     def average_degree(self) -> Fraction:
         return Fraction(2 * self.num_edges, self.num_vertices)
-
-    @cached_property
-    def vertex_masks(self) -> list[int]:
-        """Vertex bitmasks in colex order; built only when first asked for."""
-        return all_subset_masks_colex(self.COLORS * self.n, self.r)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:
@@ -195,7 +192,6 @@ class EvenKikuchiGraph(KikuchiEdges):
     m: int
     clause: np.ndarray                         # per-edge clause index
     alpha: int                                 # unordered edges per clause
-    clause_masks: tuple[int, ...]              # hyperedge bitmasks, by clause index
 
     PROVENANCE = ("clause",)
 
@@ -232,7 +228,7 @@ def build_even_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_CAPS) -> Even
                                            s_pat, t_pat)
 
     return EvenKikuchiGraph(n=h.n, k=h.k, r=r, s_rank=s_rank, t_rank=t_rank, m=h.m,
-                            clause=clause, alpha=alpha, clause_masks=h.edge_masks())
+                            clause=clause, alpha=alpha)
 
 
 def signed_even_kikuchi(inst: XorInstance, r: int, caps: Caps = DEFAULT_CAPS) -> SignedEvenKikuchi:
@@ -257,23 +253,27 @@ def extract_cover_from_closed_walk(g: EvenKikuchiGraph, walk: list[int]) -> Even
     """Clause indices used an odd number of times along a closed walk.
 
     The walk is a vertex-rank sequence [v0, ..., v_{L-1}], closing v_{L-1} -> v0;
-    each consecutive pair must be a Kikuchi edge. The result always verifies
-    (possibly as the empty cover, when the walk is trivial). Steps along a
-    duplicated clause resolve to the smallest matching index.
+    each consecutive pair must be a Kikuchi edge, else ValueError, also for a
+    rank outside 0..C(n, r)-1; a rank that is no integer is a TypeError. A step takes the clause of the first stored edge
+    between its endpoints, found by binary search on s_rank, then on t_rank
+    within that run; the edges are sorted by (s_rank, t_rank, clause), so a
+    step along a duplicated clause resolves to the smallest matching index.
+    The result always verifies (possibly as the empty cover, when the walk is
+    trivial).
     """
     if len(walk) < 2:
         raise ValueError("walk must have at least two vertices")
-    lookup: dict[int, int] = {}
-    for i, mk in enumerate(g.clause_masks):
-        lookup.setdefault(mk, i)
+    nv = g.num_vertices
     steps = []
-    for i, s in enumerate(walk):
-        t = walk[(i + 1) % len(walk)]
-        diff = g.vertex_masks[s] ^ g.vertex_masks[t]
-        ci = lookup.get(diff)
-        if ci is None:
-            raise ValueError(f"walk step {i}: symmetric difference is not a hyperedge")
-        steps.append(ci)
+    for i, v in enumerate(walk):
+        s, t = sorted(map(operator.index, (v, walk[(i + 1) % len(walk)])))
+        if s < 0 or t >= nv:
+            raise ValueError(f"walk step {i}: a rank is outside 0..{nv - 1}")
+        lo, hi = np.searchsorted(g.s_rank, s), np.searchsorted(g.s_rank, s, side="right")
+        j = lo + np.searchsorted(g.t_rank[lo:hi], t)
+        if j == hi or g.t_rank[j] != t:
+            raise ValueError(f"walk step {i}: {s} - {t} is not a Kikuchi edge")
+        steps.append(int(g.clause[j]))
     return odd_use_cover(steps)
 
 
@@ -296,22 +296,22 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
     bincount/cumsum gives each vertex's slice. The covers found depend on this
     order. The search stops at the first walk of length 3, and that is exact:
     the duplicate check has returned every 2-step walk, since two steps
-    between the same vertices take clauses of one mask; a closed walk with a
-    nonempty odd-use set therefore takes 3 or more steps; and a later root
-    replaces the best walk only with a strictly shorter one. Only numpy is
-    used, so the search never loads SciPy.
+    between the same vertices take clauses of one vertex set; a closed walk
+    with a nonempty odd-use set therefore takes 3 or more steps; and a later
+    root replaces the best walk only with a strictly shorter one. Only numpy
+    is used, so the search never loads SciPy.
     """
     g = build_even_kikuchi(h, r, caps)
     cap = max_len if max_len is not None else g.num_vertices + 1
 
-    by_mask: dict[int, list[int]] = {}
-    for i, mk in enumerate(h.edge_masks()):
-        by_mask.setdefault(mk, []).append(i)
-    if g.alpha >= 1:
-        for mk, idxs in by_mask.items():
-            if len(idxs) >= 2 and 2 <= cap:
-                cover = EvenCover(frozenset(idxs[:2]))
-                return 2, cover
+    # clauses are sorted vertex tuples, so equal tuples are duplicate clauses
+    if g.alpha >= 1 and cap >= 2:
+        by_clause: dict[tuple[int, ...], list[int]] = {}
+        for i, e in enumerate(h.edges):
+            by_clause.setdefault(e, []).append(i)
+        for idxs in by_clause.values():
+            if len(idxs) >= 2:
+                return 2, EvenCover(frozenset(idxs[:2]))
 
     ends = np.concatenate([g.t_rank, g.s_rank])
     order = np.argsort(ends, kind="stable")

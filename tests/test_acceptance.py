@@ -20,6 +20,7 @@ from kcert.kikuchi_even import build_even_kikuchi, shortest_even_cover_via_kikuc
 from kcert.kikuchi_odd import (build_colored_kikuchi, delete_heavy_edges, equalize_deletion,
                                measured_deletion_fractions, predicted_deletion_fraction)
 from kcert.spectral import exact_trace_power, trace_bound_rhs
+from kcert.subsets import all_subset_masks_colex
 from kcert.cli import main as cli_main
 
 
@@ -251,13 +252,14 @@ def test_criterion_06_deletion_process():
             assert measured <= predicted, (k, n, m, t, eta, float(measured), float(predicted))
             res = equalize_deletion(g, pre)
             nmask = (1 << g.n) - 1
+            vm = all_subset_masks_colex(g.COLORS * g.n, g.r)
             for _ in range(20):
                 x = [rng.choice((-1, 1)) for _ in range(n)]
                 q = qh = 0
                 for pos, (s, tt, gi, a, b) in enumerate(g.edges):
                     prod = inst.signs[a] * inst.signs[b]
-                    for vm in (g.vertex_masks[s], g.vertex_masks[tt]):
-                        mm = (vm & nmask) ^ (vm >> g.n)
+                    for sm in (vm[s], vm[tt]):
+                        mm = (sm & nmask) ^ (sm >> g.n)
                         i = 0
                         while mm:
                             if mm & 1:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -332,6 +333,56 @@ def test_cli_audit(tmp_path, capsys):
     assert main(["audit", "trace", str(c8), "--r", "1", "--ell", "4"]) == 0
     out = capsys.readouterr().out
     assert "ok" in out
+
+
+# (action, option) pairs the cover and audit actions accepted and then ignored
+IGNORED_OPTIONS = [
+    (("cover", "verify"), ["--cap", "3"]), (("cover", "verify"), ["--r", "2"]),
+    (("cover", "verify"), ["--max-vertices", "10"]), (("cover", "verify"), ["--max-edges", "10"]),
+    (("cover", "oracle"), ["--indices", "0,1"]), (("cover", "oracle"), ["--r", "2"]),
+    (("cover", "oracle"), ["--max-vertices", "10"]), (("cover", "oracle"), ["--max-edges", "10"]),
+    (("cover", "find"), ["--indices", "0,1"]),
+] + [(("audit", action), option) for action in ("girth", "moore")
+     for option in (["--r", "2"], ["--ell", "4"], ["--max-vertices", "10"], ["--max-edges", "10"])]
+
+
+@pytest.mark.parametrize("action, option", IGNORED_OPTIONS,
+                         ids=[" ".join(a + (o[0],)) for a, o in IGNORED_OPTIONS])
+def test_cli_rejects_options_an_action_does_not_use(tmp_path, capsys, monkeypatch, action, option):
+    f = tmp_path / "tri.hyg"
+    f.write_text(TRIANGLE_TEXT)
+    monkeypatch.chdir(tmp_path)
+    assert main([*action, str(f), *option]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {' '.join(option)}" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["tri.hyg"]
+
+
+@pytest.mark.parametrize("action, options", [
+    (("cover", "verify"), {"--indices"}),
+    (("cover", "oracle"), {"--cap"}),
+    (("cover", "find"), {"--cap", "--r", "--max-vertices", "--max-edges"}),
+    (("audit", "girth"), set()),
+    (("audit", "moore"), set()),
+    (("audit", "trace"), {"--r", "--ell", "--max-vertices", "--max-edges"}),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_cli_action_help_lists_only_its_options(capsys, action, options):
+    assert main([*action, "--help"]) == 0
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == options | {"--help"}
+
+
+@pytest.mark.parametrize("ell", ["3", "0", "-2"])
+def test_cli_audit_trace_rejects_a_bad_ell_first(tmp_path, capsys, ell):
+    # 66 edges are past the oracle's cap, so the oracle would exit 3 if it ran
+    k12 = tmp_path / "k12.hyg"
+    k12.write_text("hyg 12 66 2\n" + "".join(f"{a} {b}\n" for a in range(1, 13)
+                                             for b in range(a + 1, 13)))
+    assert main(["audit", "trace", str(k12), "--ell", ell]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: --ell {ell} is not a positive even integer\n")
+    assert main(["audit", "trace", str(k12), "--ell", "4"]) == 3
+    assert "even-cover oracle supports at most 44 hyperedges" in capsys.readouterr().err
 
 
 def _no_constant(name):

@@ -53,8 +53,10 @@ def random_colored_graph(seed):
     return h, build_colored_kikuchi(h, decomp, level, r), rng
 
 
-def rank_of(g):
-    return {mk: i for i, mk in enumerate(g.vertex_masks)}
+def masks_and_ranks(g):
+    """Vertex bitmasks in colex order, and the rank of each mask."""
+    vm = all_subset_masks_colex(g.COLORS * g.n, g.r)
+    return vm, {mk: i for i, mk in enumerate(vm)}
 
 
 @given(SEEDS)
@@ -62,10 +64,10 @@ def rank_of(g):
 def test_even_build_matches_subset_scan(seed):
     # every S meeting a clause C in k/2 vertices is joined to S xor C
     h, g = random_even_graph(seed)
-    rank = rank_of(g)
+    vm, rank = masks_and_ranks(g)
     want = []
     for c, cm in enumerate(h.edge_masks()):
-        for s, sm in enumerate(g.vertex_masks):
+        for s, sm in enumerate(vm):
             if (sm & cm).bit_count() == h.k // 2 and rank[sm ^ cm] > s:
                 want.append((s, rank[sm ^ cm], c))
     assert list(g.edges) == sorted(want)
@@ -77,7 +79,7 @@ def test_colored_build_matches_subset_scan(seed):
     # S meets green C~ in ceil((k-t)/2) and blue C~' in floor((k-t)/2); for even
     # k - t, S also holds min(C~), so each unordered edge shows up once
     h, g, _ = random_colored_graph(seed)
-    rank = rank_of(g)
+    vm, rank = masks_and_ranks(g)
     kt = g.k - g.t
     masks = h.edge_masks()
     want = []
@@ -89,7 +91,7 @@ def test_colored_build_matches_subset_scan(seed):
                     continue
                 green, blue = masks[a] ^ umask, (masks[b] ^ umask) << g.n
                 pin = green & -green if kt % 2 == 0 else 0
-                for s, sm in enumerate(g.vertex_masks):
+                for s, sm in enumerate(vm):
                     if ((sm & green).bit_count() == (kt + 1) // 2
                             and (sm & blue).bit_count() == kt // 2 and sm & pin == pin):
                         t = rank[sm ^ green ^ blue]

@@ -13,7 +13,7 @@ from kcert.core import odd_use_cover
 from kcert.kikuchi_even import (build_even_kikuchi, dump_even, extract_cover_from_closed_walk,
                                 kikuchi_stats, shortest_even_cover_via_kikuchi,
                                 signed_even_kikuchi)
-from kcert.subsets import combination_rows
+from kcert.subsets import all_subset_masks_colex, combination_rows
 
 TRIANGLE = Hypergraph(n=3, k=2, edges=((0, 1), (1, 2), (0, 2)))
 ONE_QUAD = Hypergraph(n=6, k=4, edges=((0, 1, 2, 3),))
@@ -32,7 +32,8 @@ def test_single_quad_example():
     assert st["num_edges"] == 3 and st["alpha"] == 3
     assert st["average_degree"] == Fraction(2, 5)
     # the three edges split the clause into complementary halves
-    masks = [frozenset({g.vertex_masks[s], g.vertex_masks[t]}) for s, t, _ in g.edges]
+    vm = all_subset_masks_colex(g.n, g.r)
+    masks = [frozenset({vm[s], vm[t]}) for s, t, _ in g.edges]
     want = [frozenset({0b0011, 0b1100}), frozenset({0b0101, 0b1010}), frozenset({0b1001, 0b0110})]
     assert sorted(map(sorted, masks)) == sorted(map(sorted, want))
 
@@ -100,15 +101,16 @@ def test_quadratic_form_identity():
     skg = signed_even_kikuchi(inst, 2)
     g = skg.graph
     d = g.average_degree
+    vm = all_subset_masks_colex(g.n, g.r)
     for _ in range(20):
         x = random_assignment(8, rng)
         quad = 0
         for (s, t, c), sign in zip(g.edges, skg.edge_signs):
             xs = xt = 1
             for v in range(8):
-                if (g.vertex_masks[s] >> v) & 1:
+                if (vm[s] >> v) & 1:
                     xs *= x[v]
-                if (g.vertex_masks[t] >> v) & 1:
+                if (vm[t] >> v) & 1:
                     xt *= x[v]
             quad += 2 * sign * xs * xt
         assert eval_xor(inst, x) * comb(8, 2) * d == quad
@@ -134,6 +136,93 @@ def test_extract_cover_triangle_cycle():
     assert verify_even_cover(TRIANGLE, cover)
     with pytest.raises(ValueError):
         extract_cover_from_closed_walk(g, [0, 0, 1])
+
+
+@pytest.mark.parametrize("walk", [[-1, 0, 1], [0, 1, -1], [0, 1, 3], [3, 0]])
+def test_extract_cover_rejects_ranks_outside_the_graph(walk):
+    # -1 is no rank: it must not wrap around to the last vertex
+    g = build_even_kikuchi(TRIANGLE, 1)
+    with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+        extract_cover_from_closed_walk(g, walk)
+
+
+def test_extract_cover_rejects_ranks_that_are_not_integers():
+    g = build_even_kikuchi(TRIANGLE, 1)
+    with pytest.raises(TypeError):
+        extract_cover_from_closed_walk(g, [0.0, 1.0, 2.0])
+
+
+def _reference_extract(h, g, walk):
+    """Extraction through bitmasks: each step's S xor T looked up among the
+    clause masks, a duplicated clause resolving to its least index."""
+    vm = all_subset_masks_colex(g.n, g.r)
+    lookup = {}
+    for i, mk in enumerate(h.edge_masks()):
+        lookup.setdefault(mk, i)
+    steps = []
+    for i, v in enumerate(walk):
+        ci = lookup.get(vm[v] ^ vm[walk[(i + 1) % len(walk)]])
+        if ci is None:
+            raise ValueError(f"walk step {i} is not an edge")
+        steps.append(ci)
+    return odd_use_cover(steps)
+
+
+def _shortest_path(nbrs, a, b):
+    """A shortest path a, ..., b, by breadth-first search."""
+    parent, frontier = {a: a}, [a]
+    while b not in parent:
+        nxt = []
+        for u in frontier:
+            for v in nbrs[u]:
+                if v not in parent:
+                    parent[v] = u
+                    nxt.append(v)
+        frontier = nxt
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+@st.composite
+def _walk_cases(draw):
+    """Small graphs, duplicate clauses allowed, with either a closed walk along
+    edges (out by random steps, back by a shortest path) or any rank sequence;
+    r - k/2 <= n - k keeps alpha >= 1, so every graph has edges."""
+    k = draw(st.sampled_from([2, 4, 6]))
+    n = draw(st.integers(k, k + 4))
+    h = gen_random(n, k, draw(st.integers(1, 3 * n)), draw(st.integers(0, 2**30 - 1)),
+                   mode="hyg-multi")
+    g = build_even_kikuchi(h, draw(st.integers(k // 2, k // 2 + min(2, n - k))))
+    nbrs: dict[int, list[int]] = {}
+    for s, t in zip(g.s_rank.tolist(), g.t_rank.tolist()):
+        nbrs.setdefault(s, []).append(t)
+        nbrs.setdefault(t, []).append(s)
+    if draw(st.integers(0, 3)):
+        walk = [draw(st.sampled_from(sorted(nbrs)))]
+        for _ in range(draw(st.integers(1, 8))):
+            ahead = [v for v in nbrs[walk[-1]] if len(walk) < 2 or v != walk[-2]]
+            walk.append(draw(st.sampled_from(ahead or nbrs[walk[-1]])))
+        walk += _shortest_path(nbrs, walk[-1], walk[0])[1:-1]
+        if walk[-1] == walk[0]:
+            walk.pop()
+    else:
+        walk = draw(st.lists(st.integers(0, g.num_vertices - 1), min_size=2, max_size=6))
+    return h, g, walk
+
+
+@given(_walk_cases())
+@settings(max_examples=300, deadline=None)
+def test_extract_cover_matches_the_mask_reference(case):
+    h, g, walk = case
+    try:
+        want = _reference_extract(h, g, walk)
+    except ValueError:
+        with pytest.raises(ValueError, match="is not a Kikuchi edge"):
+            extract_cover_from_closed_walk(g, walk)
+    else:
+        assert extract_cover_from_closed_walk(g, walk) == want
 
 
 def test_four_cycle_dependency():

@@ -9,7 +9,7 @@ from kcert.decomposition import Decomposition, Group, decompose_for_refutation
 from kcert.kikuchi_odd import (build_colored_kikuchi, delete_heavy_edges, dump_colored,
                                equalize_deletion, measured_deletion_fractions,
                                predicted_deletion_fraction)
-from kcert.subsets import vertices_from
+from kcert.subsets import all_subset_masks_colex, vertices_from
 
 
 def _decomp_from_groups(h, groups, r, taus=None):
@@ -23,12 +23,13 @@ def _decomp_from_groups(h, groups, r, taus=None):
 
 def _quad_form(g, signs, x, keep=None):
     total = 0
+    vm = all_subset_masks_colex(g.COLORS * g.n, g.r)
     for pos, (s, t, gi, a, b) in enumerate(g.edges):
         if keep is not None and not keep[pos]:
             continue
         prod = signs[a] * signs[b]
-        for vm in (g.vertex_masks[s], g.vertex_masks[t]):
-            mm = (vm & ((1 << g.n) - 1)) ^ (vm >> g.n)
+        for sm in (vm[s], vm[t]):
+            mm = (sm & ((1 << g.n) - 1)) ^ (sm >> g.n)
             i = 0
             while mm:
                 if mm & 1:
@@ -50,8 +51,9 @@ def test_worked_example_k3():
     assert g.num_edges == 4
     # green side of S meets C~ in ceil(1), blue side meets C~' in floor(1)
     n = g.n
+    vm = all_subset_masks_colex(g.COLORS * n, g.r)
     for s, t, gi, a, b in g.edges:
-        sm = g.vertex_masks[s]
+        sm = vm[s]
         green = vertices_from(sm & ((1 << n) - 1))
         blue = vertices_from(sm >> n)
         assert len(green) == 1 and len(blue) == 1
