@@ -14,10 +14,10 @@ from .kikuchi_even import (Caps, EvenKikuchiGraph, SignedEvenKikuchi, build_even
 from .kikuchi_odd import (ColoredKikuchiGraph, DeletionResult, build_colored_kikuchi,
                           delete_heavy_edges, equalize_deletion, measured_deletion_fractions,
                           predicted_deletion_fraction)
-from .moore import ihara_moore_certificate, moore_bound_audit, nb_direct_count, nb_matrices
+from .moore import moore_bound_audit
 from .refuter import (CertificateError, certificate_from_json, certificate_to_json,
                       instance_digest, refute_even, refute_odd, verify_certificate)
-from .spectral import (NonConvergenceError, exact_trace_power, psd_margin, spectral_norm_reweighted,
+from .spectral import (NonConvergenceError, exact_trace_power, spectral_norm_reweighted,
                        trace_bound_rhs)
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .kikuchi_odd import build_colored_kikuchi, dump_colored
 from .moore import moore_bound_audit
 from .refuter import (certificate_from_json, certificate_to_json, refute_even, refute_odd,
                       verify_certificate)
-from .spectral import TRACE_DIM_LIMIT, exact_trace_power, trace_bound_rhs
+from .spectral import TRACE_DIM_LIMIT, TRACE_POWER_LIMIT, exact_trace_power, trace_bound_rhs
 
 
 def _write_output(text: str, path) -> None:
@@ -194,6 +194,12 @@ def _cmd_audit(args) -> int:
     # trace audit: requires the instance to be oracle-certified cover-free at ell
     if args.ell <= 0 or args.ell % 2:
         raise KcertError(f"--ell {args.ell} is not a positive even integer")
+    if args.ell > TRACE_POWER_LIMIT:
+        raise CapacityError(f"exact trace audit supports exponent <= {TRACE_POWER_LIMIT}, "
+                            f"got --ell {args.ell}")
+    if args.r >= 0 and math.comb(h.n, args.r) > TRACE_DIM_LIMIT:
+        raise CapacityError(f"exact trace audit supports at most {TRACE_DIM_LIMIT} Kikuchi "
+                            f"vertices, got {math.comb(h.n, args.r)}")
     res = min_even_cover_oracle(h, args.ell)
     if res is not None:
         print(f"instance has an even cover of size {res[0]} <= ell = {args.ell}; "
@@ -202,9 +208,6 @@ def _cmd_audit(args) -> int:
     g = build_even_kikuchi(h, args.r, caps=_caps(args))
     if g.num_edges == 0:
         raise KcertError("Kikuchi graph has no edges; increase r")
-    if g.num_vertices > TRACE_DIM_LIMIT:
-        raise CapacityError(f"exact trace audit supports at most {TRACE_DIM_LIMIT} Kikuchi "
-                            f"vertices, got {g.num_vertices}")
     tr = exact_trace_power(g.adjacency().toarray(), g.gamma_diagonal(), args.ell)
     rhs = trace_bound_rhs(h.n, args.r, args.ell, g.average_degree)
     ok = tr <= rhs

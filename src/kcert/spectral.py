@@ -1,5 +1,5 @@
-"""Numerical core: certified spectral norms of reweighted matrices, PSD margins,
-and exact rational trace powers.
+"""Numerical core: certified spectral norms of reweighted matrices and exact
+rational trace powers.
 
 The spectral norm of Gamma^{-1/2} A Gamma^{-1/2} is computed by ARPACK
 (scipy.sparse.linalg.eigsh, implicitly restarted Lanczos, so memory stays at a
@@ -8,8 +8,8 @@ given the seed and reports the residual ||A~ v - theta v|| of the returned
 eigenpair, recomputed from A itself; certificates must widen the returned value
 by the residual before using it.
 
-SciPy is imported on the first norm or PSD margin (and by the first Kikuchi
-adjacency), not with the module, so `import kcert` and the CLI start without it.
+SciPy is imported on the first norm (and by the first Kikuchi adjacency), not
+with the module, so `import kcert` and the CLI start without it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ if TYPE_CHECKING:
 
 TRACE_DIM_LIMIT = 2000
 TRACE_POWER_LIMIT = 12
-PSD_DENSE_LIMIT = 4000
 
 
 class NonConvergenceError(KcertError):
@@ -104,25 +103,6 @@ def spectral_norm_reweighted(a, gamma, tol: float = 1e-9, seed: int = 0) -> tupl
             best_residual=residual,
         )
     return abs(theta), residual
-
-
-def psd_margin(m, tol: float = 1e-9) -> float:
-    """Minimum eigenvalue of a symmetric matrix (negative means not PSD)."""
-    import scipy.sparse as sp
-
-    if sp.issparse(m):
-        m = m.toarray()
-    dense = np.asarray(m, dtype=np.float64)
-    if dense.shape[0] != dense.shape[1]:
-        raise ValueError("matrix must be square")
-    if dense.shape[0] > PSD_DENSE_LIMIT:
-        raise CapacityError(f"psd_margin supports dimension <= {PSD_DENSE_LIMIT}")
-    if dense.size == 0:
-        return 0.0
-    if not np.allclose(dense, dense.T, atol=tol * max(1.0, float(np.abs(dense).max()))):
-        raise ValueError("matrix must be symmetric")
-    w = np.linalg.eigvalsh(dense)
-    return float(w[0])
 
 
 def exact_trace_power(a, gamma, ell: int) -> Fraction:

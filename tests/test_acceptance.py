@@ -12,8 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from kcert import (Hypergraph, brute_force_max_xor, gen_random, graph_girth,
-                   ihara_moore_certificate, min_even_cover_oracle, moore_bound_audit,
-                   nb_direct_count, nb_matrices, refute_even, refute_odd,
+                   min_even_cover_oracle, moore_bound_audit, refute_even, refute_odd,
                    spectral_norm_reweighted, verify_even_cover)
 from kcert.decomposition import decompose_for_cover, decompose_for_refutation, validate_decomposition
 from kcert.kikuchi_even import build_even_kikuchi, shortest_even_cover_via_kikuchi
@@ -148,50 +147,6 @@ def test_criterion_03_trace_lemma_exact():
             comparisons += 1
         done += 1
     print(f"\nCRITERION 3: PASS - 30 cover-free instances, {comparisons} exact trace comparisons")
-
-
-def test_criterion_04_nonbacktracking_suite():
-    """NB recurrence == direct count; PSD certificate on high-girth graphs; trace split bound."""
-    rng = random.Random(44)
-    for trial in range(30):
-        n = rng.randrange(4, 13)
-        m = rng.randrange(3, 18)
-        h = gen_random(n, 2, m, seed=5000 + trial, mode="hyg-multi")
-        nb = nb_matrices(h, 6)
-        for s in range(7):
-            assert (nb[s] == nb_direct_count(h, s)).all()
-
-    cycles = [Hypergraph(n=g, k=2, edges=tuple((i, (i + 1) % g) for i in range(g)))
-              for g in range(5, 13)]
-    petersen = Hypergraph(n=10, k=2, edges=tuple(
-        [(i, (i + 1) % 5) for i in range(5)]
-        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-        + [(i, i + 5) for i in range(5)]))
-    heawood_edges = set((i, (i + 1) % 14) for i in range(14))
-    for i in range(0, 14, 2):
-        heawood_edges.add(tuple(sorted((i, (i + 5) % 14))))
-    heawood = Hypergraph(n=14, k=2, edges=tuple(sorted(
-        tuple(sorted(e)) for e in heawood_edges)))
-    certified = 0
-    for h in cycles + [petersen, heawood]:
-        g = graph_girth(h)
-        for ell in range(2, g, 2):
-            ok, margin = ihara_moore_certificate(h, ell)
-            assert ok, (h.n, g, ell, margin)
-            certified += 1
-
-    for trial in range(20):
-        n = rng.randrange(5, 13)
-        h = gen_random(n, 2, rng.randrange(n, 3 * n), seed=6000 + trial, mode="hyg-multi")
-        nb = nb_matrices(h, 6)
-        for s in range(1, 7):
-            tr = float(sum(int(nb[s][i, i]) for i in range(n)))
-            for kk in range(1, s + 1):
-                q, r = divmod(s, kk)
-                norm2 = float(np.max(np.abs(np.linalg.eigvalsh(nb[kk].astype(np.float64)))))
-                fro = float(np.linalg.norm(nb[r].astype(np.float64)))
-                assert tr <= math.sqrt(n) * norm2**q * fro + 1e-6
-    print(f"\nCRITERION 4: PASS - 30 NB equality graphs, {certified} PSD certificates, 20 trace splits")
 
 
 def test_criterion_05_moore_bound_audit():

@@ -372,16 +372,32 @@ def test_cli_action_help_lists_only_its_options(capsys, action, options):
     assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == options | {"--help"}
 
 
-@pytest.mark.parametrize("ell", ["3", "0", "-2"])
-def test_cli_audit_trace_rejects_a_bad_ell_first(tmp_path, capsys, ell):
-    # 66 edges are past the oracle's cap, so the oracle would exit 3 if it ran
-    k12 = tmp_path / "k12.hyg"
-    k12.write_text("hyg 12 66 2\n" + "".join(f"{a} {b}\n" for a in range(1, 13)
-                                             for b in range(a + 1, 13)))
-    assert main(["audit", "trace", str(k12), "--ell", ell]) == 1
+# both graphs have more than 44 edges, so the oracle would exit 3 if it ran
+TRACE_AUDIT_GRAPHS = {
+    "k12": "hyg 12 66 2\n" + "".join(f"{a} {b}\n" for a in range(1, 13) for b in range(a + 1, 13)),
+    # C(70, 2) = 2,415 Kikuchi vertices at r = 2
+    "path70": "hyg 70 45 2\n" + "".join(f"{a} {a + 1}\n" for a in range(1, 46)),
+}
+
+
+@pytest.mark.parametrize("graph, options, status, message", [
+    pytest.param("k12", ["--ell", ell], 1, f"error: --ell {ell} is not a positive even integer\n",
+                 id=ell)
+    for ell in ("3", "0", "-2")
+] + [
+    pytest.param("k12", ["--ell", "14"], 3, "capacity error: exact trace audit supports "
+                 "exponent <= 12, got --ell 14\n", id="14"),
+    pytest.param("path70", ["--r", "2"], 3, "capacity error: exact trace audit supports at "
+                 "most 2000 Kikuchi vertices, got 2415\n", id="path70-r2"),
+])
+def test_cli_audit_trace_rejects_a_bad_ell_first(tmp_path, capsys, graph, options, status,
+                                                 message):
+    f = tmp_path / f"{graph}.hyg"
+    f.write_text(TRACE_AUDIT_GRAPHS[graph])
+    assert main(["audit", "trace", str(f), *options]) == status
     out, err = capsys.readouterr()
-    assert (out, err) == ("", f"error: --ell {ell} is not a positive even integer\n")
-    assert main(["audit", "trace", str(k12), "--ell", "4"]) == 3
+    assert (out, err) == ("", message)
+    assert main(["audit", "trace", str(f), "--ell", "4"]) == 3
     assert "even-cover oracle supports at most 44 hyperedges" in capsys.readouterr().err
 
 

@@ -176,6 +176,13 @@ def test_girth_examples():
     path = Hypergraph(n=4, k=2, edges=((0, 1), (1, 2), (2, 3)))
     assert graph_girth(path) == math.inf
     assert graph_girth(PETERSEN) == 5
+    for g in range(5, 13):
+        cycle = Hypergraph(n=g, k=2, edges=tuple((i, (i + 1) % g) for i in range(g)))
+        assert graph_girth(cycle) == g
+    # Heawood graph: a 14-cycle plus alternating +5 chords (cubic, girth 6)
+    heawood = Hypergraph(n=14, k=2, edges=tuple(
+        [(i, (i + 1) % 14) for i in range(14)] + [(i, (i + 5) % 14) for i in range(0, 14, 2)]))
+    assert graph_girth(heawood) == 6
     doubled = Hypergraph(n=3, k=2, edges=((0, 1), (0, 1)))
     assert graph_girth(doubled) == 2
     with pytest.raises(ValueError):

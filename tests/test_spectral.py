@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from kcert import (CapacityError, Hypergraph, NonConvergenceError, exact_trace_power, gen_random,
-                   graph_girth, psd_margin, spectral_norm_reweighted, trace_bound_rhs)
+                   graph_girth, spectral_norm_reweighted, trace_bound_rhs)
 from kcert.kikuchi_even import build_even_kikuchi
 
 TRIANGLE = Hypergraph(n=3, k=2, edges=((0, 1), (1, 2), (0, 2)))
@@ -76,23 +76,11 @@ def test_norm_requires_positive_gamma():
         spectral_norm_reweighted(np.eye(2), [Fraction(0), Fraction(1)])
 
 
-def test_psd_margin_examples():
-    assert abs(psd_margin(np.eye(3)) - 1.0) < 1e-12
-    a = _graph_adjacency(TRIANGLE)
-    assert abs(psd_margin(a) - (-1.0)) < 1e-9
-    # C6 with ell = 4: 6^(1/2) Id + 6^(-1/2) (D - Id) - A is PSD
-    c6 = Hypergraph(n=6, k=2, edges=tuple((i, (i + 1) % 6) for i in range(6)))
-    ac6 = _graph_adjacency(c6)
-    s = 6.0 ** 0.5
-    m = s * np.eye(6) + (1 / s) * np.diag(ac6.sum(axis=1) - 1) - ac6
-    assert psd_margin(m) >= -1e-9
-
-
-def test_psd_margin_brackets_norm():
+def test_norm_matches_dense_top_eigenvalue():
     rng = np.random.default_rng(0)
     b = rng.standard_normal((8, 8))
     m = b @ b.T
-    lam_max = -psd_margin(-m)
+    lam_max = float(np.linalg.eigvalsh(m)[-1])
     lam, resid = spectral_norm_reweighted(sp.csr_matrix(m), [Fraction(1)] * 8)
     assert abs(lam_max - lam) <= 1e-7 * max(1.0, lam_max)
 
