@@ -16,11 +16,19 @@ of index patterns, so kikuchi_even.pattern_edges builds them as it builds the
 even graphs, with the pair as the item; deletion and equalization are array
 passes over the same layout, and the per-pair survival counts they report are
 an int64 array indexed like the pair table's rows.
+
+An ordered pair's edges join S to S xor M for one fixed M, so they form a
+matching: a (vertex, group, clause) incidence is met at most once per ordered
+pair of the group holding the clause, 2(|G| - 1) times in all. Deletion cuts
+nothing when 2(max |G| - 1) <= eta and then only counts each pair's edges;
+equalization cuts nothing when every pair already holds the same count and
+then returns the survivors unchanged. Otherwise both run their full passes.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -63,14 +71,20 @@ def ordered_pair_table(groups) -> np.ndarray:
     """One row (group, C, C', slot of C, slot of C') per ordered pair of distinct
     clauses of a group, sorted by (group, C, C'). Slots number the (group,
     clause) memberships densely: groups in order, clauses ascending."""
-    blocks, first = [np.empty((0, 5), dtype=np.int64)], 0
-    for gi, grp in enumerate(groups):
-        clauses = np.array(sorted(grp.clause_indices), dtype=np.int64)
-        ia, ib = np.nonzero(~np.eye(len(clauses), dtype=bool))
-        blocks.append(np.column_stack([np.full(len(ia), gi), clauses[ia], clauses[ib],
-                                       first + ia, first + ib]))
-        first += len(clauses)
-    return np.concatenate(blocks)
+    sizes = np.array([len(grp.clause_indices) for grp in groups], dtype=np.int64)
+    clauses = np.array([c for grp in groups for c in sorted(grp.clause_indices)], dtype=np.int64)
+    group = np.repeat(np.arange(len(groups), dtype=np.int64), sizes)
+    partners = np.repeat(sizes - 1, sizes)
+    # slot a pairs with the other slots of its group, ascending: the j-th of
+    # them lies j slots past the group's first, or j + 1 from a itself on
+    a = np.repeat(np.arange(len(clauses), dtype=np.int64), partners)
+    j = np.arange(len(a), dtype=np.int64) - np.repeat(np.cumsum(partners) - partners, partners)
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)[a]
+    b = first + j + (j >= a - first)
+    table = np.empty((len(a), 5), dtype=np.int64)
+    for col, values in enumerate((group[a], clauses[a], clauses[b], a, b)):
+        table[:, col] = values
+    return table
 
 
 def build_colored_kikuchi(h: Hypergraph, decomp: Decomposition, level: int, r: int,
@@ -82,9 +96,16 @@ def build_colored_kikuchi(h: Hypergraph, decomp: Decomposition, level: int, r: i
     for g in groups:
         if len(g.center) != level:
             raise ValueError(f"group center {g.center} does not have size {level}")
-        for c in g.clause_indices:
-            if not set(g.center).issubset(h.edges[c]):
-                raise ValueError(f"clause {c} does not contain its group center")
+    # per (group, clause) membership, by slot: which members of the clause lie in the center
+    members = np.array([h.edges[c] for grp in groups for c in sorted(grp.clause_indices)],
+                       dtype=np.int64).reshape(-1, h.k)
+    centers = np.repeat(np.array([grp.center for grp in groups], dtype=np.int64).reshape(-1, level),
+                        [len(grp.clause_indices) for grp in groups], axis=0)
+    hits = members[:, :, None] == centers[:, None, :]
+    if not hits.any(axis=1).all():
+        bad = next(c for grp in groups for c in grp.clause_indices
+                   if not set(grp.center).issubset(h.edges[c]))
+        raise ValueError(f"clause {bad} does not contain its group center")
 
     kt = h.k - level
     hb, lb = (kt + 1) // 2, kt // 2
@@ -107,8 +128,7 @@ def build_colored_kikuchi(h: Hypergraph, decomp: Decomposition, level: int, r: i
 
     pair_table = ordered_pair_table(groups)
     # C~ of every (group, clause) membership, indexed by slot
-    reduced = np.array([[v for v in h.edges[c] if v not in grp.center] for grp in groups
-                        for c in sorted(grp.clause_indices)], dtype=np.int64).reshape(-1, kt)
+    reduced = members[~hits.any(axis=2)].reshape(-1, kt)
 
     def sides(lo, hi):
         rows = pair_table[lo:hi]
@@ -142,12 +162,13 @@ def delete_heavy_edges(g: ColoredKikuchiGraph, eta) -> DeletionResult:
     is incident (within the same group) to more than eta edges involving C or C'.
 
     eta = math.inf is the no-op sentinel. Surviving per-vertex per-clause
-    incidence is <= eta afterwards.
+    incidence is <= eta afterwards. An incidence count is at most 2(|G| - 1)
+    (see the module docstring), so when 2(max |G| - 1) <= eta every edge is
+    kept and only the per-pair counts are computed.
     """
-    if eta != math.inf and eta < 1:
-        raise ValueError("eta must be >= 1 (or math.inf)")
+    _check_eta(eta)
     surviving = np.ones(g.num_edges, dtype=bool)
-    if eta != math.inf and g.num_edges:
+    if g.num_edges and 2 * (max(len(grp.clause_indices) for grp in g.groups) - 1) > eta:
         # one key per (vertex, group, clause) incidence, (group, clause) as its
         # slot, packed in the narrowest dtype that holds every key
         num_slots = sum(len(grp.clause_indices) for grp in g.groups)
@@ -166,7 +187,8 @@ def delete_heavy_edges(g: ColoredKikuchiGraph, eta) -> DeletionResult:
 
 def equalize_deletion(g: ColoredKikuchiGraph, pre: DeletionResult) -> DeletionResult:
     """Cut every ordered pair down to kappa = min survival, dropping the
-    lexicographically largest surviving edges; rho = 1 - kappa/alpha.
+    lexicographically largest surviving edges; rho = 1 - kappa/alpha. When
+    every pair already holds kappa survivors, they are returned unchanged.
 
     The resulting quadratic form satisfies x' A_hat x = (1 - rho) x' A x for
     every assignment-induced x, exactly.
@@ -177,17 +199,25 @@ def equalize_deletion(g: ColoredKikuchiGraph, pre: DeletionResult) -> DeletionRe
         return DeletionResult(surviving=pre.surviving.copy(), pair_survival=pre.pair_survival.copy(),
                               rho=Fraction(0), degenerate=True)
     kappa = int(pre.pair_survival.min())
-    # survivors grouped by pair, each pair's in stored (sorted) order; keep the first kappa
-    alive = np.flatnonzero(pre.surviving)
-    pair_ids = g.pair[alive].astype(np.min_scalar_type(len(g.pair_table) - 1))
-    order = np.argsort(pair_ids, kind="stable")
-    alive, pairs = alive[order], pair_ids[order]
-    running = np.arange(len(alive)) - np.searchsorted(pairs, pairs)
-    surviving = np.zeros(g.num_edges, dtype=bool)
-    surviving[alive[running < kappa]] = True
+    if kappa == pre.pair_survival.max():
+        surviving = pre.surviving.copy()
+    else:
+        # survivors grouped by pair, each pair's in stored (sorted) order; keep the first kappa
+        alive = np.flatnonzero(pre.surviving)
+        pair_ids = g.pair[alive].astype(np.min_scalar_type(len(g.pair_table) - 1))
+        order = np.argsort(pair_ids, kind="stable")
+        alive, pairs = alive[order], pair_ids[order]
+        running = np.arange(len(alive)) - np.searchsorted(pairs, pairs)
+        surviving = np.zeros(g.num_edges, dtype=bool)
+        surviving[alive[running < kappa]] = True
     rho = 1 - Fraction(kappa, g.alpha)
     return DeletionResult(surviving=surviving, pair_survival=np.minimum(pre.pair_survival, kappa),
                           kappa=kappa, rho=rho, degenerate=(kappa == 0))
+
+
+def _check_eta(eta) -> None:
+    if not isinstance(eta, numbers.Real) or math.isnan(eta) or eta < 1:
+        raise ValueError(f"eta must be a number >= 1 (or math.inf), got {eta!r}")
 
 
 def predicted_deletion_fraction(k: int, n: int, r: int, level: int, eta,
@@ -196,8 +226,7 @@ def predicted_deletion_fraction(k: int, n: int, r: int, level: int, eta,
     thresholds tau_s:
         (4^k / eta) * sum_{s=level}^{floor((k+level)/2)} tau_s * (r/n)^{floor((k+level)/2) - s}
     """
-    if eta != math.inf and eta < 1:
-        raise ValueError("eta must be >= 1")
+    _check_eta(eta)
     if eta == math.inf:
         return Fraction(0)
     top = (k + level) // 2

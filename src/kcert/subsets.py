@@ -68,4 +68,5 @@ def complement_rows(rows: np.ndarray, n: int) -> np.ndarray:
     """Per row of distinct members of range(n), the sorted rest of range(n)."""
     rest = np.ones((len(rows), n), dtype=bool)
     rest[np.arange(len(rows))[:, None], rows] = False
-    return np.nonzero(rest)[1].reshape(len(rows), n - rows.shape[1])
+    every = np.broadcast_to(np.arange(n, dtype=np.int64), rest.shape)
+    return every[rest].reshape(len(rows), n - rows.shape[1])

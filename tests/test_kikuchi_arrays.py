@@ -1,7 +1,8 @@
 """Property tests: the edge-array Kikuchi core against plain loops over edges,
 and the array kernels against the numpy passes they replaced: np.sort per row
-for colex ranks, np.lexsort((item, t, s)) for the edge order and a COO to CSR
-conversion of every edge for the adjacency."""
+for colex ranks, np.lexsort((item, t, s)) for the edge order, a COO to CSR
+conversion of every edge for the adjacency, and the full deletion and
+equalization passes for their shortcuts."""
 
 import math
 import random
@@ -9,14 +10,16 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcert import Hypergraph, gen_random
 from kcert.decomposition import Decomposition, Group
 from kcert.kikuchi_even import build_even_kikuchi
-from kcert.kikuchi_odd import build_colored_kikuchi, delete_heavy_edges, equalize_deletion
-from kcert.subsets import all_subset_masks_colex, binomial_table, colex_ranks, mask_from
+from kcert.kikuchi_odd import (DeletionResult, build_colored_kikuchi, delete_heavy_edges,
+                               equalize_deletion, ordered_pair_table)
+from kcert.subsets import (all_subset_masks_colex, binomial_table, colex_ranks, complement_rows,
+                           mask_from)
 
 SEEDS = st.integers(0, 2**30 - 1)
 
@@ -184,6 +187,107 @@ def test_equalization_keeps_the_first_kappa_of_each_pair(seed, eta):
     assert dict(zip(pair_keys(g), res.pair_survival.tolist())) == {key: res.kappa for key in kept}
 
 
+@given(SEEDS)
+@settings(max_examples=60, deadline=None)
+@example(seed=2)                         # k - t even
+@example(seed=0)                         # k - t odd
+def test_each_ordered_pair_is_a_matching(seed):
+    """The deletion shortcut's premise: no vertex has two edges of one ordered
+    pair, so a (vertex, group, clause) key is met at most 2(|G| - 1) times."""
+    _, g, _ = random_colored_graph(seed)
+    ends = np.concatenate([g.s_rank, g.t_rank])
+    pairs = np.concatenate([g.pair, g.pair])
+    assert len(set(zip(ends.tolist(), pairs.tolist()))) == len(ends)
+    if g.num_edges:
+        most = max(incidences(g).values())
+        assert most <= 2 * (max(len(grp.clause_indices) for grp in g.groups) - 1)
+
+
+def reference_ordered_pair_table(groups):
+    """ordered_pair_table as one block per group."""
+    blocks, first = [np.empty((0, 5), dtype=np.int64)], 0
+    for gi, grp in enumerate(groups):
+        clauses = np.array(sorted(grp.clause_indices), dtype=np.int64)
+        ia, ib = np.nonzero(~np.eye(len(clauses), dtype=bool))
+        blocks.append(np.column_stack([np.full(len(ia), gi), clauses[ia], clauses[ib],
+                                       first + ia, first + ib]))
+        first += len(clauses)
+    return np.concatenate(blocks)
+
+
+@given(st.lists(st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True), max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_ordered_pair_table_matches_the_per_group_loop(clause_lists):
+    groups = [Group(center=(0,), clause_indices=tuple(ids), level=1) for ids in clause_lists]
+    got, want = ordered_pair_table(groups), reference_ordered_pair_table(groups)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+# delete_heavy_edges and equalize_deletion verbatim as they were before their
+# shortcuts, which must not change any result on either side of the bound
+def reference_delete_heavy_edges(g, eta) -> DeletionResult:
+    if eta != math.inf and eta < 1:
+        raise ValueError("eta must be >= 1 (or math.inf)")
+    surviving = np.ones(g.num_edges, dtype=bool)
+    if eta != math.inf and g.num_edges:
+        # one key per (vertex, group, clause) incidence, (group, clause) as its
+        # slot, packed in the narrowest dtype that holds every key
+        num_slots = sum(len(grp.clause_indices) for grp in g.groups)
+        key_type = np.min_scalar_type(g.num_vertices * num_slots - 1)
+        slots = [g.pair_table[g.pair, col].astype(key_type) for col in (3, 4)]
+        ends = [v.astype(key_type) * key_type.type(num_slots) for v in (g.s_rank, g.t_rank)]
+        keys = np.stack([v + slot for v in ends for slot in slots])
+        ordered = np.sort(keys, axis=None)
+        # in sorted order, a key met more than eta times recurs eta places on
+        e = math.floor(eta)
+        heavy = np.unique(ordered[e:][ordered[e:] == ordered[:-e]])
+        surviving = ~np.isin(keys, heavy).any(axis=0)
+    return DeletionResult(surviving=surviving,
+                          pair_survival=np.bincount(g.pair[surviving], minlength=len(g.pair_table)))
+
+
+def reference_equalize_deletion(g, pre: DeletionResult) -> DeletionResult:
+    if pre.rho is not None:
+        raise ValueError("deletion result is already equalized")
+    if g.alpha is None or not g.num_edges:
+        return DeletionResult(surviving=pre.surviving.copy(), pair_survival=pre.pair_survival.copy(),
+                              rho=Fraction(0), degenerate=True)
+    kappa = int(pre.pair_survival.min())
+    # survivors grouped by pair, each pair's in stored (sorted) order; keep the first kappa
+    alive = np.flatnonzero(pre.surviving)
+    pair_ids = g.pair[alive].astype(np.min_scalar_type(len(g.pair_table) - 1))
+    order = np.argsort(pair_ids, kind="stable")
+    alive, pairs = alive[order], pair_ids[order]
+    running = np.arange(len(alive)) - np.searchsorted(pairs, pairs)
+    surviving = np.zeros(g.num_edges, dtype=bool)
+    surviving[alive[running < kappa]] = True
+    rho = 1 - Fraction(kappa, g.alpha)
+    return DeletionResult(surviving=surviving, pair_survival=np.minimum(pre.pair_survival, kappa),
+                          kappa=kappa, rho=rho, degenerate=(kappa == 0))
+
+
+def assert_same_result(got, want):
+    assert got.surviving.dtype == want.surviving.dtype == bool
+    assert np.array_equal(got.surviving, want.surviving)
+    assert got.pair_survival.dtype == want.pair_survival.dtype
+    assert np.array_equal(got.pair_survival, want.pair_survival)
+    assert (got.kappa, got.rho, got.degenerate) == (want.kappa, want.rho, want.degenerate)
+
+
+@given(SEEDS, st.data())
+@settings(max_examples=80, deadline=None)
+def test_deletion_shortcuts_match_the_full_passes(seed, data):
+    """Both sides of the bound 2(max |G| - 1) <= eta against verbatim copies of
+    the passes without shortcuts."""
+    _, g, _ = random_colored_graph(seed)
+    largest = max(len(grp.clause_indices) for grp in g.groups)
+    eta = data.draw(st.integers(1, 2 * largest + 1) | st.just(math.inf), label="eta")
+    pre, want_pre = delete_heavy_edges(g, eta), reference_delete_heavy_edges(g, eta)
+    assert_same_result(pre, want_pre)
+    assert_same_result(equalize_deletion(g, pre), reference_equalize_deletion(g, want_pre))
+
+
 def coo_reference(g, signs, keep):
     """The adjacency as a COO matrix of every kept edge, both orientations,
     converted to CSR, which sums the parallel edges."""
@@ -248,6 +352,19 @@ def test_colex_ranks_match_the_sorted_row_reference(r, extra, seed):
     if ground <= 12:
         masks = all_subset_masks_colex(ground, r)
         assert [masks[i] for i in got.tolist()] == [mask_from(row) for row in rows.tolist()]
+
+
+@given(st.integers(0, 12), st.data())
+@settings(max_examples=100, deadline=None)
+def test_complement_rows_match_setdiff(n, data):
+    r = data.draw(st.integers(0, n), label="r")
+    drawn = data.draw(st.lists(st.permutations(range(n)).map(lambda p: p[:r]), max_size=8),
+                      label="rows")
+    rows = np.array(drawn, dtype=np.int64).reshape(len(drawn), r)
+    got = complement_rows(rows, n)
+    assert got.dtype == np.int64 and got.shape == (len(rows), n - r)
+    for row, rest in zip(rows, got):
+        assert np.array_equal(rest, np.setdiff1d(np.arange(n), row))
 
 
 BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)

@@ -127,6 +127,29 @@ def test_delete_infinite_eta_sentinel():
     assert pre.num_surviving == g.num_edges
 
 
+@pytest.mark.parametrize("eta", [float("nan"), "3", None, 0, 0.5, -math.inf])
+def test_delete_rejects_an_eta_that_is_no_number_at_least_one(eta):
+    h = Hypergraph(n=6, k=3, edges=((0, 1, 2), (0, 3, 4), (0, 1, 5)))
+    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1, 2), level=1)], 2)
+    g = build_colored_kikuchi(h, d, 1, 2)
+    with pytest.raises(ValueError, match="eta must be a number >= 1"):
+        delete_heavy_edges(g, eta)
+    with pytest.raises(ValueError, match="eta must be a number >= 1"):
+        predicted_deletion_fraction(3, 6, 2, 1, eta, d.thresholds)
+
+
+def test_build_names_the_first_clause_outside_its_center():
+    h = Hypergraph(n=6, k=3, edges=((0, 1, 2), (1, 3, 4), (0, 1, 5), (2, 3, 5), (0, 3, 5)))
+    groups = [Group(center=(0,), clause_indices=(2, 0), level=1),
+              Group(center=(1,), clause_indices=(4, 3, 1), level=1)]
+    # clauses 4 and 3 both miss vertex 1: the first in stored order is named
+    with pytest.raises(ValueError, match="clause 4 does not contain its group center"):
+        build_colored_kikuchi(h, _decomp_from_groups(h, groups, 2), 1, 2)
+    groups[1] = Group(center=(1, 3), clause_indices=(1,), level=1)
+    with pytest.raises(ValueError, match=r"group center \(1, 3\) does not have size 1"):
+        build_colored_kikuchi(h, _decomp_from_groups(h, groups, 2), 1, 2)
+
+
 def test_equalize_cuts_every_pair_to_kappa():
     h = Hypergraph(n=6, k=3, edges=((0, 1, 2), (0, 3, 4), (0, 1, 5)))
     d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1, 2), level=1)], 2)
