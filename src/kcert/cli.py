@@ -69,6 +69,12 @@ def _cmd_cover(args) -> int:
     h = load_hypergraph(args.file)
     if args.action == "verify":
         indices = [int(t) for t in args.indices.split(",") if t]
+        # a cover is a set of clauses; read as uses, a repeated index cancels out
+        seen: set[int] = set()
+        for i in indices:
+            if i in seen:
+                raise ValueError(f"--indices repeats clause index {i}")
+            seen.add(i)
         try:
             ok = verify_even_cover(h, indices) and len(indices) > 0
         except IndexError as exc:
@@ -242,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_caps(cf)
     cv = cover.add_parser("verify", help="check that clause indices form an even cover")
     cv.add_argument("file")
-    cv.add_argument("--indices", default="", help="comma-separated clause indices")
+    cv.add_argument("--indices", default="", help="comma-separated distinct clause indices")
     co = cover.add_parser("oracle", help="exact minimum even cover")
     co.add_argument("file")
     co.add_argument("--cap", type=int, default=None, help="largest cover size (default m)")

@@ -35,6 +35,9 @@ if TYPE_CHECKING:
 
 # edges generated per block; bounds the working arrays of a build
 BLOCK_EDGES = 1 << 15
+# wedges in the first block of the cover search's triangle pass; a triangle
+# usually closes early, and later blocks double up to BLOCK_EDGES
+FIRST_WEDGE_BLOCK = 1 << 10
 # pattern_edges sorts by the key s_rank * C + t_rank on C vertices, which must
 # fit in 64 bits, so no cap admits C >= 2^32
 KEY_VERTEX_LIMIT = (1 << 32) - 1
@@ -277,41 +280,94 @@ def extract_cover_from_closed_walk(g: EvenKikuchiGraph, walk: list[int]) -> Even
     return odd_use_cover(steps)
 
 
+def _first_triangle(g: EvenKikuchiGraph) -> Optional[EvenCover]:
+    """The three clauses of the triangle (R, u, v) with R < u < v least in
+    lexicographic order, or None when the graph has no triangle. The graph
+    must have no parallel edges, so each edge has one clause.
+
+    Every triangle R < u < v is the wedge (u, v) of R's higher neighbours
+    (its edges (R, u) and (R, v)) closed by the edge (u, v). The edges are
+    sorted by (s_rank, t_rank), so edge e heads the wedges (e, e + 1), ...,
+    (e, last edge of its s_rank run), and taking the heads in edge order gives
+    the wedges in lexicographic order. Each wedge's key t_rank(u) * C +
+    t_rank(v) is looked up by binary search in the sorted edge keys,
+    FIRST_WEDGE_BLOCK wedges at first, then blocks that double up to
+    BLOCK_EDGES.
+    """
+    s, t = g.s_rank, g.t_rank
+    nv = g.num_vertices
+    key_type = np.min_scalar_type(nv * nv - 1)
+    keys = s.astype(key_type) * key_type.type(nv) + t.astype(key_type)
+    # edge e heads one wedge per later edge of its s_rank run
+    heads = np.searchsorted(s, s, side="right") - 1 - np.arange(len(s))
+    before = np.concatenate([[0], np.cumsum(heads)])     # wedges headed by edges < e
+    lo, size = 0, FIRST_WEDGE_BLOCK
+    while lo < len(s):
+        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + size, side="right")) - 1)
+        count = heads[lo:hi]
+        u = np.repeat(np.arange(lo, hi), count)
+        v = u + 1 + np.arange(len(u)) - np.repeat(before[lo:hi] - before[lo], count)
+        wedge = t[u].astype(key_type) * key_type.type(nv) + t[v].astype(key_type)
+        closing = np.minimum(np.searchsorted(keys, wedge), len(keys) - 1)
+        hit = np.flatnonzero(keys[closing] == wedge)
+        if len(hit):
+            i = hit[0]
+            return EvenCover(frozenset(g.clause[[u[i], v[i], closing[i]]].tolist()))
+        lo, size = hi, min(2 * size, BLOCK_EDGES)
+    return None
+
+
 def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_CAPS,
                                     max_len: Optional[int] = None
                                     ) -> Optional[tuple[int, EvenCover]]:
     """Search short non-trivial closed walks and extract an even cover.
 
-    Strategy: duplicate clauses give a 2-step walk immediately; otherwise BFS
-    from every vertex of positive degree, in rank order, and every non-tree
-    edge closing two root paths yields a candidate closed walk whose
-    odd-multiplicity clause set is tested. Returns (walk length, cover) for the
-    shortest candidate with a nonempty extraction, or None. The walk length
-    proves cover size <= length; minimality is the exhaustive oracle's job,
-    not this routine's.
+    Returns (walk length, cover) for the walk a BFS from every vertex of
+    positive degree, in rank order, takes first among the shortest with a
+    nonempty odd-use set, or None when no walk of at most max_len steps has
+    one: every non-tree edge closing two root paths yields a candidate walk,
+    and a later root replaces the best walk only with a strictly shorter one.
+    The walk length proves cover size <= length; minimality is the exhaustive
+    oracle's job, not this routine's.
 
-    Neighbour lists are flat numpy arrays: a stable argsort of the endpoint
-    ranks (t_rank, then s_rank) lists each vertex's (neighbour, clause) steps
-    ascending, since the edges are sorted by (s_rank, t_rank, clause), and a
-    bincount/cumsum gives each vertex's slice. The covers found depend on this
-    order. The search stops at the first walk of length 3, and that is exact:
-    the duplicate check has returned every 2-step walk, since two steps
-    between the same vertices take clauses of one vertex set; a closed walk
-    with a nonempty odd-use set therefore takes 3 or more steps; and a later
-    root replaces the best walk only with a strictly shorter one. Only numpy
-    is used, so the search never loads SciPy.
+    The search runs in stages, each exact because a stage is reached only when
+    no shorter walk exists:
+    - Length 2: two steps between the same vertices take clauses of one vertex
+      set, so duplicate clauses give every 2-step walk; with none there are no
+      parallel edges, and with max_len < 3 the answer is None.
+    - Length 3: a closed 3-step walk is a triangle, and the BFS first closes
+      one from the least vertex R on any triangle: the triangle (R, u, v) with
+      u the least neighbour of R on one and v the least neighbour of u that
+      closes it. One array pass over the wedges finds it (_first_triangle).
+    - Length 4 and up: in a graph with no triangle and no parallel edges, no
+      closed walk with a nonempty odd-use set is shorter than 4, so the BFS
+      stops at its first such 4-step walk; past that it scans every root.
+
+    The BFS's neighbour lists are flat numpy arrays: a stable argsort of the
+    endpoint ranks (t_rank, then s_rank) lists each vertex's (neighbour,
+    clause) steps ascending, since the edges are sorted by (s_rank, t_rank,
+    clause), and a bincount/cumsum gives each vertex's slice. The covers found
+    depend on this order. Only numpy is used, so the search never loads SciPy.
     """
     g = build_even_kikuchi(h, r, caps)
     cap = max_len if max_len is not None else g.num_vertices + 1
+    if not g.num_edges or cap < 2:
+        return None
 
     # clauses are sorted vertex tuples, so equal tuples are duplicate clauses
-    if g.alpha >= 1 and cap >= 2:
-        by_clause: dict[tuple[int, ...], list[int]] = {}
-        for i, e in enumerate(h.edges):
-            by_clause.setdefault(e, []).append(i)
-        for idxs in by_clause.values():
-            if len(idxs) >= 2:
-                return 2, EvenCover(frozenset(idxs[:2]))
+    by_clause: dict[tuple[int, ...], list[int]] = {}
+    for i, e in enumerate(h.edges):
+        by_clause.setdefault(e, []).append(i)
+    for idxs in by_clause.values():
+        if len(idxs) >= 2:
+            return 2, EvenCover(frozenset(idxs[:2]))
+    if cap < 3:
+        return None
+    triangle = _first_triangle(g)
+    if triangle is not None:
+        return 3, triangle
+    if cap < 4:
+        return None
 
     ends = np.concatenate([g.t_rank, g.s_rank])
     order = np.argsort(ends, kind="stable")
@@ -349,11 +405,11 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
                                 steps.append(pc)
                         cover = odd_use_cover(steps)
                         if cover.edge_indices:
+                            if length == 4:
+                                return length, cover
                             best = (length, cover)
                             limit = length
             frontier = nxt
-        if best and best[0] <= 3:
-            break
     return best
 
 

@@ -31,6 +31,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb
 from typing import Optional
 
@@ -174,13 +175,20 @@ def delete_heavy_edges(g: ColoredKikuchiGraph, eta) -> DeletionResult:
         num_slots = sum(len(grp.clause_indices) for grp in g.groups)
         key_type = np.min_scalar_type(g.num_vertices * num_slots - 1)
         slots = [g.pair_table[g.pair, col].astype(key_type) for col in (3, 4)]
-        ends = [v.astype(key_type) * key_type.type(num_slots) for v in (g.s_rank, g.t_rank)]
-        keys = np.stack([v + slot for v in ends for slot in slots])
+        # filled row by row, so at most one row-sized temporary is alive
+        keys = np.empty((4, g.num_edges), dtype=key_type)
+        for row, (v, slot) in zip(keys, product((g.s_rank, g.t_rank), slots)):
+            np.multiply(v.astype(key_type), key_type.type(num_slots), out=row)
+            row += slot
+        del slots
         ordered = np.sort(keys, axis=None)
         # in sorted order, a key met more than eta times recurs eta places on
         e = math.floor(eta)
         heavy = np.unique(ordered[e:][ordered[e:] == ordered[:-e]])
-        surviving = ~np.isin(keys, heavy).any(axis=0)
+        del ordered
+        # one key row at a time, as np.isin on the whole stack sorts all of it at once
+        for row in keys:
+            surviving &= np.isin(row, heavy, invert=True)
     return DeletionResult(surviving=surviving,
                           pair_survival=np.bincount(g.pair[surviving], minlength=len(g.pair_table)))
 

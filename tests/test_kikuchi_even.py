@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from kcert import (CapacityError, Caps, EvenCover, Hypergraph, eval_xor, gen_random,
                    min_even_cover_oracle, random_assignment, verify_even_cover)
 from kcert.core import odd_use_cover
-from kcert.kikuchi_even import (build_even_kikuchi, dump_even, extract_cover_from_closed_walk,
-                                kikuchi_stats, shortest_even_cover_via_kikuchi,
-                                signed_even_kikuchi)
+from kcert.kikuchi_even import (FIRST_WEDGE_BLOCK, _first_triangle, build_even_kikuchi,
+                                dump_even, extract_cover_from_closed_walk, kikuchi_stats,
+                                shortest_even_cover_via_kikuchi, signed_even_kikuchi)
 from kcert.subsets import all_subset_masks_colex, combination_rows
 
 TRIANGLE = Hypergraph(n=3, k=2, edges=((0, 1), (1, 2), (0, 2)))
@@ -347,6 +347,104 @@ def test_search_matches_the_reference(case):
     for max_len in (None, 2, 3, 4, 6):
         got = shortest_even_cover_via_kikuchi(h, r, max_len=max_len)
         assert _walk_and_cover(got) == _walk_and_cover(_reference_search(h, r, max_len))
+
+
+def _brute_first_triangle(g):
+    """The clauses of the triangle the BFS closes first: from the least vertex
+    R on any triangle, u is R's least neighbour on one with R, and v is the
+    least neighbour of u that is also R's."""
+    nbrs, clause = {}, {}
+    for s, t, c in g.edges:
+        nbrs.setdefault(s, set()).add(t)
+        nbrs.setdefault(t, set()).add(s)
+        clause[s, t] = clause[t, s] = c
+    on_triangle = [x for x in sorted(nbrs) if any(nbrs[x] & nbrs[y] for y in nbrs[x])]
+    if not on_triangle:
+        return None
+    root = on_triangle[0]
+    u = min(y for y in nbrs[root] if nbrs[root] & nbrs[y])
+    v = min(nbrs[root] & nbrs[u])
+    return EvenCover(frozenset({clause[root, u], clause[root, v], clause[u, v]}))
+
+
+def _simple_graph(n, edges):
+    return Hypergraph(n=n, k=2, edges=tuple(sorted({tuple(sorted(e)) for e in edges})))
+
+
+@pytest.mark.parametrize("blocks", [None, (1, 1), (2, 5)])
+@pytest.mark.parametrize("seed", range(40))
+def test_first_triangle_matches_brute_force(seed, blocks, monkeypatch):
+    # tiny wedge blocks put a block boundary between almost any two edges
+    if blocks is not None:
+        from kcert import kikuchi_even
+
+        monkeypatch.setattr(kikuchi_even, "FIRST_WEDGE_BLOCK", blocks[0])
+        monkeypatch.setattr(kikuchi_even, "BLOCK_EDGES", blocks[1])
+    rng = random.Random(seed)
+    n = rng.randint(3, 14)
+    pairs = [(a, b) for b in range(n) for a in range(b)]
+    h = _simple_graph(n, rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n))))
+    for r in (1, 2):
+        if r <= n:
+            g = build_even_kikuchi(h, r)
+            assert _first_triangle(g) == _brute_first_triangle(g)
+
+
+@pytest.mark.parametrize("leaves", [60, 100])
+def test_first_triangle_past_the_first_wedge_block(leaves):
+    # a star on vertex 0 heads C(leaves, 2) wedges that close nothing, more than
+    # FIRST_WEDGE_BLOCK; the only triangle lies on the highest three vertices
+    tri = [leaves + 1, leaves + 2, leaves + 3]
+    h = _simple_graph(leaves + 4, [(0, x) for x in range(1, leaves + 1)]
+                      + [(1, tri[0]), (tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])])
+    assert comb(leaves, 2) > FIRST_WEDGE_BLOCK
+    g = build_even_kikuchi(h, 1)
+    want = _brute_first_triangle(g)
+    assert want is not None and _first_triangle(g) == want
+    assert shortest_even_cover_via_kikuchi(h, 1) == (3, want)
+
+
+@st.composite
+def _girth_cases(draw):
+    """A graph (k = 2) whose shortest cycle has `girth` 4 or 5 edges: one such
+    cycle, then random edges that close no shorter one, in shuffled order."""
+    girth = draw(st.sampled_from([4, 5]))
+    n = draw(st.integers(girth, girth + 5))
+    rng = random.Random(draw(st.integers(0, 2**30 - 1)))
+    cycle = rng.sample(range(n), girth)
+    nbrs = {x: set() for x in range(n)}
+    for i, a in enumerate(cycle):
+        b = cycle[(i + 1) % girth]
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    for _ in range(draw(st.integers(0, 3 * n))):
+        a, b = rng.sample(range(n), 2)
+        # the new edge closes a cycle of (hops from a to b) + 1 edges
+        seen, frontier, hops = {a}, {a}, 0
+        while frontier and b not in seen:
+            frontier = {y for x in frontier for y in nbrs[x]} - seen
+            seen |= frontier
+            hops += 1
+        if b not in seen or hops + 1 >= girth:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    edges = sorted({(min(a, b), max(a, b)) for a in nbrs for b in nbrs[a]})
+    rng.shuffle(edges)
+    return Hypergraph(n=n, k=2, edges=tuple(edges)), girth, draw(st.sampled_from([1, 2]))
+
+
+@given(_girth_cases())
+@settings(max_examples=100, deadline=None)
+def test_search_matches_the_reference_past_three_steps(case):
+    # no cover has fewer than `girth` clauses, so no accepted walk is shorter;
+    # at r = 1 the Kikuchi graph is the graph itself and the cycle is a walk
+    h, girth, r = case
+    for max_len in (None, 3, 4, 5):
+        got = shortest_even_cover_via_kikuchi(h, r, max_len=max_len)
+        assert _walk_and_cover(got) == _walk_and_cover(_reference_search(h, r, max_len))
+        assert got is None or got[0] >= girth
+    if r == 1:
+        assert shortest_even_cover_via_kikuchi(h, r)[0] == girth
 
 
 def _all_closed_walks(adj, length):
