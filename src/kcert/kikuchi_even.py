@@ -28,7 +28,8 @@ from typing import TYPE_CHECKING, ClassVar, Optional
 import numpy as np
 
 from .core import CapacityError, EvenCover, Hypergraph, XorInstance, odd_use_cover
-from .subsets import binomial_table, colex_ranks, combination_rows, complement_rows, joined_rows
+from .subsets import (binomial_table, colex_ranks, combination_rows, complement_rows, joined_rows,
+                      stable_order)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -38,8 +39,9 @@ BLOCK_EDGES = 1 << 15
 # wedges in the first block of the cover search's triangle pass; a triangle
 # usually closes early, and later blocks double up to BLOCK_EDGES
 FIRST_WEDGE_BLOCK = 1 << 10
-# pattern_edges sorts by the key s_rank * C + t_rank on C vertices, which must
-# fit in 64 bits, so no cap admits C >= 2^32
+# pattern_edges sorts by the key (s_rank << b) | t_rank, b the bit length of
+# C - 1 on C vertices, and the triangle search by s_rank * C + t_rank; both
+# must fit in 64 bits, so no cap admits C >= 2^32
 KEY_VERTEX_LIMIT = (1 << 32) - 1
 
 
@@ -156,15 +158,21 @@ def pattern_edges(num_items: int, front, ground: int, r: int, s_pat: np.ndarray,
     picks the columns of the two endpoints of each item's j-th edge. Items are
     taken BLOCK_EDGES edges at a time, which bounds the working arrays.
 
-    One stable argsort of the key s_rank * C(ground, r) + t_rank, held in the
-    narrowest unsigned dtype that fits C(ground, r)^2 - 1, gives the order:
-    edges are generated item by item, so ties keep ascending items, and on up
-    to 256 vertices the key has 16 bits, where numpy's stable sort is a radix
-    sort.
+    Only one array spans the whole graph while it is built: each edge's key
+    (s_rank << b) | t_rank as uint64, b the bit length of C(ground, r) - 1
+    (Caps keeps C(ground, r) below 2^32, so it fits), filled block by block.
+    It sorts as (s_rank, t_rank) does, and subsets.stable_order gives its
+    stable order: edges are generated item by item, so ties keep ascending
+    items. numpy's stable argsort is a radix sort only up to 16 bits (keys on
+    up to 256 vertices) and a timsort above, which stable_order replaces by
+    one plain sort of each key packed with its position. The sorted keys
+    give s_rank and t_rank back by a shift and a mask.
     """
     per_item = len(s_pat)
     nv = comb(ground, r)
-    s_all, t_all = np.empty((2, num_items * per_item), dtype=np.int64)
+    bits = max(nv - 1, 0).bit_length()
+    shift = np.uint64(bits)
+    key = np.empty(num_items * per_item, dtype=np.uint64)
     if per_item:
         table = binomial_table(ground, r)
         step = max(1, BLOCK_EDGES // per_item)
@@ -173,14 +181,17 @@ def pattern_edges(num_items: int, front, ground: int, r: int, s_pat: np.ndarray,
             rows = front(lo, min(lo + step, num_items))
             if width > rows.shape[1]:
                 rows = np.hstack([rows, complement_rows(rows, ground)])
-            out = slice(lo * per_item, (lo + len(rows)) * per_item)
-            s_all[out] = colex_ranks(rows[:, s_pat].reshape(-1, r), table)
-            t_all[out] = colex_ranks(rows[:, t_pat].reshape(-1, r), table)
-    s, t = np.minimum(s_all, t_all), np.maximum(s_all, t_all)
-    key_type = np.min_scalar_type(nv * nv - 1)
-    key = s.astype(key_type) * key_type.type(nv) + t.astype(key_type)
-    order = np.argsort(key, kind="stable")
-    return [s[order], t[order], order // per_item]
+            # ranks are never negative, so their int64 bits read as uint64
+            s, t = (colex_ranks(rows[:, pat].reshape(-1, r), table).view(np.uint64)
+                    for pat in (s_pat, t_pat))
+            block = slice(lo * per_item, (lo + len(rows)) * per_item)
+            key[block] = np.minimum(s, t) << shift | np.maximum(s, t)
+    order = stable_order(key, 1 << 2 * bits)
+    key = key[order]
+    s = key >> shift
+    key &= np.uint64((1 << bits) - 1)
+    order //= per_item
+    return [s.view(np.int64), key.view(np.int64), order]
 
 
 def dump_edges(header: str, g: KikuchiEdges) -> str:
@@ -298,8 +309,9 @@ def _first_triangle(g: EvenKikuchiGraph) -> Optional[EvenCover]:
     nv = g.num_vertices
     key_type = np.min_scalar_type(nv * nv - 1)
     keys = s.astype(key_type) * key_type.type(nv) + t.astype(key_type)
-    # edge e heads one wedge per later edge of its s_rank run
-    heads = np.searchsorted(s, s, side="right") - 1 - np.arange(len(s))
+    # edge e heads one wedge per later edge of its s_rank run; the run ends
+    # at the number of edges with s_rank <= s_rank[e]
+    heads = np.cumsum(np.bincount(s, minlength=nv))[s] - 1 - np.arange(len(s))
     before = np.concatenate([[0], np.cumsum(heads)])     # wedges headed by edges < e
     lo, size = 0, FIRST_WEDGE_BLOCK
     while lo < len(s):
@@ -343,11 +355,12 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
       closed walk with a nonempty odd-use set is shorter than 4, so the BFS
       stops at its first such 4-step walk; past that it scans every root.
 
-    The BFS's neighbour lists are flat numpy arrays: a stable argsort of the
-    endpoint ranks (t_rank, then s_rank) lists each vertex's (neighbour,
-    clause) steps ascending, since the edges are sorted by (s_rank, t_rank,
-    clause), and a bincount/cumsum gives each vertex's slice. The covers found
-    depend on this order. Only numpy is used, so the search never loads SciPy.
+    The BFS's neighbour lists are flat numpy arrays: the stable order of the
+    endpoint ranks (t_rank, then s_rank; subsets.stable_order) lists each
+    vertex's (neighbour, clause) steps ascending, since the edges are sorted
+    by (s_rank, t_rank, clause), and a bincount/cumsum gives each vertex's
+    slice. The covers found depend on this order. Only numpy is used, so the
+    search never loads SciPy.
     """
     g = build_even_kikuchi(h, r, caps)
     cap = max_len if max_len is not None else g.num_vertices + 1
@@ -370,7 +383,7 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
         return None
 
     ends = np.concatenate([g.t_rank, g.s_rank])
-    order = np.argsort(ends, kind="stable")
+    order = stable_order(ends, g.num_vertices)
     nbr = np.concatenate([g.s_rank, g.t_rank])[order].tolist()
     step = np.concatenate([g.clause, g.clause])[order].tolist()
     degree = np.bincount(ends, minlength=g.num_vertices)

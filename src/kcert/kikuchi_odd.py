@@ -40,7 +40,7 @@ import numpy as np
 from .core import Hypergraph
 from .decomposition import Decomposition, Group
 from .kikuchi_even import DEFAULT_CAPS, Caps, KikuchiEdges, dump_edges, pattern_edges
-from .subsets import combination_rows, complement_rows, joined_rows
+from .subsets import combination_rows, complement_rows, joined_rows, stable_order
 
 
 @dataclass(eq=False)
@@ -212,10 +212,11 @@ def equalize_deletion(g: ColoredKikuchiGraph, pre: DeletionResult) -> DeletionRe
     else:
         # survivors grouped by pair, each pair's in stored (sorted) order; keep the first kappa
         alive = np.flatnonzero(pre.surviving)
-        pair_ids = g.pair[alive].astype(np.min_scalar_type(len(g.pair_table) - 1))
-        order = np.argsort(pair_ids, kind="stable")
-        alive, pairs = alive[order], pair_ids[order]
-        running = np.arange(len(alive)) - np.searchsorted(pairs, pairs)
+        pair_ids = g.pair[alive]
+        alive = alive[stable_order(pair_ids, len(g.pair_table))]
+        # in that order a pair's run starts after the survivors of all lower pairs
+        counts = np.bincount(pair_ids, minlength=len(g.pair_table))
+        running = np.arange(len(alive)) - np.repeat(np.cumsum(counts) - counts, counts)
         surviving = np.zeros(g.num_edges, dtype=bool)
         surviving[alive[running < kappa]] = True
     rho = 1 - Fraction(kappa, g.alpha)

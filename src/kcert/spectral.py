@@ -50,8 +50,8 @@ def _as_csr(a) -> sp.csr_matrix:
 def spectral_norm_reweighted(a, gamma, tol: float = 1e-9, seed: int = 0) -> tuple[float, float]:
     """Spectral norm of Gamma^{-1/2} A Gamma^{-1/2} with a certified residual.
 
-    a      : symmetric matrix (dense or scipy sparse); left unmodified
-    gamma  : positive diagonal entries (Fractions or floats)
+    a      : symmetric matrix (dense or scipy sparse) with finite entries; left unmodified
+    gamma  : finite positive diagonal entries (Fractions or floats)
     returns (lambda, residual) where residual = ||A~ v - lambda_signed v|| for
     the returned eigenvector v; deterministic for a fixed seed.
     """
@@ -59,6 +59,10 @@ def spectral_norm_reweighted(a, gamma, tol: float = 1e-9, seed: int = 0) -> tupl
 
     A = _as_csr(a)
     nv = A.shape[0]
+    # every comparison with NaN is False and inf - inf is NaN, so non-finite
+    # entries would pass the symmetry and positivity tests and reach ARPACK
+    if not np.isfinite(A.data).all():
+        raise ValueError("matrix entries must be finite")
     if nv == 0 or not A.data.any():
         return 0.0, 0.0
     skew = A - A.T
@@ -67,6 +71,8 @@ def spectral_norm_reweighted(a, gamma, tol: float = 1e-9, seed: int = 0) -> tupl
     gf = np.asarray(gamma, dtype=np.float64)
     if gf.shape != (nv,):
         raise ValueError("gamma length must match matrix dimension")
+    if not np.isfinite(gf).all():
+        raise ValueError("gamma must be finite")
     if np.any(gf <= 0):
         raise ValueError("gamma must be strictly positive when A is nonzero")
     isq = 1.0 / np.sqrt(gf)

@@ -64,6 +64,28 @@ def colex_ranks(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[cols, place].sum(axis=0)
 
 
+def stable_order(values: np.ndarray, bound: int) -> np.ndarray:
+    """Exactly np.argsort(values, kind="stable") for integers in [0, bound).
+
+    numpy's stable argsort is a radix sort only for types of at most 16 bits
+    and a timsort above. So for bound <= 2^16 the values are cast to the
+    narrowest unsigned type and argsorted stably. Otherwise, when a value and
+    its position fit in 64 bits together, (value << b) | position is unique
+    per element, so one plain in-place sort of it puts ties in position
+    order, and its low b bits are the stable order. Values too wide for that
+    keep the stable argsort.
+    """
+    shift = max(len(values) - 1, 0).bit_length()
+    if bound <= 1 << 16 or (bound - 1).bit_length() + shift > 64:
+        return np.argsort(values.astype(np.min_scalar_type(max(bound - 1, 0))), kind="stable")
+    packed = values.astype(np.uint64)
+    packed <<= np.uint64(shift)
+    packed |= np.arange(len(packed), dtype=np.uint64)
+    packed.sort()
+    packed &= np.uint64((1 << shift) - 1)
+    return packed.view(np.intp)
+
+
 def complement_rows(rows: np.ndarray, n: int) -> np.ndarray:
     """Per row of distinct members of range(n), the sorted rest of range(n)."""
     rest = np.ones((len(rows), n), dtype=bool)

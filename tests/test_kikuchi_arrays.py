@@ -1,8 +1,9 @@
 """Property tests: the edge-array Kikuchi core against plain loops over edges,
 and the array kernels against the numpy passes they replaced: np.sort per row
-for colex ranks, np.lexsort((item, t, s)) for the edge order, a COO to CSR
-conversion of every edge for the adjacency, and the full deletion and
-equalization passes for their shortcuts."""
+for colex ranks, np.lexsort((item, t, s)) for the edge order,
+np.argsort(kind="stable") for stable_order, a COO to CSR conversion of every
+edge for the adjacency, and the full deletion and equalization passes for
+their shortcuts."""
 
 import math
 import random
@@ -10,6 +11,7 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +21,7 @@ from kcert.kikuchi_even import build_even_kikuchi
 from kcert.kikuchi_odd import (DeletionResult, build_colored_kikuchi, delete_heavy_edges,
                                equalize_deletion, ordered_pair_table)
 from kcert.subsets import (all_subset_masks_colex, binomial_table, colex_ranks, complement_rows,
-                           mask_from)
+                           mask_from, stable_order)
 
 SEEDS = st.integers(0, 2**30 - 1)
 
@@ -365,6 +367,36 @@ def test_complement_rows_match_setdiff(n, data):
     assert got.dtype == np.int64 and got.shape == (len(rows), n - r)
     for row, rest in zip(rows, got):
         assert np.array_equal(rest, np.setdiff1d(np.arange(n), row))
+
+
+# bounds for each branch of stable_order: up to 2^16 a stable (radix) argsort
+# of the values cast to 16 bits or fewer; above, one plain sort of
+# (value << b) | position; and a stable argsort again where value and position
+# need more than 64 bits together (2^62 from 5 values on, 2^63 from 3 on)
+ORDER_BOUNDS = [1, 3, 1 << 8, 1 << 16, (1 << 16) + 1, 1 << 33, 1 << 62, 1 << 63]
+
+
+@pytest.mark.parametrize("bound", ORDER_BOUNDS)
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_stable_order_matches_the_stable_argsort(bound, dtype, data):
+    # values drawn from a pool of at most three, so ties are heavy
+    pool = data.draw(st.lists(st.integers(0, bound - 1), min_size=1, max_size=3), label="pool")
+    values = np.array(data.draw(st.lists(st.sampled_from(pool), max_size=60), label="values"),
+                      dtype=dtype)
+    kept = values.copy()
+    got = stable_order(values, bound)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argsort(values, kind="stable"))
+    assert np.array_equal(values, kept)
+
+
+@pytest.mark.parametrize("bound", ORDER_BOUNDS)
+def test_stable_order_of_empty_and_one_element_input(bound):
+    for values in ([], [bound - 1]):
+        got = stable_order(np.array(values, dtype=np.int64), bound)
+        assert got.dtype == np.intp and got.tolist() == list(range(len(values)))
 
 
 BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)

@@ -76,6 +76,25 @@ def test_norm_requires_positive_gamma():
         spectral_norm_reweighted(np.eye(2), [Fraction(0), Fraction(1)])
 
 
+PATH3 = [[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_norm_rejects_a_non_finite_matrix_entry(entry, sparse):
+    a = np.array(PATH3)
+    a[0, 1] = a[1, 0] = entry
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        spectral_norm_reweighted(sp.csr_matrix(a) if sparse else a, [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_norm_rejects_a_non_finite_gamma(bad):
+    # an infinite entry would silently drop its vertex: the norm would read 1.0
+    with pytest.raises(ValueError, match="^gamma must be finite$"):
+        spectral_norm_reweighted(np.array(PATH3), [1.0, 1.0, bad])
+
+
 def test_norm_matches_dense_top_eigenvalue():
     rng = np.random.default_rng(0)
     b = rng.standard_normal((8, 8))
