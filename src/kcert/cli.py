@@ -81,6 +81,8 @@ def _cmd_cover(args) -> int:
             raise ValueError(exc) from None
         print("true" if ok else "false")
         return 0 if ok else 1
+    if args.cap is not None and args.cap < 0:
+        raise KcertError(f"--cap must be an integer >= 0, got {args.cap}")
     if args.action == "oracle":
         res = min_even_cover_oracle(h, args.cap if args.cap is not None else h.m)
     else:

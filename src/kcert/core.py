@@ -19,8 +19,11 @@ import numpy as np
 
 from .subsets import mask_from
 
-ORACLE_EDGE_LIMIT = 44        # meet-in-the-middle on 2^(m/2) subsets; of the least
-                              # covers, the least (left bitmask, right bitmask) wins
+ORACLE_EDGE_LIMIT = 44        # meet-in-the-middle: one sort-free pass over the 2^(m/2)
+                              # subsets of each half; of the least covers, the least
+                              # (left bitmask, right bitmask) wins
+ORACLE_BLOCK = 1 << 15        # subsets per block of the oracle's passes; bounds
+                              # their working arrays
 BRUTE_FORCE_VAR_LIMIT = 24    # Walsh-Hadamard scan over 2^n assignments
 
 
@@ -180,25 +183,52 @@ def _span_coordinates(masks: Sequence[int]) -> list[int]:
     return coords
 
 
-def _subset_xors(coords: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The xor and the size of every subset of coords; bit i of the index selects coords[i]."""
-    xs = np.zeros(1, dtype=np.int64)
-    sz = np.zeros(1, dtype=np.int64)
-    for c in coords:
-        xs = np.concatenate((xs, xs ^ c))
-        sz = np.concatenate((sz, sz + 1))
-    return xs, sz
+def _subset_table(steps: Sequence[int], op) -> np.ndarray:
+    """op folded over the steps each subset selects, for every subset of the
+    steps (bit i of the index selects steps[i]), by doubling in place:
+    out[h:2h] = op(out[:h], step)."""
+    out = np.zeros(1 << len(steps), dtype=np.int64)
+    h = 1
+    for step in steps:
+        op(out[:h], step, out=out[h:2 * h])
+        h *= 2
+    return out
+
+
+def _half_steps(coords: Sequence[int], first: int, size_shift: int):
+    """Split a half's edges into basis edges, whose coordinates are the fresh
+    bits 1 << first, 1 << first + 1, ..., and dependent edges. Returns the
+    basis edges' key steps, the dependent edges' key steps and the dependent
+    edges' coordinates; edge i of the half adds (1 << size_shift) | (1 << i)
+    to a subset's key."""
+    basis: list[int] = []
+    dependent: list[int] = []
+    for i, c in enumerate(coords):
+        (basis if c == 1 << (first + len(basis)) else dependent).append(i)
+    return ([(1 << size_shift) | (1 << i) for i in basis],
+            [(1 << size_shift) | (1 << i) for i in dependent], [coords[i] for i in dependent])
 
 
 def min_even_cover_oracle(h: Hypergraph, size_cap: int) -> Optional[tuple[int, EvenCover]]:
     """Smallest nonempty even cover of size <= size_cap, by exhaustive F2 search.
 
-    Meet-in-the-middle over the subsets of the first m // 2 edges (left) and of
-    the rest (right), run as array passes on the edges' span coordinates;
-    exact. Of the covers of least size it returns the one whose left subset
-    bitmask is least, then whose right subset bitmask is least (bit i selects
-    the i-th edge of its half). Returns None when no nonempty even cover of
-    size <= size_cap exists.
+    Meet-in-the-middle over the subsets of the first a = m // 2 edges (left)
+    and of the other b (right), on the edges' span coordinates; exact, with no
+    sort. Each half splits into basis edges, whose coordinates are fresh bits,
+    and dependent edges (q on the left). A left subset is a basis part beta and
+    a dependent part delta; beta's bits are its xor's, so the subset's xor is
+    beta ^ c(delta) and its key (size << a) | bitmask is Kb[beta] + Kd[delta].
+    The least key of the left subsets with xor x is therefore the minimum over
+    delta of Kb[x ^ c(delta)] + Kd[delta]: one pass over the 2^a left subsets
+    in blocks of delta, or Kb itself when q = 0. A right subset cancels a left
+    one only if its basis part cancels the fresh bits of its dependent part's
+    xor, so one pass over the right dependent subsets, in blocks, meets every
+    right subset that can close a cover.
+
+    Of the covers of least size it returns the one whose left subset bitmask
+    is least, then whose right subset bitmask is least (bit i selects the i-th
+    edge of its half). Returns None when no nonempty even cover of size
+    <= size_cap exists.
     """
     m = h.m
     if m > ORACLE_EDGE_LIMIT:
@@ -210,35 +240,49 @@ def min_even_cover_oracle(h: Hypergraph, size_cap: int) -> Optional[tuple[int, E
     coords = _span_coordinates(h.edge_masks())
     a = m // 2
     b = m - a
-    left_span = 1 << max(coords[:a], default=0).bit_length()
+    basis, dependent, dep_coords = _half_steps(coords[:a], 0, a)
+    kb = _subset_table(basis, np.add)               # index = xor of the basis part
+    kd = _subset_table(dependent, np.add)
+    cd = _subset_table(dep_coords, np.bitwise_xor)
+    rho = len(basis)
 
-    # every left subset as one key ordered by (xor, size < 2^6, bitmask); every
-    # xor below left_span occurs, so run j of the sorted keys holds xor j and
-    # opens with that xor's best (size, bitmask)
-    xs, sz = _subset_xors(coords[:a])
-    keys = np.sort((xs << (a + 6)) | (sz << a) | np.arange(1 << a))
-    del xs, sz
-    opens = np.ones(len(keys), dtype=bool)
-    opens[1:] = keys[1:] >> (a + 6) != keys[:-1] >> (a + 6)
-    best_left = keys[opens] & ((1 << (a + 6)) - 1)        # (size << a) | bitmask per xor
+    # a cover (size, left bitmask, right bitmask) packs into one int64 whose
+    # numeric order is the lexicographic one: (left key << b) + right key;
+    # no cover has size m + 1
+    best = (m + 1) << m
+    best_left = kb                                  # least left key per xor
+    if len(kd) > 1:
+        # delta != 0 and beta = c(delta) make a left-only cover
+        best = int((kb[cd[1:]] + kd[1:]).min()) << b
+        best_left = kb.copy()
+        # a block takes a run of `width` xors and as many delta as fit in ORACLE_BLOCK
+        width = 1 << min(rho, ORACLE_BLOCK.bit_length() - 1)
+        step = ORACLE_BLOCK // width
+        for x0 in range(0, len(kb), width):
+            xs, out = np.arange(x0, x0 + width), best_left[x0:x0 + width]
+            for lo in range(1, len(kd), step):
+                block = kb[xs ^ cd[lo:lo + step, None]] + kd[lo:lo + step, None]
+                np.minimum(out, block.min(axis=0), out=out)
 
-    # a candidate (size, left bitmask, right bitmask) packs into one int64
-    # whose numeric order is the lexicographic one
-    cands = []
-    if len(keys) > 1 and keys[1] >> (a + 6) == 0:
-        # the zero run opens with the empty subset; its second row is a left-only cover
-        cands.append(keys[1:2] << b)
-    rx, rsz = _subset_xors(coords[a:])
-    rsub = np.flatnonzero(rx < left_span)[1:]            # right subsets a left one can cancel
-    left = best_left[rx[rsub]]
-    cands.append((((left >> a) + rsz[rsub]) << m) | ((left & ((1 << a) - 1)) << b) | rsub)
+    basis, dependent, dep_coords = _half_steps(coords[a:], rho, m)  # keys (size << m) | bitmask
+    rb = _subset_table(basis, np.add)               # index = fresh bits of the basis part >> rho
+    # a right dependent subset is a pair (hi, lo) of subsets; a block takes all
+    # lo, and hi from as many rows as fit in ORACLE_BLOCK
+    s = min(len(dependent), ORACLE_BLOCK.bit_length() - 1)
+    rd_lo, rd_hi = _subset_table(dependent[:s], np.add), _subset_table(dependent[s:], np.add)
+    rc_lo = _subset_table(dep_coords[:s], np.bitwise_xor)
+    rc_hi = _subset_table(dep_coords[s:], np.bitwise_xor)
+    step = ORACLE_BLOCK >> s
+    for hi in range(0, len(rd_hi), step):
+        c = rc_hi[hi:hi + step, None] ^ rc_lo
+        block = ((best_left[c & (len(kb) - 1)] << b) + rb[c >> rho]
+                 + (rd_hi[hi:hi + step, None] + rd_lo))
+        if hi == 0:
+            block[0, 0] = (m + 1) << m              # the empty right subset closes no cover
+        best = min(best, int(block.min()))
 
-    cands = np.concatenate(cands)
-    if not len(cands):
-        return None
-    best = int(cands.min())
     size = best >> m
-    if size > size_cap:
+    if size > min(size_cap, m):
         return None
     chosen = (best >> b & ((1 << a) - 1)) | (best & ((1 << b) - 1)) << a
     cover = EvenCover(frozenset(i for i in range(m) if chosen >> i & 1))

@@ -126,6 +126,19 @@ def test_cli_cover_find(tmp_path, capsys):
     assert out[0] == "3"
 
 
+@pytest.mark.parametrize("action", [["oracle"], ["find", "--r", "1"]])
+def test_cli_cover_rejects_a_negative_cap(tmp_path, capsys, action):
+    # a negative cap used to print "none" and exit 0, as if it were a search
+    f = tmp_path / "tri.hyg"
+    f.write_text(TRIANGLE_TEXT)
+    assert main(["cover", *action, str(f), "--cap", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --cap must be an integer >= 0, got -1\n"
+    assert main(["cover", *action, str(f), "--cap", "0"]) == 0
+    assert capsys.readouterr().out == "none\n"
+
+
 def test_cli_refute_even_and_verify(tmp_path, capsys):
     inst_path = tmp_path / "one.xor"
     inst_path.write_text(SINGLE_XOR_TEXT)

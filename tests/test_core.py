@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from kcert import (CapacityError, Hypergraph, XorInstance, brute_force_max_xor,
                    eval_xor, gen_random, graph_girth, min_even_cover_oracle,
                    random_assignment, verify_even_cover)
-from kcert.core import EvenCover, odd_use_cover
+from kcert import core
+from kcert.core import EvenCover, _span_coordinates, odd_use_cover
 
 TRIANGLE = Hypergraph(n=3, k=2, edges=((0, 1), (1, 2), (0, 2)))
 
@@ -163,6 +164,89 @@ def test_oracle_property_least_cover(seed, k, m, extra, wide, data):
     size, low, high = best
     chosen = low | high << (m // 2)
     assert res == (size, EvenCover(frozenset(i for i in range(m) if chosen >> i & 1)))
+
+
+def _subset_xors(coords):
+    """The xor and the size of every subset of coords; bit i of the index selects coords[i]."""
+    xs = np.zeros(1, dtype=np.int64)
+    sz = np.zeros(1, dtype=np.int64)
+    for c in coords:
+        xs = np.concatenate((xs, xs ^ c))
+        sz = np.concatenate((sz, sz + 1))
+    return xs, sz
+
+
+def _sort_based_oracle(h, size_cap):
+    """The oracle as it was before the sort-free pass: every left subset's
+    (xor, size, bitmask) key sorted, and each xor's best left subset read off
+    the head of its run."""
+    m = h.m
+    if m > core.ORACLE_EDGE_LIMIT:
+        raise CapacityError(
+            f"even-cover oracle supports at most {core.ORACLE_EDGE_LIMIT} hyperedges, got {m}"
+        )
+    if m == 0 or size_cap < 1:
+        return None
+    coords = _span_coordinates(h.edge_masks())
+    a = m // 2
+    b = m - a
+    left_span = 1 << max(coords[:a], default=0).bit_length()
+
+    # every left subset as one key ordered by (xor, size < 2^6, bitmask); every
+    # xor below left_span occurs, so run j of the sorted keys holds xor j and
+    # opens with that xor's best (size, bitmask)
+    xs, sz = _subset_xors(coords[:a])
+    keys = np.sort((xs << (a + 6)) | (sz << a) | np.arange(1 << a))
+    del xs, sz
+    opens = np.ones(len(keys), dtype=bool)
+    opens[1:] = keys[1:] >> (a + 6) != keys[:-1] >> (a + 6)
+    best_left = keys[opens] & ((1 << (a + 6)) - 1)        # (size << a) | bitmask per xor
+
+    # a candidate (size, left bitmask, right bitmask) packs into one int64
+    # whose numeric order is the lexicographic one
+    cands = []
+    if len(keys) > 1 and keys[1] >> (a + 6) == 0:
+        # the zero run opens with the empty subset; its second row is a left-only cover
+        cands.append(keys[1:2] << b)
+    rx, rsz = _subset_xors(coords[a:])
+    rsub = np.flatnonzero(rx < left_span)[1:]            # right subsets a left one can cancel
+    left = best_left[rx[rsub]]
+    cands.append((((left >> a) + rsz[rsub]) << m) | ((left & ((1 << a) - 1)) << b) | rsub)
+
+    cands = np.concatenate(cands)
+    if not len(cands):
+        return None
+    best = int(cands.min())
+    size = best >> m
+    if size > size_cap:
+        return None
+    chosen = (best >> b & ((1 << a) - 1)) | (best & ((1 << b) - 1)) << a
+    cover = EvenCover(frozenset(i for i in range(m) if chosen >> i & 1))
+    assert verify_even_cover(h, cover)
+    return size, cover
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+@given(st.integers(0, 2**30 - 1), st.integers(2, 5), st.integers(0, 26), st.integers(0, 6),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_oracle_matches_sort_based_oracle(block, seed, k, m, extra, split):
+    # few vertices leave the halves rank-deficient, so the passes run over many
+    # dependent subsets, and blocks of 1 and 3 subsets put block boundaries
+    # inside them; split draws the right half on 4 more vertices of its own,
+    # where covers are rarer, so about 40% of least covers lie wholly in the
+    # left half
+    few = k + extra
+    h = gen_random(few, k, m, seed=seed, mode="hyg-multi")
+    if split:
+        right = gen_random(few + 4, k, m - m // 2, seed=seed, mode="hyg-multi")
+        h = Hypergraph(n=2 * few + 4, k=k, edges=h.edges[:m // 2] + tuple(
+            tuple(v + few for v in e) for e in right.edges))
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(core, "ORACLE_BLOCK", block)
+        for cap in range(m + 2):
+            assert min_even_cover_oracle(h, cap) == _sort_based_oracle(h, cap)
 
 
 def test_oracle_capacity():

@@ -7,7 +7,9 @@ dump_digests.json holds the sha256 of dumps on 1,001 to 91,390 vertices, written
 by the builders that sorted edges with np.lexsort((item, t, s)) and ranked
 sorted rows, before the one-key sort and the sort-free ranks replaced them.
 oracle_covers.json was written by the pure-Python meet-in-the-middle oracle
-that the array passes replaced; kikuchi_covers.json by the closed-walk search
+that the array passes replaced, and its rows at m = 40 to 44 on 8 to 28
+vertices by the array oracle that sorted every left subset's key, before the
+sort-free pass replaced it; kikuchi_covers.json by the closed-walk search
 that built its neighbour lists in a dict and scanned every root; deletions.json
 by the deletion step that kept its per-pair counts in dicts keyed by
 (group, C, C').
@@ -131,7 +133,10 @@ def test_deletions():
 
 def test_oracle_covers():
     """Oracle covers on instances of the cover-find benchmark's shape (n=20,
-    k=4, m=34, out of reach of a 2^m scan) and one on 70 vertices."""
+    k=4, m=34, out of reach of a 2^m scan), one on 70 vertices, and six at
+    m = 40 to 44: multi-hypergraphs on 8 and 12 vertices, whose left halves
+    are rank-deficient (one of them has its least cover wholly in the left
+    half), and one on 28 vertices at the 44-edge limit."""
     for row in json.loads((GOLDEN / "oracle_covers.json").read_text()):
         h = gen_random(row["n"], row["k"], row["m"], seed=row["seed"], mode=row["mode"])
         res = min_even_cover_oracle(h, h.m)
