@@ -9,7 +9,6 @@ from .decomposition import (Decomposition, Group, ValidationReport, decompose_fo
 from .io import (ParseError, load_hypergraph, load_xor, parse_hypergraph, parse_xor,
                  serialize_hypergraph, serialize_xor)
 from .kikuchi_even import (Caps, EvenKikuchiGraph, SignedEvenKikuchi, build_even_kikuchi,
-                           extract_cover_from_closed_walk, kikuchi_stats,
                            shortest_even_cover_via_kikuchi, signed_even_kikuchi)
 from .kikuchi_odd import (ColoredKikuchiGraph, DeletionResult, build_colored_kikuchi,
                           delete_heavy_edges, equalize_deletion, measured_deletion_fractions,

@@ -12,12 +12,13 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .core import (CapacityError, KcertError, gen_random, graph_girth,
                    min_even_cover_oracle, verify_even_cover)
 from .decomposition import decompose_for_cover, decompose_for_refutation, validate_decomposition
 from .io import ParseError, load_hypergraph, load_xor, serialize_hypergraph, serialize_xor
-from .kikuchi_even import (Caps, build_even_kikuchi, dump_even, kikuchi_stats,
-                           shortest_even_cover_via_kikuchi)
+from .kikuchi_even import Caps, build_even_kikuchi, dump_even, shortest_even_cover_via_kikuchi
 from .kikuchi_odd import build_colored_kikuchi, dump_colored
 from .moore import moore_bound_audit
 from .refuter import (certificate_from_json, certificate_to_json, refute_even, refute_odd,
@@ -139,14 +140,14 @@ def _cmd_kikuchi(args) -> int:
     if args.action == "dump":
         _write_output(dump_even(g), args.out)
     else:
-        st = kikuchi_stats(g)
+        degree, count = np.unique(g.degrees, return_counts=True)
         payload = {
-            "alpha": st["alpha"],
-            "vertices": st["num_vertices"],
-            "edges": st["num_edges"],
-            "average_degree": str(st["average_degree"]),
-            "degree_histogram": {str(k): v for k, v in st["degree_histogram"].items()},
-            "degenerate": st["degenerate"],
+            "alpha": g.alpha,
+            "vertices": g.num_vertices,
+            "edges": g.num_edges,
+            "average_degree": str(g.average_degree),
+            "degree_histogram": dict(zip(map(str, degree.tolist()), count.tolist())),
+            "degenerate": g.num_edges == 0,
         }
         _write_output(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
@@ -205,7 +206,9 @@ def _cmd_audit(args) -> int:
     if args.ell > TRACE_POWER_LIMIT:
         raise CapacityError(f"exact trace audit supports exponent <= {TRACE_POWER_LIMIT}, "
                             f"got --ell {args.ell}")
-    if args.r >= 0 and math.comb(h.n, args.r) > TRACE_DIM_LIMIT:
+    if not h.k // 2 <= args.r <= h.n:
+        raise KcertError(f"level parameter must satisfy k/2 <= r <= n, got r = {args.r}")
+    if math.comb(h.n, args.r) > TRACE_DIM_LIMIT:
         raise CapacityError(f"exact trace audit supports at most {TRACE_DIM_LIMIT} Kikuchi "
                             f"vertices, got {math.comb(h.n, args.r)}")
     res = min_even_cover_oracle(h, args.ell)
@@ -213,7 +216,7 @@ def _cmd_audit(args) -> int:
         print(f"instance has an even cover of size {res[0]} <= ell = {args.ell}; "
               "trace bound precondition fails", file=sys.stderr)
         return 1
-    g = build_even_kikuchi(h, args.r, caps=_caps(args))
+    g = build_even_kikuchi(h, args.r)
     if g.num_edges == 0:
         raise KcertError("Kikuchi graph has no edges; increase r")
     tr = exact_trace_power(g.adjacency().toarray(), g.gamma_diagonal(), args.ell)
@@ -303,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("file")
     at.add_argument("--r", type=int, default=1)
     at.add_argument("--ell", type=int, default=4, help="walk length, a positive even integer")
-    _add_caps(at)
 
     return ap
 

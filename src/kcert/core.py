@@ -11,7 +11,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
@@ -80,12 +79,7 @@ class Hypergraph:
         return len(self.edges)
 
     def edge_masks(self) -> tuple[int, ...]:
-        return _edge_masks(self)
-
-
-@lru_cache(maxsize=256)
-def _edge_masks(h: Hypergraph) -> tuple[int, ...]:
-    return tuple(mask_from(e) for e in h.edges)
+        return tuple(mask_from(e) for e in self.edges)
 
 
 @dataclass(frozen=True)
@@ -150,12 +144,11 @@ def verify_even_cover(h: Hypergraph, cover) -> bool:
     must reject it separately.
     """
     indices = cover.edge_indices if isinstance(cover, EvenCover) else frozenset(cover)
-    masks = h.edge_masks()
     acc = 0
     for i in indices:
         if not 0 <= i < h.m:
             raise IndexError(f"edge index {i} out of range 0..{h.m - 1}")
-        acc ^= masks[i]
+        acc ^= mask_from(h.edges[i])
     return acc == 0
 
 

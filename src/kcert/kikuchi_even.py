@@ -1,5 +1,5 @@
 """Even-arity Kikuchi graphs: explicit construction, reweighting data, signed
-variant, and even-cover extraction from closed walks; also what the colored
+variant, and the even-cover search over closed walks; also what the colored
 graphs of kikuchi_odd share: the edge-array layout, the edge generator, the
 capacity check and the text dump.
 
@@ -18,7 +18,6 @@ gathered at once and ranked through a binomial table.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -248,47 +247,6 @@ def build_even_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_CAPS) -> Even
 def signed_even_kikuchi(inst: XorInstance, r: int, caps: Caps = DEFAULT_CAPS) -> SignedEvenKikuchi:
     g = build_even_kikuchi(inst.hypergraph, r, caps)
     return SignedEvenKikuchi(graph=g, edge_signs=g.edge_signs(np.asarray(inst.signs)))
-
-
-def kikuchi_stats(g: EvenKikuchiGraph) -> dict:
-    """Exact summary: alpha, sizes, average degree, degree histogram."""
-    degree, count = np.unique(g.degrees, return_counts=True)
-    return {
-        "alpha": g.alpha,
-        "num_vertices": g.num_vertices,
-        "num_edges": g.num_edges,
-        "average_degree": g.average_degree,
-        "degree_histogram": dict(zip(degree.tolist(), count.tolist())),
-        "degenerate": g.num_edges == 0,
-    }
-
-
-def extract_cover_from_closed_walk(g: EvenKikuchiGraph, walk: list[int]) -> EvenCover:
-    """Clause indices used an odd number of times along a closed walk.
-
-    The walk is a vertex-rank sequence [v0, ..., v_{L-1}], closing v_{L-1} -> v0;
-    each consecutive pair must be a Kikuchi edge, else ValueError, also for a
-    rank outside 0..C(n, r)-1; a rank that is no integer is a TypeError. A step takes the clause of the first stored edge
-    between its endpoints, found by binary search on s_rank, then on t_rank
-    within that run; the edges are sorted by (s_rank, t_rank, clause), so a
-    step along a duplicated clause resolves to the smallest matching index.
-    The result always verifies (possibly as the empty cover, when the walk is
-    trivial).
-    """
-    if len(walk) < 2:
-        raise ValueError("walk must have at least two vertices")
-    nv = g.num_vertices
-    steps = []
-    for i, v in enumerate(walk):
-        s, t = sorted(map(operator.index, (v, walk[(i + 1) % len(walk)])))
-        if s < 0 or t >= nv:
-            raise ValueError(f"walk step {i}: a rank is outside 0..{nv - 1}")
-        lo, hi = np.searchsorted(g.s_rank, s), np.searchsorted(g.s_rank, s, side="right")
-        j = lo + np.searchsorted(g.t_rank[lo:hi], t)
-        if j == hi or g.t_rank[j] != t:
-            raise ValueError(f"walk step {i}: {s} - {t} is not a Kikuchi edge")
-        steps.append(int(g.clause[j]))
-    return odd_use_cover(steps)
 
 
 def _first_triangle(g: EvenKikuchiGraph) -> Optional[EvenCover]:

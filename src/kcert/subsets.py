@@ -15,16 +15,6 @@ def mask_from(vertices) -> int:
     return m
 
 
-def vertices_from(mask: int) -> tuple[int, ...]:
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
-
-
-def all_subset_masks_colex(n: int, r: int) -> list[int]:
-    """All r-subsets of range(n) as bitmasks, indexed by colex rank: colex order
-    compares the largest differing element, so it is the masks' numeric order."""
-    return sorted(mask_from(combo) for combo in combinations(range(n), r))
-
-
 def combination_rows(n: int, k: int) -> np.ndarray:
     """All k-subsets of range(n) in lexicographic order, one int64 row each
     (none for k < 0 or n < 0)."""

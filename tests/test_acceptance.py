@@ -19,8 +19,8 @@ from kcert.kikuchi_even import build_even_kikuchi, shortest_even_cover_via_kikuc
 from kcert.kikuchi_odd import (build_colored_kikuchi, delete_heavy_edges, equalize_deletion,
                                measured_deletion_fractions, predicted_deletion_fraction)
 from kcert.spectral import exact_trace_power, trace_bound_rhs
-from kcert.subsets import all_subset_masks_colex
 from kcert.cli import main as cli_main
+from subset_masks import all_subset_masks_colex
 
 
 def _frac(s: str) -> Fraction:

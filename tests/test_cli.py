@@ -321,7 +321,9 @@ def test_cli_kikuchi_stats_and_dump(tmp_path, capsys):
     f.write_text(TRIANGLE_TEXT)
     assert main(["kikuchi", "stats", str(f), "--r", "1"]) == 0
     stats = json.loads(capsys.readouterr().out)
-    assert stats["alpha"] == 1 and stats["vertices"] == 3
+    assert stats["alpha"] == 1 and stats["vertices"] == 3 and stats["edges"] == 3
+    assert stats["average_degree"] == "2"
+    assert stats["degree_histogram"] == {"2": 3} and stats["degenerate"] is False
     assert main(["kikuchi", "dump", str(f), "--r", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "kikuchi-even 3 1 3"
@@ -361,13 +363,14 @@ def test_cli_audit(tmp_path, capsys):
     assert "ok" in out
 
 
-# (action, option) pairs the cover and audit actions accepted and then ignored
+# (action, option) pairs the cover and audit actions do not take
 IGNORED_OPTIONS = [
     (("cover", "verify"), ["--cap", "3"]), (("cover", "verify"), ["--r", "2"]),
     (("cover", "verify"), ["--max-vertices", "10"]), (("cover", "verify"), ["--max-edges", "10"]),
     (("cover", "oracle"), ["--indices", "0,1"]), (("cover", "oracle"), ["--r", "2"]),
     (("cover", "oracle"), ["--max-vertices", "10"]), (("cover", "oracle"), ["--max-edges", "10"]),
     (("cover", "find"), ["--indices", "0,1"]),
+    (("audit", "trace"), ["--max-vertices", "10"]), (("audit", "trace"), ["--max-edges", "10"]),
 ] + [(("audit", action), option) for action in ("girth", "moore")
      for option in (["--r", "2"], ["--ell", "4"], ["--max-vertices", "10"], ["--max-edges", "10"])]
 
@@ -391,7 +394,7 @@ def test_cli_rejects_options_an_action_does_not_use(tmp_path, capsys, monkeypatc
     (("cover", "find"), {"--cap", "--r", "--max-vertices", "--max-edges"}),
     (("audit", "girth"), set()),
     (("audit", "moore"), set()),
-    (("audit", "trace"), {"--r", "--ell", "--max-vertices", "--max-edges"}),
+    (("audit", "trace"), {"--r", "--ell"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
 def test_cli_action_help_lists_only_its_options(capsys, action, options):
     assert main([*action, "--help"]) == 0
@@ -415,6 +418,10 @@ TRACE_AUDIT_GRAPHS = {
                  "exponent <= 12, got --ell 14\n", id="14"),
     pytest.param("path70", ["--r", "2"], 3, "capacity error: exact trace audit supports at "
                  "most 2000 Kikuchi vertices, got 2415\n", id="path70-r2"),
+] + [
+    pytest.param("path70", ["--r", r], 1, "error: level parameter must satisfy k/2 <= r <= n, "
+                 f"got r = {r}\n", id=f"path70-r{r}")
+    for r in ("0", "71")
 ])
 def test_cli_audit_trace_rejects_a_bad_ell_first(tmp_path, capsys, graph, options, status,
                                                  message):

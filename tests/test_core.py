@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -73,6 +75,17 @@ def test_verify_even_cover_empty_and_errors():
     assert verify_even_cover(TRIANGLE, set())
     with pytest.raises(IndexError):
         verify_even_cover(TRIANGLE, {5})
+
+
+def test_verify_even_cover_keeps_no_reference_to_the_hypergraph():
+    # a cache of edge masks keyed by the hypergraph would keep it, and its
+    # masks, alive for the rest of the process
+    h = gen_random(200, 4, 300, seed=21, mode="hyg")
+    ref = weakref.ref(h)
+    assert not verify_even_cover(h, [0, 1])
+    del h
+    gc.collect()
+    assert ref() is None
 
 
 def test_odd_use_cover():

@@ -20,8 +20,8 @@ from kcert.decomposition import Decomposition, Group
 from kcert.kikuchi_even import build_even_kikuchi
 from kcert.kikuchi_odd import (DeletionResult, build_colored_kikuchi, delete_heavy_edges,
                                equalize_deletion, ordered_pair_table)
-from kcert.subsets import (all_subset_masks_colex, binomial_table, colex_ranks, complement_rows,
-                           mask_from, stable_order)
+from kcert.subsets import binomial_table, colex_ranks, complement_rows, mask_from, stable_order
+from subset_masks import all_subset_masks_colex
 
 SEEDS = st.integers(0, 2**30 - 1)
 

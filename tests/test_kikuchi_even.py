@@ -11,9 +11,9 @@ from kcert import (CapacityError, Caps, EvenCover, Hypergraph, eval_xor, gen_ran
                    min_even_cover_oracle, random_assignment, verify_even_cover)
 from kcert.core import odd_use_cover
 from kcert.kikuchi_even import (FIRST_WEDGE_BLOCK, _first_triangle, build_even_kikuchi,
-                                dump_even, extract_cover_from_closed_walk, kikuchi_stats,
-                                shortest_even_cover_via_kikuchi, signed_even_kikuchi)
-from kcert.subsets import all_subset_masks_colex, combination_rows
+                                dump_even, shortest_even_cover_via_kikuchi, signed_even_kikuchi)
+from kcert.subsets import combination_rows
+from subset_masks import all_subset_masks_colex
 
 TRIANGLE = Hypergraph(n=3, k=2, edges=((0, 1), (1, 2), (0, 2)))
 ONE_QUAD = Hypergraph(n=6, k=4, edges=((0, 1, 2, 3),))
@@ -27,10 +27,9 @@ def test_k2_r1_is_the_graph_itself():
 
 def test_single_quad_example():
     g = build_even_kikuchi(ONE_QUAD, 2)
-    st = kikuchi_stats(g)
-    assert st["num_vertices"] == 15
-    assert st["num_edges"] == 3 and st["alpha"] == 3
-    assert st["average_degree"] == Fraction(2, 5)
+    assert g.num_vertices == 15
+    assert g.num_edges == 3 and g.alpha == 3
+    assert g.average_degree == Fraction(2, 5)
     # the three edges split the clause into complementary halves
     vm = all_subset_masks_colex(g.n, g.r)
     masks = [frozenset({vm[s], vm[t]}) for s, t, _ in g.edges]
@@ -41,10 +40,9 @@ def test_single_quad_example():
 def test_stats_gamma_and_degenerate():
     g = build_even_kikuchi(TRIANGLE, 1)
     assert g.gamma_diagonal() == [Fraction(4)] * 3    # d_S = 2, d = 2
-    assert kikuchi_stats(g)["degree_histogram"] == {2: 3}
+    assert g.degrees.tolist() == [2, 2, 2]
     empty = build_even_kikuchi(Hypergraph(n=4, k=2, edges=()), 1)
-    st2 = kikuchi_stats(empty)
-    assert st2["degenerate"] and st2["average_degree"] == 0
+    assert empty.num_edges == 0 and empty.average_degree == 0
 
 
 @pytest.mark.parametrize("n, k, r", [(3, 4, 2), (1, 2, 1)])
@@ -53,9 +51,7 @@ def test_fewer_vertices_than_arity_gives_an_empty_graph(n, k, r):
     assert combination_rows(n - k, 0).shape == (0, 0)
     h = Hypergraph(n=n, k=k, edges=())
     g = build_even_kikuchi(h, r)
-    st = kikuchi_stats(g)
-    assert (st["num_vertices"], st["num_edges"], st["alpha"]) == (comb(n, r), 0, 0)
-    assert st["degenerate"]
+    assert (g.num_vertices, g.num_edges, g.alpha) == (comb(n, r), 0, 0)
     assert shortest_even_cover_via_kikuchi(h, r) is None
 
 
@@ -121,108 +117,6 @@ def test_signed_even_kikuchi_keeps_the_sign_array():
     skg = signed_even_kikuchi(inst, 2)
     assert isinstance(skg.edge_signs, np.ndarray)
     assert skg.edge_signs.tolist() == [inst.signs[c] for c in skg.graph.clause.tolist()]
-
-
-def test_extract_cover_trivial_walk():
-    g = build_even_kikuchi(TRIANGLE, 1)
-    cover = extract_cover_from_closed_walk(g, [0, 1])
-    assert cover.edge_indices == frozenset()
-
-
-def test_extract_cover_triangle_cycle():
-    g = build_even_kikuchi(TRIANGLE, 1)
-    cover = extract_cover_from_closed_walk(g, [0, 1, 2])
-    assert cover.edge_indices == frozenset({0, 1, 2})
-    assert verify_even_cover(TRIANGLE, cover)
-    with pytest.raises(ValueError):
-        extract_cover_from_closed_walk(g, [0, 0, 1])
-
-
-@pytest.mark.parametrize("walk", [[-1, 0, 1], [0, 1, -1], [0, 1, 3], [3, 0]])
-def test_extract_cover_rejects_ranks_outside_the_graph(walk):
-    # -1 is no rank: it must not wrap around to the last vertex
-    g = build_even_kikuchi(TRIANGLE, 1)
-    with pytest.raises(ValueError, match=r"outside 0\.\.2"):
-        extract_cover_from_closed_walk(g, walk)
-
-
-def test_extract_cover_rejects_ranks_that_are_not_integers():
-    g = build_even_kikuchi(TRIANGLE, 1)
-    with pytest.raises(TypeError):
-        extract_cover_from_closed_walk(g, [0.0, 1.0, 2.0])
-
-
-def _reference_extract(h, g, walk):
-    """Extraction through bitmasks: each step's S xor T looked up among the
-    clause masks, a duplicated clause resolving to its least index."""
-    vm = all_subset_masks_colex(g.n, g.r)
-    lookup = {}
-    for i, mk in enumerate(h.edge_masks()):
-        lookup.setdefault(mk, i)
-    steps = []
-    for i, v in enumerate(walk):
-        ci = lookup.get(vm[v] ^ vm[walk[(i + 1) % len(walk)]])
-        if ci is None:
-            raise ValueError(f"walk step {i} is not an edge")
-        steps.append(ci)
-    return odd_use_cover(steps)
-
-
-def _shortest_path(nbrs, a, b):
-    """A shortest path a, ..., b, by breadth-first search."""
-    parent, frontier = {a: a}, [a]
-    while b not in parent:
-        nxt = []
-        for u in frontier:
-            for v in nbrs[u]:
-                if v not in parent:
-                    parent[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    return path[::-1]
-
-
-@st.composite
-def _walk_cases(draw):
-    """Small graphs, duplicate clauses allowed, with either a closed walk along
-    edges (out by random steps, back by a shortest path) or any rank sequence;
-    r - k/2 <= n - k keeps alpha >= 1, so every graph has edges."""
-    k = draw(st.sampled_from([2, 4, 6]))
-    n = draw(st.integers(k, k + 4))
-    h = gen_random(n, k, draw(st.integers(1, 3 * n)), draw(st.integers(0, 2**30 - 1)),
-                   mode="hyg-multi")
-    g = build_even_kikuchi(h, draw(st.integers(k // 2, k // 2 + min(2, n - k))))
-    nbrs: dict[int, list[int]] = {}
-    for s, t in zip(g.s_rank.tolist(), g.t_rank.tolist()):
-        nbrs.setdefault(s, []).append(t)
-        nbrs.setdefault(t, []).append(s)
-    if draw(st.integers(0, 3)):
-        walk = [draw(st.sampled_from(sorted(nbrs)))]
-        for _ in range(draw(st.integers(1, 8))):
-            ahead = [v for v in nbrs[walk[-1]] if len(walk) < 2 or v != walk[-2]]
-            walk.append(draw(st.sampled_from(ahead or nbrs[walk[-1]])))
-        walk += _shortest_path(nbrs, walk[-1], walk[0])[1:-1]
-        if walk[-1] == walk[0]:
-            walk.pop()
-    else:
-        walk = draw(st.lists(st.integers(0, g.num_vertices - 1), min_size=2, max_size=6))
-    return h, g, walk
-
-
-@given(_walk_cases())
-@settings(max_examples=300, deadline=None)
-def test_extract_cover_matches_the_mask_reference(case):
-    h, g, walk = case
-    try:
-        want = _reference_extract(h, g, walk)
-    except ValueError:
-        with pytest.raises(ValueError, match="is not a Kikuchi edge"):
-            extract_cover_from_closed_walk(g, walk)
-    else:
-        assert extract_cover_from_closed_walk(g, walk) == want
 
 
 def test_four_cycle_dependency():
@@ -448,21 +342,20 @@ def test_search_matches_the_reference_past_three_steps(case):
 
 
 def _all_closed_walks(adj, length):
-    # tiny exhaustive enumeration of closed walks (vertex sequences)
+    # tiny exhaustive enumeration of closed walks, each as its (vertex, clause) steps
     walks = []
 
-    def extend(path):
-        if len(path) == length:
-            if any(v == path[0] for v, _c in adj[path[-1]]):
-                for v, c in adj[path[-1]]:
-                    if v == path[0]:
-                        walks.append(path)
+    def extend(start, steps):
+        at = steps[-1][0] if steps else start
+        if len(steps) == length:
+            if at == start:
+                walks.append(steps)
             return
-        for v, _c in adj[path[-1]]:
-            extend(path + [v])
+        for step in adj[at]:
+            extend(start, steps + [step])
 
     for start in adj:
-        extend([start])
+        extend(start, [])
     return walks
 
 
@@ -477,8 +370,7 @@ def test_cover_free_implies_all_short_walks_trivial():
         adj.setdefault(t, []).append((s, c))
     for length in (2, 4, 6):
         for walk in _all_closed_walks(adj, length):
-            cover = extract_cover_from_closed_walk(g, walk)
-            assert cover.edge_indices == frozenset()
+            assert odd_use_cover(c for _v, c in walk).edge_indices == frozenset()
     # odd-length closed walks cannot be trivial, so none may exist at all
     for length in (3, 5):
         assert _all_closed_walks(adj, length) == []

@@ -9,7 +9,7 @@ from kcert.decomposition import Decomposition, Group, decompose_for_refutation
 from kcert.kikuchi_odd import (build_colored_kikuchi, delete_heavy_edges, dump_colored,
                                equalize_deletion, measured_deletion_fractions,
                                predicted_deletion_fraction)
-from kcert.subsets import all_subset_masks_colex, vertices_from
+from subset_masks import all_subset_masks_colex, vertices_from
 
 
 def _decomp_from_groups(h, groups, r, taus=None):
