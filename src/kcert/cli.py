@@ -14,13 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (CapacityError, KcertError, gen_random, graph_girth,
-                   min_even_cover_oracle, verify_even_cover)
+from .core import CapacityError, KcertError, gen_random, min_even_cover_oracle, verify_even_cover
 from .decomposition import decompose_for_cover, decompose_for_refutation, validate_decomposition
 from .io import ParseError, load_hypergraph, load_xor, serialize_hypergraph, serialize_xor
 from .kikuchi_even import Caps, build_even_kikuchi, dump_even, shortest_even_cover_via_kikuchi
 from .kikuchi_odd import build_colored_kikuchi, dump_colored
-from .moore import moore_bound_audit
+from .moore import graph_girth, moore_bound_audit
 from .refuter import (certificate_from_json, certificate_to_json, refute_even, refute_odd,
                       verify_certificate)
 from .spectral import TRACE_DIM_LIMIT, TRACE_POWER_LIMIT, exact_trace_power, trace_bound_rhs
@@ -206,6 +205,8 @@ def _cmd_audit(args) -> int:
     if args.ell > TRACE_POWER_LIMIT:
         raise CapacityError(f"exact trace audit supports exponent <= {TRACE_POWER_LIMIT}, "
                             f"got --ell {args.ell}")
+    if h.k % 2:
+        raise KcertError(f"k = {h.k} is odd; the trace audit needs even k")
     if not h.k // 2 <= args.r <= h.n:
         raise KcertError(f"level parameter must satisfy k/2 <= r <= n, got r = {args.r}")
     if math.comb(h.n, args.r) > TRACE_DIM_LIMIT:

@@ -7,7 +7,6 @@ I/O boundary).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -281,42 +280,6 @@ def min_even_cover_oracle(h: Hypergraph, size_cap: int) -> Optional[tuple[int, E
     cover = EvenCover(frozenset(i for i in range(m) if chosen >> i & 1))
     assert verify_even_cover(h, cover)
     return size, cover
-
-
-def graph_girth(h: Hypergraph):
-    """Exact girth of a 2-uniform hypergraph (a graph); math.inf for forests.
-
-    A repeated edge is a 2-cycle.
-    """
-    if h.k != 2:
-        raise ValueError(f"graph_girth requires k = 2, got k = {h.k}")
-    if len(set(h.edges)) != h.m:
-        return 2
-    adj: list[list[int]] = [[] for _ in range(h.n)]
-    for u, v in h.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    best = math.inf
-    for s in range(h.n):
-        dist = {s: 0}
-        parent = {s: -1}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                if 2 * dist[u] + 1 >= best:
-                    continue
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
-                        nxt.append(v)
-                    elif v != parent[u]:
-                        best = min(best, dist[u] + dist[v] + 1)
-            frontier = nxt
-        if best == 3:
-            break
-    return best
 
 
 def eval_xor(inst: XorInstance, x: Assignment) -> Fraction:

@@ -39,8 +39,8 @@ BLOCK_EDGES = 1 << 15
 # usually closes early, and later blocks double up to BLOCK_EDGES
 FIRST_WEDGE_BLOCK = 1 << 10
 # pattern_edges sorts by the key (s_rank << b) | t_rank, b the bit length of
-# C - 1 on C vertices, and the triangle search by s_rank * C + t_rank; both
-# must fit in 64 bits, so no cap admits C >= 2^32
+# C - 1 on C vertices, and the cover search by edge_keys, s_rank * C + t_rank;
+# both must fit in 64 bits, so no cap admits C >= 2^32
 KEY_VERTEX_LIMIT = (1 << 32) - 1
 
 
@@ -211,6 +211,13 @@ class EvenKikuchiGraph(KikuchiEdges):
     def edge_signs(self, signs) -> np.ndarray:
         return signs[self.clause]
 
+    @cached_property
+    def edge_keys(self) -> np.ndarray:
+        """s_rank * C + t_rank per edge on C vertices, sorted as the edges are."""
+        key_type = np.min_scalar_type(self.num_vertices ** 2 - 1)
+        nv = key_type.type(self.num_vertices)
+        return self.s_rank.astype(key_type) * nv + self.t_rank.astype(key_type)
+
 
 @dataclass
 class SignedEvenKikuchi:
@@ -263,10 +270,8 @@ def _first_triangle(g: EvenKikuchiGraph) -> Optional[EvenCover]:
     FIRST_WEDGE_BLOCK wedges at first, then blocks that double up to
     BLOCK_EDGES.
     """
-    s, t = g.s_rank, g.t_rank
-    nv = g.num_vertices
-    key_type = np.min_scalar_type(nv * nv - 1)
-    keys = s.astype(key_type) * key_type.type(nv) + t.astype(key_type)
+    s, t, keys = g.s_rank, g.t_rank, g.edge_keys
+    nv, key_type = g.num_vertices, keys.dtype.type
     # edge e heads one wedge per later edge of its s_rank run; the run ends
     # at the number of edges with s_rank <= s_rank[e]
     heads = np.cumsum(np.bincount(s, minlength=nv))[s] - 1 - np.arange(len(s))
@@ -277,7 +282,7 @@ def _first_triangle(g: EvenKikuchiGraph) -> Optional[EvenCover]:
         count = heads[lo:hi]
         u = np.repeat(np.arange(lo, hi), count)
         v = u + 1 + np.arange(len(u)) - np.repeat(before[lo:hi] - before[lo], count)
-        wedge = t[u].astype(key_type) * key_type.type(nv) + t[v].astype(key_type)
+        wedge = t[u].astype(key_type) * key_type(nv) + t[v].astype(key_type)
         closing = np.minimum(np.searchsorted(keys, wedge), len(keys) - 1)
         hit = np.flatnonzero(keys[closing] == wedge)
         if len(hit):
@@ -313,12 +318,14 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
       closed walk with a nonempty odd-use set is shorter than 4, so the BFS
       stops at its first such 4-step walk; past that it scans every root.
 
-    The BFS's neighbour lists are flat numpy arrays: the stable order of the
-    endpoint ranks (t_rank, then s_rank; subsets.stable_order) lists each
-    vertex's (neighbour, clause) steps ascending, since the edges are sorted
-    by (s_rank, t_rank, clause), and a bincount/cumsum gives each vertex's
-    slice. The covers found depend on this order. Only numpy is used, so the
-    search never loads SciPy.
+    The BFS stores each vertex's parent vertex only: with no parallel edges a
+    vertex pair has one clause, looked up in the sorted edge_keys when a
+    candidate walk is rebuilt, up to where its two root paths meet (the steps
+    above are used twice and cancel). A vertex's neighbours, ascending, are
+    a slice of one list, taken on its first expansion: the stable order of
+    the endpoint ranks (t_rank, then s_rank; subsets.stable_order), as the
+    edges are sorted by (s_rank, t_rank). The covers found depend on this
+    order. Only numpy is used, so the search never loads SciPy.
     """
     g = build_even_kikuchi(h, r, caps)
     cap = max_len if max_len is not None else g.num_vertices + 1
@@ -340,48 +347,50 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
     if cap < 4:
         return None
 
+    nv = g.num_vertices
     ends = np.concatenate([g.t_rank, g.s_rank])
-    order = stable_order(ends, g.num_vertices)
-    nbr = np.concatenate([g.s_rank, g.t_rank])[order].tolist()
-    step = np.concatenate([g.clause, g.clause])[order].tolist()
-    degree = np.bincount(ends, minlength=g.num_vertices)
+    nbr = np.concatenate([g.s_rank, g.t_rank])[stable_order(ends, nv)].tolist()
+    degree = np.bincount(ends, minlength=nv)
     start = np.concatenate([[0], np.cumsum(degree)]).tolist()
+    adj: list[Optional[list[int]]] = [None] * nv
 
-    best: Optional[tuple[int, EvenCover]] = None
+    found: Optional[EvenCover] = None
+    limit = cap + 1                            # then the length of the walk found
     for root in np.flatnonzero(degree).tolist():
         dist = {root: 0}
-        parent: dict[int, tuple[int, int]] = {}
-        frontier = [root]
-        limit = (best[0] if best else cap + 1)
+        parent = {root: root}
+        frontier, d = [root], 0
         while frontier:
             nxt = []
             for u in frontier:
-                if 2 * dist[u] + 1 >= limit:
-                    continue
-                lo, hi = start[u], start[u + 1]
-                for v, c in zip(nbr[lo:hi], step[lo:hi]):
+                if 2 * d + 1 >= limit:
+                    break
+                if adj[u] is None:
+                    adj[u] = nbr[start[u]:start[u + 1]]
+                for v in adj[u]:
                     if v not in dist:
-                        dist[v] = dist[u] + 1
-                        parent[v] = (u, c)
+                        dist[v] = d + 1
+                        parent[v] = u
                         nxt.append(v)
-                    elif parent.get(u, (None, None))[0] != v:
-                        length = dist[u] + dist[v] + 1
-                        if length > cap or (best and length >= best[0]):
+                    elif parent[u] != v:
+                        length = d + dist[v] + 1
+                        if length >= limit:
                             continue
-                        steps = [c]
-                        for end in (u, v):
-                            x = end
-                            while x != root:
-                                x, pc = parent[x]
-                                steps.append(pc)
-                        cover = odd_use_cover(steps)
+                        walk, x, y = [min(u, v) * nv + max(u, v)], u, v
+                        while x != y:
+                            if dist[x] < dist[y]:
+                                x, y = y, x
+                            p = parent[x]
+                            walk.append(min(x, p) * nv + max(x, p))
+                            x = p
+                        steps = np.searchsorted(g.edge_keys, np.array(walk, g.edge_keys.dtype))
+                        cover = odd_use_cover(g.clause[steps].tolist())
                         if cover.edge_indices:
                             if length == 4:
                                 return length, cover
-                            best = (length, cover)
-                            limit = length
-            frontier = nxt
-    return best
+                            found, limit = cover, length
+            frontier, d = nxt, d + 1
+    return None if found is None else (limit, found)
 
 
 def dump_even(g: EvenKikuchiGraph) -> str:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import kcert
-from kcert import parse_hypergraph, parse_xor
+from kcert import cli, parse_hypergraph, parse_xor
 from kcert.cli import main
 from kcert.io import ParseError, serialize_hypergraph, serialize_xor
 
@@ -432,6 +432,22 @@ def test_cli_audit_trace_rejects_a_bad_ell_first(tmp_path, capsys, graph, option
     assert (out, err) == ("", message)
     assert main(["audit", "trace", str(f), "--ell", "4"]) == 3
     assert "even-cover oracle supports at most 44 hyperedges" in capsys.readouterr().err
+
+
+def _oracle_must_not_run(h, size_cap):
+    raise AssertionError("the exact oracle ran")
+
+
+@pytest.mark.parametrize("m", [10, 50])
+def test_cli_audit_trace_rejects_odd_k_before_the_oracle(tmp_path, capsys, monkeypatch, m):
+    # at m = 50 the oracle would exit 3 on its 44-edge limit; at m = 10 it
+    # would run, and only the Kikuchi build would then refuse k = 3
+    f = tmp_path / "odd.hyg"
+    assert main(["gen", "--type", "hyg", "--n", "20", "--k", "3", "--m", str(m), "--seed", "1",
+                 "-o", str(f)]) == 0
+    monkeypatch.setattr(cli, "min_even_cover_oracle", _oracle_must_not_run)
+    assert main(["audit", "trace", str(f), "--r", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: k = 3 is odd; the trace audit needs even k\n")
 
 
 def _no_constant(name):

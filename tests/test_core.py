@@ -273,9 +273,13 @@ def test_girth_examples():
     path = Hypergraph(n=4, k=2, edges=((0, 1), (1, 2), (2, 3)))
     assert graph_girth(path) == math.inf
     assert graph_girth(PETERSEN) == 5
-    for g in range(5, 13):
+    # at r = 1 the 200-cycle and the 300-vertex path run the search's BFS past
+    # length 4 over every root
+    for g in [*range(5, 13), 200]:
         cycle = Hypergraph(n=g, k=2, edges=tuple((i, (i + 1) % g) for i in range(g)))
         assert graph_girth(cycle) == g
+    path300 = Hypergraph(n=300, k=2, edges=tuple((i, i + 1) for i in range(299)))
+    assert graph_girth(path300) == math.inf
     # Heawood graph: a 14-cycle plus alternating +5 chords (cubic, girth 6)
     heawood = Hypergraph(n=14, k=2, edges=tuple(
         [(i, (i + 1) % 14) for i in range(14)] + [(i, (i + 5) % 14) for i in range(0, 14, 2)]))

@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcert import Hypergraph, moore_bound_audit
+from kcert import Hypergraph, gen_random, graph_girth, min_even_cover_oracle, moore_bound_audit
 from kcert.moore import _ceil_log, _floor_log
 
 PETERSEN = Hypergraph(n=10, k=2, edges=tuple(
@@ -44,6 +46,28 @@ def test_moore_audit_weak_bound_dense():
     rep = moore_bound_audit(k20)
     assert rep["average_degree"] == 19
     assert rep["weak_bound"] is not None and rep["girth_le_weak"]
+
+
+@st.composite
+def _graphs(draw):
+    """Graphs, multigraphs and forests on 1 to 30 vertices with 0 to 44 edges."""
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["hyg", "hyg-multi", "forest"]))
+    seed = draw(st.integers(0, 2**30 - 1))
+    if kind == "forest" or n == 1:
+        # a random recursive forest: vertex i joins an earlier vertex or none
+        rng = random.Random(seed)
+        edges = tuple((rng.randrange(i), i) for i in range(1, n) if rng.random() < 0.8)
+        return Hypergraph(n=n, k=2, edges=edges)
+    m = draw(st.integers(0, 44 if kind == "hyg-multi" else min(44, comb(n, 2))))
+    return gen_random(n, 2, m, seed, mode=kind)
+
+
+@given(_graphs())
+@settings(max_examples=200, deadline=None)
+def test_girth_is_the_size_of_a_least_even_cover(h):
+    least = min_even_cover_oracle(h, h.m)
+    assert graph_girth(h) == (math.inf if least is None else least[0])
 
 
 @st.composite
