@@ -13,7 +13,8 @@ Edges live in parallel int64 arrays (s_rank, t_rank, provenance), sorted as the
 tuples (s_rank, t_rank, *provenance) sort. pattern_edges builds them for both
 graph kinds: every item (a clause here, an ordered clause pair there) yields
 its edges through the same index patterns, so whole blocks of items are
-gathered at once and ranked through a binomial table.
+gathered at once and ranked through a binomial table; items that share their
+row (ordered pairs with equal sides) share its ranks.
 """
 
 from __future__ import annotations
@@ -145,39 +146,44 @@ class KikuchiEdges:
         return a.tocsr()
 
 
-def pattern_edges(num_items: int, front, ground: int, r: int, s_pat: np.ndarray,
-                  t_pat: np.ndarray) -> list[np.ndarray]:
+def pattern_edges(front: np.ndarray, item_row: Optional[np.ndarray], ground: int, r: int,
+                  s_pat: np.ndarray, t_pat: np.ndarray) -> list[np.ndarray]:
     """Edges of a Kikuchi graph on the r-subsets of range(ground) whose items all
     share one set of index patterns: s_rank < t_rank and each edge's item,
     sorted by (s_rank, t_rank, item).
 
-    front(lo, hi) gives one row per item lo..hi-1, the vertices the item fixes;
-    the rest of range(ground), ascending, follows it; the rest is built only
-    when a pattern reaches past the front. Row j of s_pat and t_pat
-    picks the columns of the two endpoints of each item's j-th edge. Items are
-    taken BLOCK_EDGES edges at a time, which bounds the working arrays.
+    Each row of front holds the vertices an item fixes; the rest of
+    range(ground), ascending, follows it; the rest is built only when a
+    pattern reaches past the front. Item i takes row item_row[i], or row i
+    when item_row is None. Row j of s_pat and t_pat picks the columns of the
+    two endpoints of each item's j-th edge, so an item's edges depend on its
+    row alone, and each row is ranked once however many items share it.
+    Rows are taken BLOCK_EDGES edges at a time, which bounds the working
+    arrays.
 
-    Only one array spans the whole graph while it is built: each edge's key
-    (s_rank << b) | t_rank as uint64, b the bit length of C(ground, r) - 1
-    (Caps keeps C(ground, r) below 2^32, so it fits), filled block by block.
-    It sorts as (s_rank, t_rank) does, and subsets.stable_order gives its
-    stable order: edges are generated item by item, so ties keep ascending
-    items. numpy's stable argsort is a radix sort only up to 16 bits (keys on
-    up to 256 vertices) and a timsort above, which stable_order replaces by
-    one plain sort of each key packed with its position. The sorted keys
-    give s_rank and t_rank back by a shift and a mask.
+    Each edge's key is (s_rank << b) | t_rank as uint64, b the bit length of
+    C(ground, r) - 1 (Caps keeps C(ground, r) below 2^32, so it fits). The
+    keys of the rows are filled block by block; with item_row each item then
+    takes a copy of its row's keys, and the row keys are freed before the
+    sort, so one array spans the whole graph when it is sorted. The key sorts
+    as (s_rank, t_rank) does, and subsets.stable_order gives its stable
+    order: keys are laid out item by item, so ties keep ascending items.
+    numpy's stable argsort is a radix sort only up to 16 bits (keys on up to
+    256 vertices) and a timsort above, which stable_order replaces by one
+    plain sort of each key packed with its position. The sorted keys give
+    s_rank and t_rank back by a shift and a mask.
     """
     per_item = len(s_pat)
     nv = comb(ground, r)
     bits = max(nv - 1, 0).bit_length()
     shift = np.uint64(bits)
-    key = np.empty(num_items * per_item, dtype=np.uint64)
+    key = np.empty(len(front) * per_item, dtype=np.uint64)
     if per_item:
         table = binomial_table(ground, r)
         step = max(1, BLOCK_EDGES // per_item)
         width = 1 + max(s_pat.max(initial=-1), t_pat.max(initial=-1))
-        for lo in range(0, num_items, step):
-            rows = front(lo, min(lo + step, num_items))
+        for lo in range(0, len(front), step):
+            rows = front[lo:lo + step]
             if width > rows.shape[1]:
                 rows = np.hstack([rows, complement_rows(rows, ground)])
             # ranks are never negative, so their int64 bits read as uint64
@@ -185,6 +191,8 @@ def pattern_edges(num_items: int, front, ground: int, r: int, s_pat: np.ndarray,
                     for pat in (s_pat, t_pat))
             block = slice(lo * per_item, (lo + len(rows)) * per_item)
             key[block] = np.minimum(s, t) << shift | np.maximum(s, t)
+    if item_row is not None:
+        key = np.take(key.reshape(len(front), per_item), item_row, axis=0).reshape(-1)
     order = stable_order(key, 1 << 2 * bits)
     key = key[order]
     s = key >> shift
@@ -244,8 +252,7 @@ def build_even_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_CAPS) -> Even
     s_pat, t_pat = joined_rows(s_half, w), joined_rows(complement_rows(s_half, h.k), w)
     assert len(s_pat) == alpha, (len(s_pat), alpha)
     clauses = np.array(h.edges, dtype=np.int64).reshape(h.m, h.k)
-    s_rank, t_rank, clause = pattern_edges(h.m, lambda lo, hi: clauses[lo:hi], h.n, r,
-                                           s_pat, t_pat)
+    s_rank, t_rank, clause = pattern_edges(clauses, None, h.n, r, s_pat, t_pat)
 
     return EvenKikuchiGraph(n=h.n, k=h.k, r=r, s_rank=s_rank, t_rank=t_rank, m=h.m,
                             clause=clause, alpha=alpha)

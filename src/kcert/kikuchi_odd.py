@@ -17,6 +17,18 @@ even graphs, with the pair as the item; deletion and equalization are array
 passes over the same layout, and the per-pair survival counts they report are
 an int64 array indexed like the pair table's rows.
 
+An ordered pair's endpoints depend on its reduced sides (C~, C~') alone: the
+edge joins S to S xor (green C~ xor blue C~'), and the intersection rule counts
+S against C~ and C~' only, so neither the group nor its center enters. Pairs
+with equal (C~, C~') have equal endpoints and differ only in provenance. On
+few vertices they are common: at level k - 1 each C~ is one vertex, so the
+ordered pairs of a level have at most n^2 distinct sides however large its
+groups grow, and groups with different centers reuse the same sides. So the
+build gives each distinct reduced set an id, each ordered pair the code
+id(C~) * u + id(C~'), u the number of distinct sets, and hands pattern_edges
+one side row per distinct code, which ranks each once and spreads its keys to
+every pair with that code.
+
 An ordered pair's edges join S to S xor M for one fixed M, so they form a
 matching: a (vertex, group, clause) incidence is met at most once per ordered
 pair of the group holding the clause, 2(|G| - 1) times in all. Deletion cuts
@@ -128,16 +140,19 @@ def build_colored_kikuchi(h: Hypergraph, decomp: Decomposition, level: int, r: i
     t_pat = joined_rows(complement_rows(a_pos, kt), complement_rows(b_pos, kt) + kt, w_pos)
 
     pair_table = ordered_pair_table(groups)
-    # C~ of every (group, clause) membership, indexed by slot
-    reduced = members[~hits.any(axis=2)].reshape(-1, kt)
-
-    def sides(lo, hi):
-        rows = pair_table[lo:hi]
-        return np.hstack([reduced[rows[:, 3]], reduced[rows[:, 4]] + h.n])
+    # C~ of every (group, clause) membership, indexed by slot, ascending within
+    # its row, so equal sets are equal rows; each distinct set gets an id, and
+    # each ordered pair the code of its (green, blue) sides
+    sets, set_id = np.unique(members[~hits.any(axis=2)].reshape(-1, kt), axis=0,
+                             return_inverse=True)
+    set_id, u = set_id.reshape(-1), len(sets)      # numpy 2.0.0 gives a 2-d inverse
+    codes, side_row = np.unique(set_id[pair_table[:, 3]] * u + set_id[pair_table[:, 4]],
+                                return_inverse=True)
+    sides = np.hstack([sets[codes // u], sets[codes % u] + h.n])
 
     # pair_table rows are sorted by (group, C, C'), so this sorts like the
     # tuples (s, t, group, C, C')
-    s_rank, t_rank, pair = pattern_edges(len(pair_table), sides, 2 * h.n, r, s_pat, t_pat)
+    s_rank, t_rank, pair = pattern_edges(sides, side_row, 2 * h.n, r, s_pat, t_pat)
     alpha = len(s_pat) if len(pair_table) else None
 
     return ColoredKikuchiGraph(n=h.n, k=h.k, r=r, s_rank=s_rank, t_rank=t_rank, t=level,

@@ -19,7 +19,8 @@ odd k:   decompose, then per level t (via Cauchy-Schwarz over the p_t groups)
 All certificate arithmetic is exact rationals except lambda_cert, which is a
 float carrying its eigenpair residual (already added in as a safety margin).
 
-One builder per arity writes the certificate on a shared head (_head). Both run
+One builder per arity writes the certificate on a shared head (_head), given the
+instance digest by its caller, which computes it once. Both run
 one spectral step (_spectral_step: degrees, Gamma, signed adjacency, norm), the
 even builder on every edge of its graph, each odd level on its surviving edges.
 The reweighted spectral norm, the only numerical step, is passed in as a
@@ -97,9 +98,10 @@ def _arpack(tol: float):
     return lambda key, a, gamma, seed: spectral_norm_reweighted(a, gamma, tol=tol, seed=seed)
 
 
-def _head(inst: XorInstance, mode: str, r: int, seed: int, tol: float) -> dict:
+def _head(inst: XorInstance, digest: str, mode: str, r: int, seed: int, tol: float) -> dict:
     """The fields both certificate kinds open with, once mode fits k's parity
-    and the instance has clauses."""
+    and the instance has clauses; digest is instance_digest(inst), which the
+    caller computes once (the verifier checks it before the replay)."""
     h = inst.hypergraph
     if h.k % 2 != (mode == "odd"):
         raise ValueError(f"refute_{mode} requires {mode} k")
@@ -111,7 +113,7 @@ def _head(inst: XorInstance, mode: str, r: int, seed: int, tol: float) -> dict:
             raise ValueError(fault)
     if h.m == 0:
         raise ValueError("cannot refute an empty instance")
-    return {"format": "kcert-certificate-v1", "mode": mode, "digest": instance_digest(inst),
+    return {"format": "kcert-certificate-v1", "mode": mode, "digest": digest,
             "n": h.n, "k": h.k, "m": h.m, **params}
 
 
@@ -129,11 +131,11 @@ def _spectral_step(g, inst: XorInstance, keep, norm, key, seed: int) -> dict:
             "lambda": lam, "residual": resid, "lambda_cert": lam + resid}
 
 
-def _even_certificate(inst: XorInstance, r: int, caps: Caps, tol: float, seed: int,
+def _even_certificate(inst: XorInstance, digest: str, r: int, caps: Caps, tol: float, seed: int,
                       norm) -> dict:
     """The even certificate; norm(key, A, gamma, seed) -> (lambda, residual) is
     called once, with key "even"."""
-    head = _head(inst, "even", r, seed, tol)
+    head = _head(inst, digest, "even", r, seed, tol)
     g = signed_even_kikuchi(inst, r, caps).graph
     if g.num_edges == 0:
         raise ValueError(f"the Kikuchi graph at r = {r} has no edges (alpha = 0); increase r")
@@ -149,7 +151,7 @@ def _even_certificate(inst: XorInstance, r: int, caps: Caps, tol: float, seed: i
 def refute_even(inst: XorInstance, r: int, caps: Caps = DEFAULT_CAPS,
                 tol: float = 1e-9, seed: int = 0) -> dict:
     """Certificate that psi(x) <= 2 * lambda_cert for all x, k even."""
-    return _even_certificate(inst, r, caps, tol, seed, _arpack(tol))
+    return _even_certificate(inst, instance_digest(inst), r, caps, tol, seed, _arpack(tol))
 
 
 _LEVEL_KEYS = ("t", "tau", "p", "m_t", "pairs", "alpha", "alpha_closed", "vertices", "edges",
@@ -206,11 +208,11 @@ def _odd_level(inst: XorInstance, decomp, t: int, r: int, eta, caps: Caps, seed:
     return _settle(rec, bound, "spectral")
 
 
-def _odd_certificate(inst: XorInstance, r: int, eps, eta: Optional[int], caps: Caps,
-                     tol: float, seed: int, relax_r_range: bool, norm) -> dict:
+def _odd_certificate(inst: XorInstance, digest: str, r: int, eps, eta: Optional[int],
+                     caps: Caps, tol: float, seed: int, relax_r_range: bool, norm) -> dict:
     """The odd certificate; norm(key, A, gamma, seed) -> (lambda, residual) is
     called once per spectral level, with key t."""
-    head = _head(inst, "odd", r, seed, tol)
+    head = _head(inst, digest, "odd", r, seed, tol)
     h = inst.hypergraph
     eps = Fraction(eps)
     # the decomposition rejects an eps outside (0, 1/2) before default_eta divides by it
@@ -236,7 +238,8 @@ def refute_odd(inst: XorInstance, r: int, eps, eta: Optional[int] = None,
     soundness never depends on it (levels whose colored graph cannot carry the
     quadratic form fall back to the trivial bound).
     """
-    return _odd_certificate(inst, r, eps, eta, caps, tol, seed, relax_r_range, _arpack(tol))
+    return _odd_certificate(inst, instance_digest(inst), r, eps, eta, caps, tol, seed,
+                            relax_r_range, _arpack(tol))
 
 
 def certificate_to_json(cert: dict) -> str:
@@ -339,7 +342,8 @@ def verify_certificate(inst: XorInstance, cert: dict,
     """
     if not isinstance(cert, dict):
         raise CertificateError("certificate is not a JSON object")
-    if cert.get("digest") != instance_digest(inst):
+    digest = instance_digest(inst)
+    if cert.get("digest") != digest:
         raise CertificateError("certificate digest does not match the instance")
     mode = cert.get("mode")
     if mode not in ("even", "odd"):
@@ -361,10 +365,11 @@ def verify_certificate(inst: XorInstance, cert: dict,
 
     try:
         if mode == "even":
-            replayed = _even_certificate(inst, cert["r"], caps, cert["tol"], cert["seed"], replay)
+            replayed = _even_certificate(inst, digest, cert["r"], caps, cert["tol"], cert["seed"],
+                                         replay)
         else:
-            replayed = _odd_certificate(inst, cert["r"], _parse_frac(cert["eps"]), cert["eta"],
-                                        caps, cert["tol"], cert["seed"],
+            replayed = _odd_certificate(inst, digest, cert["r"], _parse_frac(cert["eps"]),
+                                        cert["eta"], caps, cert["tol"], cert["seed"],
                                         cert["relaxed_r_range"], replay)
     except (ValueError, CapacityError) as exc:
         return False, [f"the recorded parameters do not recompute: {exc}"]

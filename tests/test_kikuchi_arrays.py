@@ -15,9 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kcert import Hypergraph, gen_random
-from kcert.decomposition import Decomposition, Group
-from kcert.kikuchi_even import build_even_kikuchi
+from kcert import Hypergraph, gen_random, kikuchi_even, kikuchi_odd
+from kcert.decomposition import Decomposition, Group, decompose_for_refutation
+from kcert.kikuchi_even import BLOCK_EDGES, build_even_kikuchi, pattern_edges
 from kcert.kikuchi_odd import (DeletionResult, build_colored_kikuchi, delete_heavy_edges,
                                equalize_deletion, ordered_pair_table)
 from kcert.subsets import binomial_table, colex_ranks, complement_rows, mask_from, stable_order
@@ -481,3 +481,177 @@ def test_colored_edge_order_matches_lexsort_across_key_widths(size, seed):
     for got, ref in zip((g.s_rank, g.t_rank, g.pair), want):
         assert got.dtype == np.int64
         assert np.array_equal(got, ref)
+
+
+# pattern_edges verbatim as it was when it ranked every item's row, shared or
+# not: the equality tests below hold the row-sharing generator to it
+def reference_pattern_edges(num_items: int, front, ground: int, r: int, s_pat: np.ndarray,
+                            t_pat: np.ndarray) -> list[np.ndarray]:
+    per_item = len(s_pat)
+    nv = math.comb(ground, r)
+    bits = max(nv - 1, 0).bit_length()
+    shift = np.uint64(bits)
+    key = np.empty(num_items * per_item, dtype=np.uint64)
+    if per_item:
+        table = binomial_table(ground, r)
+        step = max(1, BLOCK_EDGES // per_item)
+        width = 1 + max(s_pat.max(initial=-1), t_pat.max(initial=-1))
+        for lo in range(0, num_items, step):
+            rows = front(lo, min(lo + step, num_items))
+            if width > rows.shape[1]:
+                rows = np.hstack([rows, complement_rows(rows, ground)])
+            # ranks are never negative, so their int64 bits read as uint64
+            s, t = (colex_ranks(rows[:, pat].reshape(-1, r), table).view(np.uint64)
+                    for pat in (s_pat, t_pat))
+            block = slice(lo * per_item, (lo + len(rows)) * per_item)
+            key[block] = np.minimum(s, t) << shift | np.maximum(s, t)
+    order = stable_order(key, 1 << 2 * bits)
+    key = key[order]
+    s = key >> shift
+    key &= np.uint64((1 << bits) - 1)
+    order //= per_item
+    return [s.view(np.int64), key.view(np.int64), order]
+
+
+def patterns_of(build, module, *args):
+    """The graph build(*args) returns and the (ground, r, s_pat, t_pat) it
+    passed to module.pattern_edges."""
+    seen = []
+
+    def spy(front, item_row, ground, r, s_pat, t_pat):
+        seen.append((ground, r, s_pat, t_pat))
+        return pattern_edges(front, item_row, ground, r, s_pat, t_pat)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "pattern_edges", spy)
+        g = build(*args)
+    (patterns,) = seen
+    return g, patterns
+
+
+def side_rows(h, g):
+    """Per row of the pair table, green C~ then blue C~' + n, each ascending."""
+    rows = []
+    for gi, a, b in g.pair_table[:, :3].tolist():
+        center = set(g.groups[gi].center)
+        rows.append([v for v in h.edges[a] if v not in center]
+                    + [v + h.n for v in h.edges[b] if v not in center])
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 2 * (h.k - g.t))
+
+
+def assert_same_bytes(got, want):
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype == np.int64
+        assert x.tobytes() == y.tobytes()
+
+
+@st.composite
+def shared_side_levels(draw):
+    """A level of a k-XOR multi-hypergraph on few vertices, k in {3, 5}: up to
+    four groups of up to five clauses, each clause its center plus one of at
+    most three (k - t)-sets drawn per group, so side pairs repeat within a
+    group and, on so few vertices, often across groups; r on both sides of
+    k - t, below which no pair has an edge."""
+    k = draw(st.sampled_from([3, 5]), label="k")
+    level = draw(st.integers(1, k - 1), label="t")
+    n = draw(st.integers(k + 1, 7), label="n")
+    edges, groups = [], []
+    for _ in range(draw(st.integers(0, 4), label="groups")):
+        center = tuple(sorted(draw(st.permutations(range(n)), label="center")[:level]))
+        others = [v for v in range(n) if v not in center]
+        rests = draw(st.lists(st.permutations(others).map(lambda p: p[:k - level]),
+                              min_size=1, max_size=3), label="rests")
+        ids = []
+        for _ in range(draw(st.integers(1, 5), label="size")):
+            ids.append(len(edges))
+            edges.append(tuple(sorted(center + tuple(draw(st.sampled_from(rests))))))
+        groups.append(Group(center=center, clause_indices=tuple(ids), level=level))
+    h = Hypergraph(n=n, k=k, edges=tuple(edges))
+    pieces = {t: (tuple(groups) if t == level else ()) for t in range(1, k)}
+    decomp = Decomposition(mode="refute", n=n, k=k, r=2, eps=Fraction(1, 4), pieces=pieces,
+                           thresholds={t: 2 for t in range(1, k)})
+    r = draw(st.integers(1, min(k - level + 2, 2 * n)), label="r")
+    return h, decomp, level, r
+
+
+@given(shared_side_levels())
+@settings(max_examples=150, deadline=None)
+def test_colored_build_equals_the_per_pair_reference(level_case):
+    h, decomp, level, r = level_case
+    g, (ground, r_, s_pat, t_pat) = patterns_of(build_colored_kikuchi, kikuchi_odd, h,
+                                                decomp, level, r)
+    rows = side_rows(h, g)
+    want = reference_pattern_edges(len(rows), lambda lo, hi: rows[lo:hi], ground, r_, s_pat, t_pat)
+    assert_same_bytes((g.s_rank, g.t_rank, g.pair), want)
+
+
+def test_colored_build_equals_the_reference_with_no_pairs_and_one_group():
+    center, n = (0,), 6
+    one = [(0, 1, 2), (0, 3, 4), (0, 1, 2), (0, 2, 5)]
+    for edges, sizes in [((), []), (((0, 1, 2),), [1]), (((0, 1, 2), (0, 3, 4)), [1, 1]),
+                         (tuple(one), [4])]:
+        ids = iter(range(len(edges)))
+        groups = tuple(Group(center=center, clause_indices=tuple(next(ids) for _ in range(size)),
+                             level=1) for size in sizes)
+        h = Hypergraph(n=n, k=3, edges=edges)
+        decomp = Decomposition(mode="refute", n=n, k=3, r=2, eps=Fraction(1, 4),
+                               pieces={1: groups, 2: ()}, thresholds={1: 2, 2: 2})
+        for r in (1, 2, 3):
+            g, (ground, r_, s_pat, t_pat) = patterns_of(build_colored_kikuchi, kikuchi_odd,
+                                                        h, decomp, 1, r)
+            rows = side_rows(h, g)
+            want = reference_pattern_edges(len(rows), lambda lo, hi: rows[lo:hi], ground, r_,
+                                           s_pat, t_pat)
+            assert_same_bytes((g.s_rank, g.t_rank, g.pair), want)
+            assert g.num_edges == len(s_pat) * len(g.pair_table)
+
+
+@given(SEEDS, st.sampled_from([2, 4]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_even_build_equals_the_reference_on_repeated_clauses(seed, k, data):
+    rng = random.Random(seed)
+    n = data.draw(st.integers(k + 1, 9), label="n")
+    h = gen_random(n, k, data.draw(st.integers(0, 30), label="m"), seed, mode="hyg-multi")
+    # repeat some clauses, so several items share a row
+    h = Hypergraph(n=n, k=k, edges=h.edges + tuple(rng.choice(h.edges) for _ in h.edges[:5]))
+    r = data.draw(st.integers(k // 2, min(n, 4)), label="r")
+    g, (ground, r_, s_pat, t_pat) = patterns_of(build_even_kikuchi, kikuchi_even, h, r)
+    clauses = np.array(h.edges, dtype=np.int64).reshape(h.m, k)
+    want = reference_pattern_edges(h.m, lambda lo, hi: clauses[lo:hi], ground, r_, s_pat, t_pat)
+    assert_same_bytes((g.s_rank, g.t_rank, g.clause), want)
+
+
+def planted_instance(seed):
+    """Like the odd benchmark workload: 200 random 3-clauses on 10 vertices
+    and 55 more through one planted center {a, b}."""
+    rng = random.Random(seed)
+    edges = list(gen_random(10, 3, 200, seed, mode="hyg-multi").edges)
+    a, b = sorted(rng.sample(range(10), 2))
+    others = [v for v in range(10) if v not in (a, b)]
+    edges += [tuple(sorted((a, b, rng.choice(others)))) for _ in range(55)]
+    rng.shuffle(edges)
+    return Hypergraph(n=10, k=3, edges=tuple(edges))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_each_distinct_side_pair_is_ranked_once(seed, monkeypatch):
+    """The colored build ranks at most (distinct side pairs) * alpha rows per
+    side on each level: pairs that share their sides share their ranks."""
+    h = planted_instance(seed)
+    decomp = decompose_for_refutation(h, 2, Fraction(49, 100), enforce_ranges=False)
+    ranked = []
+
+    def counted(rows, table):
+        ranked.append(len(rows))
+        return colex_ranks(rows, table)
+
+    for level in (1, 2):
+        ranked.clear()
+        monkeypatch.setattr(kikuchi_even, "colex_ranks", counted)
+        g = build_colored_kikuchi(h, decomp, level, 2)
+        monkeypatch.undo()
+        distinct = len({tuple(row) for row in side_rows(h, g).tolist()})
+        assert 0 < distinct < len(g.pair_table)
+        assert g.alpha and g.num_edges == g.alpha * len(g.pair_table)
+        assert sum(ranked[0::2]) <= distinct * g.alpha
+        assert sum(ranked[1::2]) <= distinct * g.alpha

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from kcert import (Hypergraph, XorInstance, brute_force_max_xor, gen_random, refute_even,
                    refute_odd, verify_certificate)
+from kcert import refuter
+from kcert.io import serialize_xor
 from kcert.refuter import (CertificateError, certificate_from_json, certificate_to_json,
                            default_eta, instance_digest)
 
@@ -189,6 +191,26 @@ def test_verify_digest_mismatch_errors():
     other = gen_random(9, 2, 40, seed=4, mode="xor-multi")
     with pytest.raises(CertificateError):
         verify_certificate(other, cert)
+
+
+@pytest.mark.parametrize("mode", ["even", "odd"])
+def test_the_instance_is_serialized_once_per_refute_and_per_verify(monkeypatch, mode):
+    inst = gen_random(9, 3 if mode == "odd" else 2, 30, seed=4, mode="xor-multi")
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return serialize_xor(x)
+
+    monkeypatch.setattr(refuter, "serialize_xor", counted)
+    cert = (refute_odd(inst, 2, Fraction(1, 3), relax_r_range=True) if mode == "odd"
+            else refute_even(inst, 1))
+    assert len(calls) == 1
+    assert verify_certificate(inst, cert) == (True, [])
+    assert len(calls) == 2
+    with pytest.raises(CertificateError):
+        verify_certificate(inst, {**cert, "digest": "0" * 64})
+    assert len(calls) == 3
 
 
 def test_certificate_json_roundtrip_and_canonical():
