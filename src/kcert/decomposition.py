@@ -142,6 +142,8 @@ def decompose_for_refutation(h: Hypergraph, r: int, eps,
     Level-t groups for t >= 2 have size exactly tau_t; level-1 groups have size
     <= tau_1 (greedy groups are exactly tau_1, leftover parts are smaller).
     """
+    if not 1 <= r <= h.n:
+        raise ValueError(f"r must satisfy 1 <= r <= n, got r = {r}")
     eps = Fraction(eps)
     if enforce_ranges:
         if not (2 * h.k <= r and 8 * r <= h.n):
@@ -211,15 +213,10 @@ def validate_decomposition(h: Hypergraph, d: Decomposition) -> ValidationReport:
                     )
 
     for t in d.levels():
-        if t == 0 and d.mode == "cover":
-            piece = [idx for g in d.groups_at(0) for idx in g.clause_indices]
-            start = 1
-        else:
-            piece = [idx for g in d.groups_at(t) for idx in g.clause_indices]
-            start = t + 1
+        piece = [idx for g in d.groups_at(t) for idx in g.clause_indices]
         if not piece:
             continue
-        for s in range(start, h.k):
+        for s in range(t + 1, h.k):
             counts: dict[tuple[int, ...], int] = {}
             for idx in piece:
                 for sub in combinations(h.edges[idx], s):

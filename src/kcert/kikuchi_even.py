@@ -15,11 +15,14 @@ graph kinds: every item (a clause here, an ordered clause pair there) yields
 its edges through the same index patterns, so whole blocks of items are
 gathered at once and ranked through a binomial table; items that share their
 row (ordered pairs with equal sides) share its ranks.
+
+A subgraph is a graph of the same kind (KikuchiEdges.subgraph), so degrees,
+Gamma and the adjacency take no edge mask, and d is average_degree throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -69,7 +72,9 @@ DEFAULT_CAPS = Caps()
 class KikuchiEdges:
     """Edge arrays of a Kikuchi graph on the r-subsets of range(COLORS * n);
     s_rank < t_rank are endpoint colex ranks. Subclasses add the provenance,
-    named in PROVENANCE, and edge_signs(signs): per-edge from per-clause signs."""
+    named in PROVENANCE, its one per-edge array, named in ITEM, and
+    edge_signs(signs): per-edge from per-clause signs. subgraph(keep) masks
+    s_rank, t_rank and the ITEM array and shares every other field."""
 
     n: int
     k: int
@@ -79,6 +84,7 @@ class KikuchiEdges:
 
     COLORS = 1
     PROVENANCE: ClassVar[tuple[str, ...]] = ()
+    ITEM: ClassVar[str]
 
     @property
     def num_vertices(self) -> int:
@@ -98,46 +104,43 @@ class KikuchiEdges:
         cols = [self.s_rank, self.t_rank] + [getattr(self, f) for f in self.PROVENANCE]
         return tuple(zip(*(c.tolist() for c in cols)))
 
+    def subgraph(self, keep) -> KikuchiEdges:
+        """The subgraph the boolean edge mask keep keeps, edges in stored order;
+        every field but the three per-edge arrays is the parent's own object."""
+        return replace(self, s_rank=self.s_rank[keep], t_rank=self.t_rank[keep],
+                       **{self.ITEM: getattr(self, self.ITEM)[keep]})
+
     # per-vertex degree, edge multiplicity counted
     degrees = property(lambda self: self.subgraph_degrees())
 
-    def subgraph_degrees(self, keep=None) -> np.ndarray:
-        s, t = self.s_rank, self.t_rank
-        if keep is not None:
-            s, t = s[keep], t[keep]
+    def subgraph_degrees(self) -> np.ndarray:
+        """The degrees property; perfbench/spans.py times it under this name."""
         nv = self.num_vertices
-        return np.bincount(s, minlength=nv) + np.bincount(t, minlength=nv)
+        return np.bincount(self.s_rank, minlength=nv) + np.bincount(self.t_rank, minlength=nv)
 
-    def _degrees_and_d(self, degrees) -> tuple[np.ndarray, Fraction]:
-        deg = self.degrees if degrees is None else np.asarray(degrees)
-        return deg, Fraction(int(np.sum(deg)), self.num_vertices)
+    def gamma_diagonal(self) -> list[Fraction]:
+        """Gamma = D + d*Id, d the average degree."""
+        d = self.average_degree
+        return [Fraction(x) + d for x in self.degrees.tolist()]
 
-    def gamma_diagonal(self, degrees=None) -> list[Fraction]:
-        """Gamma = D + d*Id of the graph, or of the subgraph with these degrees."""
-        deg, d = self._degrees_and_d(degrees)
-        return [Fraction(x) + d for x in deg.tolist()]
+    def gamma_floats(self) -> np.ndarray:
+        """gamma_diagonal() as float64, equal to float() of each entry: under
+        Caps every numerator deg * q + p stays below 2^53, so the one rounding
+        is that of the division."""
+        d = self.average_degree
+        return (self.degrees * d.denominator + d.numerator) / d.denominator
 
-    def gamma_floats(self, degrees=None) -> np.ndarray:
-        """gamma_diagonal(degrees) as float64, equal to float() of each entry:
-        under Caps every numerator deg * q + p stays below 2^53, so the one
-        rounding is that of the division."""
-        deg, d = self._degrees_and_d(degrees)
-        return (deg * d.denominator + d.numerator) / d.denominator
-
-    def adjacency(self, signs=None, keep=None) -> sp.csr_matrix:
-        """Symmetric adjacency of the subgraph kept by the boolean edge mask keep
-        (default all), signed by per-clause signs; parallel edges accumulate,
-        and where they cancel the entry stays as an explicit zero. The edges
-        are sorted by (s_rank, t_rank), so each run of parallel edges is summed
-        in one np.add.reduceat before the COO to CSR step.
+    def adjacency(self, signs=None) -> sp.csr_matrix:
+        """Symmetric adjacency, signed by per-clause signs; parallel edges
+        accumulate, and where they cancel the entry stays as an explicit zero.
+        The edges are sorted by (s_rank, t_rank), so each run of parallel edges
+        is summed in one np.add.reduceat before the COO to CSR step.
         SciPy is imported here, on first use, to keep it out of `import kcert`."""
         import scipy.sparse as sp
 
         nv = self.num_vertices
         s, t = self.s_rank, self.t_rank
         w = np.ones(len(s)) if signs is None else self.edge_signs(np.asarray(signs, dtype=float))
-        if keep is not None:
-            s, t, w = s[keep], t[keep], w[keep]
         if len(s):
             first = np.flatnonzero(np.concatenate([[True], (s[1:] != s[:-1]) | (t[1:] != t[:-1])]))
             s, t, w = s[first], t[first], np.add.reduceat(w, first)
@@ -215,6 +218,7 @@ class EvenKikuchiGraph(KikuchiEdges):
     alpha: int                                 # unordered edges per clause
 
     PROVENANCE = ("clause",)
+    ITEM = "clause"
 
     def edge_signs(self, signs) -> np.ndarray:
         return signs[self.clause]

@@ -66,6 +66,7 @@ class ColoredKikuchiGraph(KikuchiEdges):
 
     COLORS = 2
     PROVENANCE = ("group", "green", "blue")
+    ITEM = "pair"
 
     @property
     def p(self) -> int:
@@ -94,10 +95,7 @@ def ordered_pair_table(groups) -> np.ndarray:
     j = np.arange(len(a), dtype=np.int64) - np.repeat(np.cumsum(partners) - partners, partners)
     first = np.repeat(np.cumsum(sizes) - sizes, sizes)[a]
     b = first + j + (j >= a - first)
-    table = np.empty((len(a), 5), dtype=np.int64)
-    for col, values in enumerate((group[a], clauses[a], clauses[b], a, b)):
-        table[:, col] = values
-    return table
+    return np.stack((group[a], clauses[a], clauses[b], a, b), axis=1)
 
 
 def build_colored_kikuchi(h: Hypergraph, decomp: Decomposition, level: int, r: int,

@@ -22,7 +22,8 @@ float carrying its eigenpair residual (already added in as a safety margin).
 One builder per arity writes the certificate on a shared head (_head), given the
 instance digest by its caller, which computes it once. Both run
 one spectral step (_spectral_step: degrees, Gamma, signed adjacency, norm), the
-even builder on every edge of its graph, each odd level on its surviving edges.
+even builder on its whole graph, each odd level on the subgraph of its
+surviving edges.
 The reweighted spectral norm, the only numerical step, is passed in as a
 function: refute_even/refute_odd pass ARPACK at their tol. verify_certificate
 replays the same builder from the recorded parameters with a step that
@@ -39,8 +40,6 @@ import math
 import reprlib
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .core import CapacityError, KcertError, XorInstance
 from .decomposition import decompose_for_refutation
@@ -117,17 +116,14 @@ def _head(inst: XorInstance, digest: str, mode: str, r: int, seed: int, tol: flo
             "n": h.n, "k": h.k, "m": h.m, **params}
 
 
-def _spectral_step(g, inst: XorInstance, keep, norm, key, seed: int) -> dict:
-    """The reweighted spectral step on the subgraph of g kept by the edge mask
-    keep (None keeps every edge): Gamma = D + d*Id from its degrees, its signed
-    adjacency A and one call norm(key, A, gamma, seed) -> (lambda, residual).
-    Returns the record fields d, tr_gamma, lambda, residual and lambda_cert."""
-    deg = g.subgraph_degrees(keep)
-    total = int(np.sum(deg))                 # twice the kept edges
-    a_signed = g.adjacency(signs=list(inst.signs), keep=keep)
-    lam, resid = norm(key, a_signed, g.gamma_floats(deg), seed)
-    return {"d": _frac_str(Fraction(total, g.num_vertices)),
-            "tr_gamma": _frac_str(Fraction(2 * total)),
+def _spectral_step(g, inst: XorInstance, norm, key, seed: int) -> dict:
+    """The reweighted spectral step on g: Gamma = D + d*Id from its degrees, d
+    its average degree, its signed adjacency A and one call norm(key, A,
+    gamma, seed) -> (lambda, residual). Returns the record fields d, tr_gamma
+    (sum D + |V| d = 4|E|), lambda, residual and lambda_cert."""
+    a_signed = g.adjacency(signs=list(inst.signs))
+    lam, resid = norm(key, a_signed, g.gamma_floats(), seed)
+    return {"d": _frac_str(g.average_degree), "tr_gamma": _frac_str(Fraction(4 * g.num_edges)),
             "lambda": lam, "residual": resid, "lambda_cert": lam + resid}
 
 
@@ -139,7 +135,7 @@ def _even_certificate(inst: XorInstance, digest: str, r: int, caps: Caps, tol: f
     g = signed_even_kikuchi(inst, r, caps).graph
     if g.num_edges == 0:
         raise ValueError(f"the Kikuchi graph at r = {r} has no edges (alpha = 0); increase r")
-    step = _spectral_step(g, inst, None, norm, "even", seed)
+    step = _spectral_step(g, inst, norm, "even", seed)
     # psi <= lambda_cert * tr(Gamma) / (C(n,r) d), and tr(Gamma) = 2 C(n,r) d,
     # so the bound is exactly 2 * lambda_cert
     certified = 2 * Fraction(step["lambda_cert"])
@@ -198,7 +194,9 @@ def _odd_level(inst: XorInstance, decomp, t: int, r: int, eta, caps: Caps, seed:
     if result.degenerate or result.rho > Fraction(1, 2):
         return _settle(rec, trivial, "trivial")
 
-    rec.update(_spectral_step(g, inst, result.surviving, norm, t, seed + t))
+    # the full edge arrays are freed before the eigensolve
+    g = g.subgraph(result.surviving)
+    rec.update(_spectral_step(g, inst, norm, t, seed + t))
     fhat = (Fraction(k * k * p, 2 * g.alpha * m * m) * Fraction(rec["lambda_cert"])
             * _parse_frac(rec["tr_gamma"]))
     square = first_term + fhat / (1 - result.rho)

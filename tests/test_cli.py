@@ -215,6 +215,22 @@ def test_cli_eps_with_zero_denominator_is_a_usage_error(tmp_path, capsys, argv):
     assert capsys.readouterr().err == "error: --eps 1/0 has a zero denominator\n"
 
 
+@pytest.mark.parametrize("r", ["0", "7"])
+@pytest.mark.parametrize("argv", [
+    ["refute", "{xor}", "--seed", "0", "--eps", "1/4"],
+    ["decompose", "{hyg}", "--mode", "refute"],
+    ["kikuchi", "stats", "{hyg}", "--odd"],
+], ids=["refute", "decompose", "kikuchi"])
+def test_cli_relaxed_r_outside_one_to_n_is_a_usage_error(tmp_path, capsys, argv, r):
+    # n = 6: the relaxed range still needs 1 <= r <= n before any threshold
+    paths = {"xor": tmp_path / "odd.xor", "hyg": tmp_path / "odd.hyg"}
+    paths["xor"].write_text("xor 6 2 3\n+1 1 2 3\n-1 1 4 5\n")
+    paths["hyg"].write_text("hyg 6 2 3\n1 2 3\n1 4 5\n")
+    argv = [arg.format(**paths) for arg in argv] + ["--r", r, "--relax-r-range"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: r must satisfy 1 <= r <= n, got r = {r}\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["decompose", "{hyg}", "--mode", "cover", "--r", "2", "--eps", "1/4"],
      "--eps and --relax-r-range apply to --mode refute only"),

@@ -5,6 +5,7 @@ np.argsort(kind="stable") for stable_order, a COO to CSR conversion of every
 edge for the adjacency, and the full deletion and equalization passes for
 their shortcuts."""
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -124,15 +125,35 @@ def test_adjacency_and_degrees_match_edge_loop(seed, colored):
             entries[(s, t)] += w
             entries[(t, s)] += w
             sub[[s, t]] += 1
-    a = g.adjacency(signs=signs, keep=keep).tocoo()
+    kept = g.subgraph(keep)
+    a = kept.adjacency(signs=signs).tocoo()
     assert a.shape == (nv, nv)
     # parallel edges that cancel leave an explicit zero
     assert dict(zip(zip(a.row.tolist(), a.col.tolist()), a.data.tolist())) == dict(entries)
     assert np.array_equal(g.degrees, deg)
-    assert np.array_equal(g.subgraph_degrees(keep), sub)
-    assert g.gamma_diagonal(sub) == [Fraction(int(x)) + Fraction(int(sub.sum()), nv) for x in sub]
-    for degrees in (None, sub):
-        assert g.gamma_floats(degrees).tolist() == [float(x) for x in g.gamma_diagonal(degrees)]
+    assert np.array_equal(kept.subgraph_degrees(), sub)
+    assert kept.gamma_diagonal() == [Fraction(int(x)) + Fraction(int(sub.sum()), nv) for x in sub]
+    for graph in (g, kept):
+        assert graph.gamma_floats().tolist() == [float(x) for x in graph.gamma_diagonal()]
+
+
+@given(SEEDS, st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_subgraph_masks_the_edge_arrays_and_shares_every_other_field(seed, colored):
+    if colored:
+        _, g, rng = random_colored_graph(seed)
+    else:
+        (_, g), rng = random_even_graph(seed), random.Random(seed)
+    keep = np.array([rng.random() < 0.6 for _ in range(g.num_edges)], dtype=bool)
+    kept = g.subgraph(keep)
+    assert type(kept) is type(g)
+    assert kept.edges == tuple(e for e, k in zip(g.edges, keep.tolist()) if k)
+    per_edge = {"s_rank", "t_rank", g.ITEM}
+    for field in dataclasses.fields(g):
+        if field.name in per_edge:
+            assert np.array_equal(getattr(kept, field.name), getattr(g, field.name)[keep])
+        else:
+            assert getattr(kept, field.name) is getattr(g, field.name), field.name
 
 
 def pair_keys(g):
@@ -322,7 +343,7 @@ def test_adjacency_equals_the_coo_reference(seed, colored, mask, signed):
             "all": np.ones(g.num_edges, dtype=bool),
             "none": np.zeros(g.num_edges, dtype=bool)}[mask]
     want = coo_reference(g, signs, keep)
-    assert_same_csr(g.adjacency(signs=signs, keep=keep), want)
+    assert_same_csr(g.subgraph(keep).adjacency(signs=signs), want)
     if mask == "all":
         assert_same_csr(g.adjacency(signs=signs), want)
 
