@@ -11,10 +11,12 @@ alpha = C(k-1, k/2-1) * C(n-k, r-k/2) unordered edges.
 
 Edges live in parallel int64 arrays (s_rank, t_rank, provenance), sorted as the
 tuples (s_rank, t_rank, *provenance) sort. pattern_edges builds them for both
-graph kinds: every item (a clause here, an ordered clause pair there) yields
-its edges through the same index patterns, so whole blocks of items are
-gathered at once and ranked through a binomial table; items that share their
-row (ordered pairs with equal sides) share its ranks.
+graph kinds, in one call per graph: every item (a clause here, a distinct
+reduced side pair of ordered clause pairs there) yields its edges through the
+same index patterns, so whole blocks of items are gathered at once and ranked
+through a binomial table. The adjacency sums the edges _weighted_edges gives:
+every edge here; one per side-pair edge, weighted by the ordered pairs
+sharing it, in a built colored level.
 
 A subgraph is a graph of the same kind (KikuchiEdges.subgraph), so degrees,
 Gamma and the adjacency take no edge mask, and d is average_degree throughout.
@@ -32,7 +34,7 @@ import numpy as np
 
 from .core import CapacityError, EvenCover, Hypergraph, XorInstance, odd_use_cover
 from .subsets import (binomial_table, colex_ranks, combination_rows, complement_rows, joined_rows,
-                      stable_order)
+                      stable_order, stable_sort)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -130,6 +132,12 @@ class KikuchiEdges:
         d = self.average_degree
         return (self.degrees * d.denominator + d.numerator) / d.denominator
 
+    def _weighted_edges(self, signs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(s_rank, t_rank, float64 weight) of the edges the adjacency sums:
+        every edge, weighted 1, or by its sign under per-clause signs."""
+        w = np.ones(self.num_edges) if signs is None else self.edge_signs(signs)
+        return self.s_rank, self.t_rank, w
+
     def adjacency(self, signs=None) -> sp.csr_matrix:
         """Symmetric adjacency, signed by per-clause signs; parallel edges
         accumulate, and where they cancel the entry stays as an explicit zero.
@@ -139,8 +147,7 @@ class KikuchiEdges:
         import scipy.sparse as sp
 
         nv = self.num_vertices
-        s, t = self.s_rank, self.t_rank
-        w = np.ones(len(s)) if signs is None else self.edge_signs(np.asarray(signs, dtype=float))
+        s, t, w = self._weighted_edges(None if signs is None else np.asarray(signs, dtype=float))
         if len(s):
             first = np.flatnonzero(np.concatenate([[True], (s[1:] != s[:-1]) | (t[1:] != t[:-1])]))
             s, t, w = s[first], t[first], np.add.reduceat(w, first)
@@ -169,12 +176,12 @@ def pattern_edges(front: np.ndarray, item_row: Optional[np.ndarray], ground: int
     keys of the rows are filled block by block; with item_row each item then
     takes a copy of its row's keys, and the row keys are freed before the
     sort, so one array spans the whole graph when it is sorted. The key sorts
-    as (s_rank, t_rank) does, and subsets.stable_order gives its stable
-    order: keys are laid out item by item, so ties keep ascending items.
-    numpy's stable argsort is a radix sort only up to 16 bits (keys on up to
-    256 vertices) and a timsort above, which stable_order replaces by one
-    plain sort of each key packed with its position. The sorted keys give
-    s_rank and t_rank back by a shift and a mask.
+    as (s_rank, t_rank) does, and subsets.stable_sort sorts it stably: keys
+    are laid out item by item, so ties keep ascending items. numpy's stable
+    argsort is a radix sort only up to 16 bits (keys on up to 256 vertices)
+    and a timsort above, which stable_sort replaces by one plain sort of each
+    key packed with its position, whose high bits are then the sorted keys.
+    Those give s_rank and t_rank back by a shift and a mask.
     """
     per_item = len(s_pat)
     nv = comb(ground, r)
@@ -196,8 +203,7 @@ def pattern_edges(front: np.ndarray, item_row: Optional[np.ndarray], ground: int
             key[block] = np.minimum(s, t) << shift | np.maximum(s, t)
     if item_row is not None:
         key = np.take(key.reshape(len(front), per_item), item_row, axis=0).reshape(-1)
-    order = stable_order(key, 1 << 2 * bits)
-    key = key[order]
+    key, order = stable_sort(key, 1 << 2 * bits)
     s = key >> shift
     key &= np.uint64((1 << bits) - 1)
     order //= per_item

@@ -22,8 +22,10 @@ float carrying its eigenpair residual (already added in as a safety margin).
 One builder per arity writes the certificate on a shared head (_head), given the
 instance digest by its caller, which computes it once. Both run
 one spectral step (_spectral_step: degrees, Gamma, signed adjacency, norm), the
-even builder on its whole graph, each odd level on the subgraph of its
-surviving edges.
+even builder on its whole graph, each odd level on its surviving edges. A
+level that deletion and equalization leave whole is stepped as built, from its
+side pairs (see kikuchi_odd), so its per-pair edge arrays are never expanded;
+a level they cut is stepped on the subgraph of its survivors.
 The reweighted spectral norm, the only numerical step, is passed in as a
 function: refute_even/refute_odd pass ARPACK at their tol. verify_certificate
 replays the same builder from the recorded parameters with a step that
@@ -194,8 +196,9 @@ def _odd_level(inst: XorInstance, decomp, t: int, r: int, eta, caps: Caps, seed:
     if result.degenerate or result.rho > Fraction(1, 2):
         return _settle(rec, trivial, "trivial")
 
-    # the full edge arrays are freed before the eigensolve
-    g = g.subgraph(result.surviving)
+    if result.num_surviving < g.num_edges:
+        # the full edge arrays are freed before the eigensolve
+        g = g.subgraph(result.surviving)
     rec.update(_spectral_step(g, inst, norm, t, seed + t))
     fhat = (Fraction(k * k * p, 2 * g.alpha * m * m) * Fraction(rec["lambda_cert"])
             * _parse_frac(rec["tr_gamma"]))

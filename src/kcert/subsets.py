@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from math import comb
+from typing import Optional
 
 import numpy as np
 
@@ -54,6 +55,20 @@ def colex_ranks(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[cols, place].sum(axis=0)
 
 
+def _packed_sort(values: np.ndarray, bound: int) -> tuple[Optional[np.ndarray], int]:
+    """(sorted (value << b) | position of every element, b), b the bit length of
+    the last position; None for the array where bound <= 2^16 or a value and
+    its position need more than 64 bits together."""
+    shift = max(len(values) - 1, 0).bit_length()
+    if bound <= 1 << 16 or (bound - 1).bit_length() + shift > 64:
+        return None, shift
+    packed = values.astype(np.uint64)
+    packed <<= np.uint64(shift)
+    packed |= np.arange(len(packed), dtype=np.uint64)
+    packed.sort()
+    return packed, shift
+
+
 def stable_order(values: np.ndarray, bound: int) -> np.ndarray:
     """Exactly np.argsort(values, kind="stable") for integers in [0, bound).
 
@@ -65,15 +80,24 @@ def stable_order(values: np.ndarray, bound: int) -> np.ndarray:
     order, and its low b bits are the stable order. Values too wide for that
     keep the stable argsort.
     """
-    shift = max(len(values) - 1, 0).bit_length()
-    if bound <= 1 << 16 or (bound - 1).bit_length() + shift > 64:
+    packed, shift = _packed_sort(values, bound)
+    if packed is None:
         return np.argsort(values.astype(np.min_scalar_type(max(bound - 1, 0))), kind="stable")
-    packed = values.astype(np.uint64)
-    packed <<= np.uint64(shift)
-    packed |= np.arange(len(packed), dtype=np.uint64)
-    packed.sort()
     packed &= np.uint64((1 << shift) - 1)
     return packed.view(np.intp)
+
+
+def stable_sort(values: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values in stable_order(values, bound), that order), for integers in
+    [0, bound). Where stable_order packs, the sorted values are the high bits
+    of the sorted packed keys, so values is not gathered through the order."""
+    packed, shift = _packed_sort(values, bound)
+    if packed is None:
+        order = stable_order(values, bound)
+        return values[order], order
+    ordered = (packed >> np.uint64(shift)).astype(values.dtype, copy=False)
+    packed &= np.uint64((1 << shift) - 1)
+    return ordered, packed.view(np.intp)
 
 
 def complement_rows(rows: np.ndarray, n: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 and the array kernels against the numpy passes they replaced: np.sort per row
 for colex ranks, np.lexsort((item, t, s)) for the edge order,
 np.argsort(kind="stable") for stable_order, a COO to CSR conversion of every
-edge for the adjacency, and the full deletion and equalization passes for
-their shortcuts."""
+edge for the adjacency, the full deletion and equalization passes for
+their shortcuts, and the per-pair degrees and adjacency for the side-pair
+assembly."""
 
 import dataclasses
 import math
@@ -16,12 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kcert import Hypergraph, gen_random, kikuchi_even, kikuchi_odd
+from kcert import Hypergraph, XorInstance, gen_random, kikuchi_even, kikuchi_odd
 from kcert.decomposition import Decomposition, Group, decompose_for_refutation
 from kcert.kikuchi_even import BLOCK_EDGES, build_even_kikuchi, pattern_edges
 from kcert.kikuchi_odd import (DeletionResult, build_colored_kikuchi, delete_heavy_edges,
                                equalize_deletion, ordered_pair_table)
-from kcert.subsets import binomial_table, colex_ranks, complement_rows, mask_from, stable_order
+from kcert.refuter import refute_odd, verify_certificate
+from kcert.subsets import (binomial_table, colex_ranks, complement_rows, mask_from, stable_order,
+                           stable_sort)
 from subset_masks import all_subset_masks_colex
 
 SEEDS = st.integers(0, 2**30 - 1)
@@ -676,3 +679,115 @@ def test_each_distinct_side_pair_is_ranked_once(seed, monkeypatch):
         assert g.alpha and g.num_edges == g.alpha * len(g.pair_table)
         assert sum(ranked[0::2]) <= distinct * g.alpha
         assert sum(ranked[1::2]) <= distinct * g.alpha
+
+
+@pytest.mark.parametrize("bound", ORDER_BOUNDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_stable_sort_is_the_values_in_stable_order(bound, data):
+    pool = data.draw(st.lists(st.integers(0, bound - 1), min_size=1, max_size=3), label="pool")
+    values = np.array(data.draw(st.lists(st.sampled_from(pool), max_size=60), label="values"),
+                      dtype=np.uint64)
+    kept = values.copy()
+    got, order = stable_sort(values, bound)
+    assert np.array_equal(order, stable_order(values, bound))
+    assert got.dtype == values.dtype and got.tobytes() == values[order].tobytes()
+    assert np.array_equal(values, kept)
+
+
+# KikuchiEdges.subgraph_degrees and adjacency verbatim as they were when a
+# colored level held one edge per ordered pair, and the float Gamma from them:
+# the side-pair assembly must give the same bytes
+def reference_subgraph_degrees(g):
+    nv = g.num_vertices
+    return np.bincount(g.s_rank, minlength=nv) + np.bincount(g.t_rank, minlength=nv)
+
+
+def reference_adjacency(g, signs=None):
+    import scipy.sparse as sp
+
+    nv = g.num_vertices
+    s, t = g.s_rank, g.t_rank
+    w = np.ones(len(s)) if signs is None else g.edge_signs(np.asarray(signs, dtype=float))
+    if len(s):
+        first = np.flatnonzero(np.concatenate([[True], (s[1:] != s[:-1]) | (t[1:] != t[:-1])]))
+        s, t, w = s[first], t[first], np.add.reduceat(w, first)
+    rows, cols = np.concatenate([s, t]), np.concatenate([t, s])
+    a = sp.coo_matrix((np.concatenate([w, w]), (rows, cols)), shape=(nv, nv), dtype=np.float64)
+    return a.tocsr()
+
+
+def reference_gamma_floats(g):
+    d = Fraction(2 * len(g.s_rank), g.num_vertices)
+    return (reference_subgraph_degrees(g) * d.denominator + d.numerator) / d.denominator
+
+
+def assembled(g, signs):
+    """What the spectral step reads of g, in the order it reads it."""
+    return {"adjacency": g.adjacency(signs=signs), "degrees": g.degrees,
+            "num_edges": g.num_edges, "gamma": g.gamma_floats()}
+
+
+def assert_assembled_as_the_reference(got, g, signs):
+    assert_same_csr(got["adjacency"], reference_adjacency(g, signs))
+    want = reference_subgraph_degrees(g)
+    assert got["degrees"].dtype == want.dtype and got["degrees"].tobytes() == want.tobytes()
+    assert type(got["num_edges"]) is int and got["num_edges"] == len(g.s_rank)
+    assert got["gamma"].tobytes() == reference_gamma_floats(g).tobytes()
+
+
+@given(shared_side_levels(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_side_pair_assembly_equals_the_per_pair_reference(level_case, data):
+    h, decomp, level, r = level_case
+    g = build_colored_kikuchi(h, decomp, level, r)
+    signs = data.draw(st.none() | st.lists(st.sampled_from([-1, 1]), min_size=h.m, max_size=h.m),
+                      label="signs")
+    assert g.side_pairs is not None
+    got = assembled(g, signs)
+    assert g.side_pairs is not None                 # nothing above expanded the edges
+    assert_assembled_as_the_reference(got, g, signs)
+    share = data.draw(st.sampled_from([0.0, 0.6, 1.0]), label="kept share")
+    keep = np.random.default_rng(data.draw(SEEDS, label="mask seed")).random(g.num_edges) < share
+    kept = g.subgraph(keep)
+    assert kept.side_pairs is None
+    assert_assembled_as_the_reference(assembled(kept, signs), kept, signs)
+
+
+def spied_calls(monkeypatch):
+    """Names of the colored-graph expansions and subgraphs taken, in order."""
+    calls = []
+    for name in ("_expand_pairs", "subgraph"):
+        def spy(self, *args, _name=name, _original=getattr(kikuchi_odd.ColoredKikuchiGraph, name)):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(kikuchi_odd.ColoredKikuchiGraph, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shortcut_levels_neither_expand_the_pairs_nor_take_a_subgraph(seed, monkeypatch):
+    h = planted_instance(seed)
+    rng = random.Random(seed)
+    inst = XorInstance(hypergraph=h, signs=tuple(rng.choice((1, -1)) for _ in h.edges))
+    calls = spied_calls(monkeypatch)
+    cert = refute_odd(inst, 2, Fraction(49, 100), relax_r_range=True)
+    assert [(lv["method"], lv["rho"]) for lv in cert["levels"]] == [("spectral", "0/1")] * 2
+    assert calls == []
+    assert verify_certificate(inst, cert) == (True, [])
+    assert calls == []
+
+
+def test_cutting_levels_expand_the_pairs_once_and_take_their_subgraph(monkeypatch):
+    # the CI instance: at eta 8 level 1 keeps 134 of its 268 edges
+    inst = gen_random(9, 3, 30, 4, mode="xor-multi")
+    calls = spied_calls(monkeypatch)
+    cert = refute_odd(inst, 2, Fraction(1, 3), eta=8, seed=7, relax_r_range=True)
+    level = cert["levels"][0]
+    assert (level["method"], level["surviving_edges"], level["edges"]) == ("spectral", 134, 268)
+    per_op = ["_expand_pairs", "subgraph"] * sum(
+        lv["method"] == "spectral" and lv["surviving_edges"] < lv["edges"] for lv in cert["levels"])
+    assert calls == per_op
+    assert verify_certificate(inst, cert) == (True, [])
+    assert calls == 2 * per_op
