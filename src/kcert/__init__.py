@@ -3,7 +3,7 @@ certificates for semirandom k-XOR, via reweighted Kikuchi matrices."""
 
 from .core import (Assignment, CapacityError, EvenCover, Hypergraph, KcertError,
                    XorInstance, brute_force_max_xor, eval_xor, gen_random,
-                   min_even_cover_oracle, random_assignment, verify_even_cover)
+                   min_even_cover_oracle, verify_even_cover)
 from .decomposition import (Decomposition, Group, ValidationReport, decompose_for_cover,
                             decompose_for_refutation, validate_decomposition)
 from .io import (ParseError, load_hypergraph, load_xor, parse_hypergraph, parse_xor,

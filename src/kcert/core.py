@@ -389,6 +389,3 @@ def gen_random(n: int, k: int, m: int, seed: int, mode: str = "xor"):
     signs = tuple(1 if rng.randrange(2) == 0 else -1 for _ in range(m))
     return XorInstance(hypergraph=h, signs=signs)
 
-
-def random_assignment(n: int, rng: random.Random) -> tuple[int, ...]:
-    return tuple(1 if rng.randrange(2) == 0 else -1 for _ in range(n))

@@ -156,32 +156,29 @@ class KikuchiEdges:
         return a.tocsr()
 
 
-def pattern_edges(front: np.ndarray, item_row: Optional[np.ndarray], ground: int, r: int,
-                  s_pat: np.ndarray, t_pat: np.ndarray) -> list[np.ndarray]:
+def pattern_edges(front: np.ndarray, ground: int, r: int, s_pat: np.ndarray,
+                  t_pat: np.ndarray) -> list[np.ndarray]:
     """Edges of a Kikuchi graph on the r-subsets of range(ground) whose items all
     share one set of index patterns: s_rank < t_rank and each edge's item,
     sorted by (s_rank, t_rank, item).
 
     Each row of front holds the vertices an item fixes; the rest of
     range(ground), ascending, follows it; the rest is built only when a
-    pattern reaches past the front. Item i takes row item_row[i], or row i
-    when item_row is None. Row j of s_pat and t_pat picks the columns of the
-    two endpoints of each item's j-th edge, so an item's edges depend on its
-    row alone, and each row is ranked once however many items share it.
-    Rows are taken BLOCK_EDGES edges at a time, which bounds the working
-    arrays.
+    pattern reaches past the front. Row j of s_pat and t_pat picks the
+    columns of the two endpoints of each item's j-th edge, so an item's edges
+    depend on its row alone. Rows are taken BLOCK_EDGES edges at a time,
+    which bounds the working arrays.
 
     Each edge's key is (s_rank << b) | t_rank as uint64, b the bit length of
     C(ground, r) - 1 (Caps keeps C(ground, r) below 2^32, so it fits). The
-    keys of the rows are filled block by block; with item_row each item then
-    takes a copy of its row's keys, and the row keys are freed before the
-    sort, so one array spans the whole graph when it is sorted. The key sorts
-    as (s_rank, t_rank) does, and subsets.stable_sort sorts it stably: keys
-    are laid out item by item, so ties keep ascending items. numpy's stable
-    argsort is a radix sort only up to 16 bits (keys on up to 256 vertices)
-    and a timsort above, which stable_sort replaces by one plain sort of each
-    key packed with its position, whose high bits are then the sorted keys.
-    Those give s_rank and t_rank back by a shift and a mask.
+    keys are filled block by block into one array that spans the whole graph
+    when it is sorted. The key sorts as (s_rank, t_rank) does, and
+    subsets.stable_sort sorts it stably: keys are laid out item by item, so
+    ties keep ascending items. numpy's stable argsort is a radix sort only up
+    to 16 bits (keys on up to 256 vertices) and a timsort above, which
+    stable_sort replaces by one plain sort of each key packed with its
+    position, whose high bits are then the sorted keys. Those give s_rank and
+    t_rank back by a shift and a mask.
     """
     per_item = len(s_pat)
     nv = comb(ground, r)
@@ -201,8 +198,6 @@ def pattern_edges(front: np.ndarray, item_row: Optional[np.ndarray], ground: int
                     for pat in (s_pat, t_pat))
             block = slice(lo * per_item, (lo + len(rows)) * per_item)
             key[block] = np.minimum(s, t) << shift | np.maximum(s, t)
-    if item_row is not None:
-        key = np.take(key.reshape(len(front), per_item), item_row, axis=0).reshape(-1)
     key, order = stable_sort(key, 1 << 2 * bits)
     s = key >> shift
     key &= np.uint64((1 << bits) - 1)
@@ -243,8 +238,8 @@ class SignedEvenKikuchi:
     edge_signs: np.ndarray         # aligned with graph.edges; b of the edge's clause
 
 
-def build_even_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_CAPS) -> EvenKikuchiGraph:
-    """Enumerate the Kikuchi graph explicitly, with per-clause edge provenance."""
+def _checked_alpha(h: Hypergraph, r: int, caps: Caps) -> int:
+    """alpha of the level-r graph of h, once k and r are valid and caps admit it."""
     if h.k % 2 != 0:
         raise ValueError(f"k = {h.k} is odd; use the colored Kikuchi construction instead")
     half = h.k // 2
@@ -252,6 +247,13 @@ def build_even_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_CAPS) -> Even
         raise ValueError(f"level parameter must satisfy k/2 <= r <= n, got r = {r}")
     alpha = comb(h.k - 1, half - 1) * comb(h.n - h.k, r - half) if r - half <= h.n - h.k else 0
     caps.check(h.n, r, alpha * h.m, f"alpha = {alpha}, m = {h.m}")
+    return alpha
+
+
+def build_even_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_CAPS) -> EvenKikuchiGraph:
+    """Enumerate the Kikuchi graph explicitly, with per-clause edge provenance."""
+    alpha = _checked_alpha(h, r, caps)
+    half = h.k // 2
 
     # column patterns into [clause | rest of range(n)]: one side takes a split
     # half, both sides the same r - k/2 vertices of the rest; the halves holding
@@ -262,7 +264,7 @@ def build_even_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_CAPS) -> Even
     s_pat, t_pat = joined_rows(s_half, w), joined_rows(complement_rows(s_half, h.k), w)
     assert len(s_pat) == alpha, (len(s_pat), alpha)
     clauses = np.array(h.edges, dtype=np.int64).reshape(h.m, h.k)
-    s_rank, t_rank, clause = pattern_edges(clauses, None, h.n, r, s_pat, t_pat)
+    s_rank, t_rank, clause = pattern_edges(clauses, h.n, r, s_pat, t_pat)
 
     return EvenKikuchiGraph(n=h.n, k=h.k, r=r, s_rank=s_rank, t_rank=t_rank, m=h.m,
                             clause=clause, alpha=alpha)
@@ -309,6 +311,62 @@ def _first_triangle(g: EvenKikuchiGraph) -> Optional[EvenCover]:
     return None
 
 
+def _triple_clauses(h: Hypergraph, alpha: int) -> Optional[np.ndarray]:
+    """The clauses that lie in a zero-xor triple of distinct clauses, ascending,
+    in a hypergraph with no duplicate clauses; None when the candidate pairs
+    outnumber the m * alpha edges of its Kikuchi graph.
+
+    Ca xor Cb is a k-set only if the clauses share exactly k/2 vertices, one
+    k/2-subset H, and then the triple closes with (Ca - H) | (Cb - H). So each
+    clause's C(k, k/2) (half, complement) incidences are keyed by the colex
+    ranks of both sides, half * C + complement on C = C(n, k/2) subsets, and
+    sorted; the candidate pairs are the incidences with one half, and a pair
+    closes a triple when the key of its two complements is some incidence's.
+    When alpha > 0, k/2 <= r <= n - k/2, so C(n, k/2) <= C(n, r) < 2^32 and
+    the keys fit in 64 bits. Memory is O(m C(k, k/2) + candidate pairs).
+    """
+    half = h.k // 2
+    # in lexicographic order, row j's complement in range(k) is row -1 - j
+    sides = combination_rows(h.k, half)
+    per, nh = len(sides), comb(h.n, half)
+    key_type = np.min_scalar_type(nh * nh - 1).type
+    c = key_type(nh)
+    clauses = np.array(h.edges, dtype=np.int64).reshape(h.m, h.k)
+    ranks = colex_ranks(clauses[:, sides].reshape(-1, half), binomial_table(h.n, half))
+    ranks = ranks.astype(key_type).reshape(h.m, per)
+    keys = (ranks * c + ranks[:, ::-1]).reshape(-1)
+    order = np.argsort(keys)
+    keys = keys[order]
+    halves, rests = keys // c, keys % c
+    # incidence i pairs with every later one up to the end of its half's run
+    count = np.searchsorted(halves, halves, side="right") - 1 - np.arange(len(keys))
+    total = int(count.sum())
+    if total > h.m * alpha:
+        return None
+    a = np.repeat(np.arange(len(keys)), count)
+    b = a + 1 + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
+    wanted = rests[a] * c + rests[b]
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    hit = keys[at] == wanted
+    in_triple = np.zeros(h.m, dtype=bool)
+    for i in (a[hit], b[hit], at[hit]):
+        in_triple[order[i] // per] = True
+    return np.flatnonzero(in_triple)
+
+
+def _first_triangle_of_clauses(h: Hypergraph, keep: np.ndarray, r: int,
+                               caps: Caps) -> Optional[EvenCover]:
+    """_first_triangle of the level-r graph of the clauses keep of h, as clauses
+    of h; None when keep is empty. The graph has h's n and r, so its vertex
+    ranks are those of h's graph, and it is freed on return."""
+    if not len(keep):
+        return None
+    part = Hypergraph._of_valid_rows(h.n, h.k, tuple(h.edges[i] for i in keep.tolist()))
+    triangle = _first_triangle(build_even_kikuchi(part, r, caps))
+    return None if triangle is None else EvenCover(
+        frozenset(keep[list(triangle.edge_indices)].tolist()))
+
+
 def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_CAPS,
                                     max_len: Optional[int] = None
                                     ) -> Optional[tuple[int, EvenCover]]:
@@ -331,9 +389,18 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
       one from the least vertex R on any triangle: the triangle (R, u, v) with
       u the least neighbour of R on one and v the least neighbour of u that
       closes it. One array pass over the wedges finds it (_first_triangle).
+      A triangle's three clauses are distinct and xor to zero, so the pass
+      runs on the graph of only the clauses in such a triple
+      (_triple_clauses), with the same n and r and so the same vertex ranks:
+      it holds every triangle of the whole graph and no other, so its least
+      triangle is the same. Where the candidate pairs outnumber the whole
+      graph's edges, the pass runs on the whole graph instead.
     - Length 4 and up: in a graph with no triangle and no parallel edges, no
       closed walk with a nonempty odd-use set is shorter than 4, so the BFS
       stops at its first such 4-step walk; past that it scans every root.
+      Past that dense case the whole graph is built only here, but its
+      capacity check comes first of all, so a graph over the caps is refused
+      even where a shorter stage would have found a walk.
 
     The BFS stores each vertex's parent vertex only: with no parallel edges a
     vertex pair has one clause, looked up in the sorted edge_keys when a
@@ -344,9 +411,9 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
     edges are sorted by (s_rank, t_rank). The covers found depend on this
     order. Only numpy is used, so the search never loads SciPy.
     """
-    g = build_even_kikuchi(h, r, caps)
-    cap = max_len if max_len is not None else g.num_vertices + 1
-    if not g.num_edges or cap < 2:
+    alpha = _checked_alpha(h, r, caps)
+    cap = max_len if max_len is not None else comb(h.n, r) + 1
+    if not alpha * h.m or cap < 2:
         return None
 
     # clauses are sorted vertex tuples, so equal tuples are duplicate clauses
@@ -358,13 +425,22 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
             return 2, EvenCover(frozenset(idxs[:2]))
     if cap < 3:
         return None
-    triangle = _first_triangle(g)
+    keep = _triple_clauses(h, alpha)
+    if keep is None:
+        g = build_even_kikuchi(h, r, caps)
+        triangle = _first_triangle(g)
+    else:
+        g, triangle = None, _first_triangle_of_clauses(h, keep, r, caps)
     if triangle is not None:
         return 3, triangle
     if cap < 4:
         return None
+    if g is None:
+        g = build_even_kikuchi(h, r, caps)
 
-    nv = g.num_vertices
+    # the sorted keys are made before the neighbour lists, so that their
+    # temporaries are freed before the lists exist
+    nv, keys = g.num_vertices, g.edge_keys
     ends = np.concatenate([g.t_rank, g.s_rank])
     nbr = np.concatenate([g.s_rank, g.t_rank])[stable_order(ends, nv)].tolist()
     degree = np.bincount(ends, minlength=nv)
@@ -400,7 +476,7 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
                             p = parent[x]
                             walk.append(min(x, p) * nv + max(x, p))
                             x = p
-                        steps = np.searchsorted(g.edge_keys, np.array(walk, g.edge_keys.dtype))
+                        steps = np.searchsorted(keys, np.array(walk, keys.dtype))
                         cover = odd_use_cover(g.clause[steps].tolist())
                         if cover.edge_indices:
                             if length == 4:

@@ -250,7 +250,7 @@ def build_colored_kikuchi(h: Hypergraph, decomp: Decomposition, level: int, r: i
                             pair_table=pair_table, pair=None,
                             alpha=len(s_pat) if len(pair_table) else None,
                             alpha_closed_form=closed)
-    g.side_pairs = SidePairs(*pattern_edges(sides, None, 2 * h.n, r, s_pat, t_pat), side_row)
+    g.side_pairs = SidePairs(*pattern_edges(sides, 2 * h.n, r, s_pat, t_pat), side_row)
     return g
 
 

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcert import (CapacityError, Hypergraph, XorInstance, brute_force_max_xor,
-                   eval_xor, gen_random, graph_girth, min_even_cover_oracle,
-                   random_assignment, verify_even_cover)
+                   eval_xor, gen_random, graph_girth, min_even_cover_oracle, verify_even_cover)
 from kcert import core
 from kcert.core import EvenCover, _span_coordinates, odd_use_cover
+from assignments import random_assignment
 
 TRIANGLE = Hypergraph(n=3, k=2, edges=((0, 1), (1, 2), (0, 2)))
 

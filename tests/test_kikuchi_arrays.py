@@ -542,9 +542,9 @@ def patterns_of(build, module, *args):
     passed to module.pattern_edges."""
     seen = []
 
-    def spy(front, item_row, ground, r, s_pat, t_pat):
+    def spy(front, ground, r, s_pat, t_pat):
         seen.append((ground, r, s_pat, t_pat))
-        return pattern_edges(front, item_row, ground, r, s_pat, t_pat)
+        return pattern_edges(front, ground, r, s_pat, t_pat)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, "pattern_edges", spy)

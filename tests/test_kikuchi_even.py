@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -8,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcert import (CapacityError, Caps, EvenCover, Hypergraph, eval_xor, gen_random,
-                   min_even_cover_oracle, random_assignment, verify_even_cover)
+                   min_even_cover_oracle, verify_even_cover)
 from kcert.core import odd_use_cover
-from kcert.kikuchi_even import (FIRST_WEDGE_BLOCK, _first_triangle, build_even_kikuchi,
-                                dump_even, shortest_even_cover_via_kikuchi, signed_even_kikuchi)
+from kcert import kikuchi_even
+from kcert.kikuchi_even import (FIRST_WEDGE_BLOCK, _first_triangle, _triple_clauses,
+                                build_even_kikuchi, dump_even, shortest_even_cover_via_kikuchi,
+                                signed_even_kikuchi)
 from kcert.subsets import combination_rows
+from assignments import random_assignment
 from subset_masks import all_subset_masks_colex
 
 TRIANGLE = Hypergraph(n=3, k=2, edges=((0, 1), (1, 2), (0, 2)))
@@ -296,6 +300,137 @@ def test_first_triangle_past_the_first_wedge_block(leaves):
     want = _brute_first_triangle(g)
     assert want is not None and _first_triangle(g) == want
     assert shortest_even_cover_via_kikuchi(h, 1) == (3, want)
+
+
+def test_search_refuses_odd_k_before_any_stage():
+    # two equal clauses would be a 2-step walk
+    h = Hypergraph(n=5, k=3, edges=((0, 1, 2), (0, 1, 2)))
+    with pytest.raises(ValueError, match="k = 3 is odd"):
+        shortest_even_cover_via_kikuchi(h, 2)
+
+
+@pytest.mark.parametrize("r", [1, 7])
+def test_search_refuses_r_outside_half_k_to_n_before_any_stage(r):
+    h = Hypergraph(n=6, k=4, edges=((0, 1, 2, 3), (0, 1, 2, 3)))
+    with pytest.raises(ValueError, match=f"got r = {r}$"):
+        shortest_even_cover_via_kikuchi(h, r)
+
+
+@pytest.mark.parametrize("h, r", [
+    (Hypergraph(n=6, k=4, edges=((0, 1, 2, 3), (2, 3, 4, 5), (0, 1, 2, 3))), 2),
+    (Hypergraph(n=6, k=2, edges=((0, 1), (1, 2), (0, 2), (3, 4))), 1),
+])
+def test_search_refuses_the_whole_graph_over_the_caps_before_any_stage(h, r):
+    # a duplicate clause (first case) or a triangle on 3 of the 4 clauses
+    # (second) would be found on far fewer edges than the whole graph has
+    edges = build_even_kikuchi(h, r).num_edges
+    assert shortest_even_cover_via_kikuchi(h, r, Caps(max_edges=edges)) is not None
+    with pytest.raises(CapacityError, match=f"^estimated {edges} edges "):
+        shortest_even_cover_via_kikuchi(h, r, Caps(max_edges=edges - 1))
+    with pytest.raises(CapacityError, match=r"vertices exceeds cap 2$"):
+        shortest_even_cover_via_kikuchi(h, r, Caps(max_vertices=2))
+
+
+@pytest.mark.parametrize("h, r", [
+    # alpha = 0: r - k/2 = 2 exceeds the n - k = 1 vertices outside a clause
+    (Hypergraph(n=5, k=4, edges=((0, 1, 2, 3), (0, 1, 2, 3))), 4),
+    (Hypergraph(n=6, k=4, edges=()), 2),                          # m = 0
+])
+def test_search_returns_none_when_alpha_times_m_is_zero(h, r):
+    assert build_even_kikuchi(h, r).num_edges == 0
+    assert shortest_even_cover_via_kikuchi(h, r) is None
+
+
+def _brute_triple_clauses(h):
+    masks = h.edge_masks()
+    return [i for i in range(h.m) if any(masks[i] ^ masks[j] == masks[c]
+                                        for j in range(h.m) for c in range(h.m)
+                                        if len({i, j, c}) == 3)]
+
+
+def _distinct(n, k, edges):
+    return Hypergraph(n=n, k=k, edges=tuple(sorted({tuple(sorted(e)) for e in edges})))
+
+
+@st.composite
+def _triangle_cases(draw):
+    """A hypergraph with no duplicate clause and a level r, of one of three
+    kinds: 'wide' has n > 64, so vertex masks pass 64 bits, and planted
+    zero-xor triples (H | X, H | Y, X | Y for disjoint k/2-sets H, X, Y);
+    'dense' has most k-subsets of a few vertices, so its candidate pairs
+    outnumber the graph's edges; 'small' is random and sparse."""
+    k = draw(st.sampled_from([2, 4, 6]))
+    kind = draw(st.sampled_from(["wide", "dense", "small"]))
+    rng = random.Random(draw(st.integers(0, 2**30 - 1)))
+    if kind == "wide":
+        n = draw(st.integers(65, 72))
+        edges = [rng.sample(range(n), k) for _ in range(draw(st.integers(0, 40)))]
+        for _ in range(draw(st.integers(0, 3))):
+            picked = rng.sample(range(n), 3 * (k // 2))
+            hh, x, y = (picked[i::3] for i in range(3))
+            edges += [hh + x, hh + y, x + y]
+        r = draw(st.integers(k // 2, k // 2 + 1 if k < 6 else k // 2))
+    else:
+        n = draw(st.integers(k, k + (3 if kind == "dense" else 6)))
+        every = list(combinations(range(n), k))
+        low, high = ((len(every) * 2 // 3, len(every)) if kind == "dense"
+                     else (0, min(len(every), 3 * n)))
+        edges = rng.sample(every, draw(st.integers(low, high)))
+        r = draw(st.integers(k // 2, k // 2 if kind == "dense" else min(n, k // 2 + 2)))
+    return _distinct(n, k, edges), r
+
+
+@given(_triangle_cases())
+@settings(max_examples=200, deadline=None)
+def test_triangle_stage_equals_the_first_triangle_of_the_whole_graph(case):
+    h, r = case
+    g = build_even_kikuchi(h, r)
+    want = _first_triangle(g)
+    got = shortest_even_cover_via_kikuchi(h, r, max_len=3)
+    assert got == (None if want is None else (3, want))
+    keep = _triple_clauses(h, g.alpha)
+    if keep is not None and h.m <= 60:
+        assert keep.tolist() == _brute_triple_clauses(h)
+
+
+def _clause_counts_of_builds(monkeypatch):
+    """A list that gets the clause count of each build_even_kikuchi call the
+    cover search makes from here on."""
+    built = []
+    monkeypatch.setattr(kikuchi_even, "build_even_kikuchi",
+                        lambda hh, r, caps: built.append(hh.m) or build_even_kikuchi(hh, r, caps))
+    return built
+
+
+def test_dense_inputs_run_the_triangle_pass_on_every_clause(monkeypatch):
+    # every 4-subset of 7 vertices: 35 clauses, 21 halves in 10 clauses each,
+    # so 945 candidate pairs against 35 * alpha = 105 edges
+    h = Hypergraph(n=7, k=4, edges=tuple(combinations(range(7), 4)))
+    g = build_even_kikuchi(h, 2)
+    assert g.alpha == 3 and _triple_clauses(h, g.alpha) is None
+    built = _clause_counts_of_builds(monkeypatch)
+    assert shortest_even_cover_via_kikuchi(h, 2) == (3, _first_triangle(g))
+    assert built == [35]
+
+
+def test_a_triangle_is_found_on_the_clauses_of_zero_xor_triples_alone(monkeypatch):
+    # the cover the CI pins for this instance, found on one build of far fewer
+    # than its 240 clauses
+    h = gen_random(36, 4, 240, seed=1, mode="hyg")
+    built = _clause_counts_of_builds(monkeypatch)
+    length, cover = shortest_even_cover_via_kikuchi(h, 3)
+    assert (length, sorted(cover.edge_indices)) == (3, [27, 50, 59])
+    assert len(built) == 1 and 3 <= built[0] < h.m
+
+
+def test_a_triangle_free_search_builds_the_whole_graph_last(monkeypatch):
+    h = Hypergraph(n=8, k=4, edges=((0, 1, 2, 3), (2, 3, 4, 5), (4, 5, 6, 7), (0, 1, 6, 7)))
+    assert _triple_clauses(h, build_even_kikuchi(h, 2).alpha).tolist() == []
+    built = _clause_counts_of_builds(monkeypatch)
+    assert shortest_even_cover_via_kikuchi(h, 2, max_len=3) is None
+    assert built == []
+    assert shortest_even_cover_via_kikuchi(h, 2)[0] == 4
+    assert built == [4]
 
 
 @st.composite

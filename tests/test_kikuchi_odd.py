@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from kcert import CapacityError, Caps, Hypergraph, gen_random, random_assignment
+from kcert import CapacityError, Caps, Hypergraph, gen_random
 from kcert.decomposition import Decomposition, Group, decompose_for_refutation
 from kcert.kikuchi_odd import (build_colored_kikuchi, delete_heavy_edges, dump_colored,
                                equalize_deletion, measured_deletion_fractions,
                                predicted_deletion_fraction)
+from assignments import random_assignment
 from subset_masks import all_subset_masks_colex, vertices_from
 
 
