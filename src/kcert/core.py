@@ -20,8 +20,10 @@ from .subsets import mask_from
 ORACLE_EDGE_LIMIT = 44        # meet-in-the-middle: one sort-free pass over the 2^(m/2)
                               # subsets of each half; of the least covers, the least
                               # (left bitmask, right bitmask) wins
-ORACLE_BLOCK = 1 << 15        # subsets per block of the oracle's passes; bounds
-                              # their working arrays
+ORACLE_BLOCK = 1 << 13        # subsets per block of the oracle's passes: each int64
+                              # block temporary is 64 KiB, under glibc's 128 KiB mmap
+                              # threshold (reused heap chunks, no fresh mappings) and
+                              # within L2
 BRUTE_FORCE_VAR_LIMIT = 24    # Walsh-Hadamard scan over 2^n assignments
 
 

@@ -3,7 +3,7 @@ import math
 import random
 import weakref
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 import pytest
@@ -260,6 +260,28 @@ def test_oracle_matches_sort_based_oracle(block, seed, k, m, extra, split):
             mp.setattr(core, "ORACLE_BLOCK", block)
         for cap in range(m + 2):
             assert min_even_cover_oracle(h, cap) == _sort_based_oracle(h, cap)
+
+
+@given(st.integers(0, 2**30 - 1), st.integers(2, 5), st.integers(27, 30), st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_oracle_matches_sort_based_oracle_over_right_blocks(seed, k, m, extra):
+    # distinct k-subsets of as few vertices as hold m of them; the edges that
+    # take a fresh basis bit move to the front of the left half, so every right
+    # edge is dependent, and past 13 of them the right pass at the default
+    # block runs in several blocks
+    few = next(n for n in count(k) if math.comb(n, k) >= m) + extra
+    h = gen_random(few, k, m, seed=seed, mode="hyg")
+    coords = _span_coordinates(h.edge_masks())
+    # distinct edges have distinct coordinates: a basis edge's is one bit
+    order = sorted(range(m), key=lambda i: coords[i].bit_count() != 1)
+    h = Hypergraph(n=few, k=k, edges=tuple(h.edges[i] for i in order))
+    coords = _span_coordinates(h.edge_masks())
+    rho = len(core._half_steps(coords[:m // 2], 0, m // 2)[0])
+    dependent = core._half_steps(coords[m // 2:], rho, m)[1]
+    assert len(dependent) > core.ORACLE_BLOCK.bit_length() - 1
+    res = min_even_cover_oracle(h, m)
+    assert res == _sort_based_oracle(h, m)
+    assert min_even_cover_oracle(h, res[0] - 1) == _sort_based_oracle(h, res[0] - 1) is None
 
 
 def test_oracle_capacity():

@@ -131,17 +131,21 @@ def test_deletions():
         assert got == {key: row[key] for key in got}, row
 
 
+def check_oracle_covers():
+    for row in json.loads((GOLDEN / "oracle_covers.json").read_text()):
+        h = gen_random(row["n"], row["k"], row["m"], seed=row["seed"], mode=row["mode"])
+        res = min_even_cover_oracle(h, h.m)
+        got = (None, None) if res is None else (res[0], sorted(res[1].edge_indices))
+        assert got == (row["size"], row["cover"]), row
+
+
 def test_oracle_covers():
     """Oracle covers on instances of the cover-find benchmark's shape (n=20,
     k=4, m=34, out of reach of a 2^m scan), one on 70 vertices, and six at
     m = 40 to 44: multi-hypergraphs on 8 and 12 vertices, whose left halves
     are rank-deficient (one of them has its least cover wholly in the left
     half), and one on 28 vertices at the 44-edge limit."""
-    for row in json.loads((GOLDEN / "oracle_covers.json").read_text()):
-        h = gen_random(row["n"], row["k"], row["m"], seed=row["seed"], mode=row["mode"])
-        res = min_even_cover_oracle(h, h.m)
-        got = (None, None) if res is None else (res[0], sorted(res[1].edge_indices))
-        assert got == (row["size"], row["cover"]), row
+    check_oracle_covers()
 
 
 def test_kikuchi_covers():
@@ -153,6 +157,18 @@ def test_kikuchi_covers():
         res = shortest_even_cover_via_kikuchi(h, row["r"], max_len=row["max_len"])
         got = (None, None) if res is None else (res[0], sorted(res[1].edge_indices))
         assert got == (row["length"], row["cover"]), row
+
+
+@pytest.mark.parametrize("block", [1 << 10, 1 << 15])
+def test_oracle_covers_do_not_depend_on_block_size(block, monkeypatch):
+    """The oracle's passes run in blocks of ORACLE_BLOCK subsets, and the least
+    key wins whatever the block order. At 2^10 the 8-vertex, 44-edge row runs
+    its left pass in thousands of blocks; at 2^15 the 34-edge rows run their
+    right pass in one block, where the default takes two to four."""
+    from kcert import core
+
+    monkeypatch.setattr(core, "ORACLE_BLOCK", block)
+    check_oracle_covers()
 
 
 @pytest.mark.parametrize("block", [1, 7, 100])
