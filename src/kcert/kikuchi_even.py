@@ -9,26 +9,24 @@ walk's clauses are read off the edge arrays: no vertex or clause is ever held
 as a bitmask. Every clause contributes exactly
 alpha = C(k-1, k/2-1) * C(n-k, r-k/2) unordered edges.
 
-Edges live in parallel int64 arrays (s_rank, t_rank, provenance), sorted as the
-tuples (s_rank, t_rank, *provenance) sort. pattern_edges builds them for both
-graph kinds, in one call per graph: every item (a clause here, a distinct
-reduced side pair of ordered clause pairs there) yields its edges through the
-same index patterns, so whole blocks of items are gathered at once and ranked
-through a binomial table. The adjacency sums the edges _weighted_edges gives:
-every edge here; one per side-pair edge, weighted by the ordered pairs
-sharing it, in a built colored level.
-
-A subgraph is a graph of the same kind (KikuchiEdges.subgraph), so degrees,
+Edges live in parallel int64 arrays s_rank < t_rank, sorted, beside their
+provenance. pattern_edges builds them for both graph kinds, in one call per
+graph: every item (a clause here, a distinct reduced side pair of ordered
+clause pairs there) yields its edges through the same index patterns, so
+whole blocks of items are gathered at once and ranked through a binomial
+table. The degrees and the adjacency sum the weighted edges each kind gives
+(_weighted_edges): every edge, weighted 1 or by its clause's sign, here; in a
+colored level, each edge weighted by the ordered pairs it stands for. Degrees,
 Gamma and the adjacency take no edge mask, and d is average_degree throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import TYPE_CHECKING, ClassVar, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -73,10 +71,10 @@ DEFAULT_CAPS = Caps()
 @dataclass(eq=False)
 class KikuchiEdges:
     """Edge arrays of a Kikuchi graph on the r-subsets of range(COLORS * n);
-    s_rank < t_rank are endpoint colex ranks. Subclasses add the provenance,
-    named in PROVENANCE, its one per-edge array, named in ITEM, and
-    edge_signs(signs): per-edge from per-clause signs. subgraph(keep) masks
-    s_rank, t_rank and the ITEM array and shares every other field."""
+    s_rank < t_rank are endpoint colex ranks, sorted by (s_rank, t_rank).
+    Subclasses add the provenance and give _weighted_edges(signs), the edges
+    the degrees and the adjacency sum, and edge_columns(), the columns of the
+    edges view."""
 
     n: int
     k: int
@@ -85,8 +83,6 @@ class KikuchiEdges:
     t_rank: np.ndarray
 
     COLORS = 1
-    PROVENANCE: ClassVar[tuple[str, ...]] = ()
-    ITEM: ClassVar[str]
 
     @property
     def num_vertices(self) -> int:
@@ -102,23 +98,18 @@ class KikuchiEdges:
 
     @cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:
-        """Read-only tuple view (s_rank, t_rank, *provenance), in stored order."""
-        cols = [self.s_rank, self.t_rank] + [getattr(self, f) for f in self.PROVENANCE]
-        return tuple(zip(*(c.tolist() for c in cols)))
-
-    def subgraph(self, keep) -> KikuchiEdges:
-        """The subgraph the boolean edge mask keep keeps, edges in stored order;
-        every field but the three per-edge arrays is the parent's own object."""
-        return replace(self, s_rank=self.s_rank[keep], t_rank=self.t_rank[keep],
-                       **{self.ITEM: getattr(self, self.ITEM)[keep]})
+        """Read-only tuple view (s_rank, t_rank, *provenance) of edge_columns()."""
+        return tuple(zip(*(c.tolist() for c in self.edge_columns())))
 
     # per-vertex degree, edge multiplicity counted
     degrees = property(lambda self: self.subgraph_degrees())
 
     def subgraph_degrees(self) -> np.ndarray:
-        """The degrees property; perfbench/spans.py times it under this name."""
+        """The degrees property; perfbench/spans.py times it under this name.
+        Weights are whole numbers, so the float64 sums are exact."""
         nv = self.num_vertices
-        return np.bincount(self.s_rank, minlength=nv) + np.bincount(self.t_rank, minlength=nv)
+        s, t, w = self._weighted_edges(None)
+        return (np.bincount(s, w, nv) + np.bincount(t, w, nv)).astype(np.int64)
 
     def gamma_diagonal(self) -> list[Fraction]:
         """Gamma = D + d*Id, d the average degree."""
@@ -132,25 +123,15 @@ class KikuchiEdges:
         d = self.average_degree
         return (self.degrees * d.denominator + d.numerator) / d.denominator
 
-    def _weighted_edges(self, signs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(s_rank, t_rank, float64 weight) of the edges the adjacency sums:
-        every edge, weighted 1, or by its sign under per-clause signs."""
-        w = np.ones(self.num_edges) if signs is None else self.edge_signs(signs)
-        return self.s_rank, self.t_rank, w
-
     def adjacency(self, signs=None) -> sp.csr_matrix:
-        """Symmetric adjacency, signed by per-clause signs; parallel edges
-        accumulate, and where they cancel the entry stays as an explicit zero.
-        The edges are sorted by (s_rank, t_rank), so each run of parallel edges
-        is summed in one np.add.reduceat before the COO to CSR step.
+        """Symmetric adjacency of the weighted edges, signed by per-clause
+        signs. The COO to CSR step sums parallel edges, and where they cancel
+        the entry stays as an explicit zero.
         SciPy is imported here, on first use, to keep it out of `import kcert`."""
         import scipy.sparse as sp
 
         nv = self.num_vertices
         s, t, w = self._weighted_edges(None if signs is None else np.asarray(signs, dtype=float))
-        if len(s):
-            first = np.flatnonzero(np.concatenate([[True], (s[1:] != s[:-1]) | (t[1:] != t[:-1])]))
-            s, t, w = s[first], t[first], np.add.reduceat(w, first)
         rows, cols = np.concatenate([s, t]), np.concatenate([t, s])
         a = sp.coo_matrix((np.concatenate([w, w]), (rows, cols)), shape=(nv, nv), dtype=np.float64)
         return a.tocsr()
@@ -218,11 +199,16 @@ class EvenKikuchiGraph(KikuchiEdges):
     clause: np.ndarray                         # per-edge clause index
     alpha: int                                 # unordered edges per clause
 
-    PROVENANCE = ("clause",)
-    ITEM = "clause"
-
     def edge_signs(self, signs) -> np.ndarray:
         return signs[self.clause]
+
+    def _weighted_edges(self, signs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every edge, weighted 1, or by its sign under per-clause signs."""
+        w = np.ones(self.num_edges) if signs is None else self.edge_signs(signs)
+        return self.s_rank, self.t_rank, w
+
+    def edge_columns(self) -> tuple[np.ndarray, ...]:
+        return self.s_rank, self.t_rank, self.clause
 
     @cached_property
     def edge_keys(self) -> np.ndarray:

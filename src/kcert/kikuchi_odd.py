@@ -8,58 +8,49 @@ clause pair (C, C') of a group with center U, edges connect S to
 T = S xor (green C~ xor blue C~') subject to the balanced intersection rule.
 Edge bookkeeping is per ordered pair; alpha is the per-ordered-pair count of
 unordered edges that the index patterns produce (the closed form is reported,
-never assumed).
+never assumed). Each ordered pair is a row (group, C, C') of a pair table.
 
-Edges use the arrays of kikuchi_even.KikuchiEdges; each edge's provenance is
-its ordered pair, a row (group, C, C') of a pair table. All pairs share one set
-of index patterns, so kikuchi_even.pattern_edges builds them as it builds the
-even graphs; deletion and equalization are array passes over the same layout,
-and the per-pair survival counts they report are an int64 array indexed like
-the pair table's rows.
+An ordered pair's edges depend on its reduced sides (C~, C~') alone: the edge
+joins S to S xor (green C~ xor blue C~'), and the intersection rule counts S
+against C~ and C~' only. Pairs with equal sides have equal edges, and on few
+vertices they are common: at level k - 1 each C~ is one vertex, so a level has
+at most n^2 distinct side pairs however large its groups grow. So a level
+holds edges (s_rank, t_rank, sorted, in the arrays of
+kikuchi_even.KikuchiEdges), each edge's side (side) and the side of each
+pair-table row (of_pair); an edge stands for one edge of every ordered pair
+of its side. A built level's sides are its distinct side pairs, so its edges
+are distinct: two side pairs never share an edge's endpoints, since S xor T
+is green C~ with blue C~'. The build numbers the distinct reduced sets, codes
+each ordered pair id(C~) * u + id(C~'), u the number of distinct sets, and
+makes one pattern_edges call with one row per distinct code, as the even
+build makes with one row per clause. A subgraph (subgraph) holds kept
+per-pair edges and gives each ordered pair its own side (of_pair = arange).
 
-An ordered pair's endpoints depend on its reduced sides (C~, C~') alone: the
-edge joins S to S xor (green C~ xor blue C~'), and the intersection rule counts
-S against C~ and C~' only, so neither the group nor its center enters. Pairs
-with equal (C~, C~') have equal endpoints and differ only in provenance. On
-few vertices they are common: at level k - 1 each C~ is one vertex, so the
-ordered pairs of a level have at most n^2 distinct sides however large its
-groups grow, and groups with different centers reuse the same sides. So the
-build gives each distinct reduced set an id, each ordered pair the code
-id(C~) * u + id(C~'), u the number of distinct sets, and makes one
-pattern_edges call with one side row per distinct code, as the even build
-makes with one row per clause. It keeps those side-pair edges and each
-ordered pair's side pair (SidePairs), nothing per ordered pair's edge.
-
-Two side pairs never share an edge's endpoints, since S xor T is green C~ with
-blue C~'. So the signed adjacency and Gamma of a level depend on two numbers
-per side pair: how many ordered pairs share it, and the sum of their b_C b_C'.
-A side-pair edge counts once per ordered pair sharing it and carries that sum,
-exact in float64, and the edge count, degrees, Gamma and adjacency read the
-side pairs alone. The per-pair arrays s_rank, t_rank and pair are expanded
-from them on first read (dumps, the edges view, deletion and equalization when
-they cut): sorted by (s_rank, t_rank, pair), they are the side-pair edges in
-order, each repeated once per ordered pair of its side. A subgraph of kept
-edges holds those arrays, each ordered pair its own side pair of weight 1, and
-KikuchiEdges.adjacency sums both kinds the same way.
+In both, the edge count, degrees, Gamma and signed adjacency weigh each edge
+by the number of ordered pairs of its side, or under signs by the sum of
+their b_C b_C' (sums of +-1, exact in float64), through one np.bincount over
+of_pair. The per-pair edges (pair_edges) repeat each edge once per ordered
+pair of its side; they are made on first read, once, for dumps, the full
+deletion and equalization passes and subgraph.
 
 An ordered pair's edges join S to S xor M for one fixed M, so they form a
 matching: a (vertex, group, clause) incidence is met at most once per ordered
 pair of the group holding the clause, 2(|G| - 1) times in all. Deletion cuts
-nothing when 2(max |G| - 1) <= eta and then gives each pair its alpha edges;
+nothing when 2(max |G| - 1) <= eta and then each side's pairs keep its edges;
 equalization cuts nothing when every pair already holds the same count and
-then returns the survivors unchanged. Neither then expands the per-pair
-arrays. Otherwise both run their full passes over them.
+then returns the survivors unchanged. Neither then reads the per-pair edges.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import comb
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -69,112 +60,68 @@ from .kikuchi_even import DEFAULT_CAPS, Caps, KikuchiEdges, dump_edges, pattern_
 from .subsets import combination_rows, complement_rows, joined_rows, stable_order
 
 
-class SidePairs(NamedTuple):
-    """The edges of a colored level, one per edge of a distinct reduced side
-    pair: s_rank, t_rank and side (its row of side pairs), sorted by (s_rank,
-    t_rank), and of_pair, the side pair of each row of the pair table."""
-
-    s_rank: np.ndarray
-    t_rank: np.ndarray
-    side: np.ndarray
-    of_pair: np.ndarray
-
-
 @dataclass(eq=False)
 class ColoredKikuchiGraph(KikuchiEdges):
-    """A built level holds its side pairs (side_pairs) and leaves s_rank,
-    t_rank and pair None; its edge count, degrees and adjacency read the side
-    pairs. The first read of one of the three expands them from the side
-    pairs, once (_expand_pairs), and drops the side pairs, so the level then
-    reads its edge arrays, as a subgraph does."""
+    """A colored level: its edges, each edge's side and the side of each row
+    of the pair table (see the module docstring). No method changes a field."""
 
     t: int                                   # common center size of the groups
     groups: tuple[Group, ...]
     pair_table: np.ndarray                   # ordered_pair_table(groups)
-    pair: np.ndarray                         # per-edge row of pair_table (see above)
+    side: np.ndarray                         # per-edge side
+    of_pair: np.ndarray                      # side of each row of pair_table
     alpha: Optional[int]                     # unordered edges per ordered pair; None: no pairs
     alpha_closed_form: int                   # per unordered pair, as displayed
 
     COLORS = 2
-    PROVENANCE = ("group", "green", "blue")
-    ITEM = "pair"
-    side_pairs = None                        # SidePairs of a built level; not a field
 
     @property
     def p(self) -> int:
         return len(self.groups)
 
-    # per-edge provenance, read through the edge's ordered pair
-    group = property(lambda self: self.pair_table[self.pair, 0])
-    green = property(lambda self: self.pair_table[self.pair, 1])     # clause C
-    blue = property(lambda self: self.pair_table[self.pair, 2])      # clause C'
-
     def pair_signs(self, signs) -> np.ndarray:
         """b_C b_C' per row of the pair table, from per-clause signs."""
         return signs[self.pair_table[:, 1]] * signs[self.pair_table[:, 2]]
 
-    def edge_signs(self, signs) -> np.ndarray:
-        return self.pair_signs(signs)[self.pair]
-
-    @property
+    @cached_property
     def num_edges(self) -> int:
-        if self.side_pairs is None:
-            return super().num_edges
-        return len(self.pair_table) * (self.alpha or 0)     # alpha edges per ordered pair
-
-    def subgraph_degrees(self) -> np.ndarray:
-        if self.side_pairs is None:
-            return super().subgraph_degrees()
-        nv = self.num_vertices
-        s, t, w = self._weighted_edges(None)
-        return (np.bincount(s, w, nv) + np.bincount(t, w, nv)).astype(np.int64)
+        return int(np.bincount(self.of_pair)[self.side].sum())
 
     def _weighted_edges(self, signs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """With side pairs, each side-pair edge stands for the edges of the
-        ordered pairs sharing it, so it weighs their number, or under signs the
-        sum of their b_C b_C'; sums of +-1, so exact in float64."""
-        if self.side_pairs is None:
-            return super()._weighted_edges(signs)
-        s, t, side, of_pair = self.side_pairs
-        w = np.ones(len(of_pair)) if signs is None else self.pair_signs(signs)
-        return s, t, np.bincount(of_pair, w)[side]
+        """Each edge weighs the number of ordered pairs of its side, or under
+        signs the sum of their b_C b_C'."""
+        w = np.ones(len(self.of_pair)) if signs is None else self.pair_signs(signs)
+        return self.s_rank, self.t_rank, np.bincount(self.of_pair, w)[self.side]
 
-    def _expand_pairs(self) -> None:
-        """s_rank, t_rank and pair of every edge from the side pairs. No two
-        side pairs share an endpoint pair, since S xor T is green C~ with blue
-        C~', and no side pair has parallel edges (a matching), so the edges
-        sorted by (s_rank, t_rank, pair) are the side-pair edges in their order,
-        each repeated once per ordered pair of its side, pairs ascending."""
-        s, t, side, of_pair = self.side_pairs
-        per_side = np.bincount(of_pair)
-        copies = per_side[side]
-        by_side = stable_order(of_pair, len(per_side))
-        # copy j of side-pair edge e is pair by_side[first pair of side[e] + j]
-        slot = np.repeat((np.cumsum(per_side) - per_side)[side] - (np.cumsum(copies) - copies),
+    @cached_property
+    def pair_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """s_rank, t_rank and pair-table row of every ordered pair's edges,
+        sorted by (s_rank, t_rank, pair), read-only: the edges in their order,
+        each repeated once per ordered pair of its side, pairs ascending. In a
+        built level no two sides share an endpoint pair and a side has no
+        parallel edges (a matching); in a subgraph each side is one pair."""
+        per_side = np.bincount(self.of_pair)
+        copies = per_side[self.side]
+        by_side = stable_order(self.of_pair, len(per_side))
+        # copy j of edge e is pair by_side[first pair of side[e] + j]
+        slot = np.repeat((np.cumsum(per_side) - per_side)[self.side] - (np.cumsum(copies) - copies),
                          copies)
         slot += np.arange(len(slot))
-        self.pair = by_side[slot]
-        self.s_rank, self.t_rank = np.repeat(s, copies), np.repeat(t, copies)
-        self.side_pairs = None
+        arrays = np.repeat(self.s_rank, copies), np.repeat(self.t_rank, copies), by_side[slot]
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
+    def edge_columns(self) -> tuple[np.ndarray, ...]:
+        s, t, pair = self.pair_edges
+        return (s, t, *self.pair_table[pair, :3].T)
 
-def _expanded(name: str) -> property:
-    """The per-edge field name of ColoredKikuchiGraph as a property: the stored
-    array, or where the build stored None, the one _expand_pairs makes on the
-    first read."""
-    def read(g):
-        if g.__dict__[name] is None:
-            g._expand_pairs()
-        return g.__dict__[name]
-
-    def write(g, value):
-        g.__dict__[name] = value
-
-    return property(read, write)
-
-
-for _name in ("s_rank", "t_rank", "pair"):
-    setattr(ColoredKikuchiGraph, _name, _expanded(_name))
+    def subgraph(self, keep) -> ColoredKikuchiGraph:
+        """The subgraph the boolean mask keep over pair_edges keeps, each
+        ordered pair its own side; every other field is the level's own."""
+        s, t, pair = self.pair_edges
+        return replace(self, s_rank=s[keep], t_rank=t[keep], side=pair[keep],
+                       of_pair=np.arange(len(self.pair_table)))
 
 
 def ordered_pair_table(groups) -> np.ndarray:
@@ -244,14 +191,13 @@ def build_colored_kikuchi(h: Hypergraph, decomp: Decomposition, level: int, r: i
                                 return_inverse=True)
     sides = np.hstack([sets[codes // u], sets[codes % u] + h.n])
 
-    # pair_table rows are sorted by (group, C, C'), so the expanded edges sort
+    # pair_table rows are sorted by (group, C, C'), so the per-pair edges sort
     # like the tuples (s, t, group, C, C')
-    g = ColoredKikuchiGraph(n=h.n, k=h.k, r=r, s_rank=None, t_rank=None, t=level, groups=groups,
-                            pair_table=pair_table, pair=None,
-                            alpha=len(s_pat) if len(pair_table) else None,
-                            alpha_closed_form=closed)
-    g.side_pairs = SidePairs(*pattern_edges(sides, 2 * h.n, r, s_pat, t_pat), side_row)
-    return g
+    s_rank, t_rank, side = pattern_edges(sides, 2 * h.n, r, s_pat, t_pat)
+    return ColoredKikuchiGraph(n=h.n, k=h.k, r=r, s_rank=s_rank, t_rank=t_rank, t=level,
+                               groups=groups, pair_table=pair_table, side=side, of_pair=side_row,
+                               alpha=len(s_pat) if len(pair_table) else None,
+                               alpha_closed_form=closed)
 
 
 @dataclass
@@ -274,25 +220,23 @@ def delete_heavy_edges(g: ColoredKikuchiGraph, eta) -> DeletionResult:
     eta = math.inf is the no-op sentinel. Surviving per-vertex per-clause
     incidence is <= eta afterwards. An incidence count is at most 2(|G| - 1)
     (see the module docstring), so when 2(max |G| - 1) <= eta every edge is
-    kept, and a built level's pairs keep their alpha edges each: no per-edge
-    array is read.
+    kept, and each pair keeps the edges of its side: the per-pair edges are
+    not read.
     """
     _check_eta(eta)
     surviving = np.ones(g.num_edges, dtype=bool)
     if not g.num_edges or 2 * (max(len(grp.clause_indices) for grp in g.groups) - 1) <= eta:
-        if g.side_pairs is None:
-            kept = np.bincount(g.pair, minlength=len(g.pair_table))
-        else:
-            kept = np.full(len(g.pair_table), g.alpha or 0, dtype=np.int64)
-        return DeletionResult(surviving=surviving, pair_survival=kept)
+        return DeletionResult(surviving=surviving, pair_survival=np.bincount(
+            g.side, minlength=len(g.of_pair))[g.of_pair])
     # one key per (vertex, group, clause) incidence, (group, clause) as its
     # slot, packed in the narrowest dtype that holds every key
     num_slots = sum(len(grp.clause_indices) for grp in g.groups)
     key_type = np.min_scalar_type(g.num_vertices * num_slots - 1)
-    slots = [g.pair_table[g.pair, col].astype(key_type) for col in (3, 4)]
+    s_rank, t_rank, pair = g.pair_edges
+    slots = [g.pair_table[pair, col].astype(key_type) for col in (3, 4)]
     # filled row by row, so at most one row-sized temporary is alive
     keys = np.empty((4, g.num_edges), dtype=key_type)
-    for row, (v, slot) in zip(keys, product((g.s_rank, g.t_rank), slots)):
+    for row, (v, slot) in zip(keys, product((s_rank, t_rank), slots)):
         np.multiply(v.astype(key_type), key_type.type(num_slots), out=row)
         row += slot
     del slots
@@ -305,7 +249,7 @@ def delete_heavy_edges(g: ColoredKikuchiGraph, eta) -> DeletionResult:
     for row in keys:
         surviving &= np.isin(row, heavy, invert=True)
     return DeletionResult(surviving=surviving,
-                          pair_survival=np.bincount(g.pair[surviving], minlength=len(g.pair_table)))
+                          pair_survival=np.bincount(pair[surviving], minlength=len(g.pair_table)))
 
 
 def equalize_deletion(g: ColoredKikuchiGraph, pre: DeletionResult) -> DeletionResult:
@@ -327,7 +271,7 @@ def equalize_deletion(g: ColoredKikuchiGraph, pre: DeletionResult) -> DeletionRe
     else:
         # survivors grouped by pair, each pair's in stored (sorted) order; keep the first kappa
         alive = np.flatnonzero(pre.surviving)
-        pair_ids = g.pair[alive]
+        pair_ids = g.pair_edges[2][alive]
         alive = alive[stable_order(pair_ids, len(g.pair_table))]
         # in that order a pair's run starts after the survivors of all lower pairs
         counts = np.bincount(pair_ids, minlength=len(g.pair_table))

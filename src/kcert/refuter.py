@@ -23,9 +23,9 @@ One builder per arity writes the certificate on a shared head (_head), given the
 instance digest by its caller, which computes it once. Both run
 one spectral step (_spectral_step: degrees, Gamma, signed adjacency, norm), the
 even builder on its whole graph, each odd level on its surviving edges. A
-level that deletion and equalization leave whole is stepped as built, from its
-side pairs (see kikuchi_odd), so its per-pair edge arrays are never expanded;
-a level they cut is stepped on the subgraph of its survivors.
+level that deletion and equalization leave whole is stepped as built, on its
+distinct edges (see kikuchi_odd), so its per-pair edges are never made; a
+level they cut is stepped on the subgraph of its survivors.
 The reweighted spectral norm, the only numerical step, is passed in as a
 function: refute_even/refute_odd pass ARPACK at their tol. verify_certificate
 replays the same builder from the recorded parameters with a step that

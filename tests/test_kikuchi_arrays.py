@@ -3,14 +3,15 @@ and the array kernels against the numpy passes they replaced: np.sort per row
 for colex ranks, np.lexsort((item, t, s)) for the edge order,
 np.argsort(kind="stable") for stable_order, a COO to CSR conversion of every
 edge for the adjacency, the full deletion and equalization passes for
-their shortcuts, and the per-pair degrees and adjacency for the side-pair
-assembly."""
+their shortcuts, and the per-pair degrees and adjacency, summed run by run,
+for a level's weighted distinct edges."""
 
 import dataclasses
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -60,6 +61,26 @@ def random_colored_graph(seed):
                            thresholds={t: 2 for t in range(1, k)})
     r = rng.randrange(max(1, k - level - 1), k - level + 3)
     return h, build_colored_kikuchi(h, decomp, level, r), rng
+
+
+def masked(g, keep):
+    """The subgraph the boolean mask keep keeps: a colored level's own, or an
+    even graph with its per-edge arrays masked."""
+    if isinstance(g, kikuchi_odd.ColoredKikuchiGraph):
+        return g.subgraph(keep)
+    return dataclasses.replace(g, s_rank=g.s_rank[keep], t_rank=g.t_rank[keep],
+                               clause=g.clause[keep])
+
+
+def per_edge(g, signs=None):
+    """s_rank, t_rank and float64 weight of every edge, one per ordered pair in
+    a colored level: 1, or the edge's sign under per-clause signs."""
+    if isinstance(g, kikuchi_odd.ColoredKikuchiGraph):
+        s, t, pair = g.pair_edges
+        sign = lambda b: g.pair_signs(b)[pair]
+    else:
+        s, t, sign = g.s_rank, g.t_rank, g.edge_signs
+    return s, t, np.ones(len(s)) if signs is None else sign(np.asarray(signs, dtype=float))
 
 
 def masks_and_ranks(g):
@@ -128,7 +149,7 @@ def test_adjacency_and_degrees_match_edge_loop(seed, colored):
             entries[(s, t)] += w
             entries[(t, s)] += w
             sub[[s, t]] += 1
-    kept = g.subgraph(keep)
+    kept = masked(g, keep)
     a = kept.adjacency(signs=signs).tocoo()
     assert a.shape == (nv, nv)
     # parallel edges that cancel leave an explicit zero
@@ -140,21 +161,21 @@ def test_adjacency_and_degrees_match_edge_loop(seed, colored):
         assert graph.gamma_floats().tolist() == [float(x) for x in graph.gamma_diagonal()]
 
 
-@given(SEEDS, st.booleans())
+@given(SEEDS)
 @settings(max_examples=40, deadline=None)
-def test_subgraph_masks_the_edge_arrays_and_shares_every_other_field(seed, colored):
-    if colored:
-        _, g, rng = random_colored_graph(seed)
-    else:
-        (_, g), rng = random_even_graph(seed), random.Random(seed)
+def test_subgraph_masks_the_edge_arrays_and_shares_every_other_field(seed):
+    # the kept per-pair edges, each ordered pair its own side
+    _, g, rng = random_colored_graph(seed)
     keep = np.array([rng.random() < 0.6 for _ in range(g.num_edges)], dtype=bool)
     kept = g.subgraph(keep)
     assert type(kept) is type(g)
     assert kept.edges == tuple(e for e, k in zip(g.edges, keep.tolist()) if k)
-    per_edge = {"s_rank", "t_rank", g.ITEM}
+    s, t, pair = g.pair_edges
+    masked_fields = {"s_rank": s[keep], "t_rank": t[keep], "side": pair[keep],
+                     "of_pair": np.arange(len(g.pair_table))}
     for field in dataclasses.fields(g):
-        if field.name in per_edge:
-            assert np.array_equal(getattr(kept, field.name), getattr(g, field.name)[keep])
+        if field.name in masked_fields:
+            assert np.array_equal(getattr(kept, field.name), masked_fields[field.name])
         else:
             assert getattr(kept, field.name) is getattr(g, field.name), field.name
 
@@ -221,8 +242,9 @@ def test_each_ordered_pair_is_a_matching(seed):
     """The deletion shortcut's premise: no vertex has two edges of one ordered
     pair, so a (vertex, group, clause) key is met at most 2(|G| - 1) times."""
     _, g, _ = random_colored_graph(seed)
-    ends = np.concatenate([g.s_rank, g.t_rank])
-    pairs = np.concatenate([g.pair, g.pair])
+    s, t, pair = g.pair_edges
+    ends = np.concatenate([s, t])
+    pairs = np.concatenate([pair, pair])
     assert len(set(zip(ends.tolist(), pairs.tolist()))) == len(ends)
     if g.num_edges:
         most = max(incidences(g).values())
@@ -250,19 +272,21 @@ def test_ordered_pair_table_matches_the_per_group_loop(clause_lists):
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
-# delete_heavy_edges and equalize_deletion verbatim as they were before their
-# shortcuts, which must not change any result on either side of the bound
+# delete_heavy_edges and equalize_deletion as they were before their
+# shortcuts, which must not change any result on either side of the bound,
+# with the per-pair edges read from pair_edges
 def reference_delete_heavy_edges(g, eta) -> DeletionResult:
     if eta != math.inf and eta < 1:
         raise ValueError("eta must be >= 1 (or math.inf)")
+    s_rank, t_rank, pair = g.pair_edges
     surviving = np.ones(g.num_edges, dtype=bool)
     if eta != math.inf and g.num_edges:
         # one key per (vertex, group, clause) incidence, (group, clause) as its
         # slot, packed in the narrowest dtype that holds every key
         num_slots = sum(len(grp.clause_indices) for grp in g.groups)
         key_type = np.min_scalar_type(g.num_vertices * num_slots - 1)
-        slots = [g.pair_table[g.pair, col].astype(key_type) for col in (3, 4)]
-        ends = [v.astype(key_type) * key_type.type(num_slots) for v in (g.s_rank, g.t_rank)]
+        slots = [g.pair_table[pair, col].astype(key_type) for col in (3, 4)]
+        ends = [v.astype(key_type) * key_type.type(num_slots) for v in (s_rank, t_rank)]
         keys = np.stack([v + slot for v in ends for slot in slots])
         ordered = np.sort(keys, axis=None)
         # in sorted order, a key met more than eta times recurs eta places on
@@ -270,7 +294,7 @@ def reference_delete_heavy_edges(g, eta) -> DeletionResult:
         heavy = np.unique(ordered[e:][ordered[e:] == ordered[:-e]])
         surviving = ~np.isin(keys, heavy).any(axis=0)
     return DeletionResult(surviving=surviving,
-                          pair_survival=np.bincount(g.pair[surviving], minlength=len(g.pair_table)))
+                          pair_survival=np.bincount(pair[surviving], minlength=len(g.pair_table)))
 
 
 def reference_equalize_deletion(g, pre: DeletionResult) -> DeletionResult:
@@ -282,7 +306,7 @@ def reference_equalize_deletion(g, pre: DeletionResult) -> DeletionResult:
     kappa = int(pre.pair_survival.min())
     # survivors grouped by pair, each pair's in stored (sorted) order; keep the first kappa
     alive = np.flatnonzero(pre.surviving)
-    pair_ids = g.pair[alive].astype(np.min_scalar_type(len(g.pair_table) - 1))
+    pair_ids = g.pair_edges[2][alive].astype(np.min_scalar_type(len(g.pair_table) - 1))
     order = np.argsort(pair_ids, kind="stable")
     alive, pairs = alive[order], pair_ids[order]
     running = np.arange(len(alive)) - np.searchsorted(pairs, pairs)
@@ -319,8 +343,7 @@ def coo_reference(g, signs, keep):
     converted to CSR, which sums the parallel edges."""
     import scipy.sparse as sp
 
-    w = np.ones(g.num_edges) if signs is None else g.edge_signs(np.asarray(signs, dtype=float))
-    s, t, w = g.s_rank[keep], g.t_rank[keep], w[keep]
+    s, t, w = (x[keep] for x in per_edge(g, signs))
     nv = g.num_vertices
     return sp.coo_matrix((np.concatenate([w, w]), (np.concatenate([s, t]), np.concatenate([t, s]))),
                          shape=(nv, nv), dtype=np.float64).tocsr()
@@ -346,7 +369,7 @@ def test_adjacency_equals_the_coo_reference(seed, colored, mask, signed):
             "all": np.ones(g.num_edges, dtype=bool),
             "none": np.zeros(g.num_edges, dtype=bool)}[mask]
     want = coo_reference(g, signs, keep)
-    assert_same_csr(g.subgraph(keep).adjacency(signs=signs), want)
+    assert_same_csr(masked(g, keep).adjacency(signs=signs), want)
     if mask == "all":
         assert_same_csr(g.adjacency(signs=signs), want)
 
@@ -358,6 +381,7 @@ def test_cancelling_parallel_edges_stay_explicit_zeros():
     g = build_even_kikuchi(h, 1)
     a = g.adjacency(signs=[1, -1, 1])
     assert_same_csr(a, coo_reference(g, [1, -1, 1], np.ones(g.num_edges, dtype=bool)))
+    assert_same_csr(a, reference_adjacency(g, [1, -1, 1]))
     coo = a.tocoo()
     assert list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())) == [
         (0, 1, 0.0), (1, 0, 0.0), (1, 2, 1.0), (2, 1, 1.0)]
@@ -502,7 +526,7 @@ def test_colored_edge_order_matches_lexsort_across_key_widths(size, seed):
         items.append((row, np.uint64(green | blue), parts, np.uint64(pin)))
     want = scanned_edges(np.array(all_subset_masks_colex(2 * n, r), dtype=np.uint64), items,
                          one_side=False)
-    for got, ref in zip((g.s_rank, g.t_rank, g.pair), want):
+    for got, ref in zip(g.pair_edges, want):
         assert got.dtype == np.int64
         assert np.array_equal(got, ref)
 
@@ -606,7 +630,7 @@ def test_colored_build_equals_the_per_pair_reference(level_case):
                                                 decomp, level, r)
     rows = side_rows(h, g)
     want = reference_pattern_edges(len(rows), lambda lo, hi: rows[lo:hi], ground, r_, s_pat, t_pat)
-    assert_same_bytes((g.s_rank, g.t_rank, g.pair), want)
+    assert_same_bytes(g.pair_edges, want)
 
 
 def test_colored_build_equals_the_reference_with_no_pairs_and_one_group():
@@ -626,21 +650,28 @@ def test_colored_build_equals_the_reference_with_no_pairs_and_one_group():
             rows = side_rows(h, g)
             want = reference_pattern_edges(len(rows), lambda lo, hi: rows[lo:hi], ground, r_,
                                            s_pat, t_pat)
-            assert_same_bytes((g.s_rank, g.t_rank, g.pair), want)
+            assert_same_bytes(g.pair_edges, want)
             assert g.num_edges == len(s_pat) * len(g.pair_table)
 
 
-@given(SEEDS, st.sampled_from([2, 4]), st.data())
-@settings(max_examples=40, deadline=None)
-def test_even_build_equals_the_reference_on_repeated_clauses(seed, k, data):
+@st.composite
+def repeated_clause_graphs(draw):
+    """A multi-hypergraph, k in {2, 4}, with some clauses repeated, so several
+    items share a row and parallel edges are common; and an r for it."""
+    seed, k = draw(SEEDS, label="seed"), draw(st.sampled_from([2, 4]), label="k")
     rng = random.Random(seed)
-    n = data.draw(st.integers(k + 1, 9), label="n")
-    h = gen_random(n, k, data.draw(st.integers(0, 30), label="m"), seed, mode="hyg-multi")
-    # repeat some clauses, so several items share a row
+    n = draw(st.integers(k + 1, 9), label="n")
+    h = gen_random(n, k, draw(st.integers(0, 30), label="m"), seed, mode="hyg-multi")
     h = Hypergraph(n=n, k=k, edges=h.edges + tuple(rng.choice(h.edges) for _ in h.edges[:5]))
-    r = data.draw(st.integers(k // 2, min(n, 4)), label="r")
+    return h, draw(st.integers(k // 2, min(n, 4)), label="r")
+
+
+@given(repeated_clause_graphs())
+@settings(max_examples=40, deadline=None)
+def test_even_build_equals_the_reference_on_repeated_clauses(case):
+    h, r = case
     g, (ground, r_, s_pat, t_pat) = patterns_of(build_even_kikuchi, kikuchi_even, h, r)
-    clauses = np.array(h.edges, dtype=np.int64).reshape(h.m, k)
+    clauses = np.array(h.edges, dtype=np.int64).reshape(h.m, h.k)
     want = reference_pattern_edges(h.m, lambda lo, hi: clauses[lo:hi], ground, r_, s_pat, t_pat)
     assert_same_bytes((g.s_rank, g.t_rank, g.clause), want)
 
@@ -695,20 +726,22 @@ def test_stable_sort_is_the_values_in_stable_order(bound, data):
     assert np.array_equal(values, kept)
 
 
-# KikuchiEdges.subgraph_degrees and adjacency verbatim as they were when a
-# colored level held one edge per ordered pair, and the float Gamma from them:
-# the side-pair assembly must give the same bytes
+# KikuchiEdges.subgraph_degrees and adjacency as they were when a colored
+# level held one edge per ordered pair and the adjacency summed each run of
+# parallel edges before the COO to CSR step, and the float Gamma from them,
+# over the per-pair edges of per_edge: a level's weighted distinct edges, its
+# cut subgraphs and even graphs with parallel edges must give the same bytes
 def reference_subgraph_degrees(g):
     nv = g.num_vertices
-    return np.bincount(g.s_rank, minlength=nv) + np.bincount(g.t_rank, minlength=nv)
+    s, t, _ = per_edge(g)
+    return np.bincount(s, minlength=nv) + np.bincount(t, minlength=nv)
 
 
 def reference_adjacency(g, signs=None):
     import scipy.sparse as sp
 
     nv = g.num_vertices
-    s, t = g.s_rank, g.t_rank
-    w = np.ones(len(s)) if signs is None else g.edge_signs(np.asarray(signs, dtype=float))
+    s, t, w = per_edge(g, signs)
     if len(s):
         first = np.flatnonzero(np.concatenate([[True], (s[1:] != s[:-1]) | (t[1:] != t[:-1])]))
         s, t, w = s[first], t[first], np.add.reduceat(w, first)
@@ -718,7 +751,7 @@ def reference_adjacency(g, signs=None):
 
 
 def reference_gamma_floats(g):
-    d = Fraction(2 * len(g.s_rank), g.num_vertices)
+    d = Fraction(2 * len(per_edge(g)[0]), g.num_vertices)
     return (reference_subgraph_degrees(g) * d.denominator + d.numerator) / d.denominator
 
 
@@ -732,7 +765,7 @@ def assert_assembled_as_the_reference(got, g, signs):
     assert_same_csr(got["adjacency"], reference_adjacency(g, signs))
     want = reference_subgraph_degrees(g)
     assert got["degrees"].dtype == want.dtype and got["degrees"].tobytes() == want.tobytes()
-    assert type(got["num_edges"]) is int and got["num_edges"] == len(g.s_rank)
+    assert type(got["num_edges"]) is int and got["num_edges"] == len(per_edge(g)[0])
     assert got["gamma"].tobytes() == reference_gamma_floats(g).tobytes()
 
 
@@ -743,26 +776,66 @@ def test_side_pair_assembly_equals_the_per_pair_reference(level_case, data):
     g = build_colored_kikuchi(h, decomp, level, r)
     signs = data.draw(st.none() | st.lists(st.sampled_from([-1, 1]), min_size=h.m, max_size=h.m),
                       label="signs")
-    assert g.side_pairs is not None
     got = assembled(g, signs)
-    assert g.side_pairs is not None                 # nothing above expanded the edges
+    assert "pair_edges" not in vars(g)              # nothing above made the per-pair edges
     assert_assembled_as_the_reference(got, g, signs)
     share = data.draw(st.sampled_from([0.0, 0.6, 1.0]), label="kept share")
     keep = np.random.default_rng(data.draw(SEEDS, label="mask seed")).random(g.num_edges) < share
     kept = g.subgraph(keep)
-    assert kept.side_pairs is None
+    assert np.array_equal(kept.of_pair, np.arange(len(g.pair_table)))
     assert_assembled_as_the_reference(assembled(kept, signs), kept, signs)
 
 
-def spied_calls(monkeypatch):
-    """Names of the colored-graph expansions and subgraphs taken, in order."""
-    calls = []
-    for name in ("_expand_pairs", "subgraph"):
-        def spy(self, *args, _name=name, _original=getattr(kikuchi_odd.ColoredKikuchiGraph, name)):
-            calls.append(_name)
-            return _original(self, *args)
+@given(repeated_clause_graphs(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_even_assembly_equals_the_run_sum_reference_on_repeated_clauses(case, data):
+    h, r = case
+    g = build_even_kikuchi(h, r)
+    signs = data.draw(st.none() | st.lists(st.sampled_from([-1, 1]), min_size=h.m, max_size=h.m),
+                      label="signs")
+    assert_assembled_as_the_reference(assembled(g, signs), g, signs)
+    keep = np.random.default_rng(data.draw(SEEDS, label="mask seed")).random(g.num_edges) < 0.6
+    kept = masked(g, keep)
+    assert_assembled_as_the_reference(assembled(kept, signs), kept, signs)
 
-        monkeypatch.setattr(kikuchi_odd.ColoredKikuchiGraph, name, spy)
+
+def test_reading_a_built_level_leaves_its_distinct_edges():
+    # repr and dataclasses.replace read every field; neither makes the
+    # per-pair edges or changes what s_rank holds
+    h = gen_random(9, 3, 30, 4, mode="hyg-multi")
+    decomp = decompose_for_refutation(h, 2, Fraction(1, 3), enforce_ranges=False)
+    g = build_colored_kikuchi(h, decomp, 1, 2)
+    s_rank = g.s_rank
+    repr(g)
+    copy = dataclasses.replace(g)
+    assert "pair_edges" not in vars(g) and "pair_edges" not in vars(copy)
+    assert g.s_rank is s_rank and copy.s_rank is s_rank
+    assert len(s_rank) < g.num_edges
+    assert g.num_edges == len(g.pair_edges[0])
+    assert not any(a.flags.writeable for a in g.pair_edges)
+    # distinct edges, sorted: the keys s_rank * C + t_rank strictly increase
+    keys = s_rank * g.num_vertices + g.t_rank
+    assert np.all(keys[1:] > keys[:-1])
+
+
+def spied_calls(monkeypatch):
+    """Names of the colored-graph per-pair edges made and subgraphs taken, in order."""
+    calls = []
+    cls = kikuchi_odd.ColoredKikuchiGraph
+    make_pair_edges, subgraph = cls.__dict__["pair_edges"].func, cls.subgraph
+
+    def pair_edges(self):
+        calls.append("pair_edges")
+        return make_pair_edges(self)
+
+    def spied_subgraph(self, keep):
+        calls.append("subgraph")
+        return subgraph(self, keep)
+
+    spy = cached_property(pair_edges)
+    spy.__set_name__(cls, "pair_edges")
+    monkeypatch.setattr(cls, "pair_edges", spy)
+    monkeypatch.setattr(cls, "subgraph", spied_subgraph)
     return calls
 
 
@@ -786,7 +859,7 @@ def test_cutting_levels_expand_the_pairs_once_and_take_their_subgraph(monkeypatc
     cert = refute_odd(inst, 2, Fraction(1, 3), eta=8, seed=7, relax_r_range=True)
     level = cert["levels"][0]
     assert (level["method"], level["surviving_edges"], level["edges"]) == ("spectral", 134, 268)
-    per_op = ["_expand_pairs", "subgraph"] * sum(
+    per_op = ["pair_edges", "subgraph"] * sum(
         lv["method"] == "spectral" and lv["surviving_edges"] < lv["edges"] for lv in cert["levels"])
     assert calls == per_op
     assert verify_certificate(inst, cert) == (True, [])
