@@ -4,8 +4,8 @@ certificates for semirandom k-XOR, via reweighted Kikuchi matrices."""
 from .core import (Assignment, CapacityError, EvenCover, Hypergraph, KcertError,
                    XorInstance, brute_force_max_xor, eval_xor, gen_random,
                    min_even_cover_oracle, verify_even_cover)
-from .decomposition import (Decomposition, Group, ValidationReport, decompose_for_cover,
-                            decompose_for_refutation, validate_decomposition)
+from .decomposition import (Decomposition, Group, decompose_for_cover, decompose_for_refutation,
+                            validate_decomposition)
 from .io import (ParseError, load_hypergraph, load_xor, parse_hypergraph, parse_xor,
                  serialize_hypergraph, serialize_xor)
 from .kikuchi_even import (Caps, EvenKikuchiGraph, SignedEvenKikuchi, build_even_kikuchi,

@@ -104,15 +104,13 @@ def _cmd_decompose(args) -> int:
         d = decompose_for_cover(h, args.r)
     else:
         d = _refutation_decomposition(h, args)
-    report = validate_decomposition(h, d)
+    failures = validate_decomposition(h, d)
     payload = d.to_json_dict()
-    payload["valid"] = report.passed
+    payload["valid"] = not failures
     _write_output(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-    if not report.passed:
-        for f in report.failures:
-            print(f"invalid: {f}", file=sys.stderr)
-        return 1
-    return 0
+    for f in failures:
+        print(f"invalid: {f}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_kikuchi(args) -> int:

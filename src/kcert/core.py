@@ -115,10 +115,6 @@ class EvenCover:
 
     edge_indices: frozenset[int]
 
-    @property
-    def size(self) -> int:
-        return len(self.edge_indices)
-
 
 def odd_use_cover(indices) -> EvenCover:
     """The indices that occur an odd number of times in a sequence of uses."""

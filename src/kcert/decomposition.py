@@ -43,11 +43,11 @@ def refutation_threshold(n: int, r: int, k: int, t: int, eps: Fraction) -> int:
 
 @dataclass(frozen=True)
 class Group:
-    """Clauses sharing the center set; level = center size (0 for cover leftovers)."""
+    """Clauses sharing the center set. A group's level is the size of its center:
+    t for extracted groups, 1 for refutation leftover parts, 0 for cover leftovers."""
 
     center: tuple[int, ...]
     clause_indices: tuple[int, ...]
-    level: int
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def _extract_levels(h: Hypergraph,
             ids = [i for i in clauses_of[center] if i not in taken]
             for start in range(0, len(ids) - need + 1, need):
                 chosen = tuple(ids[start:start + need])
-                groups.append(Group(center=center, clause_indices=chosen, level=t))
+                groups.append(Group(center=center, clause_indices=chosen))
                 taken.update(chosen)
         pieces[t] = tuple(groups)
         current = [i for i in current if i not in taken]
@@ -129,7 +129,7 @@ def decompose_for_cover(h: Hypergraph, r: int) -> Decomposition:
         raise ValueError(f"r must satisfy 1 <= r <= n, got r = {r}")
     sizes = {t: cover_group_size(h.n, r, h.k, t) for t in range(h.k - 1, 0, -1)}
     pieces, rest = _extract_levels(h, sizes)
-    pieces[0] = (Group(center=(), clause_indices=tuple(rest), level=0),) if rest else ()
+    pieces[0] = (Group(center=(), clause_indices=tuple(rest)),) if rest else ()
     return Decomposition(mode="cover", n=h.n, k=h.k, r=r, eps=None,
                          pieces=pieces, thresholds=sizes)
 
@@ -156,7 +156,7 @@ def decompose_for_refutation(h: Hypergraph, r: int, eps,
     for idx in rest:
         leftovers.setdefault(h.edges[idx][0], []).append(idx)
     extra = tuple(
-        Group(center=(v,), clause_indices=tuple(ids), level=1)
+        Group(center=(v,), clause_indices=tuple(ids))
         for v, ids in sorted(leftovers.items())
     )
     pieces[1] = pieces[1] + extra
@@ -164,14 +164,11 @@ def decompose_for_refutation(h: Hypergraph, r: int, eps,
                          pieces=pieces, thresholds=taus)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    failures: tuple[str, ...]
+def validate_decomposition(h: Hypergraph, d: Decomposition) -> tuple[str, ...]:
+    """Check partition, group sizes, center containment and intersection caps;
+    returns one message per failure found, none when the decomposition is valid.
 
-
-def validate_decomposition(h: Hypergraph, d: Decomposition) -> ValidationReport:
-    """Check partition, group sizes, center containment and intersection caps.
+    Each group at level t >= 1 must have a center of size t.
 
     Intersection caps are verified by exhaustive subset counting on each piece:
     a set of size s > t may appear in at most max{1, ceil((n/r)^(k/2-s))} clauses
@@ -184,8 +181,6 @@ def validate_decomposition(h: Hypergraph, d: Decomposition) -> ValidationReport:
     for t in d.levels():
         for gi, g in enumerate(d.groups_at(t)):
             seen.extend(g.clause_indices)
-            if g.level != t:
-                failures.append(f"group {gi} at level {t} carries level tag {g.level}")
             if t >= 1 and len(g.center) != t:
                 failures.append(f"level-{t} group {gi} has center of size {len(g.center)}")
             for idx in g.clause_indices:
@@ -232,4 +227,4 @@ def validate_decomposition(h: Hypergraph, d: Decomposition) -> ValidationReport:
                     )
                     break
 
-    return ValidationReport(passed=not failures, failures=tuple(failures))
+    return tuple(failures)

@@ -31,12 +31,8 @@ TRACE_POWER_LIMIT = 12
 
 
 class NonConvergenceError(KcertError):
-    """The eigensolver failed to converge; carries the best estimate found."""
-
-    def __init__(self, message: str, best_value: float, best_residual: float):
-        super().__init__(message)
-        self.best_value = best_value
-        self.best_residual = best_residual
+    """The eigensolver failed to converge; the message gives the best value and
+    residual found, if any."""
 
 
 def _as_csr(a) -> sp.csr_matrix:
@@ -94,8 +90,7 @@ def spectral_norm_reweighted(a, gamma, tol: float = 1e-9, seed: int = 0) -> tupl
         except ArpackNoConvergence as exc:
             vals, vecs, converged = exc.eigenvalues, exc.eigenvectors, False
     if len(vals) == 0:
-        raise NonConvergenceError("ARPACK converged to no eigenpair", best_value=math.nan,
-                                  best_residual=math.inf)
+        raise NonConvergenceError("ARPACK converged to no eigenpair")
     theta, y = float(vals[0]), vecs[:, 0]
     residual = float(np.linalg.norm(isq * (A @ (isq * y)) - theta * y))
     # widen by a rounding allowance so lambda + residual stays a one-sided
@@ -104,10 +99,7 @@ def spectral_norm_reweighted(a, gamma, tol: float = 1e-9, seed: int = 0) -> tupl
     residual += 64.0 * eps * max(1.0, abs(theta)) * max(1.0, math.sqrt(nv))
     if not converged:
         raise NonConvergenceError(
-            f"ARPACK did not converge (best value {abs(theta)}, residual {residual})",
-            best_value=abs(theta),
-            best_residual=residual,
-        )
+            f"ARPACK did not converge (best value {abs(theta)}, residual {residual})")
     return abs(theta), residual
 
 

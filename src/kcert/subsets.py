@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import comb
 from typing import Optional
 
 import numpy as np
@@ -30,13 +29,15 @@ def joined_rows(*parts: np.ndarray) -> np.ndarray:
 
 
 def binomial_table(n: int, r: int) -> np.ndarray:
-    """C(v, j) as int64 for v < n, j <= r: the colex rank of v_0 < ... < v_{r-1}
+    """C(v, j) as int64 for v < n, j <= r <= n: the colex rank of v_0 < ... < v_{r-1}
     is the sum of C(v_i, i + 1). As v_i <= n - r + i, only the band v - j < n - r
-    is filled, so every entry is below C(n, r) and none can overflow."""
+    is filled, so every entry is below C(n, r) and none can overflow. C(v, j) is
+    the sum of C(u, j - 1) over u < v, all in column j - 1's band, so column j is
+    column j - 1's running sum, shifted down a row."""
     table = np.zeros((n, r + 1), dtype=np.int64)
-    for v in range(n):
-        for j in range(max(0, v - (n - r) + 1), min(v, r) + 1):
-            table[v, j] = comb(v, j)
+    table[:n - r, 0] = 1
+    for j in range(1, r + 1):
+        np.cumsum(table[:n - r + j - 1, j - 1], out=table[1:n - r + j, j])
     return table
 
 

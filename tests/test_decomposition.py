@@ -74,7 +74,7 @@ def test_cover_empty_hypergraph():
     h = Hypergraph(n=5, k=3, edges=())
     d = decompose_for_cover(h, 2)
     assert all(d.m_t(t) == 0 for t in d.levels())
-    assert validate_decomposition(h, d).passed
+    assert validate_decomposition(h, d) == ()
 
 
 def test_refutation_threshold_multiplier():
@@ -124,7 +124,7 @@ def test_refutation_group_sizes():
                 assert len(g.clause_indices) == d.thresholds[t]
         for g in d.groups_at(1):
             assert len(g.clause_indices) <= d.thresholds[1]
-        assert validate_decomposition(h, d).passed
+        assert validate_decomposition(h, d) == ()
 
 
 def test_validate_passes_both_modes():
@@ -135,9 +135,9 @@ def test_validate_passes_both_modes():
         m = rng.randrange(5, 60)
         h = gen_random(n, k, m, seed=100 + trial, mode="hyg-multi")
         dc = decompose_for_cover(h, max(1, n // 3))
-        assert validate_decomposition(h, dc).passed, validate_decomposition(h, dc).failures
+        assert validate_decomposition(h, dc) == ()
         dr = decompose_for_refutation(h, 2, Fraction(1, 3), enforce_ranges=False)
-        assert validate_decomposition(h, dr).passed
+        assert validate_decomposition(h, dr) == ()
 
 
 def test_validate_detects_corruption():
@@ -145,23 +145,42 @@ def test_validate_detects_corruption():
     d = decompose_for_cover(h, 4)
     # move clause 2 into the level-2 group
     g2 = d.groups_at(2)[0]
-    bad_groups = (Group(center=g2.center, clause_indices=g2.clause_indices + (2,), level=2),)
+    bad_groups = (Group(center=g2.center, clause_indices=g2.clause_indices + (2,)),)
     bad = type(d)(mode=d.mode, n=d.n, k=d.k, r=d.r, eps=d.eps,
                   pieces={**d.pieces, 2: bad_groups, 0: ()}, thresholds=d.thresholds)
-    rep = validate_decomposition(h, bad)
-    assert not rep.passed
-    assert any("size" in f or "center" in f for f in rep.failures)
+    assert validate_decomposition(h, bad) == (
+        "clause 2 does not contain center of level-2 group 0",
+        "level-2 group 0 has size 3, rule requires 2")
 
 
 def test_validate_detects_oversized_group():
     h = Hypergraph(n=16, k=3, edges=((0, 1, 2), (0, 1, 3), (0, 1, 4)))
     d = decompose_for_cover(h, 4)
-    merged = (Group(center=(0, 1), clause_indices=(0, 1, 2), level=2),)
+    merged = (Group(center=(0, 1), clause_indices=(0, 1, 2)),)
     bad = type(d)(mode=d.mode, n=d.n, k=d.k, r=d.r, eps=d.eps,
                   pieces={2: merged, 1: (), 0: ()}, thresholds=d.thresholds)
-    rep = validate_decomposition(h, bad)
-    assert not rep.passed
-    assert any("size" in f for f in rep.failures)
+    assert validate_decomposition(h, bad) == ("level-2 group 0 has size 3, rule requires 2",)
+
+
+@pytest.mark.parametrize("mode, edges, pieces, thresholds, fault", [
+    ("refute", ((0, 1, 2),), {1: (((0, 1), (0,)),), 2: ()}, {1: 2, 2: 2},
+     "level-1 group 0 has center of size 2"),
+    ("refute", ((0, 1, 2), (3, 4, 5)), {1: (((0,), (0, 1)),), 2: ()}, {1: 2, 2: 2},
+     "clause 1 does not contain center of level-1 group 0"),
+    ("cover", ((0, 1, 2),), {2: (((0, 1), (0,)),), 1: (((0,), (0,)),), 0: ()}, {2: 1, 1: 1},
+     "clause indices do not partition the edge set"),
+    ("cover", ((0, 1, 2), (0, 1, 3)), {2: (((0, 1), (0, 1)),), 1: (), 0: ()}, {2: 3, 1: 2},
+     "level-2 group 0 has size 2, rule requires 3"),
+    ("cover", ((0, 1, 2), (0, 1, 3)), {2: (), 1: (((0,), (0, 1)),), 0: ()}, {2: 2, 1: 2},
+     "level-1 piece: set (0, 1) lies in 2 clauses, cap 1 at size 2"),
+])
+def test_validate_names_the_one_fault(mode, edges, pieces, thresholds, fault):
+    h = Hypergraph(n=16, k=3, edges=edges)
+    d = Decomposition(mode=mode, n=16, k=3, r=4, eps=Fraction(1, 4) if mode == "refute" else None,
+                      pieces={t: tuple(Group(center=c, clause_indices=ids) for c, ids in groups)
+                              for t, groups in pieces.items()},
+                      thresholds=thresholds)
+    assert validate_decomposition(h, d) == (fault,)
 
 
 def test_cover_level0_multiplicity_below_level1_threshold():
@@ -201,7 +220,7 @@ def _ref_greedy_level(h, current, t, need):
                 chosen.append(idx)
                 if len(chosen) == need:
                     break
-        groups.append(Group(center=center, clause_indices=tuple(chosen), level=t))
+        groups.append(Group(center=center, clause_indices=tuple(chosen)))
         chosen_set = set(chosen)
         current[:] = [i for i in current if i not in chosen_set]
 
@@ -213,7 +232,7 @@ def ref_decompose_for_cover(h, r):
         need = cover_group_size(h.n, r, h.k, t)
         sizes[t] = need
         pieces[t] = tuple(_ref_greedy_level(h, current, t, need))
-    pieces[0] = (Group(center=(), clause_indices=tuple(current), level=0),) if current else ()
+    pieces[0] = (Group(center=(), clause_indices=tuple(current)),) if current else ()
     return Decomposition(mode="cover", n=h.n, k=h.k, r=r, eps=None,
                          pieces=pieces, thresholds=sizes)
 
@@ -227,7 +246,7 @@ def ref_decompose_for_refutation(h, r, eps):
     leftovers = {}
     for idx in current:
         leftovers.setdefault(h.edges[idx][0], []).append(idx)
-    extra = tuple(Group(center=(v,), clause_indices=tuple(ids), level=1)
+    extra = tuple(Group(center=(v,), clause_indices=tuple(ids))
                   for v, ids in sorted(leftovers.items()))
     pieces[1] = pieces[1] + extra
     return Decomposition(mode="refute", n=h.n, k=h.k, r=r, eps=eps,

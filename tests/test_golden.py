@@ -40,13 +40,13 @@ EVEN_CASES = {
 # clause 5, and the t = 1 group there overlaps beyond its center
 K3 = Hypergraph(n=6, k=3, edges=((0, 1, 2), (0, 3, 4), (0, 1, 5), (1, 2, 3), (2, 3, 4),
                                  (2, 3, 5), (2, 3, 5), (1, 4, 5), (3, 4, 5)))
-K3_PIECES = {1: (Group(center=(0,), clause_indices=(0, 1, 2), level=1),
-                 Group(center=(5,), clause_indices=(7, 8), level=1)),
-             2: (Group(center=(2, 3), clause_indices=(3, 4, 5, 6), level=2),)}
+K3_PIECES = {1: (Group(center=(0,), clause_indices=(0, 1, 2)),
+                 Group(center=(5,), clause_indices=(7, 8))),
+             2: (Group(center=(2, 3), clause_indices=(3, 4, 5, 6)),)}
 K5 = Hypergraph(n=7, k=5, edges=((0, 1, 2, 3, 4), (0, 2, 4, 5, 6), (0, 1, 3, 5, 6),
                                  (1, 2, 3, 4, 6), (1, 2, 4, 5, 6)))
-K5_PIECES = {1: (Group(center=(0,), clause_indices=(0, 1, 2), level=1),),
-             2: (Group(center=(1, 2), clause_indices=(3, 4), level=2),)}
+K5_PIECES = {1: (Group(center=(0,), clause_indices=(0, 1, 2)),),
+             2: (Group(center=(1, 2), clause_indices=(3, 4)),)}
 COLORED_CASES = {"colored_k3_n6_r3": (K3, K3_PIECES, 3), "colored_k5_n7_r4": (K5, K5_PIECES, 4)}
 
 ODD_INSTANCE = "odd_k3_n4_two_levels.xor"

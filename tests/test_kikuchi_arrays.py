@@ -54,7 +54,7 @@ def random_colored_graph(seed):
         for _ in range(rng.randrange(1, 5)):
             ids.append(len(edges))
             edges.append(tuple(sorted(center + tuple(rng.sample(others, k - level)))))
-        groups.append(Group(center=center, clause_indices=tuple(ids), level=level))
+        groups.append(Group(center=center, clause_indices=tuple(ids)))
     h = Hypergraph(n=n, k=k, edges=tuple(edges))
     pieces = {t: (tuple(groups) if t == level else ()) for t in range(1, k)}
     decomp = Decomposition(mode="refute", n=n, k=k, r=2, eps=Fraction(1, 4), pieces=pieces,
@@ -266,7 +266,7 @@ def reference_ordered_pair_table(groups):
 @given(st.lists(st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True), max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_ordered_pair_table_matches_the_per_group_loop(clause_lists):
-    groups = [Group(center=(0,), clause_indices=tuple(ids), level=1) for ids in clause_lists]
+    groups = [Group(center=(0,), clause_indices=tuple(ids)) for ids in clause_lists]
     got, want = ordered_pair_table(groups), reference_ordered_pair_table(groups)
     assert got.dtype == want.dtype == np.int64
     assert got.shape == want.shape and np.array_equal(got, want)
@@ -385,6 +385,16 @@ def test_cancelling_parallel_edges_stay_explicit_zeros():
     coo = a.tocoo()
     assert list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())) == [
         (0, 1, 0.0), (1, 0, 0.0), (1, 2, 1.0), (2, 1, 1.0)]
+
+
+def test_binomial_table_is_comb_on_its_band():
+    # the colex tests take their expected ranks from this table, so it is
+    # checked against math.comb here
+    for n, r in [(n, r) for n in range(41) for r in range(n + 1)] + [(96, 6)]:
+        want = [[math.comb(v, j) if v - j < n - r else 0 for j in range(r + 1)] for v in range(n)]
+        table = binomial_table(n, r)
+        assert table.dtype == np.int64 and table.shape == (n, r + 1), (n, r)
+        assert table.tolist() == want, (n, r)
 
 
 @given(st.integers(1, 6), st.integers(0, 64), SEEDS)
@@ -510,7 +520,7 @@ def test_colored_edge_order_matches_lexsort_across_key_widths(size, seed):
         for _ in range(rng.randrange(2, 4)):
             ids.append(len(edges))
             edges.append(tuple(sorted(center + tuple(rng.sample(others, 3 - level)))))
-        groups.append(Group(center=center, clause_indices=tuple(ids), level=level))
+        groups.append(Group(center=center, clause_indices=tuple(ids)))
     h = Hypergraph(n=n, k=3, edges=tuple(edges))
     pieces = {t: (tuple(groups) if t == level else ()) for t in range(1, 3)}
     decomp = Decomposition(mode="refute", n=n, k=3, r=r, eps=Fraction(1, 4), pieces=pieces,
@@ -613,7 +623,7 @@ def shared_side_levels(draw):
         for _ in range(draw(st.integers(1, 5), label="size")):
             ids.append(len(edges))
             edges.append(tuple(sorted(center + tuple(draw(st.sampled_from(rests))))))
-        groups.append(Group(center=center, clause_indices=tuple(ids), level=level))
+        groups.append(Group(center=center, clause_indices=tuple(ids)))
     h = Hypergraph(n=n, k=k, edges=tuple(edges))
     pieces = {t: (tuple(groups) if t == level else ()) for t in range(1, k)}
     decomp = Decomposition(mode="refute", n=n, k=k, r=2, eps=Fraction(1, 4), pieces=pieces,
@@ -639,8 +649,8 @@ def test_colored_build_equals_the_reference_with_no_pairs_and_one_group():
     for edges, sizes in [((), []), (((0, 1, 2),), [1]), (((0, 1, 2), (0, 3, 4)), [1, 1]),
                          (tuple(one), [4])]:
         ids = iter(range(len(edges)))
-        groups = tuple(Group(center=center, clause_indices=tuple(next(ids) for _ in range(size)),
-                             level=1) for size in sizes)
+        groups = tuple(Group(center=center, clause_indices=tuple(next(ids) for _ in range(size)))
+                       for size in sizes)
         h = Hypergraph(n=n, k=3, edges=edges)
         decomp = Decomposition(mode="refute", n=n, k=3, r=2, eps=Fraction(1, 4),
                                pieces={1: groups, 2: ()}, thresholds={1: 2, 2: 2})

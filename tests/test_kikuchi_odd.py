@@ -14,7 +14,7 @@ from subset_masks import all_subset_masks_colex, vertices_from
 
 
 def _decomp_from_groups(h, groups, r, taus=None):
-    level = groups[0].level
+    level = len(groups[0].center)
     taus = taus or {t: 2 for t in range(1, h.k)}
     pieces = {t: () for t in range(1, h.k)}
     pieces[level] = tuple(groups)
@@ -43,7 +43,7 @@ def _quad_form(g, signs, x, keep=None):
 
 def test_worked_example_k3():
     h = Hypergraph(n=5, k=3, edges=((0, 1, 2), (0, 3, 4)))
-    grp = Group(center=(0,), clause_indices=(0, 1), level=1)
+    grp = Group(center=(0,), clause_indices=(0, 1))
     d = _decomp_from_groups(h, [grp], 2)
     g = build_colored_kikuchi(h, d, 1, 2)
     assert g.num_vertices == 45           # C(10, 2)
@@ -62,7 +62,7 @@ def test_worked_example_k3():
 
 def test_singleton_group_no_edges():
     h = Hypergraph(n=5, k=3, edges=((0, 1, 2),))
-    grp = Group(center=(0,), clause_indices=(0,), level=1)
+    grp = Group(center=(0,), clause_indices=(0,))
     d = _decomp_from_groups(h, [grp], 2)
     g = build_colored_kikuchi(h, d, 1, 2)
     assert g.num_edges == 0 and g.alpha is None
@@ -70,8 +70,8 @@ def test_singleton_group_no_edges():
 
 def test_disjoint_groups_additive():
     h = Hypergraph(n=10, k=3, edges=((0, 1, 2), (0, 3, 4), (5, 6, 7), (5, 8, 9)))
-    g1 = Group(center=(0,), clause_indices=(0, 1), level=1)
-    g2 = Group(center=(5,), clause_indices=(2, 3), level=1)
+    g1 = Group(center=(0,), clause_indices=(0, 1))
+    g2 = Group(center=(5,), clause_indices=(2, 3))
     d2 = _decomp_from_groups(h, [g1, g2], 2)
     g = build_colored_kikuchi(h, d2, 1, 2)
     per_group = {}
@@ -86,7 +86,7 @@ def test_no_cap_admits_two_to_the_32_vertices():
     # 2n = 100 colored positions at r = 7: C(100, 7) >= 2^32, refused before
     # anything of that size is built, however high the caps are set
     h = Hypergraph(n=50, k=3, edges=((0, 1, 2), (0, 3, 4)))
-    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1), level=1)], 7)
+    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1))], 7)
     with pytest.raises(CapacityError,
                        match=r"^C\(100,7\) = 16007560800 vertices exceeds cap 4294967295$"):
         build_colored_kikuchi(h, d, 1, 7, Caps(max_vertices=10**15, max_edges=10**15))
@@ -94,7 +94,7 @@ def test_no_cap_admits_two_to_the_32_vertices():
 
 def test_delete_nothing_on_single_pair():
     h = Hypergraph(n=5, k=3, edges=((0, 1, 2), (0, 3, 4)))
-    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1), level=1)], 2)
+    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1))], 2)
     g = build_colored_kikuchi(h, d, 1, 2)
     for eta in (1, 2, 10):
         pre = delete_heavy_edges(g, eta)
@@ -104,7 +104,7 @@ def test_delete_nothing_on_single_pair():
 def test_delete_engineered_overlap():
     # two clauses through vertex 1 make some S see a clause twice at eta = 1
     h = Hypergraph(n=6, k=3, edges=((0, 1, 2), (0, 3, 4), (0, 1, 5)))
-    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1, 2), level=1)], 2)
+    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1, 2))], 2)
     g = build_colored_kikuchi(h, d, 1, 2)
     pre = delete_heavy_edges(g, 1)
     assert pre.num_surviving < g.num_edges
@@ -122,7 +122,7 @@ def test_delete_engineered_overlap():
 
 def test_delete_infinite_eta_sentinel():
     h = Hypergraph(n=6, k=3, edges=((0, 1, 2), (0, 3, 4), (0, 1, 5)))
-    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1, 2), level=1)], 2)
+    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1, 2))], 2)
     g = build_colored_kikuchi(h, d, 1, 2)
     pre = delete_heavy_edges(g, math.inf)
     assert pre.num_surviving == g.num_edges
@@ -131,7 +131,7 @@ def test_delete_infinite_eta_sentinel():
 @pytest.mark.parametrize("eta", [float("nan"), "3", None, 0, 0.5, -math.inf])
 def test_delete_rejects_an_eta_that_is_no_number_at_least_one(eta):
     h = Hypergraph(n=6, k=3, edges=((0, 1, 2), (0, 3, 4), (0, 1, 5)))
-    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1, 2), level=1)], 2)
+    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1, 2))], 2)
     g = build_colored_kikuchi(h, d, 1, 2)
     with pytest.raises(ValueError, match="eta must be a number >= 1"):
         delete_heavy_edges(g, eta)
@@ -141,19 +141,19 @@ def test_delete_rejects_an_eta_that_is_no_number_at_least_one(eta):
 
 def test_build_names_the_first_clause_outside_its_center():
     h = Hypergraph(n=6, k=3, edges=((0, 1, 2), (1, 3, 4), (0, 1, 5), (2, 3, 5), (0, 3, 5)))
-    groups = [Group(center=(0,), clause_indices=(2, 0), level=1),
-              Group(center=(1,), clause_indices=(4, 3, 1), level=1)]
+    groups = [Group(center=(0,), clause_indices=(2, 0)),
+              Group(center=(1,), clause_indices=(4, 3, 1))]
     # clauses 4 and 3 both miss vertex 1: the first in stored order is named
     with pytest.raises(ValueError, match="clause 4 does not contain its group center"):
         build_colored_kikuchi(h, _decomp_from_groups(h, groups, 2), 1, 2)
-    groups[1] = Group(center=(1, 3), clause_indices=(1,), level=1)
+    groups[1] = Group(center=(1, 3), clause_indices=(1,))
     with pytest.raises(ValueError, match=r"group center \(1, 3\) does not have size 1"):
         build_colored_kikuchi(h, _decomp_from_groups(h, groups, 2), 1, 2)
 
 
 def test_equalize_cuts_every_pair_to_kappa():
     h = Hypergraph(n=6, k=3, edges=((0, 1, 2), (0, 3, 4), (0, 1, 5)))
-    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1, 2), level=1)], 2)
+    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1, 2))], 2)
     g = build_colored_kikuchi(h, d, 1, 2)
     pre = delete_heavy_edges(g, 1)
     res = equalize_deletion(g, pre)
@@ -169,7 +169,7 @@ def test_equalize_cuts_every_pair_to_kappa():
 
 def test_equalize_no_deletions_rho_zero():
     h = Hypergraph(n=5, k=3, edges=((0, 1, 2), (0, 3, 4)))
-    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1), level=1)], 2)
+    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1))], 2)
     g = build_colored_kikuchi(h, d, 1, 2)
     res = equalize_deletion(g, delete_heavy_edges(g, 5))
     assert res.rho == 0 and not res.degenerate
@@ -177,7 +177,7 @@ def test_equalize_no_deletions_rho_zero():
 
 def test_equalize_rejects_an_equalized_result():
     h = Hypergraph(n=6, k=3, edges=((0, 1, 2), (0, 3, 4), (0, 1, 5)))
-    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1, 2), level=1)], 2)
+    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1, 2))], 2)
     for level in (1, 2):                 # level 2 has no groups: the degenerate path
         g = build_colored_kikuchi(h, d, level, 2)
         pre = delete_heavy_edges(g, math.inf)
@@ -239,7 +239,7 @@ def test_measured_below_predicted_refutation_form():
 
 def test_dump_colored_format():
     h = Hypergraph(n=5, k=3, edges=((0, 1, 2), (0, 3, 4)))
-    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1), level=1)], 2)
+    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1))], 2)
     g = build_colored_kikuchi(h, d, 1, 2)
     lines = dump_colored(g).splitlines()
     assert lines[0] == "kikuchi-odd 5 2 1 1"
