@@ -17,9 +17,10 @@ import numpy as np
 
 from .subsets import mask_from
 
-ORACLE_EDGE_LIMIT = 44        # meet-in-the-middle: one sort-free pass over the 2^(m/2)
-                              # subsets of each half; of the least covers, the least
-                              # (left bitmask, right bitmask) wins
+ORACLE_EDGE_LIMIT = 44        # a scan of the 2^K codewords when K <= m/2, else a
+                              # meet-in-the-middle: one sort-free pass over the
+                              # 2^(m/2) subsets of each half; of the least covers,
+                              # the least (left bitmask, right bitmask) wins
 ORACLE_BLOCK = 1 << 13        # subsets per block of the oracle's passes: each int64
                               # block temporary is 64 KiB, under glibc's 128 KiB mmap
                               # threshold (reused heap chunks, no fresh mappings) and
@@ -199,35 +200,73 @@ def _half_steps(coords: Sequence[int], first: int, size_shift: int):
             [(1 << size_shift) | (1 << i) for i in dependent], [coords[i] for i in dependent])
 
 
-def min_even_cover_oracle(h: Hypergraph, size_cap: int) -> Optional[tuple[int, EvenCover]]:
-    """Smallest nonempty even cover of size <= size_cap, by exhaustive F2 search.
+def _least_key(columns, key, empty: int) -> int:
+    """The least key over the nonempty subsets of a list of steps, or `empty`.
 
-    Meet-in-the-middle over the subsets of the first a = m // 2 edges (left)
-    and of the other b (right), on the edges' span coordinates; exact, with no
-    sort. Each half splits into basis edges, whose coordinates are fresh bits,
-    and dependent edges (q on the left). A left subset is a basis part beta and
-    a dependent part delta; beta's bits are its xor's, so the subset's xor is
+    columns holds (steps, op) pairs whose step lists have one length; a
+    subset's value in a column is op folded over the steps it selects, and
+    key maps the columns' values of a block of subsets to their keys. A subset
+    is a pair (hi, lo): lo a subset of the first s steps, 2^s at most
+    ORACLE_BLOCK, and hi one of the rest; a block takes all lo, and as many hi
+    as fit in ORACLE_BLOCK."""
+    s = min(len(columns[0][0]), ORACLE_BLOCK.bit_length() - 1)
+    tables = [(op, _subset_table(steps[s:], op), _subset_table(steps[:s], op))
+              for steps, op in columns]
+    step = ORACLE_BLOCK >> s
+    best = empty
+    for hi in range(0, len(tables[0][1]), step):
+        block = key(*(op(t_hi[hi:hi + step, None], t_lo) for op, t_hi, t_lo in tables))
+        if hi == 0:
+            block[0, 0] = empty                     # the empty subset
+        best = min(best, int(block.min()))
+    return best
+
+
+def _scan_codewords(coords: Sequence[int]) -> int:
+    """The least packed key (size << m) | (left bitmask << b) | right bitmask
+    of a nonempty even cover, or (m + 1) << m, by a scan of all 2^K codewords.
+
+    Edge i of the left half (i < a = m // 2) is key bit b + i, and edge a + j
+    of the right half is bit j. Each dependent edge gives one kernel row: its
+    own bit and the bits of the basis edges its coordinates select. Every
+    codeword is the xor of one subset of the rows, and its size is the
+    popcount of its bits."""
+    m = len(coords)
+    a = m // 2
+    b = m - a
+    basis: list[int] = []                           # key bit of basis edge j
+    rows = []
+    for i, c in enumerate(coords):
+        bit = 1 << (b + i if i < a else i - a)
+        if c == 1 << len(basis):
+            basis.append(bit)
+            continue
+        for j in range(c.bit_length()):
+            if c >> j & 1:
+                bit |= basis[j]
+        rows.append(bit)
+    return _least_key(
+        [(rows, np.bitwise_xor)],
+        lambda bits: (np.bitwise_count(bits).astype(np.int64) << m) | bits, (m + 1) << m)
+
+
+def _meet_in_the_middle(coords: Sequence[int]) -> int:
+    """The least packed key of a nonempty even cover, as _scan_codewords
+    returns it, by a meet-in-the-middle.
+
+    Over the subsets of the first a = m // 2 edges (left) and of the other b
+    (right), on the edges' span coordinates; exact, with no sort. Each half
+    splits into basis edges, whose coordinates are fresh bits, and dependent
+    edges (q on the left). A left subset is a basis part beta and a dependent
+    part delta; beta's bits are its xor's, so the subset's xor is
     beta ^ c(delta) and its key (size << a) | bitmask is Kb[beta] + Kd[delta].
     The least key of the left subsets with xor x is therefore the minimum over
     delta of Kb[x ^ c(delta)] + Kd[delta]: one pass over the 2^a left subsets
     in blocks of delta, or Kb itself when q = 0. A right subset cancels a left
     one only if its basis part cancels the fresh bits of its dependent part's
     xor, so one pass over the right dependent subsets, in blocks, meets every
-    right subset that can close a cover.
-
-    Of the covers of least size it returns the one whose left subset bitmask
-    is least, then whose right subset bitmask is least (bit i selects the i-th
-    edge of its half). Returns None when no nonempty even cover of size
-    <= size_cap exists.
-    """
-    m = h.m
-    if m > ORACLE_EDGE_LIMIT:
-        raise CapacityError(
-            f"even-cover oracle supports at most {ORACLE_EDGE_LIMIT} hyperedges, got {m}"
-        )
-    if m == 0 or size_cap < 1:
-        return None
-    coords = _span_coordinates(h.edge_masks())
+    right subset that can close a cover."""
+    m = len(coords)
     a = m // 2
     b = m - a
     basis, dependent, dep_coords = _half_steps(coords[:a], 0, a)
@@ -256,21 +295,39 @@ def min_even_cover_oracle(h: Hypergraph, size_cap: int) -> Optional[tuple[int, E
 
     basis, dependent, dep_coords = _half_steps(coords[a:], rho, m)  # keys (size << m) | bitmask
     rb = _subset_table(basis, np.add)               # index = fresh bits of the basis part >> rho
-    # a right dependent subset is a pair (hi, lo) of subsets; a block takes all
-    # lo, and hi from as many rows as fit in ORACLE_BLOCK
-    s = min(len(dependent), ORACLE_BLOCK.bit_length() - 1)
-    rd_lo, rd_hi = _subset_table(dependent[:s], np.add), _subset_table(dependent[s:], np.add)
-    rc_lo = _subset_table(dep_coords[:s], np.bitwise_xor)
-    rc_hi = _subset_table(dep_coords[s:], np.bitwise_xor)
-    step = ORACLE_BLOCK >> s
-    for hi in range(0, len(rd_hi), step):
-        c = rc_hi[hi:hi + step, None] ^ rc_lo
-        block = ((best_left[c & (len(kb) - 1)] << b) + rb[c >> rho]
-                 + (rd_hi[hi:hi + step, None] + rd_lo))
-        if hi == 0:
-            block[0, 0] = (m + 1) << m              # the empty right subset closes no cover
-        best = min(best, int(block.min()))
+    right = _least_key(
+        [(dependent, np.add), (dep_coords, np.bitwise_xor)],
+        lambda d, c: (best_left[c & (len(kb) - 1)] << b) + rb[c >> rho] + d, (m + 1) << m)
+    return min(best, right)
 
+
+def min_even_cover_oracle(h: Hypergraph, size_cap: int) -> Optional[tuple[int, EvenCover]]:
+    """Smallest nonempty even cover of size <= size_cap, by exhaustive F2 search.
+
+    The even covers are the nonzero codewords of the kernel of the edges'
+    incidence matrix, of dimension K = m - rank, and the edges' span
+    coordinates give its systematic basis. When K <= m // 2 the oracle scans
+    all 2^K codewords in blocks (_scan_codewords); otherwise it runs a
+    meet-in-the-middle over the 2^(m/2) subsets of each half of the edges
+    (_meet_in_the_middle), which stays feasible where 2^K is not.
+
+    Both return, of the covers of least size, the one whose left subset
+    bitmask is least, then whose right subset bitmask is least; the left half
+    is the first m // 2 edges, and bit i selects the i-th edge of its half.
+    Returns None when no nonempty even cover of size <= size_cap exists.
+    """
+    m = h.m
+    if m > ORACLE_EDGE_LIMIT:
+        raise CapacityError(
+            f"even-cover oracle supports at most {ORACLE_EDGE_LIMIT} hyperedges, got {m}"
+        )
+    if m == 0 or size_cap < 1:
+        return None
+    coords = _span_coordinates(h.edge_masks())
+    a = m // 2
+    b = m - a
+    rank = max(coords).bit_length()                # the coordinates fill [0, 2^rank)
+    best = _scan_codewords(coords) if m - rank <= a else _meet_in_the_middle(coords)
     size = best >> m
     if size > min(size_cap, m):
         return None

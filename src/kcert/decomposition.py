@@ -168,7 +168,7 @@ def validate_decomposition(h: Hypergraph, d: Decomposition) -> tuple[str, ...]:
     """Check partition, group sizes, center containment and intersection caps;
     returns one message per failure found, none when the decomposition is valid.
 
-    Each group at level t >= 1 must have a center of size t.
+    Each group at level t must have a center of size t.
 
     Intersection caps are verified by exhaustive subset counting on each piece:
     a set of size s > t may appear in at most max{1, ceil((n/r)^(k/2-s))} clauses
@@ -181,7 +181,7 @@ def validate_decomposition(h: Hypergraph, d: Decomposition) -> tuple[str, ...]:
     for t in d.levels():
         for gi, g in enumerate(d.groups_at(t)):
             seen.extend(g.clause_indices)
-            if t >= 1 and len(g.center) != t:
+            if len(g.center) != t:
                 failures.append(f"level-{t} group {gi} has center of size {len(g.center)}")
             for idx in g.clause_indices:
                 if not set(g.center).issubset(h.edges[idx]):

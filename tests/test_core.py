@@ -7,7 +7,7 @@ from itertools import combinations, count
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcert import (CapacityError, Hypergraph, XorInstance, brute_force_max_xor,
@@ -279,9 +279,53 @@ def test_oracle_matches_sort_based_oracle_over_right_blocks(seed, k, m, extra):
     rho = len(core._half_steps(coords[:m // 2], 0, m // 2)[0])
     dependent = core._half_steps(coords[m // 2:], rho, m)[1]
     assert len(dependent) > core.ORACLE_BLOCK.bit_length() - 1
+    assert m - max(coords).bit_length() > m // 2    # K > m // 2: the meet-in-the-middle runs
     res = min_even_cover_oracle(h, m)
     assert res == _sort_based_oracle(h, m)
     assert min_even_cover_oracle(h, res[0] - 1) == _sort_based_oracle(h, res[0] - 1) is None
+
+
+def _oracle_on_path(path, h, cap):
+    """min_even_cover_oracle with both of its paths replaced by `path`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_scan_codewords", path)
+        mp.setattr(core, "_meet_in_the_middle", path)
+        return min_even_cover_oracle(h, cap)
+
+
+@given(st.integers(0, 2**30 - 1), st.integers(2, 5), st.integers(0, 18), st.integers(0, 66),
+       st.integers(0, 119))
+@example(seed=5, k=4, m=18, extra=66, wide=0)   # 70 vertices, masks up to bit 69, K = 0
+@settings(max_examples=60, deadline=None)
+def test_codeword_scan_matches_meet_in_the_middle(seed, k, m, extra, wide):
+    # few vertices give K up to m - 1, many give K = 0; scattering the
+    # vertices over range(n), n up to 119, makes masks wider than 64 bits
+    few = k + extra
+    h = gen_random(few, k, m, seed=seed, mode="hyg-multi")
+    n = max(few, wide)
+    rename = random.Random(seed).sample(range(n), few)
+    h = Hypergraph(n=n, k=k, edges=tuple(tuple(rename[v] for v in e) for e in h.edges))
+    for cap in range(m + 2):
+        assert (_oracle_on_path(core._scan_codewords, h, cap)
+                == _oracle_on_path(core._meet_in_the_middle, h, cap))
+
+
+def test_codeword_scan_runs_in_blocks(monkeypatch):
+    # K = 15 <= m // 2 = 17: the scan takes the 2^15 codewords in 4 blocks of
+    # 2^13 at the default block
+    h = gen_random(20, 4, 34, seed=1, mode="hyg")
+    blocks = []
+    least_key = core._least_key
+
+    def counted(columns, key, empty):
+        return least_key(columns, lambda *values: blocks.append(values[0].size) or key(*values),
+                         empty)
+
+    monkeypatch.setattr(core, "_least_key", counted)
+    res = min_even_cover_oracle(h, h.m)
+    assert blocks == [core.ORACLE_BLOCK] * 4
+    assert res == (5, EvenCover(frozenset({22, 23, 27, 28, 31})))
+    assert res == _oracle_on_path(core._meet_in_the_middle, h, h.m)
 
 
 def test_oracle_capacity():

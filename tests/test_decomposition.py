@@ -173,6 +173,8 @@ def test_validate_detects_oversized_group():
      "level-2 group 0 has size 2, rule requires 3"),
     ("cover", ((0, 1, 2), (0, 1, 3)), {2: (), 1: (((0,), (0, 1)),), 0: ()}, {2: 2, 1: 2},
      "level-1 piece: set (0, 1) lies in 2 clauses, cap 1 at size 2"),
+    ("cover", ((0, 1, 2),), {2: (), 1: (), 0: (((0, 1), (0,)),)}, {2: 2, 1: 2},
+     "level-0 group 0 has center of size 2"),
 ])
 def test_validate_names_the_one_fault(mode, edges, pieces, thresholds, fault):
     h = Hypergraph(n=16, k=3, edges=edges)

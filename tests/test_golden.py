@@ -159,12 +159,28 @@ def test_kikuchi_covers():
         assert got == (row["length"], row["cover"]), row
 
 
+def test_oracle_covers_take_the_path_their_code_dimension_picks(monkeypatch):
+    """Rows with K = m - rank <= m // 2 scan the 2^K codewords: the eight
+    34-edge rows (K = 15), the 70-vertex row (K = 1) and the 28-vertex row at
+    44 edges (K = 17). The five multi-hypergraph rows on 8 and 12 vertices
+    (K = 31 to 37) run the meet-in-the-middle."""
+    from kcert import core
+
+    paths = []
+    for name in ("_scan_codewords", "_meet_in_the_middle"):
+        path = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda coords, path=path, name=name:
+                            paths.append(name) or path(coords))
+    check_oracle_covers()
+    assert paths == ["_scan_codewords"] * 9 + ["_meet_in_the_middle"] * 5 + ["_scan_codewords"]
+
+
 @pytest.mark.parametrize("block", [1 << 10, 1 << 15])
 def test_oracle_covers_do_not_depend_on_block_size(block, monkeypatch):
     """The oracle's passes run in blocks of ORACLE_BLOCK subsets, and the least
     key wins whatever the block order. At 2^10 the 8-vertex, 44-edge row runs
-    its left pass in thousands of blocks; at 2^15 the 34-edge rows run their
-    right pass in one block, where the default takes two to four."""
+    its left pass in thousands of blocks; at 2^15 the 34-edge rows scan their
+    2^15 codewords in one block, where the default takes four."""
     from kcert import core
 
     monkeypatch.setattr(core, "ORACLE_BLOCK", block)
