@@ -17,10 +17,10 @@ import numpy as np
 
 from .subsets import mask_from
 
-ORACLE_EDGE_LIMIT = 44        # a scan of the 2^K codewords when K <= m/2, else a
-                              # meet-in-the-middle: one sort-free pass over the
-                              # 2^(m/2) subsets of each half; of the least covers,
-                              # the least (left bitmask, right bitmask) wins
+ORACLE_EDGE_LIMIT = 44        # one pass over at most 2^(m/2) subsets at a time: the
+                              # 2^K codewords when K <= m/2, else each half's subsets,
+                              # met in the middle; of the least covers, the least
+                              # (left bitmask, right bitmask) wins
 ORACLE_BLOCK = 1 << 13        # subsets per block of the oracle's passes: each int64
                               # block temporary is 64 KiB, under glibc's 128 KiB mmap
                               # threshold (reused heap chunks, no fresh mappings) and
@@ -186,20 +186,6 @@ def _subset_table(steps: Sequence[int], op) -> np.ndarray:
     return out
 
 
-def _half_steps(coords: Sequence[int], first: int, size_shift: int):
-    """Split a half's edges into basis edges, whose coordinates are the fresh
-    bits 1 << first, 1 << first + 1, ..., and dependent edges. Returns the
-    basis edges' key steps, the dependent edges' key steps and the dependent
-    edges' coordinates; edge i of the half adds (1 << size_shift) | (1 << i)
-    to a subset's key."""
-    basis: list[int] = []
-    dependent: list[int] = []
-    for i, c in enumerate(coords):
-        (basis if c == 1 << (first + len(basis)) else dependent).append(i)
-    return ([(1 << size_shift) | (1 << i) for i in basis],
-            [(1 << size_shift) | (1 << i) for i in dependent], [coords[i] for i in dependent])
-
-
 def _least_key(columns, key, empty: int) -> int:
     """The least key over the nonempty subsets of a list of steps, or `empty`.
 
@@ -222,83 +208,85 @@ def _least_key(columns, key, empty: int) -> int:
     return best
 
 
-def _scan_codewords(coords: Sequence[int]) -> int:
+def _least_cover_key(coords: Sequence[int], split: int) -> int:
     """The least packed key (size << m) | (left bitmask << b) | right bitmask
-    of a nonempty even cover, or (m + 1) << m, by a scan of all 2^K codewords.
+    of a nonempty even cover, or (m + 1) << m, on the edges' span coordinates.
 
     Edge i of the left half (i < a = m // 2) is key bit b + i, and edge a + j
-    of the right half is bit j. Each dependent edge gives one kernel row: its
-    own bit and the bits of the basis edges its coordinates select. Every
-    codeword is the xor of one subset of the rows, and its size is the
-    popcount of its bits."""
+    of the right half is bit j. The edges below `split` (0 or a) are met in
+    the middle; exact, with no sort. They split into basis edges, whose
+    coordinates are fresh bits, and dependent edges. A subset of them is a
+    basis part beta and a dependent part delta; beta's bits are its xor's, so
+    the subset's xor is beta ^ c(delta) and its key (size << a) | bitmask is
+    Kb[beta] + Kd[delta]. The least key of these subsets with xor x is
+    therefore the minimum over delta of Kb[x ^ c(delta)] + Kd[delta]: one pass
+    over their 2^split subsets in blocks of delta, or Kb itself when no edge
+    below split is dependent.
+
+    The edges from split on split the same way. Each dependent one gives a
+    row: its own bit and the bits of the fresh basis edges its coordinates
+    select, beside its coordinates below the fresh bits. A subset of them
+    whose fresh bits cancel is the xor of a subset of the rows; its size is
+    the popcount of its bits, and the least subset below split that closes a
+    cover with it is read off its low coordinates. With split = 0 this is a
+    scan of all 2^K codewords, K = m - rank."""
     m = len(coords)
     a = m // 2
     b = m - a
-    basis: list[int] = []                           # key bit of basis edge j
-    rows = []
-    for i, c in enumerate(coords):
-        bit = 1 << (b + i if i < a else i - a)
-        if c == 1 << len(basis):
-            basis.append(bit)
-            continue
-        for j in range(c.bit_length()):
-            if c >> j & 1:
-                bit |= basis[j]
-        rows.append(bit)
-    return _least_key(
-        [(rows, np.bitwise_xor)],
-        lambda bits: (np.bitwise_count(bits).astype(np.int64) << m) | bits, (m + 1) << m)
-
-
-def _meet_in_the_middle(coords: Sequence[int]) -> int:
-    """The least packed key of a nonempty even cover, as _scan_codewords
-    returns it, by a meet-in-the-middle.
-
-    Over the subsets of the first a = m // 2 edges (left) and of the other b
-    (right), on the edges' span coordinates; exact, with no sort. Each half
-    splits into basis edges, whose coordinates are fresh bits, and dependent
-    edges (q on the left). A left subset is a basis part beta and a dependent
-    part delta; beta's bits are its xor's, so the subset's xor is
-    beta ^ c(delta) and its key (size << a) | bitmask is Kb[beta] + Kd[delta].
-    The least key of the left subsets with xor x is therefore the minimum over
-    delta of Kb[x ^ c(delta)] + Kd[delta]: one pass over the 2^a left subsets
-    in blocks of delta, or Kb itself when q = 0. A right subset cancels a left
-    one only if its basis part cancels the fresh bits of its dependent part's
-    xor, so one pass over the right dependent subsets, in blocks, meets every
-    right subset that can close a cover."""
-    m = len(coords)
-    a = m // 2
-    b = m - a
-    basis, dependent, dep_coords = _half_steps(coords[:a], 0, a)
-    kb = _subset_table(basis, np.add)               # index = xor of the basis part
-    kd = _subset_table(dependent, np.add)
-    cd = _subset_table(dep_coords, np.bitwise_xor)
-    rho = len(basis)
-
     # a cover (size, left bitmask, right bitmask) packs into one int64 whose
     # numeric order is the lexicographic one: (left key << b) + right key;
     # no cover has size m + 1
     best = (m + 1) << m
-    best_left = kb                                  # least left key per xor
-    if len(kd) > 1:
-        # delta != 0 and beta = c(delta) make a left-only cover
-        best = int((kb[cd[1:]] + kd[1:]).min()) << b
-        best_left = kb.copy()
-        # a block takes a run of `width` xors and as many delta as fit in ORACLE_BLOCK
-        width = 1 << min(rho, ORACLE_BLOCK.bit_length() - 1)
-        step = ORACLE_BLOCK // width
-        for x0 in range(0, len(kb), width):
-            xs, out = np.arange(x0, x0 + width), best_left[x0:x0 + width]
-            for lo in range(1, len(kd), step):
-                block = kb[xs ^ cd[lo:lo + step, None]] + kd[lo:lo + step, None]
-                np.minimum(out, block.min(axis=0), out=out)
+    rho = 0
+    if split:
+        basis: list[int] = []                       # key steps of the edges below split
+        dependent: list[int] = []
+        dep_coords: list[int] = []
+        for i, c in enumerate(coords[:split]):
+            if c == 1 << len(basis):
+                basis.append((1 << a) | (1 << i))
+            else:
+                dependent.append((1 << a) | (1 << i))
+                dep_coords.append(c)
+        rho = len(basis)
+        kb = _subset_table(basis, np.add)           # index = xor of the basis part
+        kd = _subset_table(dependent, np.add)
+        cd = _subset_table(dep_coords, np.bitwise_xor)
+        best_left = kb                              # least left key per xor
+        if len(kd) > 1:
+            # delta != 0 and beta = c(delta) make a left-only cover
+            best = int((kb[cd[1:]] + kd[1:]).min()) << b
+            best_left = kb.copy()
+            # a block takes a run of `width` xors and as many delta as fit in ORACLE_BLOCK
+            width = 1 << min(rho, ORACLE_BLOCK.bit_length() - 1)
+            step = ORACLE_BLOCK // width
+            for x0 in range(0, len(kb), width):
+                xs, out = np.arange(x0, x0 + width), best_left[x0:x0 + width]
+                for lo in range(1, len(kd), step):
+                    block = kb[xs ^ cd[lo:lo + step, None]] + kd[lo:lo + step, None]
+                    np.minimum(out, block.min(axis=0), out=out)
 
-    basis, dependent, dep_coords = _half_steps(coords[a:], rho, m)  # keys (size << m) | bitmask
-    rb = _subset_table(basis, np.add)               # index = fresh bits of the basis part >> rho
-    right = _least_key(
-        [(dependent, np.add), (dep_coords, np.bitwise_xor)],
-        lambda d, c: (best_left[c & (len(kb) - 1)] << b) + rb[c >> rho] + d, (m + 1) << m)
-    return min(best, right)
+    fresh = [0] * rho                               # key bit of basis edge j, j >= rho
+    rows = []
+    lows = []
+    low_mask = (1 << rho) - 1
+    for i, c in enumerate(coords[split:], split):
+        bit = 1 << (b + i if i < a else i - a)
+        if c == 1 << len(fresh):
+            fresh.append(bit)
+            continue
+        for j in range(rho, c.bit_length()):
+            if c >> j & 1:
+                bit |= fresh[j]
+        rows.append(bit)
+        lows.append(c & low_mask)
+
+    right = lambda bits: (np.bitwise_count(bits).astype(np.int64) << m) | bits
+    columns, key = [(rows, np.bitwise_xor)], right
+    if split:
+        columns.append((lows, np.bitwise_xor))
+        key = lambda bits, low: (best_left[low] << b) + right(bits)
+    return min(best, _least_key(columns, key, (m + 1) << m))
 
 
 def min_even_cover_oracle(h: Hypergraph, size_cap: int) -> Optional[tuple[int, EvenCover]]:
@@ -306,14 +294,17 @@ def min_even_cover_oracle(h: Hypergraph, size_cap: int) -> Optional[tuple[int, E
 
     The even covers are the nonzero codewords of the kernel of the edges'
     incidence matrix, of dimension K = m - rank, and the edges' span
-    coordinates give its systematic basis. When K <= m // 2 the oracle scans
-    all 2^K codewords in blocks (_scan_codewords); otherwise it runs a
-    meet-in-the-middle over the 2^(m/2) subsets of each half of the edges
-    (_meet_in_the_middle), which stays feasible where 2^K is not.
+    coordinates give its systematic basis. One pass (_least_cover_key) meets
+    the subsets of the edges below a split with the rows that the dependent
+    edges from it on give. When K <= m // 2 the split is 0, and the pass scans
+    all 2^K codewords in blocks; otherwise it is m // 2, and the pass meets
+    the 2^(m/2) subsets of each half of the edges, which stays feasible where
+    2^K is not.
 
-    Both return, of the covers of least size, the one whose left subset
-    bitmask is least, then whose right subset bitmask is least; the left half
-    is the first m // 2 edges, and bit i selects the i-th edge of its half.
+    Of the covers of least size, the oracle returns the one whose left subset
+    bitmask is least, then whose right subset bitmask is least, at either
+    split; the left half is the first m // 2 edges, and bit i selects the i-th
+    edge of its half.
     Returns None when no nonempty even cover of size <= size_cap exists.
     """
     m = h.m
@@ -327,7 +318,7 @@ def min_even_cover_oracle(h: Hypergraph, size_cap: int) -> Optional[tuple[int, E
     a = m // 2
     b = m - a
     rank = max(coords).bit_length()                # the coordinates fill [0, 2^rank)
-    best = _scan_codewords(coords) if m - rank <= a else _meet_in_the_middle(coords)
+    best = _least_cover_key(coords, 0 if m - rank <= a else a)
     size = best >> m
     if size > min(size_cap, m):
         return None

@@ -160,19 +160,22 @@ def test_kikuchi_covers():
 
 
 def test_oracle_covers_take_the_path_their_code_dimension_picks(monkeypatch):
-    """Rows with K = m - rank <= m // 2 scan the 2^K codewords: the eight
-    34-edge rows (K = 15), the 70-vertex row (K = 1) and the 28-vertex row at
-    44 edges (K = 17). The five multi-hypergraph rows on 8 and 12 vertices
-    (K = 31 to 37) run the meet-in-the-middle."""
+    """Rows with K = m - rank <= m // 2 take split 0, a scan of the 2^K
+    codewords: the eight 34-edge rows (K = 15), the 70-vertex row (K = 1) and
+    the 28-vertex row at 44 edges (K = 17). The five multi-hypergraph rows on 8
+    and 12 vertices (K = 31 to 37) take split m // 2, a meet-in-the-middle."""
     from kcert import core
 
-    paths = []
-    for name in ("_scan_codewords", "_meet_in_the_middle"):
-        path = getattr(core, name)
-        monkeypatch.setattr(core, name, lambda coords, path=path, name=name:
-                            paths.append(name) or path(coords))
+    splits = []
+    least_cover_key = core._least_cover_key
+
+    def recorded(coords, split):
+        splits.append({0: "0", len(coords) // 2: "m // 2"}[split])
+        return least_cover_key(coords, split)
+
+    monkeypatch.setattr(core, "_least_cover_key", recorded)
     check_oracle_covers()
-    assert paths == ["_scan_codewords"] * 9 + ["_meet_in_the_middle"] * 5 + ["_scan_codewords"]
+    assert splits == ["0"] * 9 + ["m // 2"] * 5 + ["0"]
 
 
 @pytest.mark.parametrize("block", [1 << 10, 1 << 15])
