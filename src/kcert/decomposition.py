@@ -171,9 +171,9 @@ def validate_decomposition(h: Hypergraph, d: Decomposition) -> tuple[str, ...]:
     Each group at level t must have a center of size t.
 
     Intersection caps are verified by exhaustive subset counting on each piece:
-    a set of size s > t may appear in at most max{1, ceil((n/r)^(k/2-s))} clauses
-    of the level-t piece (cover mode) / at most tau_s - 1 (refutation mode) --
-    otherwise it would have been extracted at level s.
+    a set of size s > t may appear in at most thresholds[s] - 1 clauses of the
+    level-t piece, in either mode -- otherwise it would have been extracted at
+    level s.
     """
     failures = []
 
@@ -216,10 +216,7 @@ def validate_decomposition(h: Hypergraph, d: Decomposition) -> tuple[str, ...]:
             for idx in piece:
                 for sub in combinations(h.edges[idx], s):
                     counts[sub] = counts.get(sub, 0) + 1
-            if d.mode == "cover":
-                cap = max(1, ceil_rational_power_half(d.n, d.r, h.k - 2 * s))
-            else:
-                cap = d.thresholds[s] - 1
+            cap = d.thresholds[s] - 1
             for sub, c in counts.items():
                 if c > cap:
                     failures.append(

@@ -96,6 +96,11 @@ class KikuchiEdges:
     def average_degree(self) -> Fraction:
         return Fraction(2 * self.num_edges, self.num_vertices)
 
+    @property
+    def tr_gamma(self) -> Fraction:
+        """The trace of Gamma = D + d*Id: 2|E| + |V| d."""
+        return 2 * self.num_edges + self.num_vertices * self.average_degree
+
     @cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:
         """Read-only tuple view (s_rank, t_rank, *provenance) of edge_columns()."""

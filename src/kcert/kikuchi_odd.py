@@ -17,35 +17,36 @@ vertices they are common: at level k - 1 each C~ is one vertex, so a level has
 at most n^2 distinct side pairs however large its groups grow. So a level
 holds edges (s_rank, t_rank, sorted, in the arrays of
 kikuchi_even.KikuchiEdges), each edge's side (side) and the side of each
-pair-table row (of_pair); an edge stands for one edge of every ordered pair
-of its side. A built level's sides are its distinct side pairs, so its edges
+pair-table row (of_pair). Its sides are its distinct side pairs, so its edges
 are distinct: two side pairs never share an edge's endpoints, since S xor T
 is green C~ with blue C~'. The build numbers the distinct reduced sets, codes
 each ordered pair id(C~) * u + id(C~'), u the number of distinct sets, and
 makes one pattern_edges call with one row per distinct code, as the even
-build makes with one row per clause. A subgraph (subgraph) holds kept
-per-pair edges and gives each ordered pair its own side (of_pair = arange).
+build makes with one row per clause, alpha edges per row. So ordered pair p's
+j-th edge is the cell (p, j) of the pair grid (pair_grid), the edges of each
+side in stored order, alpha to a row, one row per pair. A cut level is its
+built level with keep, a boolean mask over the cells.
 
-In both, the edge count, degrees, Gamma and signed adjacency weigh each edge
-by the number of ordered pairs of its side, or under signs by the sum of
-their b_C b_C' (sums of +-1, exact in float64), through one np.bincount over
-of_pair. The per-pair edges (pair_edges) repeat each edge once per ordered
-pair of its side; they are made on first read, once, for dumps, the full
-deletion and equalization passes and subgraph.
+The edge count, degrees, Gamma and signed adjacency weigh each edge by the
+ordered pairs that hold it, or under signs by the sum of their b_C b_C' (sums
+of +-1, exact in float64): by one np.bincount over of_pair, or in a cut level
+of the kept cells, dropping the edges no pair keeps. The per-pair edges
+(pair_edges), the kept cells in stable order of their edges, are made for
+edges and dumps alone.
 
 An ordered pair's edges join S to S xor M for one fixed M, so they form a
 matching: a (vertex, group, clause) incidence is met at most once per ordered
 pair of the group holding the clause, 2(|G| - 1) times in all. Deletion cuts
-nothing when 2(max |G| - 1) <= eta and then each side's pairs keep its edges;
-equalization cuts nothing when every pair already holds the same count and
-then returns the survivors unchanged. Neither then reads the per-pair edges.
+nothing when 2(max |G| - 1) <= eta, and then keeps every cell without
+building the grid. Equalization keeps each row's first kappa survivors, and
+never builds the grid.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -62,16 +63,17 @@ from .subsets import combination_rows, complement_rows, joined_rows, stable_orde
 
 @dataclass(eq=False)
 class ColoredKikuchiGraph(KikuchiEdges):
-    """A colored level: its edges, each edge's side and the side of each row
-    of the pair table (see the module docstring). No method changes a field."""
+    """A colored level: its edges, their sides, each pair's side and, if cut,
+    the pair-grid cells it keeps (see the module docstring). No method changes a field."""
 
     t: int                                   # common center size of the groups
     groups: tuple[Group, ...]
     pair_table: np.ndarray                   # ordered_pair_table(groups)
     side: np.ndarray                         # per-edge side
     of_pair: np.ndarray                      # side of each row of pair_table
-    alpha: Optional[int]                     # unordered edges per ordered pair; None: no pairs
+    alpha: Optional[int]                     # edges per side and per ordered pair; None: no pairs
     alpha_closed_form: int                   # per unordered pair, as displayed
+    keep: Optional[np.ndarray] = None        # (pairs, alpha) bool over pair_grid; None: every cell
 
     COLORS = 2
 
@@ -85,29 +87,41 @@ class ColoredKikuchiGraph(KikuchiEdges):
 
     @cached_property
     def num_edges(self) -> int:
-        return int(np.bincount(self.of_pair)[self.side].sum())
+        if self.keep is None:
+            return int(np.bincount(self.of_pair)[self.side].sum())
+        return int(np.count_nonzero(self.keep))
 
     def _weighted_edges(self, signs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each edge weighs the number of ordered pairs of its side, or under
-        signs the sum of their b_C b_C'."""
+        """Each edge weighs the number of ordered pairs that keep it, or under
+        signs the sum of their b_C b_C' (zero where they cancel)."""
         w = np.ones(len(self.of_pair)) if signs is None else self.pair_signs(signs)
-        return self.s_rank, self.t_rank, np.bincount(self.of_pair, w)[self.side]
+        if self.keep is None:
+            return self.s_rank, self.t_rank, np.bincount(self.of_pair, w)[self.side]
+        cells = self.pair_grid[self.keep]
+        held = np.bincount(cells, minlength=len(self.s_rank)) > 0
+        weight = np.bincount(cells, np.repeat(w, self.keep.sum(axis=1)), len(self.s_rank))
+        return self.s_rank[held], self.t_rank[held], weight[held]
+
+    @cached_property
+    def pair_grid(self) -> np.ndarray:
+        """(pairs, alpha) edge indices, read-only: row p holds the edges of
+        pair p's side in stored order, so cell (p, j) is its j-th edge."""
+        sides = int(self.of_pair.max(initial=-1)) + 1
+        grid = stable_order(self.side, sides).reshape(sides, self.alpha or 0)[self.of_pair]
+        grid.flags.writeable = False
+        return grid
 
     @cached_property
     def pair_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """s_rank, t_rank and pair-table row of every ordered pair's edges,
-        sorted by (s_rank, t_rank, pair), read-only: the edges in their order,
-        each repeated once per ordered pair of its side, pairs ascending. In a
-        built level no two sides share an endpoint pair and a side has no
-        parallel edges (a matching); in a subgraph each side is one pair."""
-        per_side = np.bincount(self.of_pair)
-        copies = per_side[self.side]
-        by_side = stable_order(self.of_pair, len(per_side))
-        # copy j of edge e is pair by_side[first pair of side[e] + j]
-        slot = np.repeat((np.cumsum(per_side) - per_side)[self.side] - (np.cumsum(copies) - copies),
-                         copies)
-        slot += np.arange(len(slot))
-        arrays = np.repeat(self.s_rank, copies), np.repeat(self.t_rank, copies), by_side[slot]
+        """s_rank, t_rank and pair-table row of every kept cell of the pair
+        grid, sorted by (s_rank, t_rank, pair), read-only: each edge once per
+        ordered pair that keeps it. An ordered pair's edges form a matching."""
+        cells = self.pair_grid.reshape(-1)
+        order = stable_order(cells, len(self.s_rank))
+        if self.keep is not None:
+            order = order[self.keep.reshape(-1)[order]]
+        edge = cells[order]
+        arrays = self.s_rank[edge], self.t_rank[edge], order // (self.alpha or 1)
         for a in arrays:
             a.flags.writeable = False
         return arrays
@@ -115,13 +129,6 @@ class ColoredKikuchiGraph(KikuchiEdges):
     def edge_columns(self) -> tuple[np.ndarray, ...]:
         s, t, pair = self.pair_edges
         return (s, t, *self.pair_table[pair, :3].T)
-
-    def subgraph(self, keep) -> ColoredKikuchiGraph:
-        """The subgraph the boolean mask keep over pair_edges keeps, each
-        ordered pair its own side; every other field is the level's own."""
-        s, t, pair = self.pair_edges
-        return replace(self, s_rank=s[keep], t_rank=t[keep], side=pair[keep],
-                       of_pair=np.arange(len(self.pair_table)))
 
 
 def ordered_pair_table(groups) -> np.ndarray:
@@ -202,15 +209,14 @@ def build_colored_kikuchi(h: Hypergraph, decomp: Decomposition, level: int, r: i
 
 @dataclass
 class DeletionResult:
-    surviving: np.ndarray                    # boolean over graph.edges
-    pair_survival: np.ndarray                # int64 surviving edges per row of pair_table
+    surviving: np.ndarray                    # (pairs, alpha) bool over graph.pair_grid
     kappa: Optional[int] = None              # common per-pair count once equalized
     rho: Optional[Fraction] = None           # set once equalized: 1 - kappa/alpha
     degenerate: bool = False
 
-    @property
-    def num_surviving(self) -> int:
-        return int(np.sum(self.surviving))
+    # int64 surviving edges per row of pair_table, and in all
+    pair_survival = property(lambda self: self.surviving.sum(axis=1))
+    num_surviving = property(lambda self: int(np.count_nonzero(self.surviving)))
 
 
 def delete_heavy_edges(g: ColoredKikuchiGraph, eta) -> DeletionResult:
@@ -220,26 +226,22 @@ def delete_heavy_edges(g: ColoredKikuchiGraph, eta) -> DeletionResult:
     eta = math.inf is the no-op sentinel. Surviving per-vertex per-clause
     incidence is <= eta afterwards. An incidence count is at most 2(|G| - 1)
     (see the module docstring), so when 2(max |G| - 1) <= eta every edge is
-    kept, and each pair keeps the edges of its side: the per-pair edges are
-    not read.
+    kept, and the pair grid is not built.
     """
     _check_eta(eta)
-    surviving = np.ones(g.num_edges, dtype=bool)
+    surviving = np.ones((len(g.pair_table), g.alpha or 0), dtype=bool)
     if not g.num_edges or 2 * (max(len(grp.clause_indices) for grp in g.groups) - 1) <= eta:
-        return DeletionResult(surviving=surviving, pair_survival=np.bincount(
-            g.side, minlength=len(g.of_pair))[g.of_pair])
+        return DeletionResult(surviving=surviving)
     # one key per (vertex, group, clause) incidence, (group, clause) as its
     # slot, packed in the narrowest dtype that holds every key
     num_slots = sum(len(grp.clause_indices) for grp in g.groups)
     key_type = np.min_scalar_type(g.num_vertices * num_slots - 1)
-    s_rank, t_rank, pair = g.pair_edges
-    slots = [g.pair_table[pair, col].astype(key_type) for col in (3, 4)]
-    # filled row by row, so at most one row-sized temporary is alive
-    keys = np.empty((4, g.num_edges), dtype=key_type)
-    for row, (v, slot) in zip(keys, product((s_rank, t_rank), slots)):
-        np.multiply(v.astype(key_type), key_type.type(num_slots), out=row)
-        row += slot
-    del slots
+    # each row gathers per-edge vertex keys through the grid straight into the
+    # stack (a take with mode="raise" would buffer the row), then adds its slots
+    keys = np.empty((4, *surviving.shape), dtype=key_type)
+    for row, (v, col) in zip(keys, product((g.s_rank, g.t_rank), (3, 4))):
+        np.take(v.astype(key_type) * key_type.type(num_slots), g.pair_grid, out=row, mode="clip")
+        row += g.pair_table[:, col, None].astype(key_type)
     ordered = np.sort(keys, axis=None)
     # in sorted order, a key met more than eta times recurs eta places on
     e = math.floor(eta)
@@ -248,8 +250,7 @@ def delete_heavy_edges(g: ColoredKikuchiGraph, eta) -> DeletionResult:
     # one key row at a time, as np.isin on the whole stack sorts all of it at once
     for row in keys:
         surviving &= np.isin(row, heavy, invert=True)
-    return DeletionResult(surviving=surviving,
-                          pair_survival=np.bincount(pair[surviving], minlength=len(g.pair_table)))
+    return DeletionResult(surviving=surviving)
 
 
 def equalize_deletion(g: ColoredKikuchiGraph, pre: DeletionResult) -> DeletionResult:
@@ -262,25 +263,15 @@ def equalize_deletion(g: ColoredKikuchiGraph, pre: DeletionResult) -> DeletionRe
     """
     if pre.rho is not None:
         raise ValueError("deletion result is already equalized")
+    surviving = pre.surviving.copy()
     if g.alpha is None or not g.num_edges:
-        return DeletionResult(surviving=pre.surviving.copy(), pair_survival=pre.pair_survival.copy(),
-                              rho=Fraction(0), degenerate=True)
-    kappa = int(pre.pair_survival.min())
-    if kappa == pre.pair_survival.max():
-        surviving = pre.surviving.copy()
-    else:
-        # survivors grouped by pair, each pair's in stored (sorted) order; keep the first kappa
-        alive = np.flatnonzero(pre.surviving)
-        pair_ids = g.pair_edges[2][alive]
-        alive = alive[stable_order(pair_ids, len(g.pair_table))]
-        # in that order a pair's run starts after the survivors of all lower pairs
-        counts = np.bincount(pair_ids, minlength=len(g.pair_table))
-        running = np.arange(len(alive)) - np.repeat(np.cumsum(counts) - counts, counts)
-        surviving = np.zeros(g.num_edges, dtype=bool)
-        surviving[alive[running < kappa]] = True
-    rho = 1 - Fraction(kappa, g.alpha)
-    return DeletionResult(surviving=surviving, pair_survival=np.minimum(pre.pair_survival, kappa),
-                          kappa=kappa, rho=rho, degenerate=(kappa == 0))
+        return DeletionResult(surviving=surviving, rho=Fraction(0), degenerate=True)
+    kappa = g.alpha if surviving.all() else int(pre.pair_survival.min())
+    if kappa < g.alpha:
+        # a row's cells are its pair's edges in stored (sorted) order; keep the first kappa
+        surviving &= np.cumsum(surviving, axis=1, dtype=np.min_scalar_type(g.alpha)) <= kappa
+    return DeletionResult(surviving=surviving, kappa=kappa, rho=1 - Fraction(kappa, g.alpha),
+                          degenerate=(kappa == 0))
 
 
 def _check_eta(eta) -> None:

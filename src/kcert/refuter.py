@@ -24,8 +24,9 @@ instance digest by its caller, which computes it once. Both run
 one spectral step (_spectral_step: degrees, Gamma, signed adjacency, norm), the
 even builder on its whole graph, each odd level on its surviving edges. A
 level that deletion and equalization leave whole is stepped as built, on its
-distinct edges (see kikuchi_odd), so its per-pair edges are never made; a
-level they cut is stepped on the subgraph of its survivors.
+distinct edges (see kikuchi_odd), so its pair grid is never built; a level
+they cut is stepped as built with their mask over its pair grid, and its
+per-pair edges are never made either.
 The reweighted spectral norm, the only numerical step, is passed in as a
 function: refute_even/refute_odd pass ARPACK at their tol. verify_certificate
 replays the same builder from the recorded parameters with a step that
@@ -40,6 +41,7 @@ import hashlib
 import json
 import math
 import reprlib
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -122,10 +124,10 @@ def _spectral_step(g, inst: XorInstance, norm, key, seed: int) -> dict:
     """The reweighted spectral step on g: Gamma = D + d*Id from its degrees, d
     its average degree, its signed adjacency A and one call norm(key, A,
     gamma, seed) -> (lambda, residual). Returns the record fields d, tr_gamma
-    (sum D + |V| d = 4|E|), lambda, residual and lambda_cert."""
+    (g.tr_gamma), lambda, residual and lambda_cert."""
     a_signed = g.adjacency(signs=list(inst.signs))
     lam, resid = norm(key, a_signed, g.gamma_floats(), seed)
-    return {"d": _frac_str(g.average_degree), "tr_gamma": _frac_str(Fraction(4 * g.num_edges)),
+    return {"d": _frac_str(g.average_degree), "tr_gamma": _frac_str(g.tr_gamma),
             "lambda": lam, "residual": resid, "lambda_cert": lam + resid}
 
 
@@ -140,7 +142,7 @@ def _even_certificate(inst: XorInstance, digest: str, r: int, caps: Caps, tol: f
     step = _spectral_step(g, inst, norm, "even", seed)
     # psi <= lambda_cert * tr(Gamma) / (C(n,r) d), and tr(Gamma) = 2 C(n,r) d,
     # so the bound is exactly 2 * lambda_cert
-    certified = 2 * Fraction(step["lambda_cert"])
+    certified = Fraction(step["lambda_cert"]) * g.tr_gamma / (g.num_vertices * g.average_degree)
     return {**head, "eps": None, "eta": None,
             "even": {"vertices": g.num_vertices, "edges": g.num_edges, "alpha": g.alpha, **step},
             "certified_bound": _frac_str(certified)}
@@ -193,12 +195,12 @@ def _odd_level(inst: XorInstance, decomp, t: int, r: int, eta, caps: Caps, seed:
     result = equalize_deletion(g, delete_heavy_edges(g, eta))
     rec.update({"kappa": result.kappa, "rho": _frac_str(result.rho),
                 "surviving_edges": result.num_surviving})
-    if result.degenerate or result.rho > Fraction(1, 2):
+    if result.rho > Fraction(1, 2):
         return _settle(rec, trivial, "trivial")
 
     if result.num_surviving < g.num_edges:
-        # the full edge arrays are freed before the eigensolve
-        g = g.subgraph(result.surviving)
+        # a whole level is stepped without building its pair grid
+        g = replace(g, keep=result.surviving)
     rec.update(_spectral_step(g, inst, norm, t, seed + t))
     fhat = (Fraction(k * k * p, 2 * g.alpha * m * m) * Fraction(rec["lambda_cert"])
             * _parse_frac(rec["tr_gamma"]))

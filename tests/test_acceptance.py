@@ -20,6 +20,7 @@ from kcert.kikuchi_odd import (build_colored_kikuchi, delete_heavy_edges, equali
                                measured_deletion_fractions, predicted_deletion_fraction)
 from kcert.spectral import exact_trace_power, trace_bound_rhs
 from kcert.cli import main as cli_main
+from pair_cells import edge_mask
 from subset_masks import all_subset_masks_colex
 
 
@@ -206,6 +207,7 @@ def test_criterion_06_deletion_process():
             predicted = predicted_deletion_fraction(k, n, r, t, eta, thresholds=d.thresholds)
             assert measured <= predicted, (k, n, m, t, eta, float(measured), float(predicted))
             res = equalize_deletion(g, pre)
+            kept = edge_mask(g, res.surviving)
             nmask = (1 << g.n) - 1
             vm = all_subset_masks_colex(g.COLORS * g.n, g.r)
             for _ in range(20):
@@ -222,7 +224,7 @@ def test_criterion_06_deletion_process():
                             mm >>= 1
                             i += 1
                     q += 2 * prod
-                    if res.surviving[pos]:
+                    if kept[pos]:
                         qh += 2 * prod
                 assert Fraction(qh) == (1 - res.rho) * Fraction(q)
                 identity_checks += 1

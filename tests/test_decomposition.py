@@ -167,7 +167,8 @@ def test_validate_detects_oversized_group():
      "level-1 group 0 has center of size 2"),
     ("refute", ((0, 1, 2), (3, 4, 5)), {1: (((0,), (0, 1)),), 2: ()}, {1: 2, 2: 2},
      "clause 1 does not contain center of level-1 group 0"),
-    ("cover", ((0, 1, 2),), {2: (((0, 1), (0,)),), 1: (((0,), (0,)),), 0: ()}, {2: 1, 1: 1},
+    ("cover", ((0, 1, 2), (0, 1, 3), (0, 4, 5)), {2: (((0, 1), (0, 1)),), 1: (((0,), (0, 2)),),
+                                                  0: ()}, {2: 2, 1: 2},
      "clause indices do not partition the edge set"),
     ("cover", ((0, 1, 2), (0, 1, 3)), {2: (((0, 1), (0, 1)),), 1: (), 0: ()}, {2: 3, 1: 2},
      "level-2 group 0 has size 2, rule requires 3"),
@@ -183,6 +184,18 @@ def test_validate_names_the_one_fault(mode, edges, pieces, thresholds, fault):
                               for t, groups in pieces.items()},
                       thresholds=thresholds)
     assert validate_decomposition(h, d) == (fault,)
+
+
+def test_validate_caps_a_cover_piece_one_below_the_group_size():
+    # k=5, n/r = 2: level-2 groups take 2 = ceil(sqrt 2) clauses, so the greedy
+    # leaves no pair in 2 clauses of a lower piece; (0, 1) lies in two here
+    h = Hypergraph(n=12, k=5, edges=((0, 1, 2, 3, 4), (0, 1, 5, 6, 7), (0, 8, 9, 10, 11)))
+    thresholds = decompose_for_cover(h, 6).thresholds
+    assert (thresholds[2], thresholds[1]) == (2, 3)
+    pieces = {4: (), 3: (), 2: (), 1: (Group(center=(0,), clause_indices=(0, 1, 2)),), 0: ()}
+    d = Decomposition(mode="cover", n=12, k=5, r=6, eps=None, pieces=pieces, thresholds=thresholds)
+    assert validate_decomposition(h, d) == (
+        "level-1 piece: set (0, 1) lies in 2 clauses, cap 1 at size 2",)
 
 
 def test_cover_level0_multiplicity_below_level1_threshold():

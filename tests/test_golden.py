@@ -28,6 +28,7 @@ from kcert.decomposition import Decomposition, Group, decompose_for_refutation
 from kcert.kikuchi_even import build_even_kikuchi, dump_even, shortest_even_cover_via_kikuchi
 from kcert.kikuchi_odd import (build_colored_kikuchi, delete_heavy_edges, dump_colored,
                                equalize_deletion)
+from pair_cells import edge_mask
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -115,7 +116,8 @@ def test_odd_certificate_golden():
 
 def test_deletions():
     """Heavy-edge deletion and equalization on both colored cases at each level
-    and eta in {1, 2, 3}: surviving edge positions after each step, the
+    and eta in {1, 2, 3}: surviving edge positions after each step (in the
+    per-pair order of the edges, which the deletions were written in), the
     per-pair counts before equalization as (group, C, C', count) rows, kappa
     and rho."""
     for row in json.loads((GOLDEN / "deletions.json").read_text()):
@@ -124,8 +126,8 @@ def test_deletions():
         pre = delete_heavy_edges(g, row["eta"])
         res = equalize_deletion(g, pre)
         assert pre.pair_survival.dtype == np.int64
-        got = {"after_delete": np.flatnonzero(pre.surviving).tolist(),
-               "after_equalize": np.flatnonzero(res.surviving).tolist(),
+        got = {"after_delete": np.flatnonzero(edge_mask(g, pre.surviving)).tolist(),
+               "after_equalize": np.flatnonzero(edge_mask(g, res.surviving)).tolist(),
                "pair_survival": np.column_stack([g.pair_table[:, :3], pre.pair_survival]).tolist(),
                "kappa": res.kappa, "rho": str(res.rho)}
         assert got == {key: row[key] for key in got}, row

@@ -2,14 +2,16 @@
 and the array kernels against the numpy passes they replaced: np.sort per row
 for colex ranks, np.lexsort((item, t, s)) for the edge order,
 np.argsort(kind="stable") for stable_order, a COO to CSR conversion of every
-edge for the adjacency, the full deletion and equalization passes for
-their shortcuts, and the per-pair degrees and adjacency, summed run by run,
-for a level's weighted distinct edges."""
+edge for the adjacency, the full deletion and equalization passes over the
+per-pair edges for the passes over the pair grid, the per-pair degrees and
+adjacency, summed run by run, for a level's weighted distinct edges, and the
+subgraph of the kept per-pair edges for a cut level."""
 
 import dataclasses
 import math
+import pathlib
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -18,14 +20,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kcert import Hypergraph, XorInstance, gen_random, kikuchi_even, kikuchi_odd
+from kcert import Hypergraph, XorInstance, gen_random, kikuchi_even, kikuchi_odd, load_xor
 from kcert.decomposition import Decomposition, Group, decompose_for_refutation
 from kcert.kikuchi_even import BLOCK_EDGES, build_even_kikuchi, pattern_edges
-from kcert.kikuchi_odd import (DeletionResult, build_colored_kikuchi, delete_heavy_edges,
-                               equalize_deletion, ordered_pair_table)
+from kcert.kikuchi_odd import (build_colored_kikuchi, delete_heavy_edges, equalize_deletion,
+                               ordered_pair_table)
 from kcert.refuter import refute_odd, verify_certificate
 from kcert.subsets import (binomial_table, colex_ranks, complement_rows, mask_from, stable_order,
                            stable_sort)
+from pair_cells import cell_positions, edge_mask
 from subset_masks import all_subset_masks_colex
 
 SEEDS = st.integers(0, 2**30 - 1)
@@ -64,17 +67,19 @@ def random_colored_graph(seed):
 
 
 def masked(g, keep):
-    """The subgraph the boolean mask keep keeps: a colored level's own, or an
-    even graph with its per-edge arrays masked."""
+    """The graph of the edges the boolean mask keep over g.edges keeps: a
+    colored level cut by keep's cells, or an even graph with its per-edge
+    arrays masked."""
     if isinstance(g, kikuchi_odd.ColoredKikuchiGraph):
-        return g.subgraph(keep)
+        return dataclasses.replace(g, keep=keep[cell_positions(g)])
     return dataclasses.replace(g, s_rank=g.s_rank[keep], t_rank=g.t_rank[keep],
                                clause=g.clause[keep])
 
 
 def per_edge(g, signs=None):
-    """s_rank, t_rank and float64 weight of every edge, one per ordered pair in
-    a colored level: 1, or the edge's sign under per-clause signs."""
+    """s_rank, t_rank and float64 weight of every edge, one per ordered pair
+    that keeps it in a colored level: 1, or the edge's sign under per-clause
+    signs."""
     if isinstance(g, kikuchi_odd.ColoredKikuchiGraph):
         s, t, pair = g.pair_edges
         sign = lambda b: g.pair_signs(b)[pair]
@@ -163,20 +168,18 @@ def test_adjacency_and_degrees_match_edge_loop(seed, colored):
 
 @given(SEEDS)
 @settings(max_examples=40, deadline=None)
-def test_subgraph_masks_the_edge_arrays_and_shares_every_other_field(seed):
-    # the kept per-pair edges, each ordered pair its own side
+def test_a_cut_level_lists_the_kept_edges_and_shares_every_other_field(seed):
+    # the built level with a mask over its grid cells; its edges are the kept per-pair edges
     _, g, rng = random_colored_graph(seed)
     keep = np.array([rng.random() < 0.6 for _ in range(g.num_edges)], dtype=bool)
-    kept = g.subgraph(keep)
-    assert type(kept) is type(g)
+    kept = masked(g, keep)
+    assert type(kept) is type(g) and g.keep is None
+    assert kept.keep.shape == g.pair_grid.shape == (len(g.pair_table), g.alpha or 0)
+    assert np.array_equal(edge_mask(g, kept.keep), keep)
     assert kept.edges == tuple(e for e, k in zip(g.edges, keep.tolist()) if k)
-    s, t, pair = g.pair_edges
-    masked_fields = {"s_rank": s[keep], "t_rank": t[keep], "side": pair[keep],
-                     "of_pair": np.arange(len(g.pair_table))}
+    assert kept.num_edges == len(kept.pair_edges[0]) == int(keep.sum())
     for field in dataclasses.fields(g):
-        if field.name in masked_fields:
-            assert np.array_equal(getattr(kept, field.name), masked_fields[field.name])
-        else:
+        if field.name != "keep":
             assert getattr(kept, field.name) is getattr(g, field.name), field.name
 
 
@@ -200,12 +203,13 @@ def incidences(g, keep=None):
 def test_deletion_drops_exactly_the_heavy_edges(seed, eta):
     _, g, _ = random_colored_graph(seed)
     res = delete_heavy_edges(g, eta)
-    before, after = incidences(g), incidences(g, res.surviving)
+    survived = edge_mask(g, res.surviving)
+    before, after = incidences(g), incidences(g, survived)
     assert all(cnt <= eta for cnt in after.values())
     for pos, (s, t, gi, a, b) in enumerate(g.edges):
         touches_heavy = any(before[(v, gi, c)] > eta for v in (s, t) for c in (a, b))
-        assert res.surviving[pos] == (not touches_heavy)
-    per_pair = Counter(e[2:] for pos, e in enumerate(g.edges) if res.surviving[pos])
+        assert survived[pos] == (not touches_heavy)
+    per_pair = Counter(e[2:] for pos, e in enumerate(g.edges) if survived[pos])
     assert dict(zip(pair_keys(g), res.pair_survival.tolist())) == {
         (gi, a, b): per_pair[(gi, a, b)] for gi, grp in enumerate(g.groups)
         for a in grp.clause_indices for b in grp.clause_indices if a != b}
@@ -220,13 +224,14 @@ def test_equalization_keeps_the_first_kappa_of_each_pair(seed, eta):
         return
     pre = delete_heavy_edges(g, eta)
     res = equalize_deletion(g, pre)
+    before, after = edge_mask(g, pre.surviving), edge_mask(g, res.surviving)
     survivors: dict = {}
     for pos, edge in enumerate(g.edges):
-        if pre.surviving[pos]:
+        if before[pos]:
             survivors.setdefault(edge[2:], []).append(pos)
     kept = {key: [] for key in pair_keys(g)}
     for pos, edge in enumerate(g.edges):
-        if res.surviving[pos]:
+        if after[pos]:
             kept[edge[2:]].append(pos)
     for key, positions in kept.items():
         assert len(positions) == res.kappa
@@ -273,9 +278,14 @@ def test_ordered_pair_table_matches_the_per_group_loop(clause_lists):
 
 
 # delete_heavy_edges and equalize_deletion as they were before their
-# shortcuts, which must not change any result on either side of the bound,
-# with the per-pair edges read from pair_edges
-def reference_delete_heavy_edges(g, eta) -> DeletionResult:
+# shortcuts and the pair grid, over the per-pair edges of pair_edges, each
+# result a mask over the edges: the passes over the grid's cells and their
+# shortcuts must give the same results on either side of the bound
+Passed = namedtuple("Passed", "surviving pair_survival kappa rho degenerate",
+                    defaults=(None, None, False))
+
+
+def reference_delete_heavy_edges(g, eta) -> Passed:
     if eta != math.inf and eta < 1:
         raise ValueError("eta must be >= 1 (or math.inf)")
     s_rank, t_rank, pair = g.pair_edges
@@ -293,16 +303,16 @@ def reference_delete_heavy_edges(g, eta) -> DeletionResult:
         e = math.floor(eta)
         heavy = np.unique(ordered[e:][ordered[e:] == ordered[:-e]])
         surviving = ~np.isin(keys, heavy).any(axis=0)
-    return DeletionResult(surviving=surviving,
-                          pair_survival=np.bincount(pair[surviving], minlength=len(g.pair_table)))
+    return Passed(surviving=surviving,
+                  pair_survival=np.bincount(pair[surviving], minlength=len(g.pair_table)))
 
 
-def reference_equalize_deletion(g, pre: DeletionResult) -> DeletionResult:
+def reference_equalize_deletion(g, pre: Passed) -> Passed:
     if pre.rho is not None:
         raise ValueError("deletion result is already equalized")
     if g.alpha is None or not g.num_edges:
-        return DeletionResult(surviving=pre.surviving.copy(), pair_survival=pre.pair_survival.copy(),
-                              rho=Fraction(0), degenerate=True)
+        return Passed(surviving=pre.surviving.copy(), pair_survival=pre.pair_survival.copy(),
+                      rho=Fraction(0), degenerate=True)
     kappa = int(pre.pair_survival.min())
     # survivors grouped by pair, each pair's in stored (sorted) order; keep the first kappa
     alive = np.flatnonzero(pre.surviving)
@@ -313,13 +323,14 @@ def reference_equalize_deletion(g, pre: DeletionResult) -> DeletionResult:
     surviving = np.zeros(g.num_edges, dtype=bool)
     surviving[alive[running < kappa]] = True
     rho = 1 - Fraction(kappa, g.alpha)
-    return DeletionResult(surviving=surviving, pair_survival=np.minimum(pre.pair_survival, kappa),
-                          kappa=kappa, rho=rho, degenerate=(kappa == 0))
+    return Passed(surviving=surviving, pair_survival=np.minimum(pre.pair_survival, kappa),
+                  kappa=kappa, rho=rho, degenerate=(kappa == 0))
 
 
-def assert_same_result(got, want):
+def assert_same_result(g, got, want):
     assert got.surviving.dtype == want.surviving.dtype == bool
-    assert np.array_equal(got.surviving, want.surviving)
+    assert got.surviving.shape == (len(g.pair_table), g.alpha or 0)
+    assert np.array_equal(edge_mask(g, got.surviving), want.surviving)
     assert got.pair_survival.dtype == want.pair_survival.dtype
     assert np.array_equal(got.pair_survival, want.pair_survival)
     assert (got.kappa, got.rho, got.degenerate) == (want.kappa, want.rho, want.degenerate)
@@ -328,14 +339,14 @@ def assert_same_result(got, want):
 @given(SEEDS, st.data())
 @settings(max_examples=80, deadline=None)
 def test_deletion_shortcuts_match_the_full_passes(seed, data):
-    """Both sides of the bound 2(max |G| - 1) <= eta against verbatim copies of
-    the passes without shortcuts."""
+    """Both sides of the bound 2(max |G| - 1) <= eta against copies of the
+    passes without shortcuts, over the per-pair edges."""
     _, g, _ = random_colored_graph(seed)
     largest = max(len(grp.clause_indices) for grp in g.groups)
     eta = data.draw(st.integers(1, 2 * largest + 1) | st.just(math.inf), label="eta")
     pre, want_pre = delete_heavy_edges(g, eta), reference_delete_heavy_edges(g, eta)
-    assert_same_result(pre, want_pre)
-    assert_same_result(equalize_deletion(g, pre), reference_equalize_deletion(g, want_pre))
+    assert_same_result(g, pre, want_pre)
+    assert_same_result(g, equalize_deletion(g, pre), reference_equalize_deletion(g, want_pre))
 
 
 def coo_reference(g, signs, keep):
@@ -641,6 +652,14 @@ def test_colored_build_equals_the_per_pair_reference(level_case):
     rows = side_rows(h, g)
     want = reference_pattern_edges(len(rows), lambda lo, hi: rows[lo:hi], ground, r_, s_pat, t_pat)
     assert_same_bytes(g.pair_edges, want)
+    # the grid's premise: each side of of_pair holds alpha edges, and no other side exists
+    sides = int(g.of_pair.max(initial=-1)) + 1
+    assert np.bincount(g.side, minlength=sides).tolist() == [g.alpha or 0] * sides
+    # cell (p, j) is the j-th edge of pair p in the per-pair order
+    s, t, _ = g.pair_edges
+    positions = cell_positions(g)
+    assert np.array_equal(g.s_rank[g.pair_grid], s[positions])
+    assert np.array_equal(g.t_rank[g.pair_grid], t[positions])
 
 
 def test_colored_build_equals_the_reference_with_no_pairs_and_one_group():
@@ -760,6 +779,15 @@ def reference_adjacency(g, signs=None):
     return a.tocsr()
 
 
+def reference_subgraph(g, keep):
+    """A cut level as ColoredKikuchiGraph.subgraph built it: the per-pair
+    edges the boolean mask keep over g.edges keeps, each ordered pair its own
+    side, so the built level's formulas weigh each edge once."""
+    s, t, pair = g.pair_edges
+    return dataclasses.replace(g, s_rank=s[keep], t_rank=t[keep], side=pair[keep],
+                               of_pair=np.arange(len(g.pair_table)))
+
+
 def reference_gamma_floats(g):
     d = Fraction(2 * len(per_edge(g)[0]), g.num_vertices)
     return (reference_subgraph_degrees(g) * d.denominator + d.numerator) / d.denominator
@@ -790,10 +818,17 @@ def test_side_pair_assembly_equals_the_per_pair_reference(level_case, data):
     assert "pair_edges" not in vars(g)              # nothing above made the per-pair edges
     assert_assembled_as_the_reference(got, g, signs)
     share = data.draw(st.sampled_from([0.0, 0.6, 1.0]), label="kept share")
-    keep = np.random.default_rng(data.draw(SEEDS, label="mask seed")).random(g.num_edges) < share
-    kept = g.subgraph(keep)
-    assert np.array_equal(kept.of_pair, np.arange(len(g.pair_table)))
-    assert_assembled_as_the_reference(assembled(kept, signs), kept, signs)
+    rng = np.random.default_rng(data.draw(SEEDS, label="mask seed"))
+    cells = rng.random((len(g.pair_table), g.alpha or 0)) < share
+    kept = dataclasses.replace(g, keep=cells)
+    got = assembled(kept, signs)
+    assert "pair_edges" not in vars(kept)           # a cut level is assembled from its grid
+    want = assembled(reference_subgraph(g, edge_mask(g, cells)), signs)
+    assert_same_csr(got["adjacency"], want["adjacency"])
+    for key in ("degrees", "gamma"):
+        assert got[key].dtype == want[key].dtype and got[key].tobytes() == want[key].tobytes()
+    assert type(got["num_edges"]) is int and got["num_edges"] == want["num_edges"]
+    assert_assembled_as_the_reference(got, kept, signs)
 
 
 @given(repeated_clause_graphs(), st.data())
@@ -818,7 +853,7 @@ def test_reading_a_built_level_leaves_its_distinct_edges():
     s_rank = g.s_rank
     repr(g)
     copy = dataclasses.replace(g)
-    assert "pair_edges" not in vars(g) and "pair_edges" not in vars(copy)
+    assert not {"pair_grid", "pair_edges"} & (vars(g).keys() | vars(copy).keys())
     assert g.s_rank is s_rank and copy.s_rank is s_rank
     assert len(s_rank) < g.num_edges
     assert g.num_edges == len(g.pair_edges[0])
@@ -829,28 +864,23 @@ def test_reading_a_built_level_leaves_its_distinct_edges():
 
 
 def spied_calls(monkeypatch):
-    """Names of the colored-graph per-pair edges made and subgraphs taken, in order."""
+    """Names of the colored-level arrays made (pair_grid, pair_edges), in order."""
     calls = []
     cls = kikuchi_odd.ColoredKikuchiGraph
-    make_pair_edges, subgraph = cls.__dict__["pair_edges"].func, cls.subgraph
+    for name in ("pair_grid", "pair_edges"):
+        def spied(self, make=cls.__dict__[name].func, name=name):
+            calls.append(name)
+            return make(self)
 
-    def pair_edges(self):
-        calls.append("pair_edges")
-        return make_pair_edges(self)
-
-    def spied_subgraph(self, keep):
-        calls.append("subgraph")
-        return subgraph(self, keep)
-
-    spy = cached_property(pair_edges)
-    spy.__set_name__(cls, "pair_edges")
-    monkeypatch.setattr(cls, "pair_edges", spy)
-    monkeypatch.setattr(cls, "subgraph", spied_subgraph)
+        spy = cached_property(spied)
+        spy.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, spy)
     return calls
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_shortcut_levels_neither_expand_the_pairs_nor_take_a_subgraph(seed, monkeypatch):
+    # levels that keep every edge build neither the pair grid nor the per-pair edges
     h = planted_instance(seed)
     rng = random.Random(seed)
     inst = XorInstance(hypergraph=h, signs=tuple(rng.choice((1, -1)) for _ in h.edges))
@@ -862,15 +892,25 @@ def test_shortcut_levels_neither_expand_the_pairs_nor_take_a_subgraph(seed, monk
     assert calls == []
 
 
-def test_cutting_levels_expand_the_pairs_once_and_take_their_subgraph(monkeypatch):
-    # the CI instance: at eta 8 level 1 keeps 134 of its 268 edges
-    inst = gen_random(9, 3, 30, 4, mode="xor-multi")
+@pytest.mark.parametrize("case", ["ci-eta-8", "golden-odd"])
+def test_cutting_levels_never_expand_the_pairs(case, monkeypatch):
+    # the CI instance at eta 8, where level 1 keeps 134 of its 268 edges, and
+    # the golden odd instance at its eta 80, where level 2 keeps 9,800 of
+    # 14,700: deletion and the cut level's assembly read the pair grid, and
+    # nothing makes the per-pair edges
+    if case == "ci-eta-8":
+        inst = gen_random(9, 3, 30, 4, mode="xor-multi")
+        args = {"r": 2, "eps": Fraction(1, 3), "eta": 8, "seed": 7, "relax_r_range": True}
+    else:
+        inst = load_xor(pathlib.Path(__file__).parent / "golden" / "odd_k3_n4_two_levels.xor")
+        args = {"r": 2, "eps": Fraction(49, 100), "eta": 80, "relax_r_range": True}
     calls = spied_calls(monkeypatch)
-    cert = refute_odd(inst, 2, Fraction(1, 3), eta=8, seed=7, relax_r_range=True)
-    level = cert["levels"][0]
-    assert (level["method"], level["surviving_edges"], level["edges"]) == ("spectral", 134, 268)
-    per_op = ["pair_edges", "subgraph"] * sum(
-        lv["method"] == "spectral" and lv["surviving_edges"] < lv["edges"] for lv in cert["levels"])
-    assert calls == per_op
+    cert = refute_odd(inst, **args)
+    cut = [lv for lv in cert["levels"] if lv["method"] == "spectral"
+           and lv["surviving_edges"] < lv["edges"]]
+    assert cut and "pair_grid" in calls and "pair_edges" not in calls
+    want = (1, 134, 268) if case == "ci-eta-8" else (2, 9800, 14700)
+    assert [(lv["t"], lv["surviving_edges"], lv["edges"]) for lv in cut] == [want]
+    made = len(calls)
     assert verify_certificate(inst, cert) == (True, [])
-    assert calls == 2 * per_op
+    assert calls == 2 * calls[:made]

@@ -10,6 +10,7 @@ from kcert.kikuchi_odd import (build_colored_kikuchi, delete_heavy_edges, dump_c
                                equalize_deletion, measured_deletion_fractions,
                                predicted_deletion_fraction)
 from assignments import random_assignment
+from pair_cells import edge_mask
 from subset_masks import all_subset_masks_colex, vertices_from
 
 
@@ -110,8 +111,9 @@ def test_delete_engineered_overlap():
     assert pre.num_surviving < g.num_edges
     # recount survivors: per-vertex per-clause incidence <= 1
     inc = {}
+    kept = edge_mask(g, pre.surviving)
     for pos, (s, t, gi, a, b) in enumerate(g.edges):
-        if pre.surviving[pos]:
+        if kept[pos]:
             for vtx in (s, t):
                 for c in (a, b):
                     inc[(vtx, gi, c)] = inc.get((vtx, gi, c), 0) + 1
@@ -161,8 +163,9 @@ def test_equalize_cuts_every_pair_to_kappa():
     assert counts == {res.kappa}
     assert res.rho == 1 - Fraction(res.kappa, g.alpha)
     per_pair = {}
+    kept = edge_mask(g, res.surviving)
     for pos, (s, t, gi, a, b) in enumerate(g.edges):
-        if res.surviving[pos]:
+        if kept[pos]:
             per_pair[(gi, a, b)] = per_pair.get((gi, a, b), 0) + 1
     assert all(v == res.kappa for v in per_pair.values())
 
@@ -183,7 +186,7 @@ def test_equalize_rejects_an_equalized_result():
         pre = delete_heavy_edges(g, math.inf)
         res = equalize_deletion(g, pre)
         assert res.degenerate == (level == 2) and pre.rho is None
-        assert res.pair_survival is not pre.pair_survival and res.surviving is not pre.surviving
+        assert res.surviving is not pre.surviving
         with pytest.raises(ValueError, match="already equalized"):
             equalize_deletion(g, res)
 
@@ -200,10 +203,11 @@ def test_equalization_identity_exact():
             continue
         signs = [rng.choice([-1, 1]) for _ in range(h.m)]
         res = equalize_deletion(g, delete_heavy_edges(g, 1))
+        kept = edge_mask(g, res.surviving)
         for _ in range(20):
             x = random_assignment(h.n, rng)
             q = _quad_form(g, signs, x)
-            qh = _quad_form(g, signs, x, keep=res.surviving)
+            qh = _quad_form(g, signs, x, keep=kept)
             assert Fraction(qh) == (1 - res.rho) * Fraction(q)
 
 
