@@ -189,19 +189,18 @@ def _subset_table(steps: Sequence[int], op) -> np.ndarray:
 def _least_key(columns, key, empty: int) -> int:
     """The least key over the nonempty subsets of a list of steps, or `empty`.
 
-    columns holds (steps, op) pairs whose step lists have one length; a
-    subset's value in a column is op folded over the steps it selects, and
-    key maps the columns' values of a block of subsets to their keys. A subset
-    is a pair (hi, lo): lo a subset of the first s steps, 2^s at most
-    ORACLE_BLOCK, and hi one of the rest; a block takes all lo, and as many hi
-    as fit in ORACLE_BLOCK."""
-    s = min(len(columns[0][0]), ORACLE_BLOCK.bit_length() - 1)
-    tables = [(op, _subset_table(steps[s:], op), _subset_table(steps[:s], op))
-              for steps, op in columns]
+    columns holds step lists of one length; a subset's value in a column is
+    the xor of the steps it selects, and key maps the columns' values of a
+    block of subsets to their keys. A subset is a pair (hi, lo): lo a subset
+    of the first s steps, 2^s at most ORACLE_BLOCK, and hi one of the rest; a
+    block takes all lo, and as many hi as fit in ORACLE_BLOCK."""
+    s = min(len(columns[0]), ORACLE_BLOCK.bit_length() - 1)
+    tables = [(_subset_table(steps[s:], np.bitwise_xor), _subset_table(steps[:s], np.bitwise_xor))
+              for steps in columns]
     step = ORACLE_BLOCK >> s
     best = empty
-    for hi in range(0, len(tables[0][1]), step):
-        block = key(*(op(t_hi[hi:hi + step, None], t_lo) for op, t_hi, t_lo in tables))
+    for hi in range(0, len(tables[0][0]), step):
+        block = key(*(t_hi[hi:hi + step, None] ^ t_lo for t_hi, t_lo in tables))
         if hi == 0:
             block[0, 0] = empty                     # the empty subset
         best = min(best, int(block.min()))
@@ -282,9 +281,9 @@ def _least_cover_key(coords: Sequence[int], split: int) -> int:
         lows.append(c & low_mask)
 
     right = lambda bits: (np.bitwise_count(bits).astype(np.int64) << m) | bits
-    columns, key = [(rows, np.bitwise_xor)], right
+    columns, key = [rows], right
     if split:
-        columns.append((lows, np.bitwise_xor))
+        columns.append(lows)
         key = lambda bits, low: (best_left[low] << b) + right(bits)
     return min(best, _least_key(columns, key, (m + 1) << m))
 

@@ -1,28 +1,24 @@
-"""Even-arity Kikuchi graphs: explicit construction, reweighting data, signed
-variant, and the even-cover search over closed walks; also what the colored
-graphs of kikuchi_odd share: the edge-array layout, the edge generator, the
-capacity check and the text dump.
+"""Kikuchi levels: the layout both kinds share (KikuchiEdges), with its edge
+generator, capacity check and text dump; the even-arity level, its signed
+variant, and the even-cover search over closed walks.
 
 Vertices are the r-subsets S of the vertex set, indexed by colex rank; S ~ T
 iff S xor T is a hyperedge, and the edge remembers which one, so a closed
 walk's clauses are read off the edge arrays: no vertex or clause is ever held
 as a bitmask. Every clause contributes exactly
-alpha = C(k-1, k/2-1) * C(n-k, r-k/2) unordered edges.
+alpha = C(k-1, k/2-1) * C(n-k, r-k/2) unordered edges, so an even level is a
+KikuchiEdges whose sides are its clauses, each its own provenance row
+(of_pair the identity); duplicate clauses stay apart, as parallel edges.
 
-Edges live in parallel int64 arrays s_rank < t_rank, sorted, beside their
-provenance. pattern_edges builds them for both graph kinds, in one call per
-graph: every item (a clause here, a distinct reduced side pair of ordered
-clause pairs there) yields its edges through the same index patterns, so
-whole blocks of items are gathered at once and ranked through a binomial
-table. The degrees and the adjacency sum the weighted edges each kind gives
-(_weighted_edges): every edge, weighted 1 or by its clause's sign, here; in a
-colored level, each edge weighted by the ordered pairs it stands for. Degrees,
-Gamma and the adjacency take no edge mask, and d is average_degree throughout.
+pattern_edges builds the edges of both kinds, in one call per level: every
+item (a clause here, a distinct reduced side pair of ordered clause pairs
+there) yields its edges through the same index patterns, so whole blocks of
+items are gathered at once and ranked through a binomial table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -70,17 +66,37 @@ DEFAULT_CAPS = Caps()
 
 @dataclass(eq=False)
 class KikuchiEdges:
-    """Edge arrays of a Kikuchi graph on the r-subsets of range(COLORS * n);
-    s_rank < t_rank are endpoint colex ranks, sorted by (s_rank, t_rank).
-    Subclasses add the provenance and give _weighted_edges(signs), the edges
-    the degrees and the adjacency sum, and edge_columns(), the columns of the
-    edges view."""
+    """A Kikuchi level on the r-subsets of range(COLORS * n): its edges
+    s_rank < t_rank (endpoint colex ranks, sorted by (s_rank, t_rank)), each
+    edge's side, and the side of each provenance row (of_pair): a row is a
+    clause of an even level, or an ordered clause pair of a colored one. A
+    row stands for all alpha edges of its side, so row p's j-th edge is the
+    cell (p, j) of the pair grid (pair_grid): each side's edges in stored
+    order, alpha to a row, one row per provenance row. A cut level is its
+    built level with keep, a boolean mask over the cells. No method changes
+    a field.
+
+    The edge count, degrees, Gamma and signed adjacency weigh each edge by
+    the rows that keep it, or under per-clause signs by the sum of their
+    pair_signs (sums of +-1, exact in float64): by one np.bincount over
+    of_pair, or in a cut level of the kept cells, dropping the edges no row
+    keeps. They take no edge mask, and d is average_degree throughout. The
+    per-row edges (pair_edges), the kept cells in stable order of their
+    edges, are made for edges and dumps alone. Subclasses give
+    pair_signs(signs), each row's sign from per-clause signs, and
+    provenance(rows), the columns an edge of those rows lists after its ranks.
+    """
 
     n: int
     k: int
     r: int
     s_rank: np.ndarray
     t_rank: np.ndarray
+    side: np.ndarray                         # per-edge side
+    of_pair: np.ndarray                      # side of each provenance row
+    alpha: Optional[int]                     # edges per side and per row; None: no rows
+    # (rows, alpha) bool over pair_grid; None: every cell
+    keep: Optional[np.ndarray] = field(default=None, kw_only=True)
 
     COLORS = 1
 
@@ -88,9 +104,11 @@ class KikuchiEdges:
     def num_vertices(self) -> int:
         return comb(self.COLORS * self.n, self.r)
 
-    @property
+    @cached_property
     def num_edges(self) -> int:
-        return len(self.s_rank)
+        if self.keep is None:
+            return int(np.bincount(self.of_pair)[self.side].sum())
+        return int(np.count_nonzero(self.keep))
 
     @property
     def average_degree(self) -> Fraction:
@@ -101,13 +119,56 @@ class KikuchiEdges:
         """The trace of Gamma = D + d*Id: 2|E| + |V| d."""
         return 2 * self.num_edges + self.num_vertices * self.average_degree
 
+    def cut(self, keep: np.ndarray) -> KikuchiEdges:
+        """This level keeping only the cells keep of its pair grid; the cut
+        level takes over the grid, so it is built once."""
+        level = replace(self, keep=keep)
+        level.pair_grid = self.pair_grid
+        return level
+
+    @cached_property
+    def pair_grid(self) -> np.ndarray:
+        """(rows, alpha) edge indices, read-only: row p holds the edges of
+        row p's side in stored order, so cell (p, j) is its j-th edge."""
+        sides = int(self.of_pair.max(initial=-1)) + 1
+        grid = stable_order(self.side, sides).reshape(sides, self.alpha or 0)[self.of_pair]
+        grid.flags.writeable = False
+        return grid
+
+    @cached_property
+    def pair_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """s_rank, t_rank and provenance row of every kept cell of the pair
+        grid, sorted by (s_rank, t_rank, row), read-only: each edge once per
+        row that keeps it."""
+        cells = self.pair_grid.reshape(-1)
+        order = stable_order(cells, len(self.s_rank))
+        if self.keep is not None:
+            order = order[self.keep.reshape(-1)[order]]
+        edge = cells[order]
+        arrays = self.s_rank[edge], self.t_rank[edge], order // (self.alpha or 1)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
     @cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:
-        """Read-only tuple view (s_rank, t_rank, *provenance) of edge_columns()."""
-        return tuple(zip(*(c.tolist() for c in self.edge_columns())))
+        """Read-only tuple view (s_rank, t_rank, *provenance) of pair_edges."""
+        s, t, rows = self.pair_edges
+        return tuple(zip(*np.column_stack([s, t, self.provenance(rows)]).T.tolist()))
 
     # per-vertex degree, edge multiplicity counted
     degrees = property(lambda self: self.subgraph_degrees())
+
+    def _weighted_edges(self, signs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each edge weighs the number of rows that keep it, or under signs
+        the sum of their pair_signs (zero where they cancel)."""
+        w = np.ones(len(self.of_pair)) if signs is None else self.pair_signs(signs)
+        if self.keep is None:
+            return self.s_rank, self.t_rank, np.bincount(self.of_pair, w)[self.side]
+        cells = self.pair_grid[self.keep]
+        held = np.bincount(cells, minlength=len(self.s_rank)) > 0
+        weight = np.bincount(cells, np.repeat(w, self.keep.sum(axis=1)), len(self.s_rank))
+        return self.s_rank[held], self.t_rank[held], weight[held]
 
     def subgraph_degrees(self) -> np.ndarray:
         """The degrees property; perfbench/spans.py times it under this name.
@@ -198,22 +259,14 @@ def dump_edges(header: str, g: KikuchiEdges) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(eq=False)
 class EvenKikuchiGraph(KikuchiEdges):
-    m: int
-    clause: np.ndarray                         # per-edge clause index
-    alpha: int                                 # unordered edges per clause
+    """An even level: each clause is a side and its own provenance row."""
 
-    def edge_signs(self, signs) -> np.ndarray:
-        return signs[self.clause]
+    def pair_signs(self, signs) -> np.ndarray:
+        return signs
 
-    def _weighted_edges(self, signs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every edge, weighted 1, or by its sign under per-clause signs."""
-        w = np.ones(self.num_edges) if signs is None else self.edge_signs(signs)
-        return self.s_rank, self.t_rank, w
-
-    def edge_columns(self) -> tuple[np.ndarray, ...]:
-        return self.s_rank, self.t_rank, self.clause
+    def provenance(self, rows: np.ndarray) -> np.ndarray:
+        return rows
 
     @cached_property
     def edge_keys(self) -> np.ndarray:
@@ -255,15 +308,14 @@ def build_even_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_CAPS) -> Even
     s_pat, t_pat = joined_rows(s_half, w), joined_rows(complement_rows(s_half, h.k), w)
     assert len(s_pat) == alpha, (len(s_pat), alpha)
     clauses = np.array(h.edges, dtype=np.int64).reshape(h.m, h.k)
-    s_rank, t_rank, clause = pattern_edges(clauses, h.n, r, s_pat, t_pat)
-
-    return EvenKikuchiGraph(n=h.n, k=h.k, r=r, s_rank=s_rank, t_rank=t_rank, m=h.m,
-                            clause=clause, alpha=alpha)
+    s_rank, t_rank, side = pattern_edges(clauses, h.n, r, s_pat, t_pat)
+    return EvenKikuchiGraph(n=h.n, k=h.k, r=r, s_rank=s_rank, t_rank=t_rank, side=side,
+                            of_pair=np.arange(h.m), alpha=alpha)
 
 
 def signed_even_kikuchi(inst: XorInstance, r: int, caps: Caps = DEFAULT_CAPS) -> SignedEvenKikuchi:
     g = build_even_kikuchi(inst.hypergraph, r, caps)
-    return SignedEvenKikuchi(graph=g, edge_signs=g.edge_signs(np.asarray(inst.signs)))
+    return SignedEvenKikuchi(graph=g, edge_signs=np.asarray(inst.signs)[g.side])
 
 
 def _first_triangle(g: EvenKikuchiGraph) -> Optional[EvenCover]:
@@ -297,7 +349,7 @@ def _first_triangle(g: EvenKikuchiGraph) -> Optional[EvenCover]:
         hit = np.flatnonzero(keys[closing] == wedge)
         if len(hit):
             i = hit[0]
-            return EvenCover(frozenset(g.clause[[u[i], v[i], closing[i]]].tolist()))
+            return EvenCover(frozenset(g.side[[u[i], v[i], closing[i]]].tolist()))
         lo, size = hi, min(2 * size, BLOCK_EDGES)
     return None
 
@@ -468,7 +520,7 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
                             walk.append(min(x, p) * nv + max(x, p))
                             x = p
                         steps = np.searchsorted(keys, np.array(walk, keys.dtype))
-                        cover = odd_use_cover(g.clause[steps].tolist())
+                        cover = odd_use_cover(g.side[steps].tolist())
                         if cover.edge_indices:
                             if length == 4:
                                 return length, cover
@@ -479,4 +531,4 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
 
 def dump_even(g: EvenKikuchiGraph) -> str:
     """Text edge list: header then one 'S_rank T_rank clause_index' line per edge."""
-    return dump_edges(f"kikuchi-even {g.n} {g.r} {g.m}", g)
+    return dump_edges(f"kikuchi-even {g.n} {g.r} {len(g.of_pair)}", g)

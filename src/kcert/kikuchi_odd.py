@@ -14,25 +14,14 @@ An ordered pair's edges depend on its reduced sides (C~, C~') alone: the edge
 joins S to S xor (green C~ xor blue C~'), and the intersection rule counts S
 against C~ and C~' only. Pairs with equal sides have equal edges, and on few
 vertices they are common: at level k - 1 each C~ is one vertex, so a level has
-at most n^2 distinct side pairs however large its groups grow. So a level
-holds edges (s_rank, t_rank, sorted, in the arrays of
-kikuchi_even.KikuchiEdges), each edge's side (side) and the side of each
-pair-table row (of_pair). Its sides are its distinct side pairs, so its edges
-are distinct: two side pairs never share an edge's endpoints, since S xor T
-is green C~ with blue C~'. The build numbers the distinct reduced sets, codes
-each ordered pair id(C~) * u + id(C~'), u the number of distinct sets, and
-makes one pattern_edges call with one row per distinct code, as the even
-build makes with one row per clause, alpha edges per row. So ordered pair p's
-j-th edge is the cell (p, j) of the pair grid (pair_grid), the edges of each
-side in stored order, alpha to a row, one row per pair. A cut level is its
-built level with keep, a boolean mask over the cells.
-
-The edge count, degrees, Gamma and signed adjacency weigh each edge by the
-ordered pairs that hold it, or under signs by the sum of their b_C b_C' (sums
-of +-1, exact in float64): by one np.bincount over of_pair, or in a cut level
-of the kept cells, dropping the edges no pair keeps. The per-pair edges
-(pair_edges), the kept cells in stable order of their edges, are made for
-edges and dumps alone.
+at most n^2 distinct side pairs however large its groups grow. So a level is
+a kikuchi_even.KikuchiEdges whose sides are its distinct side pairs and whose
+provenance rows are the rows of its pair table, each signed b_C b_C'. Its
+edges are distinct: two side pairs never share an edge's endpoints, since
+S xor T is green C~ with blue C~'. The build numbers the distinct reduced
+sets, codes each ordered pair id(C~) * u + id(C~'), u the number of distinct
+sets, and makes one pattern_edges call with one row per distinct code, as the
+even build makes with one row per clause, alpha edges per row.
 
 An ordered pair's edges join S to S xor M for one fixed M, so they form a
 matching: a (vertex, group, clause) incidence is met at most once per ordered
@@ -48,7 +37,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from math import comb
 from typing import Optional
@@ -58,22 +46,18 @@ import numpy as np
 from .core import Hypergraph
 from .decomposition import Decomposition, Group
 from .kikuchi_even import DEFAULT_CAPS, Caps, KikuchiEdges, dump_edges, pattern_edges
-from .subsets import combination_rows, complement_rows, joined_rows, stable_order
+from .subsets import combination_rows, complement_rows, joined_rows
 
 
 @dataclass(eq=False)
 class ColoredKikuchiGraph(KikuchiEdges):
-    """A colored level: its edges, their sides, each pair's side and, if cut,
-    the pair-grid cells it keeps (see the module docstring). No method changes a field."""
+    """A colored level: its sides are its distinct side pairs, and its
+    provenance rows the rows of its pair table (see the module docstring)."""
 
     t: int                                   # common center size of the groups
     groups: tuple[Group, ...]
     pair_table: np.ndarray                   # ordered_pair_table(groups)
-    side: np.ndarray                         # per-edge side
-    of_pair: np.ndarray                      # side of each row of pair_table
-    alpha: Optional[int]                     # edges per side and per ordered pair; None: no pairs
     alpha_closed_form: int                   # per unordered pair, as displayed
-    keep: Optional[np.ndarray] = None        # (pairs, alpha) bool over pair_grid; None: every cell
 
     COLORS = 2
 
@@ -85,50 +69,8 @@ class ColoredKikuchiGraph(KikuchiEdges):
         """b_C b_C' per row of the pair table, from per-clause signs."""
         return signs[self.pair_table[:, 1]] * signs[self.pair_table[:, 2]]
 
-    @cached_property
-    def num_edges(self) -> int:
-        if self.keep is None:
-            return int(np.bincount(self.of_pair)[self.side].sum())
-        return int(np.count_nonzero(self.keep))
-
-    def _weighted_edges(self, signs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each edge weighs the number of ordered pairs that keep it, or under
-        signs the sum of their b_C b_C' (zero where they cancel)."""
-        w = np.ones(len(self.of_pair)) if signs is None else self.pair_signs(signs)
-        if self.keep is None:
-            return self.s_rank, self.t_rank, np.bincount(self.of_pair, w)[self.side]
-        cells = self.pair_grid[self.keep]
-        held = np.bincount(cells, minlength=len(self.s_rank)) > 0
-        weight = np.bincount(cells, np.repeat(w, self.keep.sum(axis=1)), len(self.s_rank))
-        return self.s_rank[held], self.t_rank[held], weight[held]
-
-    @cached_property
-    def pair_grid(self) -> np.ndarray:
-        """(pairs, alpha) edge indices, read-only: row p holds the edges of
-        pair p's side in stored order, so cell (p, j) is its j-th edge."""
-        sides = int(self.of_pair.max(initial=-1)) + 1
-        grid = stable_order(self.side, sides).reshape(sides, self.alpha or 0)[self.of_pair]
-        grid.flags.writeable = False
-        return grid
-
-    @cached_property
-    def pair_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """s_rank, t_rank and pair-table row of every kept cell of the pair
-        grid, sorted by (s_rank, t_rank, pair), read-only: each edge once per
-        ordered pair that keeps it. An ordered pair's edges form a matching."""
-        cells = self.pair_grid.reshape(-1)
-        order = stable_order(cells, len(self.s_rank))
-        if self.keep is not None:
-            order = order[self.keep.reshape(-1)[order]]
-        edge = cells[order]
-        arrays = self.s_rank[edge], self.t_rank[edge], order // (self.alpha or 1)
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
-
-    def edge_columns(self) -> tuple[np.ndarray, ...]:
-        s, t, pair = self.pair_edges
-        return (s, t, *self.pair_table[pair, :3].T)
+    def provenance(self, rows: np.ndarray) -> np.ndarray:
+        return self.pair_table[rows, :3]
 
 
 def ordered_pair_table(groups) -> np.ndarray:

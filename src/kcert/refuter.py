@@ -41,7 +41,6 @@ import hashlib
 import json
 import math
 import reprlib
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -200,7 +199,7 @@ def _odd_level(inst: XorInstance, decomp, t: int, r: int, eta, caps: Caps, seed:
 
     if result.num_surviving < g.num_edges:
         # a whole level is stepped without building its pair grid
-        g = replace(g, keep=result.surviving)
+        g = g.cut(result.surviving)
     rec.update(_spectral_step(g, inst, norm, t, seed + t))
     fhat = (Fraction(k * k * p, 2 * g.alpha * m * m) * Fraction(rec["lambda_cert"])
             * _parse_frac(rec["tr_gamma"]))

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kcert import Hypergraph, XorInstance, gen_random, kikuchi_even, kikuchi_odd, load_xor
@@ -67,25 +67,18 @@ def random_colored_graph(seed):
 
 
 def masked(g, keep):
-    """The graph of the edges the boolean mask keep over g.edges keeps: a
-    colored level cut by keep's cells, or an even graph with its per-edge
-    arrays masked."""
-    if isinstance(g, kikuchi_odd.ColoredKikuchiGraph):
-        return dataclasses.replace(g, keep=keep[cell_positions(g)])
-    return dataclasses.replace(g, s_rank=g.s_rank[keep], t_rank=g.t_rank[keep],
-                               clause=g.clause[keep])
+    """The level of the edges the boolean mask keep over g.edges keeps: g cut
+    by keep's cells."""
+    return g.cut(keep[cell_positions(g)])
 
 
 def per_edge(g, signs=None):
-    """s_rank, t_rank and float64 weight of every edge, one per ordered pair
-    that keeps it in a colored level: 1, or the edge's sign under per-clause
-    signs."""
-    if isinstance(g, kikuchi_odd.ColoredKikuchiGraph):
-        s, t, pair = g.pair_edges
-        sign = lambda b: g.pair_signs(b)[pair]
-    else:
-        s, t, sign = g.s_rank, g.t_rank, g.edge_signs
-    return s, t, np.ones(len(s)) if signs is None else sign(np.asarray(signs, dtype=float))
+    """s_rank, t_rank and float64 weight of every edge, one per provenance row
+    that keeps it: 1, or the row's sign under per-clause signs."""
+    s, t, row = g.pair_edges
+    if signs is None:
+        return s, t, np.ones(len(s))
+    return s, t, g.pair_signs(np.asarray(signs, dtype=float))[row]
 
 
 def masks_and_ranks(g):
@@ -512,7 +505,7 @@ def test_even_edge_order_matches_lexsort_across_key_widths(size, seed):
     masks = np.array(all_subset_masks_colex(n, r), dtype=np.uint64)
     want = scanned_edges(masks, [(c, np.uint64(cm), [(np.uint64(cm), 2)], np.uint64(0))
                                  for c, cm in enumerate(h.edge_masks())], one_side=True)
-    for got, ref in zip((g.s_rank, g.t_rank, g.clause), want):
+    for got, ref in zip((g.s_rank, g.t_rank, g.side), want):
         assert got.dtype == np.int64
         assert np.array_equal(got, ref)
 
@@ -702,7 +695,21 @@ def test_even_build_equals_the_reference_on_repeated_clauses(case):
     g, (ground, r_, s_pat, t_pat) = patterns_of(build_even_kikuchi, kikuchi_even, h, r)
     clauses = np.array(h.edges, dtype=np.int64).reshape(h.m, h.k)
     want = reference_pattern_edges(h.m, lambda lo, hi: clauses[lo:hi], ground, r_, s_pat, t_pat)
-    assert_same_bytes((g.s_rank, g.t_rank, g.clause), want)
+    assert_same_bytes((g.s_rank, g.t_rank, g.side), want)
+
+
+@given(repeated_clause_graphs())
+@settings(max_examples=40, deadline=None)
+def test_even_sides_are_the_clauses_on_repeated_clauses(case):
+    # every clause, a repeated one too, is its own side of alpha edges, so the
+    # per-row edges that dumps and g.edges list are the stored arrays
+    h, r = case
+    assume(len(set(h.edges)) < h.m)
+    g = build_even_kikuchi(h, r)
+    assert g.of_pair.tobytes() == np.arange(h.m).tobytes()
+    assert np.bincount(g.side, minlength=h.m).tolist() == [g.alpha] * h.m
+    assert len(g.pair_edges) == 3
+    assert_same_bytes(g.pair_edges, (g.s_rank, g.t_rank, g.side))
 
 
 def planted_instance(seed):
@@ -868,7 +875,7 @@ def spied_calls(monkeypatch):
     calls = []
     cls = kikuchi_odd.ColoredKikuchiGraph
     for name in ("pair_grid", "pair_edges"):
-        def spied(self, make=cls.__dict__[name].func, name=name):
+        def spied(self, make=getattr(cls, name).func, name=name):
             calls.append(name)
             return make(self)
 
@@ -908,7 +915,8 @@ def test_cutting_levels_never_expand_the_pairs(case, monkeypatch):
     cert = refute_odd(inst, **args)
     cut = [lv for lv in cert["levels"] if lv["method"] == "spectral"
            and lv["surviving_edges"] < lv["edges"]]
-    assert cut and "pair_grid" in calls and "pair_edges" not in calls
+    # deletion builds each cut level's grid once, and the cut level takes it over
+    assert cut and calls.count("pair_grid") == len(cut) and "pair_edges" not in calls
     want = (1, 134, 268) if case == "ci-eta-8" else (2, 9800, 14700)
     assert [(lv["t"], lv["surviving_edges"], lv["edges"]) for lv in cut] == [want]
     made = len(calls)

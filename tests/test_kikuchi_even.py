@@ -120,7 +120,7 @@ def test_signed_even_kikuchi_keeps_the_sign_array():
     inst = gen_random(8, 4, 20, seed=12, mode="xor-multi")
     skg = signed_even_kikuchi(inst, 2)
     assert isinstance(skg.edge_signs, np.ndarray)
-    assert skg.edge_signs.tolist() == [inst.signs[c] for c in skg.graph.clause.tolist()]
+    assert skg.edge_signs.tolist() == [inst.signs[c] for c in skg.graph.side.tolist()]
 
 
 def test_four_cycle_dependency():
@@ -185,7 +185,7 @@ def _reference_search(h, r, max_len=None):
     # the edges are sorted, so each vertex lists its (neighbour, clause) steps
     # ascending; the covers the BFS finds depend on this order
     adj: dict[int, list[tuple[int, int]]] = {}
-    for s, t, c in zip(g.s_rank.tolist(), g.t_rank.tolist(), g.clause.tolist()):
+    for s, t, c in zip(g.s_rank.tolist(), g.t_rank.tolist(), g.side.tolist()):
         adj.setdefault(s, []).append((t, c))
         adj.setdefault(t, []).append((s, c))
 
