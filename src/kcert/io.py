@@ -9,9 +9,10 @@ instances store their vertices as Python ints. A malformed file raises a
 ParseError that names its first faulty line (a wrong line count is found
 first, and names the file's last line).
 
-Both formats share one body reader: it splits the body once and checks every
-hyperedge in whole-array numpy passes. Only a body that fails those checks (or
-holds ids beyond int64) is read again line by line, to name the first fault.
+Both formats share one writer and one body reader. The reader splits the
+body once and checks every hyperedge in whole-array numpy passes. Only a body
+that fails those checks (or holds ids beyond int64) is read again line by
+line, to name the first fault.
 """
 
 from __future__ import annotations
@@ -126,20 +127,19 @@ def parse_xor(text: str) -> XorInstance:
     return XorInstance(hypergraph=h, signs=signs)
 
 
-def serialize_hypergraph(h: Hypergraph) -> str:
-    lines = [f"hyg {h.n} {h.m} {h.k}"]
-    for edge in h.edges:
-        lines.append(" ".join(str(v + 1) for v in edge))
+def _serialize(tag: str, h: Hypergraph, heads) -> str:
+    """The header, then one line per clause: its head and its 1-based ids."""
+    lines = [f"{tag} {h.n} {h.m} {h.k}"]
+    lines += [head + " ".join(str(v + 1) for v in edge) for head, edge in zip(heads, h.edges)]
     return "\n".join(lines) + "\n"
+
+
+def serialize_hypergraph(h: Hypergraph) -> str:
+    return _serialize("hyg", h, [""] * h.m)
 
 
 def serialize_xor(inst: XorInstance) -> str:
-    h = inst.hypergraph
-    lines = [f"xor {h.n} {h.m} {h.k}"]
-    for sign, edge in zip(inst.signs, h.edges):
-        s = "+1" if sign == 1 else "-1"
-        lines.append(s + " " + " ".join(str(v + 1) for v in edge))
-    return "\n".join(lines) + "\n"
+    return _serialize("xor", inst.hypergraph, ["+1 " if s == 1 else "-1 " for s in inst.signs])
 
 
 def load_hypergraph(path) -> Hypergraph:

@@ -151,19 +151,20 @@ def build_colored_kikuchi(h: Hypergraph, decomp: Decomposition, level: int, r: i
 
 @dataclass
 class DeletionResult:
-    surviving: np.ndarray                    # (pairs, alpha) bool over graph.pair_grid
-    kappa: Optional[int] = None              # common per-pair count once equalized
-    rho: Optional[Fraction] = None           # set once equalized: 1 - kappa/alpha
-    degenerate: bool = False
+    """An equalized deletion: every ordered pair keeps kappa of its alpha
+    edges, so the quadratic form scales by exactly 1 - rho."""
 
-    # int64 surviving edges per row of pair_table, and in all
-    pair_survival = property(lambda self: self.surviving.sum(axis=1))
+    surviving: np.ndarray                    # (pairs, alpha) bool over graph.pair_grid
+    kappa: Optional[int]                     # common per-pair count; None: no rows or edges
+    rho: Fraction                            # 1 - kappa/alpha; 0 when kappa is None
+
     num_surviving = property(lambda self: int(np.count_nonzero(self.surviving)))
 
 
-def delete_heavy_edges(g: ColoredKikuchiGraph, eta) -> DeletionResult:
+def delete_heavy_edges(g: ColoredKikuchiGraph, eta) -> np.ndarray:
     """One-shot deletion: drop every edge {S,T} from pair (C,C') such that S or T
     is incident (within the same group) to more than eta edges involving C or C'.
+    Returns the (pairs, alpha) bool mask of survivors over g.pair_grid.
 
     eta = math.inf is the no-op sentinel. Surviving per-vertex per-clause
     incidence is <= eta afterwards. An incidence count is at most 2(|G| - 1)
@@ -173,7 +174,7 @@ def delete_heavy_edges(g: ColoredKikuchiGraph, eta) -> DeletionResult:
     _check_eta(eta)
     surviving = np.ones((len(g.pair_table), g.alpha or 0), dtype=bool)
     if not g.num_edges or 2 * (max(len(grp.clause_indices) for grp in g.groups) - 1) <= eta:
-        return DeletionResult(surviving=surviving)
+        return surviving
     # one key per (vertex, group, clause) incidence, (group, clause) as its
     # slot, packed in the narrowest dtype that holds every key
     num_slots = sum(len(grp.clause_indices) for grp in g.groups)
@@ -192,32 +193,30 @@ def delete_heavy_edges(g: ColoredKikuchiGraph, eta) -> DeletionResult:
     # one key row at a time, as np.isin on the whole stack sorts all of it at once
     for row in keys:
         surviving &= np.isin(row, heavy, invert=True)
-    return DeletionResult(surviving=surviving)
+    return surviving
 
 
-def equalize_deletion(g: ColoredKikuchiGraph, pre: DeletionResult) -> DeletionResult:
-    """Cut every ordered pair down to kappa = min survival, dropping the
-    lexicographically largest surviving edges; rho = 1 - kappa/alpha. When
-    every pair already holds kappa survivors, they are returned unchanged.
+def equalize_deletion(g: ColoredKikuchiGraph, surviving: np.ndarray) -> DeletionResult:
+    """Cut every ordered pair of the mask surviving down to kappa = min
+    survival, dropping the lexicographically largest surviving edges;
+    rho = 1 - kappa/alpha. The mask is left unmodified and is never the
+    result's; an equalized mask comes back equal, with its kappa and rho.
 
     The resulting quadratic form satisfies x' A_hat x = (1 - rho) x' A x for
     every assignment-induced x, exactly.
     """
-    if pre.rho is not None:
-        raise ValueError("deletion result is already equalized")
-    surviving = pre.surviving.copy()
+    surviving = surviving.copy()
     if g.alpha is None or not g.num_edges:
-        return DeletionResult(surviving=surviving, rho=Fraction(0), degenerate=True)
-    kappa = g.alpha if surviving.all() else int(pre.pair_survival.min())
+        return DeletionResult(surviving=surviving, kappa=None, rho=Fraction(0))
+    kappa = g.alpha if surviving.all() else int(surviving.sum(axis=1).min())
     if kappa < g.alpha:
         # a row's cells are its pair's edges in stored (sorted) order; keep the first kappa
         surviving &= np.cumsum(surviving, axis=1, dtype=np.min_scalar_type(g.alpha)) <= kappa
-    return DeletionResult(surviving=surviving, kappa=kappa, rho=1 - Fraction(kappa, g.alpha),
-                          degenerate=(kappa == 0))
+    return DeletionResult(surviving=surviving, kappa=kappa, rho=1 - Fraction(kappa, g.alpha))
 
 
 def _check_eta(eta) -> None:
-    if not isinstance(eta, numbers.Real) or math.isnan(eta) or eta < 1:
+    if not isinstance(eta, numbers.Real) or isinstance(eta, bool) or math.isnan(eta) or eta < 1:
         raise ValueError(f"eta must be a number >= 1 (or math.inf), got {eta!r}")
 
 
@@ -240,12 +239,13 @@ def predicted_deletion_fraction(k: int, n: int, r: int, level: int, eta,
     return Fraction(4**k, 1) / eta * total
 
 
-def measured_deletion_fractions(g: ColoredKikuchiGraph, result: DeletionResult) -> dict:
-    """Per ordered pair (group, C, C'), the fraction of its edges deleted."""
+def measured_deletion_fractions(g: ColoredKikuchiGraph, surviving: np.ndarray) -> dict:
+    """Per ordered pair (group, C, C'), the fraction of its edges that the
+    mask surviving deletes."""
     if g.alpha in (None, 0):
         return {}
     return {tuple(key): 1 - Fraction(cnt, g.alpha)
-            for key, cnt in zip(g.pair_table[:, :3].tolist(), result.pair_survival.tolist())}
+            for key, cnt in zip(g.pair_table[:, :3].tolist(), surviving.sum(axis=1).tolist())}
 
 
 def dump_colored(g: ColoredKikuchiGraph) -> str:

@@ -25,8 +25,9 @@ one spectral step (_spectral_step: degrees, Gamma, signed adjacency, norm), the
 even builder on its whole graph, each odd level on its surviving edges. A
 level that deletion and equalization leave whole is stepped as built, on its
 distinct edges (see kikuchi_odd), so its pair grid is never built; a level
-they cut is stepped as built with their mask over its pair grid, and its
-per-pair edges are never made either.
+they cut is stepped as built with the equalized mask (deletion's mask, cut to
+kappa per pair) over its pair grid, and its per-pair edges are never made
+either.
 The reweighted spectral norm, the only numerical step, is passed in as a
 function: refute_even/refute_odd pass ARPACK at their tol. verify_certificate
 replays the same builder from the recorded parameters with a step that

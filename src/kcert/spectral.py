@@ -17,14 +17,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import CapacityError, KcertError
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 TRACE_DIM_LIMIT = 2000
 TRACE_POWER_LIMIT = 12
@@ -35,14 +31,6 @@ class NonConvergenceError(KcertError):
     residual found, if any."""
 
 
-def _as_csr(a) -> sp.csr_matrix:
-    import scipy.sparse as sp
-
-    if sp.issparse(a):
-        return a.tocsr()
-    return sp.csr_matrix(np.asarray(a, dtype=np.float64))
-
-
 def spectral_norm_reweighted(a, gamma, tol: float = 1e-9, seed: int = 0) -> tuple[float, float]:
     """Spectral norm of Gamma^{-1/2} A Gamma^{-1/2} with a certified residual.
 
@@ -51,9 +39,10 @@ def spectral_norm_reweighted(a, gamma, tol: float = 1e-9, seed: int = 0) -> tupl
     returns (lambda, residual) where residual = ||A~ v - lambda_signed v|| for
     the returned eigenvector v; deterministic for a fixed seed.
     """
+    import scipy.sparse as sp
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    A = _as_csr(a)
+    A = a.tocsr() if sp.issparse(a) else sp.csr_matrix(np.asarray(a, dtype=np.float64))
     nv = A.shape[0]
     # every comparison with NaN is False and inf - inf is NaN, so non-finite
     # entries would pass the symmetry and positivity tests and reach ARPACK
@@ -73,7 +62,7 @@ def spectral_norm_reweighted(a, gamma, tol: float = 1e-9, seed: int = 0) -> tupl
         raise ValueError("gamma must be strictly positive when A is nonzero")
     isq = 1.0 / np.sqrt(gf)
 
-    # A~ as a scaled copy: _as_csr hands back the caller's own CSR matrix
+    # A~ as a scaled copy: tocsr hands back the caller's own CSR matrix
     m = A.astype(np.float64, copy=True)
     m.data *= isq[np.repeat(np.arange(nv), np.diff(m.indptr))] * isq[m.indices]
     m.eliminate_zeros()

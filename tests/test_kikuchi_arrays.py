@@ -195,18 +195,18 @@ def incidences(g, keep=None):
 @settings(max_examples=60, deadline=None)
 def test_deletion_drops_exactly_the_heavy_edges(seed, eta):
     _, g, _ = random_colored_graph(seed)
-    res = delete_heavy_edges(g, eta)
-    survived = edge_mask(g, res.surviving)
+    pre = delete_heavy_edges(g, eta)
+    survived = edge_mask(g, pre)
     before, after = incidences(g), incidences(g, survived)
     assert all(cnt <= eta for cnt in after.values())
     for pos, (s, t, gi, a, b) in enumerate(g.edges):
         touches_heavy = any(before[(v, gi, c)] > eta for v in (s, t) for c in (a, b))
         assert survived[pos] == (not touches_heavy)
     per_pair = Counter(e[2:] for pos, e in enumerate(g.edges) if survived[pos])
-    assert dict(zip(pair_keys(g), res.pair_survival.tolist())) == {
+    assert dict(zip(pair_keys(g), pre.sum(axis=1).tolist())) == {
         (gi, a, b): per_pair[(gi, a, b)] for gi, grp in enumerate(g.groups)
         for a in grp.clause_indices for b in grp.clause_indices if a != b}
-    assert delete_heavy_edges(g, math.inf).num_surviving == g.num_edges
+    assert np.count_nonzero(delete_heavy_edges(g, math.inf)) == g.num_edges
 
 
 @given(SEEDS, st.integers(1, 6))
@@ -217,7 +217,7 @@ def test_equalization_keeps_the_first_kappa_of_each_pair(seed, eta):
         return
     pre = delete_heavy_edges(g, eta)
     res = equalize_deletion(g, pre)
-    before, after = edge_mask(g, pre.surviving), edge_mask(g, res.surviving)
+    before, after = edge_mask(g, pre), edge_mask(g, res.surviving)
     survivors: dict = {}
     for pos, edge in enumerate(g.edges):
         if before[pos]:
@@ -229,7 +229,8 @@ def test_equalization_keeps_the_first_kappa_of_each_pair(seed, eta):
     for key, positions in kept.items():
         assert len(positions) == res.kappa
         assert positions == survivors.get(key, [])[:res.kappa]
-    assert dict(zip(pair_keys(g), res.pair_survival.tolist())) == {key: res.kappa for key in kept}
+    assert dict(zip(pair_keys(g), res.surviving.sum(axis=1).tolist())) == {
+        key: res.kappa for key in kept}
 
 
 @given(SEEDS)
@@ -272,13 +273,12 @@ def test_ordered_pair_table_matches_the_per_group_loop(clause_lists):
 
 # delete_heavy_edges and equalize_deletion as they were before their
 # shortcuts and the pair grid, over the per-pair edges of pair_edges, each
-# result a mask over the edges: the passes over the grid's cells and their
+# mask a mask over the edges: the passes over the grid's cells and their
 # shortcuts must give the same results on either side of the bound
-Passed = namedtuple("Passed", "surviving pair_survival kappa rho degenerate",
-                    defaults=(None, None, False))
+Equalized = namedtuple("Equalized", "surviving kappa rho")
 
 
-def reference_delete_heavy_edges(g, eta) -> Passed:
+def reference_delete_heavy_edges(g, eta) -> np.ndarray:
     if eta != math.inf and eta < 1:
         raise ValueError("eta must be >= 1 (or math.inf)")
     s_rank, t_rank, pair = g.pair_edges
@@ -296,37 +296,30 @@ def reference_delete_heavy_edges(g, eta) -> Passed:
         e = math.floor(eta)
         heavy = np.unique(ordered[e:][ordered[e:] == ordered[:-e]])
         surviving = ~np.isin(keys, heavy).any(axis=0)
-    return Passed(surviving=surviving,
-                  pair_survival=np.bincount(pair[surviving], minlength=len(g.pair_table)))
+    return surviving
 
 
-def reference_equalize_deletion(g, pre: Passed) -> Passed:
-    if pre.rho is not None:
-        raise ValueError("deletion result is already equalized")
+def reference_equalize_deletion(g, pre: np.ndarray) -> Equalized:
     if g.alpha is None or not g.num_edges:
-        return Passed(surviving=pre.surviving.copy(), pair_survival=pre.pair_survival.copy(),
-                      rho=Fraction(0), degenerate=True)
-    kappa = int(pre.pair_survival.min())
+        return Equalized(surviving=pre.copy(), kappa=None, rho=Fraction(0))
+    kappa = int(np.bincount(g.pair_edges[2][pre], minlength=len(g.pair_table)).min())
     # survivors grouped by pair, each pair's in stored (sorted) order; keep the first kappa
-    alive = np.flatnonzero(pre.surviving)
+    alive = np.flatnonzero(pre)
     pair_ids = g.pair_edges[2][alive].astype(np.min_scalar_type(len(g.pair_table) - 1))
     order = np.argsort(pair_ids, kind="stable")
     alive, pairs = alive[order], pair_ids[order]
     running = np.arange(len(alive)) - np.searchsorted(pairs, pairs)
     surviving = np.zeros(g.num_edges, dtype=bool)
     surviving[alive[running < kappa]] = True
-    rho = 1 - Fraction(kappa, g.alpha)
-    return Passed(surviving=surviving, pair_survival=np.minimum(pre.pair_survival, kappa),
-                  kappa=kappa, rho=rho, degenerate=(kappa == 0))
+    return Equalized(surviving=surviving, kappa=kappa, rho=1 - Fraction(kappa, g.alpha))
 
 
-def assert_same_result(g, got, want):
-    assert got.surviving.dtype == want.surviving.dtype == bool
-    assert got.surviving.shape == (len(g.pair_table), g.alpha or 0)
-    assert np.array_equal(edge_mask(g, got.surviving), want.surviving)
-    assert got.pair_survival.dtype == want.pair_survival.dtype
-    assert np.array_equal(got.pair_survival, want.pair_survival)
-    assert (got.kappa, got.rho, got.degenerate) == (want.kappa, want.rho, want.degenerate)
+def assert_same_mask(g, got, want):
+    """A (pairs, alpha) mask over the grid's cells against a mask over the
+    edges; equal masks have equal per-pair survival counts."""
+    assert got.dtype == want.dtype == bool
+    assert got.shape == (len(g.pair_table), g.alpha or 0)
+    assert np.array_equal(edge_mask(g, got), want)
 
 
 @given(SEEDS, st.data())
@@ -338,8 +331,10 @@ def test_deletion_shortcuts_match_the_full_passes(seed, data):
     largest = max(len(grp.clause_indices) for grp in g.groups)
     eta = data.draw(st.integers(1, 2 * largest + 1) | st.just(math.inf), label="eta")
     pre, want_pre = delete_heavy_edges(g, eta), reference_delete_heavy_edges(g, eta)
-    assert_same_result(g, pre, want_pre)
-    assert_same_result(g, equalize_deletion(g, pre), reference_equalize_deletion(g, want_pre))
+    assert_same_mask(g, pre, want_pre)
+    got, want = equalize_deletion(g, pre), reference_equalize_deletion(g, want_pre)
+    assert_same_mask(g, got.surviving, want.surviving)
+    assert (got.kappa, got.rho) == (want.kappa, want.rho)
 
 
 def coo_reference(g, signs, keep):

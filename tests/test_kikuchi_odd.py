@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kcert import CapacityError, Caps, Hypergraph, gen_random
@@ -99,7 +100,7 @@ def test_delete_nothing_on_single_pair():
     g = build_colored_kikuchi(h, d, 1, 2)
     for eta in (1, 2, 10):
         pre = delete_heavy_edges(g, eta)
-        assert pre.num_surviving == g.num_edges
+        assert np.count_nonzero(pre) == g.num_edges
 
 
 def test_delete_engineered_overlap():
@@ -108,10 +109,10 @@ def test_delete_engineered_overlap():
     d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1, 2))], 2)
     g = build_colored_kikuchi(h, d, 1, 2)
     pre = delete_heavy_edges(g, 1)
-    assert pre.num_surviving < g.num_edges
+    assert np.count_nonzero(pre) < g.num_edges
     # recount survivors: per-vertex per-clause incidence <= 1
     inc = {}
-    kept = edge_mask(g, pre.surviving)
+    kept = edge_mask(g, pre)
     for pos, (s, t, gi, a, b) in enumerate(g.edges):
         if kept[pos]:
             for vtx in (s, t):
@@ -119,7 +120,7 @@ def test_delete_engineered_overlap():
                     inc[(vtx, gi, c)] = inc.get((vtx, gi, c), 0) + 1
     assert all(v <= 1 for v in inc.values())
     # eta large enough: no deletions
-    assert delete_heavy_edges(g, 10).num_surviving == g.num_edges
+    assert np.count_nonzero(delete_heavy_edges(g, 10)) == g.num_edges
 
 
 def test_delete_infinite_eta_sentinel():
@@ -127,10 +128,10 @@ def test_delete_infinite_eta_sentinel():
     d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1, 2))], 2)
     g = build_colored_kikuchi(h, d, 1, 2)
     pre = delete_heavy_edges(g, math.inf)
-    assert pre.num_surviving == g.num_edges
+    assert np.count_nonzero(pre) == g.num_edges
 
 
-@pytest.mark.parametrize("eta", [float("nan"), "3", None, 0, 0.5, -math.inf])
+@pytest.mark.parametrize("eta", [float("nan"), "3", None, 0, 0.5, -math.inf, True])
 def test_delete_rejects_an_eta_that_is_no_number_at_least_one(eta):
     h = Hypergraph(n=6, k=3, edges=((0, 1, 2), (0, 3, 4), (0, 1, 5)))
     d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1, 2))], 2)
@@ -159,7 +160,7 @@ def test_equalize_cuts_every_pair_to_kappa():
     g = build_colored_kikuchi(h, d, 1, 2)
     pre = delete_heavy_edges(g, 1)
     res = equalize_deletion(g, pre)
-    counts = set(res.pair_survival.tolist())
+    counts = set(res.surviving.sum(axis=1).tolist())
     assert counts == {res.kappa}
     assert res.rho == 1 - Fraction(res.kappa, g.alpha)
     per_pair = {}
@@ -175,20 +176,26 @@ def test_equalize_no_deletions_rho_zero():
     d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1))], 2)
     g = build_colored_kikuchi(h, d, 1, 2)
     res = equalize_deletion(g, delete_heavy_edges(g, 5))
-    assert res.rho == 0 and not res.degenerate
+    assert res.rho == 0 and res.kappa == g.alpha
 
 
-def test_equalize_rejects_an_equalized_result():
+def test_equalize_is_idempotent_and_leaves_its_mask_alone():
     h = Hypergraph(n=6, k=3, edges=((0, 1, 2), (0, 3, 4), (0, 1, 5)))
     d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1, 2))], 2)
-    for level in (1, 2):                 # level 2 has no groups: the degenerate path
-        g = build_colored_kikuchi(h, d, level, 2)
-        pre = delete_heavy_edges(g, math.inf)
+    # kappa 0, kappa = alpha, 0 < kappa < alpha, and level 2, which has no
+    # groups: no rows, kappa None
+    for level, r, eta, kappa in ((1, 2, 1, 0), (1, 2, math.inf, 2), (1, 3, 2, 12),
+                                 (2, 2, math.inf, None)):
+        g = build_colored_kikuchi(h, d, level, r)
+        pre = delete_heavy_edges(g, eta)
+        before = pre.copy()
         res = equalize_deletion(g, pre)
-        assert res.degenerate == (level == 2) and pre.rho is None
-        assert res.surviving is not pre.surviving
-        with pytest.raises(ValueError, match="already equalized"):
-            equalize_deletion(g, res)
+        assert res.kappa == kappa
+        assert not np.shares_memory(res.surviving, pre) and np.array_equal(pre, before)
+        again = equalize_deletion(g, res.surviving)
+        assert not np.shares_memory(again.surviving, res.surviving)
+        assert np.array_equal(again.surviving, res.surviving)
+        assert (again.kappa, again.rho) == (res.kappa, res.rho)
 
 
 def test_equalization_identity_exact():
