@@ -16,7 +16,7 @@ from .kikuchi_odd import (ColoredKikuchiGraph, DeletionResult, build_colored_kik
 from .moore import graph_girth, moore_bound_audit
 from .refuter import (CertificateError, certificate_from_json, certificate_to_json,
                       instance_digest, refute_even, refute_odd, verify_certificate)
-from .spectral import (NonConvergenceError, exact_trace_power, spectral_norm_reweighted,
-                       trace_bound_rhs)
+from .spectral import (NonConvergenceError, exact_trace_power, ritz_norm_reweighted,
+                       spectral_norm_reweighted, trace_bound_rhs)
 
 __version__ = "0.1.0"

@@ -3,7 +3,9 @@
 Every step of the certified chain holds pointwise in the assignment, and each
 is exact except the spectral norm: lambda_cert is ARPACK's Ritz value plus its
 residual, which bounds the norm only numerically (a Ritz value that missed the
-top of the spectrum would undercount it). The chain:
+top of the spectrum would undercount it). The verifier's recomputation, one
+values-only Lanczos pass from its own random start, shares that blind spot, so
+an accepted certificate is still only numerically sound. The chain:
 
 even k:  psi(x) = (x^r)' A_b (x^r) / (C(n,r) d)  <=  lambda_cert * tr(Gamma) / (C(n,r) d)
          which collapses to exactly 2 * lambda_cert.
@@ -31,9 +33,10 @@ either.
 The reweighted spectral norm, the only numerical step, is passed in as a
 function: refute_even/refute_odd pass ARPACK at their tol. verify_certificate
 replays the same builder from the recorded parameters with a step that
-recomputes each norm independently, checks the recorded norm against it and
-carries the recorded one on; the certificate must then equal the replay, field
-for field and type for type.
+recomputes each norm with one values-only Lanczos pass (ritz_norm_reweighted,
+no ARPACK run), checks the recorded norm against it and carries the recorded
+one on; the certificate must then equal the replay, field for field and type
+for type.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .decomposition import decompose_for_refutation
 from .io import serialize_xor
 from .kikuchi_even import Caps, DEFAULT_CAPS, signed_even_kikuchi
 from .kikuchi_odd import build_colored_kikuchi, delete_heavy_edges, equalize_deletion
-from .spectral import spectral_norm_reweighted
+from .spectral import ritz_norm_reweighted, spectral_norm_reweighted
 
 VERIFY_SEED_OFFSET = 1_000_003
 # the verifier recomputes every norm at its own tolerance, whatever tol a
@@ -336,9 +339,12 @@ def verify_certificate(inst: XorInstance, cert: dict,
     """Replay the prover from the recorded parameters and compare.
 
     The replay runs the prover's own builder. Its norm step recomputes each norm
-    with an independent seed at VERIFY_TOL, checks the recorded norm against it
-    (see _check_norm) and carries the recorded one on, so every exact field down
-    to certified_bound is recomputed from the recorded lambda_cert. The
+    with one values-only Lanczos pass (ritz_norm_reweighted) from an independent
+    seed at VERIFY_TOL, checks the recorded norm against it (see _check_norm) and
+    carries the recorded one on, so every exact field down to certified_bound is
+    recomputed from the recorded lambda_cert. Like the prover's ARPACK run, the
+    pass can miss the top of the spectrum from an unlucky start, so acceptance
+    is numerical evidence, not a proof. The
     certificate must equal the replay: each path that differs in type or value,
     is missing or is unexpected is a reason. Missing or ill-typed parameters and
     parameters the builder refuses fail too. Returns (ok, list of failure reasons).
@@ -356,15 +362,15 @@ def verify_certificate(inst: XorInstance, cert: dict,
         return False, reasons
 
     def replay(key, a, gamma, seed):
-        fresh = spectral_norm_reweighted(a, gamma, tol=VERIFY_TOL, seed=seed + VERIFY_SEED_OFFSET)
+        fresh = ritz_norm_reweighted(a, gamma, tol=VERIFY_TOL, seed=seed + VERIFY_SEED_OFFSET)
         levels = cert.get("levels")
         rec = cert.get("even") if key == "even" else (
             levels[key - 1] if isinstance(levels, list) and key <= len(levels) else None)
         if not (isinstance(rec, dict) and all(name in rec for name in _NORM_KEYS)):
-            return fresh        # the comparison reports the record
-        norm = _check_norm("even" if key == "even" else f"level {key}", rec, fresh[0])
+            return fresh, 0.0   # the comparison reports the record
+        norm = _check_norm("even" if key == "even" else f"level {key}", rec, fresh)
         reasons.extend(norm)
-        return fresh if norm else (rec["lambda"], rec["residual"])
+        return (fresh, 0.0) if norm else (rec["lambda"], rec["residual"])
 
     try:
         if mode == "even":

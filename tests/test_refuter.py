@@ -12,6 +12,7 @@ from kcert import (Hypergraph, XorInstance, brute_force_max_xor, gen_random, ref
                    refute_odd, verify_certificate)
 from kcert import refuter
 from kcert.io import serialize_xor
+from kcert.kikuchi_even import signed_even_kikuchi
 from kcert.refuter import (CertificateError, certificate_from_json, certificate_to_json,
                            default_eta, instance_digest)
 
@@ -168,6 +169,91 @@ def test_verify_rejects_lowered_lambda():
     tampered["even"]["lambda_cert"] *= 0.9
     ok, reasons = verify_certificate(inst, tampered)
     assert not ok and reasons
+
+
+def _odd_workload_like(seed):
+    """A semirandom 3-XOR instance shaped like the odd benchmark workload: 200
+    random clauses on 10 vertices plus 55 on the pair center {0, 1}, so both
+    levels are spectral at r = 2."""
+    rng = random.Random(seed)
+    base = gen_random(10, 3, 200, seed=seed, mode="xor-multi")
+    planted = tuple((0, 1, rng.randrange(2, 10)) for _ in range(55))
+    return XorInstance(hypergraph=Hypergraph(n=10, k=3, edges=base.hypergraph.edges + planted),
+                       signs=base.signs + tuple(rng.choice((1, -1)) for _ in planted))
+
+
+_SHARP = [
+    (lambda: gen_random(33, 4, 250, seed=0, mode="xor-multi"), lambda inst: refute_even(inst, 3)),
+    (lambda: _odd_workload_like(0),
+     lambda inst: refute_odd(inst, 2, Fraction(49, 100), relax_r_range=True)),
+]
+
+
+def _prove_with(monkeypatch, prove, inst, norm):
+    """The certificate the prover writes when its norm step is norm(lambda,
+    residual) -> (lambda, residual) applied to ARPACK's result: every field is
+    consistent with the norms it records, right or wrong."""
+    arpack = refuter.spectral_norm_reweighted
+    with monkeypatch.context() as patch:
+        patch.setattr(refuter, "spectral_norm_reweighted",
+                      lambda a, gamma, tol, seed: norm(*arpack(a, gamma, tol=tol, seed=seed)))
+        return prove(inst)
+
+
+@pytest.mark.parametrize("instance, prove", _SHARP, ids=["even-k4-like", "odd-workload-like"])
+def test_verify_rejects_a_norm_ten_allowances_low(monkeypatch, instance, prove):
+    # lambda_cert = lambda + residual stays consistent and every exact field
+    # follows it, so the only fault is a norm below the verifier's own, by ten
+    # times the allowance on the check's scale max(1, lambda)
+    inst = instance()
+    lowered = _prove_with(monkeypatch, prove, inst, lambda lam, resid: (
+        lam - 10 * refuter.NORM_ALLOWANCE * max(1.0, lam), resid))
+    assert verify_certificate(inst, prove(inst)) == (True, [])
+    ok, reasons = verify_certificate(inst, lowered)
+    records = [lowered["even"]] if "even" in lowered else [
+        rec for rec in lowered["levels"] if rec["method"] == "spectral"]
+    assert records and all(rec["lambda_cert"] == rec["lambda"] + rec["residual"]
+                           for rec in records)
+    # the replay carries a rejected norm on as its own, so the fields that
+    # follow it are reported too
+    assert not ok and sum("below the recomputed norm" in reason for reason in reasons) == len(
+        records)
+
+
+def test_verify_accepts_the_exact_norm_with_no_residual(monkeypatch):
+    # lambda is the dense norm (on 120 Kikuchi vertices) and residual is 0: the
+    # verifier's pass must not read above the true norm by the allowance
+    inst = gen_random(10, 4, 30, seed=6, mode="xor-multi")
+
+    def dense(lam, resid):
+        return exact[0], 0.0
+
+    g = signed_even_kikuchi(inst, 3).graph
+    isq = 1 / np.sqrt(g.gamma_floats())
+    m = isq[:, None] * g.adjacency(signs=list(inst.signs)).toarray() * isq
+    exact = [float(np.max(np.abs(np.linalg.eigvalsh(m))))]
+    assert g.num_vertices == 120
+    cert = _prove_with(monkeypatch, lambda x: refute_even(x, 3), inst, dense)
+    assert (cert["even"]["lambda"], cert["even"]["residual"]) == (exact[0], 0.0)
+    assert verify_certificate(inst, cert) == (True, [])
+
+
+@pytest.mark.parametrize("instance, prove", [
+    (lambda: gen_random(9, 2, 40, seed=3, mode="xor-multi"), lambda inst: refute_even(inst, 1)),
+    (lambda: gen_random(9, 3, 30, seed=4, mode="xor-multi"),
+     lambda inst: refute_odd(inst, 2, Fraction(1, 3), relax_r_range=True, seed=7)),
+], ids=["even", "odd"])
+def test_verify_runs_no_arpack(monkeypatch, instance, prove):
+    inst = instance()
+    cert = prove(inst)
+
+    def no_arpack(*args, **kwargs):
+        raise AssertionError("ARPACK ran")
+
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_arpack)
+    with pytest.raises(AssertionError, match="ARPACK ran"):
+        prove(inst)
+    assert verify_certificate(inst, cert) == (True, [])
 
 
 def test_verify_rejects_tampered_rho():

@@ -11,8 +11,12 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from kcert import (CapacityError, Hypergraph, NonConvergenceError, exact_trace_power, gen_random,
-                   graph_girth, spectral_norm_reweighted, trace_bound_rhs)
+                   graph_girth, ritz_norm_reweighted, spectral_norm_reweighted, trace_bound_rhs)
 from kcert.kikuchi_even import build_even_kikuchi
+from kcert.refuter import VERIFY_SEED_OFFSET, VERIFY_TOL
+
+# every input check is shared, so each refusal is tested on both
+NORMS = (spectral_norm_reweighted, ritz_norm_reweighted)
 
 TRIANGLE = Hypergraph(n=3, k=2, edges=((0, 1), (1, 2), (0, 2)))
 
@@ -73,8 +77,9 @@ def test_norm_signed_matches_dense():
 
 
 def test_norm_requires_positive_gamma():
-    with pytest.raises(ValueError):
-        spectral_norm_reweighted(np.eye(2), [Fraction(0), Fraction(1)])
+    for norm in NORMS:
+        with pytest.raises(ValueError, match="^gamma must be strictly positive when A is nonzero$"):
+            norm(np.eye(2), [Fraction(0), Fraction(1)])
 
 
 PATH3 = [[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]
@@ -85,15 +90,17 @@ PATH3 = [[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]
 def test_norm_rejects_a_non_finite_matrix_entry(entry, sparse):
     a = np.array(PATH3)
     a[0, 1] = a[1, 0] = entry
-    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
-        spectral_norm_reweighted(sp.csr_matrix(a) if sparse else a, [1.0, 1.0, 1.0])
+    for norm in NORMS:
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            norm(sp.csr_matrix(a) if sparse else a, [1.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_norm_rejects_a_non_finite_gamma(bad):
     # an infinite entry would silently drop its vertex: the norm would read 1.0
-    with pytest.raises(ValueError, match="^gamma must be finite$"):
-        spectral_norm_reweighted(np.array(PATH3), [1.0, 1.0, bad])
+    for norm in NORMS:
+        with pytest.raises(ValueError, match="^gamma must be finite$"):
+            norm(np.array(PATH3), [1.0, 1.0, bad])
 
 
 def test_norm_matches_dense_top_eigenvalue():
@@ -202,8 +209,11 @@ def test_trace_lemma_on_cover_free_instance():
 
 def test_norm_rejects_nonsymmetric():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="symmetric"):
-        spectral_norm_reweighted(a, [Fraction(1), Fraction(1)])
+    for norm in NORMS:
+        with pytest.raises(ValueError, match="^matrix must be symmetric$"):
+            norm(a, [Fraction(1), Fraction(1)])
+        with pytest.raises(ValueError, match="^gamma length must match matrix dimension$"):
+            norm(a + a.T, [Fraction(1)] * 3)
 
 
 @st.composite
@@ -288,3 +298,75 @@ def test_norm_repeatable_when_arpack_restarts():
     a = sp.csr_matrix(np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
     results = {spectral_norm_reweighted(a, [Fraction(1, 2)] * 6, seed=5) for _ in range(10)}
     assert len(results) == 1
+
+
+@st.composite
+def reweighted_matrices(draw):
+    """A symmetric signed matrix of order 1-80 with its Gamma, in one of four
+    shapes: random sparse; the same with isolated vertices; block-diagonal
+    with a small block (1-3 vertices, heavier entries, smaller Gamma) on which
+    the top eigenvalue may lie, so that a random start holds little of it; or
+    all zero."""
+    n = draw(st.integers(1, 80))
+    shape = draw(st.sampled_from(["sparse", "isolated", "small-block", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(np.where(rng.random((n, n)) < rng.uniform(0.02, 0.5),
+                             rng.choice([-2.0, -1.0, 1.0, 3.0], (n, n)), 0.0))
+    a = upper + np.triu(upper, 1).T
+    gamma = rng.integers(4, 40, n) / 4
+    if shape == "isolated":
+        alone = rng.random(n) < 0.3
+        a[alone, :] = a[:, alone] = 0.0
+    elif shape == "small-block":
+        size = int(rng.integers(1, min(3, n) + 1))
+        a[:size, size:] = a[size:, :size] = 0.0
+        a[:size, :size] = rng.choice([-4.0, 4.0]) * (1 + rng.random((size, size)))
+        a[:size, :size] += a[:size, :size].T
+        gamma[:size] = 1 / 4
+    elif shape == "zero":
+        a[:] = 0.0
+    return sp.csr_matrix(a), gamma
+
+
+@given(reweighted_matrices(), st.sampled_from([0, VERIFY_SEED_OFFSET]))
+@settings(max_examples=300, deadline=None)
+def test_ritz_norm_matches_dense_eigvalsh(case, seed):
+    a, gamma = case
+    before = (a.data.copy(), a.indices.copy(), a.indptr.copy())
+    lam = ritz_norm_reweighted(a, gamma, tol=VERIFY_TOL, seed=seed)
+    expect = _dense_norm(a, gamma)
+    # a Ritz value never leaves the spectrum by more than rounding, and the
+    # pass stops only once the top has converged
+    assert -1e-9 * expect <= lam - expect <= 1e-12 * expect
+    assert ritz_norm_reweighted(a, gamma, tol=VERIFY_TOL, seed=seed) == lam
+    for old, new in zip(before, (a.data, a.indices, a.indptr)):
+        assert np.array_equal(old, new)
+
+
+@pytest.mark.parametrize("entries, expect", [
+    ([[3.0]], 0.75),
+    ([[0.0]], 0.0),
+    ([[0.0, -2.0], [-2.0, 0.0]], 0.5),
+    ([[1.0, 1.0], [1.0, 1.0]], 0.5),
+])
+def test_ritz_norm_one_and_two_dimensional(entries, expect):
+    lam = ritz_norm_reweighted(sp.csr_matrix(np.array(entries)), [Fraction(4)] * len(entries))
+    assert abs(lam - expect) <= 1e-15
+
+
+def test_ritz_norm_past_an_invariant_krylov_space():
+    # the only eigenvalues are 2 and 0, so after two steps beta is rounding
+    # noise (about 1e-16, not 0): the pass runs on from that noise to step N
+    # and must still read 2, whichever seed starts it
+    a = sp.csr_matrix(np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
+    for seed in (0, 5, VERIFY_SEED_OFFSET):
+        assert abs(ritz_norm_reweighted(a, [Fraction(1, 2)] * 6, seed=seed) - 2.0) <= 1e-15
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_ritz_norm_refuses_an_overflowing_pass():
+    # the scaled copy holds inf, so the recurrence reaches no finite beta
+    a = np.array([[0.0, 1e308], [1e308, 0.0]])
+    with pytest.raises(NonConvergenceError, match="^the Lanczos recurrence overflowed$"):
+        ritz_norm_reweighted(a, [1e-10, 1e-10])
