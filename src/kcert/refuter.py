@@ -1,11 +1,12 @@
 """End-to-end refutation certificates for semirandom k-XOR instances.
 
 Every step of the certified chain holds pointwise in the assignment, and each
-is exact except the spectral norm: lambda_cert is ARPACK's Ritz value plus its
-residual, which bounds the norm only numerically (a Ritz value that missed the
-top of the spectrum would undercount it). The verifier's recomputation, one
-values-only Lanczos pass from its own random start, shares that blind spot, so
-an accepted certificate is still only numerically sound. The chain:
+is exact except the spectral norm: lambda_cert is the Rayleigh quotient of the
+prover's Lanczos Ritz vector plus its residual, which bounds the norm only
+numerically (a Ritz vector that missed the top of the spectrum would undercount
+it). The verifier's recomputation, one values-only pass of the same Lanczos
+recurrence from its own random start, shares that blind spot, so an accepted
+certificate is still only numerically sound. The chain:
 
 even k:  psi(x) = (x^r)' A_b (x^r) / (C(n,r) d)  <=  lambda_cert * tr(Gamma) / (C(n,r) d)
          which collapses to exactly 2 * lambda_cert.
@@ -31,12 +32,12 @@ they cut is stepped as built with the equalized mask (deletion's mask, cut to
 kappa per pair) over its pair grid, and its per-pair edges are never made
 either.
 The reweighted spectral norm, the only numerical step, is passed in as a
-function: refute_even/refute_odd pass ARPACK at their tol. verify_certificate
+function: refute_even/refute_odd pass spectral_norm_reweighted at their tol
+(two Lanczos passes, the second rebuilding the Ritz vector). verify_certificate
 replays the same builder from the recorded parameters with a step that
-recomputes each norm with one values-only Lanczos pass (ritz_norm_reweighted,
-no ARPACK run), checks the recorded norm against it and carries the recorded
-one on; the certificate must then equal the replay, field for field and type
-for type.
+recomputes each norm with one values-only Lanczos pass (ritz_norm_reweighted),
+checks the recorded norm against it and carries the recorded one on; the
+certificate must then equal the replay, field for field and type for type.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ def default_eta(k: int, eps: Fraction) -> int:
     return max(1, math.ceil(Fraction(4**k) / (eps * eps)))
 
 
-def _arpack(tol: float):
-    """The prover's norm step: ARPACK at tol."""
+def _ritz_pair(tol: float):
+    """The prover's norm step: spectral_norm_reweighted at tol, whose second
+    Lanczos pass rebuilds the Ritz vector that its residual is taken on."""
     return lambda key, a, gamma, seed: spectral_norm_reweighted(a, gamma, tol=tol, seed=seed)
 
 
@@ -154,7 +156,7 @@ def _even_certificate(inst: XorInstance, digest: str, r: int, caps: Caps, tol: f
 def refute_even(inst: XorInstance, r: int, caps: Caps = DEFAULT_CAPS,
                 tol: float = 1e-9, seed: int = 0) -> dict:
     """Certificate that psi(x) <= 2 * lambda_cert for all x, k even."""
-    return _even_certificate(inst, instance_digest(inst), r, caps, tol, seed, _arpack(tol))
+    return _even_certificate(inst, instance_digest(inst), r, caps, tol, seed, _ritz_pair(tol))
 
 
 _LEVEL_KEYS = ("t", "tau", "p", "m_t", "pairs", "alpha", "alpha_closed", "vertices", "edges",
@@ -245,7 +247,7 @@ def refute_odd(inst: XorInstance, r: int, eps, eta: Optional[int] = None,
     quadratic form fall back to the trivial bound).
     """
     return _odd_certificate(inst, instance_digest(inst), r, eps, eta, caps, tol, seed,
-                            relax_r_range, _arpack(tol))
+                            relax_r_range, _ritz_pair(tol))
 
 
 def certificate_to_json(cert: dict) -> str:
@@ -271,7 +273,7 @@ def _rational(s) -> Optional[Fraction]:
 
 # the parameters a replay starts from, each with (what it must be, test) pairs
 # tried in order; bool is no integer here, a float r would be truncated, a seed
-# must be one numpy's generators take, tol must be a tolerance ARPACK takes,
+# must be one numpy's generators take, tol must be a Lanczos stop tolerance,
 # and relaxed_r_range is only echoed, so its type is all there is to check
 _INTEGER = ("an integer", lambda v: type(v) is int)
 _PARAMS = {"r": (_INTEGER,),
@@ -342,8 +344,8 @@ def verify_certificate(inst: XorInstance, cert: dict,
     with one values-only Lanczos pass (ritz_norm_reweighted) from an independent
     seed at VERIFY_TOL, checks the recorded norm against it (see _check_norm) and
     carries the recorded one on, so every exact field down to certified_bound is
-    recomputed from the recorded lambda_cert. Like the prover's ARPACK run, the
-    pass can miss the top of the spectrum from an unlucky start, so acceptance
+    recomputed from the recorded lambda_cert. Like the prover's passes, this
+    one can miss the top of the spectrum from an unlucky start, so acceptance
     is numerical evidence, not a proof. The
     certificate must equal the replay: each path that differs in type or value,
     is missing or is unexpected is a reason. Missing or ill-typed parameters and

@@ -1,18 +1,20 @@
 """Numerical core: reweighted spectral norms and exact rational trace powers.
 
 Two routines compute the spectral norm of Gamma^{-1/2} A Gamma^{-1/2}, both on
-one scaled CSR copy from one set of input checks (_reweighted), each from a
-seeded random start vector, so each is deterministic given its seed:
+one scaled CSR copy from one set of input checks (_reweighted), and both by one
+recurrence (_lanczos): plain three-term Lanczos from a seeded random start,
+with no restart and no reorthogonalization, so each is deterministic given its
+seed and holds a few vectors at any size:
 
-* spectral_norm_reweighted, the prover's: ARPACK (scipy.sparse.linalg.eigsh,
-  implicitly restarted Lanczos, so memory stays at a few Krylov vectors). It
-  reports the residual ||A~ v - theta v|| of the returned eigenpair, recomputed
-  from A itself; certificates must widen the returned value by the residual
-  before using it.
-* ritz_norm_reweighted, the verifier's: one values-only pass of plain
-  three-term Lanczos, with no restart, no reorthogonalization and no
-  eigenvector. It returns the largest |Ritz value|, which in floating point
-  too lies inside the spectrum up to rounding (Paige, 1980; recalled).
+* ritz_norm_reweighted, the verifier's: one values-only pass. It returns the
+  largest |Ritz value|, which in floating point too lies inside the spectrum
+  up to rounding (Paige, 1980; recalled).
+* spectral_norm_reweighted, the prover's: the same pass, then a second run of
+  the recurrence from the same start with the recorded coefficients, which
+  rebuilds the Ritz vector without storing the basis. It reports the Rayleigh
+  quotient of that vector and its residual ||A~ y - theta y||, recomputed from
+  A itself; certificates must widen the returned value by the residual before
+  using it.
 
 Neither is a proof: a start vector nearly orthogonal to the top eigenvector
 leaves the top of the spectrum out of the Krylov space, and then both read an
@@ -38,8 +40,8 @@ TRACE_POWER_LIMIT = 12
 
 
 class NonConvergenceError(KcertError):
-    """The eigensolver failed to converge; the message gives the best value and
-    residual found, if any."""
+    """The eigensolver failed: its recurrence overflowed, or LAPACK found no
+    eigenpair of its tridiagonal."""
 
 
 # the Lanczos pass solves for the ends of its tridiagonal's spectrum once every
@@ -82,91 +84,50 @@ def _reweighted(a, gamma):
     return A, isq, m
 
 
-def spectral_norm_reweighted(a, gamma, tol: float = 1e-9, seed: int = 0) -> tuple[float, float]:
-    """Spectral norm of Gamma^{-1/2} A Gamma^{-1/2} with a certified residual.
-
-    a      : symmetric matrix (dense or scipy sparse) with finite entries; left unmodified
-    gamma  : finite positive diagonal entries (Fractions or floats)
-    returns (lambda, residual) where residual = ||A~ v - lambda_signed v|| for
-    the returned eigenvector v; deterministic for a fixed seed.
-    """
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-    checked = _reweighted(a, gamma)
-    if checked is None:
-        return 0.0, 0.0
-    A, isq, m = checked
-    nv = m.shape[0]
-    converged = True
-    if nv == 1:
-        # eigsh needs k < N
-        vals, vecs = m.toarray()[0], np.ones((1, 1))
-    else:
-        # ARPACK draws a fresh start vector from rng whenever the Krylov space
-        # turns invariant; left unset, that generator is seeded by the OS
-        rng = np.random.default_rng(seed)
-        try:
-            vals, vecs = eigsh(m, k=1, which="LM", v0=rng.standard_normal(nv), tol=tol, rng=rng)
-        except ArpackNoConvergence as exc:
-            vals, vecs, converged = exc.eigenvalues, exc.eigenvectors, False
-    if len(vals) == 0:
-        raise NonConvergenceError("ARPACK converged to no eigenpair")
-    theta, y = float(vals[0]), vecs[:, 0]
-    residual = float(np.linalg.norm(isq * (A @ (isq * y)) - theta * y))
-    # widen by a rounding allowance so lambda + residual stays a one-sided
-    # margin even when the Ritz value lands a few ulps under the true norm
-    eps = float(np.finfo(np.float64).eps)
-    residual += 64.0 * eps * max(1.0, abs(theta)) * max(1.0, math.sqrt(nv))
-    if not converged:
-        raise NonConvergenceError(
-            f"ARPACK did not converge (best value {abs(theta)}, residual {residual})")
-    return abs(theta), residual
+def _start(nv: int, seed: int) -> np.ndarray:
+    """The recurrence's unit start vector, from default_rng(seed).standard_normal."""
+    v = np.random.default_rng(seed).standard_normal(nv)
+    v /= np.linalg.norm(v)
+    return v
 
 
-def _extreme_ritz(alpha: list[float], beta: list[float]) -> tuple[float, float]:
+def _extreme_ritz(alpha: list[float], beta: list[float]) -> tuple[float, np.ndarray]:
     """The Ritz value of largest |theta| of the Lanczos tridiagonal (diagonal
-    alpha, off-diagonal beta) and the last entry of its unit eigenvector: LAPACK's
-    bisection for the least and the greatest eigenvalue, then its inverse
-    iteration for the one of larger |theta|. scipy.linalg.eigh_tridiagonal runs
-    the same routines, but its input checks and selection took longer than the
-    solve itself on short tridiagonals (4 times as long at 20 steps)."""
+    alpha, off-diagonal beta) and its unit eigenvector s: LAPACK's bisection for
+    the least and the greatest eigenvalue, then its inverse iteration for the
+    one of larger |theta|. scipy.linalg.eigh_tridiagonal runs the same routines,
+    but its input checks and selection took longer than the solve itself on
+    short tridiagonals (4 times as long at 20 steps)."""
     from scipy.linalg.lapack import dstebz, dstein
 
     if len(alpha) == 1:
-        return alpha[0], 1.0
+        return alpha[0], np.ones(1)
     d, e = np.array(alpha), np.array(beta)
     ends = [dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "B") for i in (1, len(d))]
     _, w, block, split, _ = max(ends, key=lambda end: abs(end[1][0]))
     y, info = dstein(d, e, w[:1], block, split)
     if info or any(end[4] for end in ends):
         raise NonConvergenceError("LAPACK found no eigenpair of the Lanczos tridiagonal")
-    return float(w[0]), float(y[-1, 0])
+    return float(w[0]), y[:, 0]
 
 
-def ritz_norm_reweighted(a, gamma, tol: float = 1e-9, seed: int = 0) -> float:
-    """The largest |Ritz value| of one plain Lanczos pass on Gamma^{-1/2} A Gamma^{-1/2}.
+def _lanczos(m, tol: float, seed: int) -> tuple[float, np.ndarray, list[float], list[float]]:
+    """One pass of plain three-term Lanczos on the symmetric CSR matrix m, from
+    _start(N, seed), to its stop test: (theta, s, alpha, beta), the largest-|theta|
+    Ritz value and its unit eigenvector s of the tridiagonal with diagonal
+    alpha and off-diagonal beta (one entry shorter).
 
-    Same inputs and checks as spectral_norm_reweighted. The three-term
-    recurrence starts from default_rng(seed).standard_normal, holds three
-    vectors and the tridiagonal's alpha and beta, and neither restarts nor
-    reorthogonalizes. It stops when ARPACK's own test passes, the Ritz
-    estimate beta_j |s_j| of the largest-|theta| end of the tridiagonal at or
-    below tol * max(eps^(2/3), |theta|) (tested every RITZ_TEST_STEPS steps),
-    at breakdown (beta_j = 0), or after N steps, when the Krylov space is the
-    whole space. Without reorthogonalization, copies of a converged Ritz value
-    may appear, but no Ritz value leaves the spectrum by more than rounding.
-    Deterministic for a fixed seed; no eigenvector and no residual. A
-    recurrence that overflows raises NonConvergenceError.
+    The pass holds three vectors and neither restarts nor reorthogonalizes. It
+    stops when ARPACK's test passes, the Ritz estimate beta_j |s_j| at or below
+    max(tol, eps) * max(eps^(2/3), |theta|) (tested every RITZ_TEST_STEPS
+    steps; tol = 0 means machine precision, as in ARPACK), at breakdown
+    (beta_j = 0), or after N steps, when the Krylov space is the whole space.
+    A recurrence that overflows raises NonConvergenceError.
     """
-    checked = _reweighted(a, gamma)
-    if checked is None:
-        return 0.0
-    m = checked[2]
     nv = m.shape[0]
-    floor = float(np.finfo(np.float64).eps) ** (2 / 3)
-    v = np.random.default_rng(seed).standard_normal(nv)
-    v /= np.linalg.norm(v)
-    v_prev, b = np.zeros(nv), 0.0
+    eps = float(np.finfo(np.float64).eps)
+    tol, floor = max(tol, eps), eps ** (2 / 3)
+    v, v_prev, b = _start(nv, seed), np.zeros(nv), 0.0
     alpha: list[float] = []
     beta: list[float] = []
     for step in itertools.count(1):
@@ -180,11 +141,72 @@ def ritz_norm_reweighted(a, gamma, tol: float = 1e-9, seed: int = 0) -> float:
         last = b == 0.0 or step == nv
         if last or step % RITZ_TEST_STEPS == 0:
             theta, s = _extreme_ritz(alpha, beta)
-            if last or b * abs(s) <= tol * max(floor, abs(theta)):
-                return abs(theta)
+            if last or b * abs(s[-1]) <= tol * max(floor, abs(theta)):
+                return theta, s, alpha, beta
         beta.append(b)
         w /= b
         v_prev, v = v, w
+
+
+def _lanczos_vectors(m, seed: int, alpha: list[float], beta: list[float]):
+    """The Lanczos vectors v_1 .. v_len(alpha) of the pass _lanczos(m, tol, seed)
+    that recorded alpha and beta, rebuilt one at a time by the same floating-point
+    steps with the recorded coefficients in place of its dot products and
+    norms, so each comes out bit for bit as the pass made it."""
+    v, v_prev = _start(m.shape[0], seed), np.zeros(m.shape[0])
+    yield v
+    for a, b_prev, b in zip(alpha, [0.0, *beta], beta):
+        w = m @ v
+        w -= b_prev * v_prev
+        w -= a * v
+        w /= b
+        v_prev, v = v, w
+        yield v
+
+
+def spectral_norm_reweighted(a, gamma, tol: float = 1e-9, seed: int = 0) -> tuple[float, float]:
+    """Spectral norm of Gamma^{-1/2} A Gamma^{-1/2} with a certified residual.
+
+    a      : symmetric matrix (dense or scipy sparse) with finite entries; left unmodified
+    gamma  : finite positive diagonal entries (Fractions or floats)
+    returns (lambda, residual): lambda = |y'A~y| for the unit Ritz vector y of
+    the largest |Ritz value| of _lanczos(A~, tol, seed), rebuilt by a second
+    run of the recurrence as sum_i s_i v_i, and residual = ||A~ y - y'A~y y||
+    recomputed from A itself and widened by a rounding allowance, so that an
+    eigenvalue of A~ lies within residual of +-lambda however far the basis has
+    lost orthogonality. Deterministic for a fixed seed. A recurrence that
+    overflows raises NonConvergenceError.
+    """
+    checked = _reweighted(a, gamma)
+    if checked is None:
+        return 0.0, 0.0
+    A, isq, m = checked
+    _, s, alpha, beta = _lanczos(m, tol, seed)
+    y = sum(s_i * v for s_i, v in zip(s, _lanczos_vectors(m, seed, alpha, beta)))
+    y /= np.linalg.norm(y)
+    ay = isq * (A @ (isq * y))
+    theta = float(y @ ay)
+    residual = float(np.linalg.norm(ay - theta * y))
+    # widen by a rounding allowance so lambda + residual stays a one-sided
+    # margin even when the Rayleigh quotient lands a few ulps under the true norm
+    eps = float(np.finfo(np.float64).eps)
+    residual += 64.0 * eps * max(1.0, abs(theta)) * max(1.0, math.sqrt(m.shape[0]))
+    return abs(theta), residual
+
+
+def ritz_norm_reweighted(a, gamma, tol: float = 1e-9, seed: int = 0) -> float:
+    """The largest |Ritz value| of one plain Lanczos pass on Gamma^{-1/2} A Gamma^{-1/2}.
+
+    Same inputs and checks as spectral_norm_reweighted, and the same pass
+    (_lanczos) that it runs first. Without reorthogonalization, copies of a
+    converged Ritz value may appear, but no Ritz value leaves the spectrum by
+    more than rounding. Deterministic for a fixed seed; no eigenvector and no
+    residual. A recurrence that overflows raises NonConvergenceError.
+    """
+    checked = _reweighted(a, gamma)
+    if checked is None:
+        return 0.0
+    return abs(_lanczos(checked[2], tol, seed)[0])
 
 
 def exact_trace_power(a, gamma, ell: int) -> Fraction:

@@ -1,7 +1,11 @@
 import copy
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,12 +195,12 @@ _SHARP = [
 
 def _prove_with(monkeypatch, prove, inst, norm):
     """The certificate the prover writes when its norm step is norm(lambda,
-    residual) -> (lambda, residual) applied to ARPACK's result: every field is
+    residual) -> (lambda, residual) applied to its own result: every field is
     consistent with the norms it records, right or wrong."""
-    arpack = refuter.spectral_norm_reweighted
+    own = refuter.spectral_norm_reweighted
     with monkeypatch.context() as patch:
         patch.setattr(refuter, "spectral_norm_reweighted",
-                      lambda a, gamma, tol, seed: norm(*arpack(a, gamma, tol=tol, seed=seed)))
+                      lambda a, gamma, tol, seed: norm(*own(a, gamma, tol=tol, seed=seed)))
         return prove(inst)
 
 
@@ -239,21 +243,26 @@ def test_verify_accepts_the_exact_norm_with_no_residual(monkeypatch):
 
 
 @pytest.mark.parametrize("instance, prove", [
-    (lambda: gen_random(9, 2, 40, seed=3, mode="xor-multi"), lambda inst: refute_even(inst, 1)),
-    (lambda: gen_random(9, 3, 30, seed=4, mode="xor-multi"),
-     lambda inst: refute_odd(inst, 2, Fraction(1, 3), relax_r_range=True, seed=7)),
+    ("gen_random(9, 2, 40, seed=3, mode='xor-multi')", "refute_even(inst, 1)"),
+    ("gen_random(9, 3, 30, seed=4, mode='xor-multi')",
+     "refute_odd(inst, 2, Fraction(1, 3), relax_r_range=True, seed=7)"),
 ], ids=["even", "odd"])
-def test_verify_runs_no_arpack(monkeypatch, instance, prove):
-    inst = instance()
-    cert = prove(inst)
-
-    def no_arpack(*args, **kwargs):
-        raise AssertionError("ARPACK ran")
-
-    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_arpack)
-    with pytest.raises(AssertionError, match="ARPACK ran"):
-        prove(inst)
-    assert verify_certificate(inst, cert) == (True, [])
+def test_verify_runs_no_arpack(instance, prove):
+    # neither norm imports scipy.sparse.linalg (ARPACK and its 35 modules),
+    # so neither a refute nor a verify pays for them in time or memory
+    code = ("import sys; from fractions import Fraction; "
+            "from kcert import gen_random, refute_even, refute_odd, verify_certificate; "
+            f"inst = {instance}; cert = {prove}; "
+            "steps = [cert['even']] if 'even' in cert else cert['levels']; "
+            "print(verify_certificate(inst, cert) == (True, []), "
+            "sum(rec['lambda'] is not None for rec in steps)); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.linalg')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(refuter.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    verified, spectral_steps = out[0].split()
+    assert verified == "True" and int(spectral_steps) > 0
+    assert out[1] == "[]"
 
 
 def test_verify_rejects_tampered_rho():

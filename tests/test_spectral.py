@@ -1,6 +1,5 @@
 import math
 import random
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +7,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from kcert import (CapacityError, Hypergraph, NonConvergenceError, exact_trace_power, gen_random,
                    graph_girth, ritz_norm_reweighted, spectral_norm_reweighted, trace_bound_rhs)
-from kcert.kikuchi_even import build_even_kikuchi
+from kcert.kikuchi_even import build_even_kikuchi, signed_even_kikuchi
+from kcert.spectral import _lanczos, _lanczos_vectors, _reweighted
 from kcert.refuter import VERIFY_SEED_OFFSET, VERIFY_TOL
 
 # every input check is shared, so each refusal is tested on both
@@ -277,29 +276,6 @@ def test_norm_cancelled_parallel_edges_is_zero():
     assert spectral_norm_reweighted(a.tocsr(), [Fraction(2)] * 2) == (0.0, 0.0)
 
 
-def test_norm_reports_arpack_non_convergence(monkeypatch):
-    def stalled(m, **kwargs):
-        n = m.shape[0]
-        raise ArpackNoConvergence("stalled", np.array([0.25]), np.full((n, 1), n ** -0.5))
-
-    monkeypatch.setattr("scipy.sparse.linalg.eigsh", stalled)
-    with pytest.raises(NonConvergenceError) as info:
-        spectral_norm_reweighted(_graph_adjacency(TRIANGLE), [Fraction(4)] * 3)
-    found = re.fullmatch(r"ARPACK did not converge \(best value (\S+), residual (\S+)\)",
-                         str(info.value))
-    assert found and float(found[1]) == 0.25
-    # the all-ones vector is the eigenvector of 1/2, so the residual is 1/4
-    assert abs(float(found[2]) - 0.25) < 1e-12
-
-
-def test_norm_repeatable_when_arpack_restarts():
-    # the only eigenvalues are 2 and 0, so the Krylov space turns invariant
-    # after two steps and ARPACK draws a new start vector: from the seed
-    a = sp.csr_matrix(np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
-    results = {spectral_norm_reweighted(a, [Fraction(1, 2)] * 6, seed=5) for _ in range(10)}
-    assert len(results) == 1
-
-
 @st.composite
 def reweighted_matrices(draw):
     """A symmetric signed matrix of order 1-80 with its Gamma, in one of four
@@ -357,16 +333,66 @@ def test_ritz_norm_one_and_two_dimensional(entries, expect):
 def test_ritz_norm_past_an_invariant_krylov_space():
     # the only eigenvalues are 2 and 0, so after two steps beta is rounding
     # noise (about 1e-16, not 0): the pass runs on from that noise to step N
-    # and must still read 2, whichever seed starts it
+    # and must still read 2, whichever seed starts it, and the prover's second
+    # run must rebuild the same noise, so that reruns repeat
     a = sp.csr_matrix(np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
     for seed in (0, 5, VERIFY_SEED_OFFSET):
         assert abs(ritz_norm_reweighted(a, [Fraction(1, 2)] * 6, seed=seed) - 2.0) <= 1e-15
+        results = {spectral_norm_reweighted(a, [Fraction(1, 2)] * 6, seed=seed) for _ in range(10)}
+        assert len(results) == 1
+        lam, resid = results.pop()
+        assert lam <= 2.0 + 1e-15 <= lam + resid + 1e-15 and resid < 1e-12
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_ritz_norm_refuses_an_overflowing_pass():
-    # the scaled copy holds inf, so the recurrence reaches no finite beta
+    # the scaled copy holds inf, so the recurrence reaches no finite beta;
+    # both norms run it first
     a = np.array([[0.0, 1e308], [1e308, 0.0]])
-    with pytest.raises(NonConvergenceError, match="^the Lanczos recurrence overflowed$"):
-        ritz_norm_reweighted(a, [1e-10, 1e-10])
+    for norm in NORMS:
+        with pytest.raises(NonConvergenceError, match="^the Lanczos recurrence overflowed$"):
+            norm(a, [1e-10, 1e-10])
+
+
+@given(reweighted_matrices(), st.sampled_from([0, 5]))
+@settings(max_examples=300, deadline=None)
+def test_norm_brackets_the_dense_norm(case, seed):
+    # the Rayleigh quotient of a unit vector never exceeds the norm by more
+    # than rounding, and the rebuilt Ritz vector's residual reaches up to it
+    a, gamma = case
+    lam, resid = spectral_norm_reweighted(a, gamma, seed=seed)
+    expect = _dense_norm(a, gamma)
+    assert lam - expect <= 1e-12 * expect
+    assert expect <= lam + resid
+    assert spectral_norm_reweighted(a, gamma, seed=seed) == (lam, resid)
+
+
+def test_norm_sound_after_the_basis_loses_orthogonality():
+    # -0.95 lies alone and converges within a few steps, so ghost copies of it
+    # spoil the basis long before the top, 1.0 in a cluster 1e-3 apart, passes
+    # the stop test: the Ritz vector is rebuilt from a far from orthonormal
+    # basis, and only the residual recomputed from A keeps the bracket
+    rng = np.random.default_rng(0)
+    spectrum = np.concatenate([[-0.95], 1.0 - 1e-3 * np.arange(20), rng.uniform(-0.5, 0.5, 179)])
+    m = sp.csr_matrix(sp.diags(spectrum))
+    for seed in (0, 5, VERIFY_SEED_OFFSET):
+        _, _, alpha, beta = _lanczos(m, 1e-9, seed)
+        basis = np.array(list(_lanczos_vectors(m, seed, alpha, beta)))
+        assert len(alpha) < 200
+        assert np.abs(basis @ basis.T - np.eye(len(alpha))).max() > 0.1
+        lam, resid = spectral_norm_reweighted(m, np.ones(200), seed=seed)
+        assert lam <= 1.0 + 1e-15 <= lam + resid + 1e-15 and resid < 1e-9
+
+
+def test_norm_tol_zero_stops_before_n():
+    # tol = 0 asks for machine precision, as ARPACK's does, not for all N steps
+    inst = gen_random(14, 4, 50, seed=1, mode="xor-multi")
+    g = signed_even_kikuchi(inst, 3).graph
+    a, gamma = g.adjacency(signs=list(inst.signs)), g.gamma_floats()
+    m = _reweighted(a, gamma)[2]
+    assert m.shape[0] == 364 and len(_lanczos(m, 0.0, 0)[2]) < 364
+    expect = _dense_norm(a, gamma)
+    lam, resid = spectral_norm_reweighted(a, gamma, tol=0.0)
+    assert abs(lam - expect) <= 1e-14 * expect and expect <= lam + resid < lam + 1e-11
+    assert abs(ritz_norm_reweighted(a, gamma, tol=0.0) - expect) <= 1e-14 * expect
