@@ -33,11 +33,9 @@ from .subsets import (binomial_table, colex_ranks, combination_rows, complement_
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-# edges generated per block; bounds the working arrays of a build
+# edges generated per block, and wedges per block of the cover search's
+# triangle pass; bounds the working arrays of a build and of that pass
 BLOCK_EDGES = 1 << 15
-# wedges in the first block of the cover search's triangle pass; a triangle
-# usually closes early, and later blocks double up to BLOCK_EDGES
-FIRST_WEDGE_BLOCK = 1 << 10
 # pattern_edges sorts by the key (s_rank << b) | t_rank, b the bit length of
 # C - 1 on C vertices, and the cover search by edge_keys, s_rank * C + t_rank;
 # both must fit in 64 bits, so no cap admits C >= 2^32
@@ -167,7 +165,8 @@ class KikuchiEdges:
             return self.s_rank, self.t_rank, np.bincount(self.of_pair, w)[self.side]
         cells = self.pair_grid[self.keep]
         held = np.bincount(cells, minlength=len(self.s_rank)) > 0
-        weight = np.bincount(cells, np.repeat(w, self.keep.sum(axis=1)), len(self.s_rank))
+        weight = np.bincount(cells, np.broadcast_to(w[:, None], self.keep.shape)[self.keep],
+                             len(self.s_rank))
         return self.s_rank[held], self.t_rank[held], weight[held]
 
     def subgraph_degrees(self) -> np.ndarray:
@@ -329,8 +328,7 @@ def _first_triangle(g: EvenKikuchiGraph) -> Optional[EvenCover]:
     (e, last edge of its s_rank run), and taking the heads in edge order gives
     the wedges in lexicographic order. Each wedge's key t_rank(u) * C +
     t_rank(v) is looked up by binary search in the sorted edge keys,
-    FIRST_WEDGE_BLOCK wedges at first, then blocks that double up to
-    BLOCK_EDGES.
+    BLOCK_EDGES wedges at a time.
     """
     s, t, keys = g.s_rank, g.t_rank, g.edge_keys
     nv, key_type = g.num_vertices, keys.dtype.type
@@ -338,9 +336,9 @@ def _first_triangle(g: EvenKikuchiGraph) -> Optional[EvenCover]:
     # at the number of edges with s_rank <= s_rank[e]
     heads = np.cumsum(np.bincount(s, minlength=nv))[s] - 1 - np.arange(len(s))
     before = np.concatenate([[0], np.cumsum(heads)])     # wedges headed by edges < e
-    lo, size = 0, FIRST_WEDGE_BLOCK
+    lo = 0
     while lo < len(s):
-        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + size, side="right")) - 1)
+        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + BLOCK_EDGES, side="right")) - 1)
         count = heads[lo:hi]
         u = np.repeat(np.arange(lo, hi), count)
         v = u + 1 + np.arange(len(u)) - np.repeat(before[lo:hi] - before[lo], count)
@@ -350,14 +348,14 @@ def _first_triangle(g: EvenKikuchiGraph) -> Optional[EvenCover]:
         if len(hit):
             i = hit[0]
             return EvenCover(frozenset(g.side[[u[i], v[i], closing[i]]].tolist()))
-        lo, size = hi, min(2 * size, BLOCK_EDGES)
+        lo = hi
     return None
 
 
-def _triple_clauses(h: Hypergraph, alpha: int) -> Optional[np.ndarray]:
+def _triple_clauses(h: Hypergraph, alpha: int) -> np.ndarray:
     """The clauses that lie in a zero-xor triple of distinct clauses, ascending,
-    in a hypergraph with no duplicate clauses; None when the candidate pairs
-    outnumber the m * alpha edges of its Kikuchi graph.
+    in a hypergraph with no duplicate clauses; every clause when the candidate
+    pairs outnumber the m * alpha edges of its Kikuchi graph.
 
     Ca xor Cb is a k-set only if the clauses share exactly k/2 vertices, one
     k/2-subset H, and then the triple closes with (Ca - H) | (Cb - H). So each
@@ -385,7 +383,7 @@ def _triple_clauses(h: Hypergraph, alpha: int) -> Optional[np.ndarray]:
     count = np.searchsorted(halves, halves, side="right") - 1 - np.arange(len(keys))
     total = int(count.sum())
     if total > h.m * alpha:
-        return None
+        return np.arange(h.m)
     a = np.repeat(np.arange(len(keys)), count)
     b = a + 1 + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
     wanted = rests[a] * c + rests[b]
@@ -395,19 +393,6 @@ def _triple_clauses(h: Hypergraph, alpha: int) -> Optional[np.ndarray]:
     for i in (a[hit], b[hit], at[hit]):
         in_triple[order[i] // per] = True
     return np.flatnonzero(in_triple)
-
-
-def _first_triangle_of_clauses(h: Hypergraph, keep: np.ndarray, r: int,
-                               caps: Caps) -> Optional[EvenCover]:
-    """_first_triangle of the level-r graph of the clauses keep of h, as clauses
-    of h; None when keep is empty. The graph has h's n and r, so its vertex
-    ranks are those of h's graph, and it is freed on return."""
-    if not len(keep):
-        return None
-    part = Hypergraph._of_valid_rows(h.n, h.k, tuple(h.edges[i] for i in keep.tolist()))
-    triangle = _first_triangle(build_even_kikuchi(part, r, caps))
-    return None if triangle is None else EvenCover(
-        frozenset(keep[list(triangle.edge_indices)].tolist()))
 
 
 def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_CAPS,
@@ -433,17 +418,17 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
       u the least neighbour of R on one and v the least neighbour of u that
       closes it. One array pass over the wedges finds it (_first_triangle).
       A triangle's three clauses are distinct and xor to zero, so the pass
-      runs on the graph of only the clauses in such a triple
-      (_triple_clauses), with the same n and r and so the same vertex ranks:
-      it holds every triangle of the whole graph and no other, so its least
-      triangle is the same. Where the candidate pairs outnumber the whole
-      graph's edges, the pass runs on the whole graph instead.
+      runs on the graph of the kept clauses (_triple_clauses: those in such a
+      triple, or all of them where the candidate pairs outnumber the whole
+      graph's edges), with the same n and r and so the same vertex ranks: it
+      holds every triangle of the whole graph and no other, so its least
+      triangle is the same. When every clause is kept, that graph is h's own.
     - Length 4 and up: in a graph with no triangle and no parallel edges, no
       closed walk with a nonempty odd-use set is shorter than 4, so the BFS
       stops at its first such 4-step walk; past that it scans every root.
-      Past that dense case the whole graph is built only here, but its
-      capacity check comes first of all, so a graph over the caps is refused
-      even where a shorter stage would have found a walk.
+      The whole graph is built here unless the triangle pass built it, so at
+      most once; but its capacity check comes first of all, so a graph over
+      the caps is refused even where a shorter stage would have found a walk.
 
     The BFS stores each vertex's parent vertex only: with no parallel edges a
     vertex pair has one clause, looked up in the sorted edge_keys when a
@@ -469,16 +454,15 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
     if cap < 3:
         return None
     keep = _triple_clauses(h, alpha)
-    if keep is None:
-        g = build_even_kikuchi(h, r, caps)
-        triangle = _first_triangle(g)
-    else:
-        g, triangle = None, _first_triangle_of_clauses(h, keep, r, caps)
+    part = h if len(keep) == h.m else Hypergraph._of_valid_rows(
+        h.n, h.k, tuple(h.edges[i] for i in keep.tolist()))
+    g = build_even_kikuchi(part, r, caps) if len(keep) else None
+    triangle = None if g is None else _first_triangle(g)
     if triangle is not None:
-        return 3, triangle
+        return 3, EvenCover(frozenset(keep[list(triangle.edge_indices)].tolist()))
     if cap < 4:
         return None
-    if g is None:
+    if part is not h:
         g = build_even_kikuchi(h, r, caps)
 
     # the sorted keys are made before the neighbour lists, so that their

@@ -170,6 +170,15 @@ def test_cli_refute_even_rejects_odd_knobs(tmp_path, capsys, knob):
     assert not out_path.exists()
 
 
+def test_cli_refute_odd_requires_eps(tmp_path, capsys):
+    inst_path = tmp_path / "odd.xor"
+    inst_path.write_text("xor 5 2 3\n+1 1 2 3\n-1 1 4 5\n")
+    out_path = tmp_path / "cert.json"
+    assert main(["refute", str(inst_path), "--r", "2", "--seed", "0", "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err == "error: odd k requires --eps\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
 def test_cli_refute_rejects_bad_tol(tmp_path, capsys, tol):
     inst_path = tmp_path / "one.xor"

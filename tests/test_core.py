@@ -34,6 +34,29 @@ def test_hypergraph_validation():
     assert h.edges == ((0, 1, 2),)
 
 
+@pytest.mark.parametrize("n, k, match", [(0, 2, "vertex count must be positive"),
+                                          (3, 1, "uniformity k must be >= 2")])
+def test_hypergraph_refuses_bad_sizes(n, k, match):
+    with pytest.raises(ValueError, match=match):
+        Hypergraph(n=n, k=k, edges=())
+
+
+@pytest.mark.parametrize("signs, match", [((1,), "signs length must equal"),
+                                          ((1, 1, 1), "signs length must equal"),
+                                          ((1, 0), "signs must be \\+1 or -1")])
+def test_xor_instance_refuses_bad_signs(signs, match):
+    h = Hypergraph(n=4, k=2, edges=((0, 1), (2, 3)))
+    with pytest.raises(ValueError, match=match):
+        XorInstance(hypergraph=h, signs=signs)
+
+
+@pytest.mark.parametrize("n, k, m, match", [(3, 4, 0, "k = 4 exceeds n = 3"),
+                                             (5, 2, -1, "parameters must be positive")])
+def test_gen_random_refuses_bad_sizes(n, k, m, match):
+    with pytest.raises(ValueError, match=match):
+        gen_random(n, k, m, seed=0, mode="hyg")
+
+
 def test_numpy_integer_vertices_are_stored_as_python_ints():
     # numpy ints used to be kept as given: 1 << 70 wrapped around in int64, so a
     # single edge verified as an even cover, the oracle died on bit_length, and

@@ -12,9 +12,8 @@ from kcert import (CapacityError, Caps, EvenCover, Hypergraph, eval_xor, gen_ran
                    min_even_cover_oracle, verify_even_cover)
 from kcert.core import odd_use_cover
 from kcert import kikuchi_even
-from kcert.kikuchi_even import (FIRST_WEDGE_BLOCK, _first_triangle, _triple_clauses,
-                                build_even_kikuchi, dump_even, shortest_even_cover_via_kikuchi,
-                                signed_even_kikuchi)
+from kcert.kikuchi_even import (_first_triangle, _triple_clauses, build_even_kikuchi, dump_even,
+                                shortest_even_cover_via_kikuchi, signed_even_kikuchi)
 from kcert.subsets import combination_rows
 from assignments import random_assignment
 from subset_masks import all_subset_masks_colex
@@ -269,15 +268,12 @@ def _simple_graph(n, edges):
     return Hypergraph(n=n, k=2, edges=tuple(sorted({tuple(sorted(e)) for e in edges})))
 
 
-@pytest.mark.parametrize("blocks", [None, (1, 1), (2, 5)])
+@pytest.mark.parametrize("blocks", [None, 1, 5], ids=["None", "blocks1", "blocks2"])
 @pytest.mark.parametrize("seed", range(40))
 def test_first_triangle_matches_brute_force(seed, blocks, monkeypatch):
     # tiny wedge blocks put a block boundary between almost any two edges
     if blocks is not None:
-        from kcert import kikuchi_even
-
-        monkeypatch.setattr(kikuchi_even, "FIRST_WEDGE_BLOCK", blocks[0])
-        monkeypatch.setattr(kikuchi_even, "BLOCK_EDGES", blocks[1])
+        monkeypatch.setattr(kikuchi_even, "BLOCK_EDGES", blocks)
     rng = random.Random(seed)
     n = rng.randint(3, 14)
     pairs = [(a, b) for b in range(n) for a in range(b)]
@@ -289,13 +285,14 @@ def test_first_triangle_matches_brute_force(seed, blocks, monkeypatch):
 
 
 @pytest.mark.parametrize("leaves", [60, 100])
-def test_first_triangle_past_the_first_wedge_block(leaves):
-    # a star on vertex 0 heads C(leaves, 2) wedges that close nothing, more than
-    # FIRST_WEDGE_BLOCK; the only triangle lies on the highest three vertices
+def test_first_triangle_past_the_first_wedge_block(leaves, monkeypatch):
+    # a star on vertex 0 heads C(leaves, 2) wedges that close nothing, several
+    # blocks of them; the only triangle lies on the highest three vertices
+    monkeypatch.setattr(kikuchi_even, "BLOCK_EDGES", 256)
     tri = [leaves + 1, leaves + 2, leaves + 3]
     h = _simple_graph(leaves + 4, [(0, x) for x in range(1, leaves + 1)]
                       + [(1, tri[0]), (tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])])
-    assert comb(leaves, 2) > FIRST_WEDGE_BLOCK
+    assert comb(leaves, 2) > 4 * kikuchi_even.BLOCK_EDGES
     g = build_even_kikuchi(h, 1)
     want = _brute_first_triangle(g)
     assert want is not None and _first_triangle(g) == want
@@ -341,7 +338,13 @@ def test_search_returns_none_when_alpha_times_m_is_zero(h, r):
     assert shortest_even_cover_via_kikuchi(h, r) is None
 
 
-def _brute_triple_clauses(h):
+def _brute_triple_clauses(h, alpha):
+    """Every clause where the candidate pairs, two clauses sharing one
+    k/2-subset, outnumber the m * alpha edges; else the clauses in a zero-xor
+    triple of distinct clauses."""
+    pairs = sum(comb(len(set(a) & set(b)), h.k // 2) for a, b in combinations(h.edges, 2))
+    if pairs > h.m * alpha:
+        return list(range(h.m))
     masks = h.edge_masks()
     return [i for i in range(h.m) if any(masks[i] ^ masks[j] == masks[c]
                                         for j in range(h.m) for c in range(h.m)
@@ -388,9 +391,8 @@ def test_triangle_stage_equals_the_first_triangle_of_the_whole_graph(case):
     want = _first_triangle(g)
     got = shortest_even_cover_via_kikuchi(h, r, max_len=3)
     assert got == (None if want is None else (3, want))
-    keep = _triple_clauses(h, g.alpha)
-    if keep is not None and h.m <= 60:
-        assert keep.tolist() == _brute_triple_clauses(h)
+    if h.m <= 60:
+        assert _triple_clauses(h, g.alpha).tolist() == _brute_triple_clauses(h, g.alpha)
 
 
 def _clause_counts_of_builds(monkeypatch):
@@ -407,7 +409,7 @@ def test_dense_inputs_run_the_triangle_pass_on_every_clause(monkeypatch):
     # so 945 candidate pairs against 35 * alpha = 105 edges
     h = Hypergraph(n=7, k=4, edges=tuple(combinations(range(7), 4)))
     g = build_even_kikuchi(h, 2)
-    assert g.alpha == 3 and _triple_clauses(h, g.alpha) is None
+    assert g.alpha == 3 and _triple_clauses(h, g.alpha).tolist() == list(range(35))
     built = _clause_counts_of_builds(monkeypatch)
     assert shortest_even_cover_via_kikuchi(h, 2) == (3, _first_triangle(g))
     assert built == [35]
@@ -431,6 +433,17 @@ def test_a_triangle_free_search_builds_the_whole_graph_last(monkeypatch):
     assert built == []
     assert shortest_even_cover_via_kikuchi(h, 2)[0] == 4
     assert built == [4]
+
+
+def test_a_dense_triangle_free_search_builds_the_whole_graph_once(monkeypatch):
+    # K(2,3): 9 candidate pairs (two clauses sharing a vertex) against 6 edges,
+    # so the triangle pass runs on every clause; bipartite, so no triangle
+    h = _simple_graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    assert _triple_clauses(h, 1).tolist() == list(range(6))
+    built = _clause_counts_of_builds(monkeypatch)
+    assert shortest_even_cover_via_kikuchi(h, 1, max_len=3) is None
+    assert shortest_even_cover_via_kikuchi(h, 1)[0] == 4
+    assert built == [6, 6]
 
 
 @st.composite

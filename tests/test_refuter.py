@@ -99,6 +99,26 @@ def test_odd_desk_scale_override_instance():
     assert _bound(cert) >= brute_force_max_xor(inst)
 
 
+def test_odd_level_falls_back_to_trivial_past_half_deleted():
+    # at eta 6 deletion drops every edge of level 1 (rho 1 > 1/2), so the
+    # level takes the trivial bound k m_t / m and runs no spectral step
+    inst = gen_random(9, 3, 30, seed=4, mode="xor-multi")
+    cert = refute_odd(inst, 2, Fraction(1, 3), eta=6, relax_r_range=True, seed=7)
+    rec = cert["levels"][0]
+    assert (rec["t"], rec["surviving_edges"], rec["kappa"], rec["rho"], rec["psi_bound"],
+            rec["method"], rec["lambda"]) == (1, 0, 0, "1/1", "3/1", "trivial", None)
+    ok, reasons = verify_certificate(inst, cert)
+    assert ok, reasons
+    assert _bound(cert) == 1 >= brute_force_max_xor(inst) == Fraction(2, 5)
+
+
+def test_even_refuses_a_level_with_no_edges():
+    # r - k/2 = 2 exceeds the n - k = 1 vertices outside a clause
+    inst = gen_random(5, 4, 3, seed=0, mode="xor")
+    with pytest.raises(ValueError, match=r"has no edges \(alpha = 0\); increase r$"):
+        refute_even(inst, 4)
+
+
 def test_odd_default_eta():
     assert default_eta(3, Fraction(1, 2)) == 256
     assert default_eta(3, Fraction(2, 5)) == 400
