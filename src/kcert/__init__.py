@@ -8,7 +8,7 @@ from .decomposition import (Decomposition, Group, decompose_for_cover, decompose
                             validate_decomposition)
 from .io import (ParseError, load_hypergraph, load_xor, parse_hypergraph, parse_xor,
                  serialize_hypergraph, serialize_xor)
-from .kikuchi_even import (Caps, EvenKikuchiGraph, SignedEvenKikuchi, build_even_kikuchi,
+from .kikuchi_even import (Caps, EvenKikuchiGraph, build_even_kikuchi,
                            shortest_even_cover_via_kikuchi, signed_even_kikuchi)
 from .kikuchi_odd import (ColoredKikuchiGraph, DeletionResult, build_colored_kikuchi,
                           delete_heavy_edges, equalize_deletion, measured_deletion_fractions,

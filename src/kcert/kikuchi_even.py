@@ -1,6 +1,6 @@
 """Kikuchi levels: the layout both kinds share (KikuchiEdges), with its edge
-generator, capacity check and text dump; the even-arity level, its signed
-variant, and the even-cover search over closed walks.
+generator, capacity check and text dump; the even-arity level and the
+even-cover search over closed walks.
 
 Vertices are the r-subsets S of the vertex set, indexed by colex rank; S ~ T
 iff S xor T is a hyperedge, and the edge remembers which one, so a closed
@@ -275,12 +275,6 @@ class EvenKikuchiGraph(KikuchiEdges):
         return self.s_rank.astype(key_type) * nv + self.t_rank.astype(key_type)
 
 
-@dataclass
-class SignedEvenKikuchi:
-    graph: EvenKikuchiGraph
-    edge_signs: np.ndarray         # aligned with graph.edges; b of the edge's clause
-
-
 def _checked_alpha(h: Hypergraph, r: int, caps: Caps) -> int:
     """alpha of the level-r graph of h, once k and r are valid and caps admit it."""
     if h.k % 2 != 0:
@@ -312,9 +306,11 @@ def build_even_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_CAPS) -> Even
                             of_pair=np.arange(h.m), alpha=alpha)
 
 
-def signed_even_kikuchi(inst: XorInstance, r: int, caps: Caps = DEFAULT_CAPS) -> SignedEvenKikuchi:
-    g = build_even_kikuchi(inst.hypergraph, r, caps)
-    return SignedEvenKikuchi(graph=g, edge_signs=np.asarray(inst.signs)[g.side])
+def signed_even_kikuchi(inst: XorInstance, r: int, caps: Caps = DEFAULT_CAPS) -> EvenKikuchiGraph:
+    """build_even_kikuchi on inst's hypergraph; the signs enter at adjacency.
+    The name stays only because perfbench/spans.py wraps it; ROADMAP item 5
+    deletes it with the next change to the benchmark."""
+    return build_even_kikuchi(inst.hypergraph, r, caps)
 
 
 def _first_triangle(g: EvenKikuchiGraph) -> Optional[EvenCover]:

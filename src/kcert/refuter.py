@@ -79,10 +79,6 @@ def _parse_frac(s: str) -> Fraction:
 
 def _sqrt_upper(x: Fraction) -> Fraction:
     """A float-representable upper bound on sqrt(x), exact as a Fraction."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x == 0:
-        return Fraction(0)
     f = math.sqrt(x.numerator / x.denominator)
     while Fraction(f) * Fraction(f) < x:
         f = math.nextafter(f, math.inf)
@@ -141,7 +137,7 @@ def _even_certificate(inst: XorInstance, digest: str, r: int, caps: Caps, tol: f
     """The even certificate; norm(key, A, gamma, seed) -> (lambda, residual) is
     called once, with key "even"."""
     head = _head(inst, digest, "even", r, seed, tol)
-    g = signed_even_kikuchi(inst, r, caps).graph
+    g = signed_even_kikuchi(inst, r, caps)
     if g.num_edges == 0:
         raise ValueError(f"the Kikuchi graph at r = {r} has no edges (alpha = 0); increase r")
     step = _spectral_step(g, inst, norm, "even", seed)

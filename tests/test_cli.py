@@ -36,6 +36,10 @@ def test_parse_errors_carry_line_numbers():
         parse_hypergraph("hyg 3 1 2\n1 2 3\n")
     with pytest.raises(ParseError, match="line 1"):
         parse_hypergraph("hug 3 1 2\n1 2\n")
+    with pytest.raises(ParseError, match="^line 1: header fields must be integers"):
+        parse_hypergraph("hyg 4 x 2\n")
+    with pytest.raises(ParseError, match="^line 1: header values out of range: n=4, m=2, k=1$"):
+        parse_hypergraph("hyg 4 2 1\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_xor("xor 3 1 2\n+2 1 2\n")
 
@@ -362,6 +366,17 @@ def test_cli_kikuchi_stats_and_dump(tmp_path, capsys):
     assert len(out) == 5
 
 
+def test_cli_kikuchi_stats_odd_on_the_ci_instance(tmp_path, capsys):
+    f = tmp_path / "odd.hyg"
+    assert main(["gen", "--type", "hyg", "--n", "9", "--k", "3", "--m", "30", "--seed", "4",
+                 "--multi", "-o", str(f)]) == 0
+    assert main(["kikuchi", "stats", str(f), "--r", "2", "--odd", "--level", "1",
+                 "--eps", "1/3", "--relax-r-range"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "alpha_closed_form": 4, "alpha_measured": 2, "average_degree": "536/153",
+        "edges": 268, "groups": 6, "vertices": 153}
+
+
 def test_cli_decompose(tmp_path, capsys):
     f = tmp_path / "h.hyg"
     f.write_text("hyg 16 2 3\n1 2 3\n1 2 4\n")
@@ -463,6 +478,10 @@ def _oracle_must_not_run(h, size_cap):
     raise AssertionError("the exact oracle ran")
 
 
+def _build_must_not_run(h, r, caps=None):
+    raise AssertionError("the Kikuchi graph was built")
+
+
 @pytest.mark.parametrize("m", [10, 50])
 def test_cli_audit_trace_rejects_odd_k_before_the_oracle(tmp_path, capsys, monkeypatch, m):
     # at m = 50 the oracle would exit 3 on its 44-edge limit; at m = 10 it
@@ -473,6 +492,16 @@ def test_cli_audit_trace_rejects_odd_k_before_the_oracle(tmp_path, capsys, monke
     monkeypatch.setattr(cli, "min_even_cover_oracle", _oracle_must_not_run)
     assert main(["audit", "trace", str(f), "--r", "2"]) == 1
     assert capsys.readouterr() == ("", "error: k = 3 is odd; the trace audit needs even k\n")
+
+
+def test_cli_audit_trace_refuses_an_instance_with_a_short_cover(tmp_path, capsys, monkeypatch):
+    # the 4-cycle is its own even cover of size 4 <= ell, so no Kikuchi graph is built
+    f = tmp_path / "c4.hyg"
+    f.write_text("hyg 4 4 2\n1 2\n2 3\n3 4\n1 4\n")
+    monkeypatch.setattr(cli, "build_even_kikuchi", _build_must_not_run)
+    assert main(["audit", "trace", str(f), "--ell", "4"]) == 1
+    assert capsys.readouterr() == ("", "instance has an even cover of size 4 <= ell = 4; "
+                                       "trace bound precondition fails\n")
 
 
 def _no_constant(name):

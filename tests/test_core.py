@@ -387,6 +387,14 @@ def test_eval_xor_examples():
                          signs=(1, -1))
     for x in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         assert eval_xor(contra, x) == 0
+    path = XorInstance(hypergraph=Hypergraph(n=3, k=2, edges=((0, 1), (1, 2))), signs=(1, -1))
+    with pytest.raises(ValueError, match="^assignment has length 2, expected 3$"):
+        eval_xor(path, (1, 1))
+    with pytest.raises(ValueError, match="^assignment entries must be \\+1 or -1$"):
+        eval_xor(path, (1, 0, 1))
+    empty = XorInstance(hypergraph=Hypergraph(n=3, k=2, edges=()), signs=())
+    with pytest.raises(ValueError, match="^cannot evaluate an empty instance$"):
+        eval_xor(empty, (1, 1, 1))
 
 
 @given(st.integers(0, 2**30 - 1), st.integers(2, 5), st.integers(3, 9))
@@ -410,6 +418,9 @@ def test_brute_force_examples():
     contra = XorInstance(hypergraph=Hypergraph(n=2, k=2, edges=((0, 1), (0, 1))),
                          signs=(1, -1))
     assert brute_force_max_xor(contra) == 0
+    empty = XorInstance(hypergraph=Hypergraph(n=3, k=2, edges=()), signs=())
+    with pytest.raises(ValueError, match="^cannot evaluate an empty instance$"):
+        brute_force_max_xor(empty)
 
 
 def test_brute_force_matches_direct_scan():

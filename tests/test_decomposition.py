@@ -29,6 +29,8 @@ def test_ceil_rational_power_half():
     assert ceil_rational_power_half(9, 2, 3) == 10
     assert ceil_rational_power_half(8, 2, 2) == 4
     assert ceil_rational_power_half(5, 2, 1) == 2      # sqrt(2.5) = 1.58 -> 2
+    with pytest.raises(ValueError, match="^requires num >= den > 0$"):
+        ceil_rational_power_half(1, 2, 2)
 
 
 @given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(-4, 12))
@@ -75,6 +77,13 @@ def test_cover_empty_hypergraph():
     d = decompose_for_cover(h, 2)
     assert all(d.m_t(t) == 0 for t in d.levels())
     assert validate_decomposition(h, d) == ()
+
+
+@pytest.mark.parametrize("r", [0, 6])
+def test_cover_refuses_r_outside_one_to_n(r):
+    h = Hypergraph(n=5, k=3, edges=((0, 1, 2),))
+    with pytest.raises(ValueError, match=f"^r must satisfy 1 <= r <= n, got r = {r}$"):
+        decompose_for_cover(h, r)
 
 
 def test_refutation_threshold_multiplier():
@@ -176,6 +185,10 @@ def test_validate_detects_oversized_group():
      "level-1 piece: set (0, 1) lies in 2 clauses, cap 1 at size 2"),
     ("cover", ((0, 1, 2),), {2: (), 1: (), 0: (((0, 1), (0,)),)}, {2: 2, 1: 2},
      "level-0 group 0 has center of size 2"),
+    ("refute", ((0, 1, 2), (0, 1, 3)), {2: (((0, 1), (0, 1)),), 1: ()}, {2: 3, 1: 2},
+     "level-2 group 0 has size 2, rule requires exactly 3"),
+    ("refute", ((0, 1, 2), (0, 3, 4), (0, 5, 6)), {2: (), 1: (((0,), (0, 1, 2)),)}, {2: 2, 1: 2},
+     "level-1 group 0 has size 3 > tau_1 = 2"),
 ])
 def test_validate_names_the_one_fault(mode, edges, pieces, thresholds, fault):
     h = Hypergraph(n=16, k=3, edges=edges)

@@ -3,7 +3,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,29 +96,21 @@ def test_quadratic_form_identity():
 
     rng = random.Random(12)
     inst = gen_random(8, 4, 20, seed=12, mode="xor-multi")
-    skg = signed_even_kikuchi(inst, 2)
-    g = skg.graph
+    g = signed_even_kikuchi(inst, 2)
     d = g.average_degree
     vm = all_subset_masks_colex(g.n, g.r)
     for _ in range(20):
         x = random_assignment(8, rng)
         quad = 0
-        for (s, t, c), sign in zip(g.edges, skg.edge_signs):
+        for s, t, c in g.edges:
             xs = xt = 1
             for v in range(8):
                 if (vm[s] >> v) & 1:
                     xs *= x[v]
                 if (vm[t] >> v) & 1:
                     xt *= x[v]
-            quad += 2 * sign * xs * xt
+            quad += 2 * inst.signs[c] * xs * xt
         assert eval_xor(inst, x) * comb(8, 2) * d == quad
-
-
-def test_signed_even_kikuchi_keeps_the_sign_array():
-    inst = gen_random(8, 4, 20, seed=12, mode="xor-multi")
-    skg = signed_even_kikuchi(inst, 2)
-    assert isinstance(skg.edge_signs, np.ndarray)
-    assert skg.edge_signs.tolist() == [inst.signs[c] for c in skg.graph.side.tolist()]
 
 
 def test_four_cycle_dependency():

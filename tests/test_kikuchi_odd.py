@@ -154,6 +154,14 @@ def test_build_names_the_first_clause_outside_its_center():
         build_colored_kikuchi(h, _decomp_from_groups(h, groups, 2), 1, 2)
 
 
+@pytest.mark.parametrize("level", [0, 3])
+def test_build_refuses_a_level_outside_1_to_k_minus_1(level):
+    h = Hypergraph(n=6, k=3, edges=((0, 1, 2), (0, 3, 4)))
+    d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1))], 2)
+    with pytest.raises(ValueError, match=f"^level must lie in 1..k-1, got {level}$"):
+        build_colored_kikuchi(h, d, level, 2)
+
+
 def test_equalize_cuts_every_pair_to_kappa():
     h = Hypergraph(n=6, k=3, edges=((0, 1, 2), (0, 3, 4), (0, 1, 5)))
     d = _decomp_from_groups(h, [Group(center=(0,), clause_indices=(0, 1, 2))], 2)
@@ -299,3 +307,19 @@ def test_predicted_deletion_fraction_sums_up_to_floor_of_half_k_plus_level(k):
     rn = Fraction(4, 30)
     terms = {3: taus[2], 5: taus[2] * rn + taus[3]}[k]
     assert predicted_deletion_fraction(k, 30, 4, 2, 3, taus) == Fraction(4**k, 3) * terms
+
+
+def test_predicted_deletion_fraction_at_infinite_eta_and_a_missing_threshold():
+    assert predicted_deletion_fraction(3, 30, 4, 1, math.inf, {}) == 0
+    with pytest.raises(ValueError, match="^threshold tau_2 missing$"):
+        predicted_deletion_fraction(3, 30, 4, 1, 3, {1: 10})
+
+
+def test_measured_deletion_fractions_of_a_level_without_pairs_is_empty():
+    # CI's odd instance: every clause lands in a level-1 group, so level 2 has
+    # no ordered pairs and no alpha
+    h = gen_random(9, 3, 30, 4, mode="hyg-multi")
+    d = decompose_for_refutation(h, 2, Fraction(1, 3), enforce_ranges=False)
+    g = build_colored_kikuchi(h, d, 2, 2)
+    assert d.groups_at(2) == () and g.alpha is None
+    assert measured_deletion_fractions(g, delete_heavy_edges(g, math.inf)) == {}

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcert import (Hypergraph, XorInstance, brute_force_max_xor, gen_random, refute_even,
@@ -27,6 +27,15 @@ def _bound(cert) -> Fraction:
 
 
 SINGLE = XorInstance(hypergraph=Hypergraph(n=2, k=2, edges=((0, 1),)), signs=(1,))
+
+
+@given(st.fractions(0, 10**12, max_denominator=10**12))
+@example(Fraction(0))
+@settings(max_examples=300, deadline=None)
+def test_sqrt_upper_is_a_float_at_most_one_ulp_above_the_float_root(x):
+    f = refuter._sqrt_upper(x)
+    assert Fraction(float(f)) == f and f * f >= x
+    assert f <= math.nextafter(math.sqrt(x.numerator / x.denominator), math.inf)
 
 
 def test_even_single_clause_tight():
@@ -252,7 +261,7 @@ def test_verify_accepts_the_exact_norm_with_no_residual(monkeypatch):
     def dense(lam, resid):
         return exact[0], 0.0
 
-    g = signed_even_kikuchi(inst, 3).graph
+    g = signed_even_kikuchi(inst, 3)
     isq = 1 / np.sqrt(g.gamma_floats())
     m = isq[:, None] * g.adjacency(signs=list(inst.signs)).toarray() * isq
     exact = [float(np.max(np.abs(np.linalg.eigvalsh(m))))]

@@ -174,6 +174,20 @@ def test_exact_trace_power_rejects_a_non_square_matrix(ell):
 def test_exact_trace_power_capacity():
     with pytest.raises(CapacityError):
         exact_trace_power(np.zeros((3, 3), dtype=object), [Fraction(1)] * 3, 13)
+    # a zero-stride view: 2001 x 2001 object cells without the memory
+    wide = np.broadcast_to(np.array(0, dtype=object), (2001, 2001))
+    with pytest.raises(CapacityError, match="^exact trace power supports dimension <= 2000$"):
+        exact_trace_power(wide, [Fraction(1)] * 2001, 2)
+
+
+@pytest.mark.parametrize("gamma, ell, message", [
+    ([Fraction(1)] * 3, -2, "exponent must be nonnegative"),
+    ([Fraction(1)] * 2, 2, "gamma length must match matrix dimension"),
+    ([Fraction(1), Fraction(0), Fraction(1)], 2, "gamma must be strictly positive"),
+])
+def test_exact_trace_power_rejects_a_bad_exponent_or_gamma(gamma, ell, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        exact_trace_power(np.ones((3, 3), dtype=object), gamma, ell)
 
 
 def test_trace_bound_rhs_forms():
@@ -181,6 +195,16 @@ def test_trace_bound_rhs_forms():
     assert trace_bound_rhs(7, 1, 2, Fraction(2)) == 28
     # the C(n, r) Kikuchi vertices, not n^r
     assert trace_bound_rhs(6, 3, 2, Fraction(1)) == Fraction(4 * 20 * 2)
+
+
+@pytest.mark.parametrize("ell, d, message", [
+    (3, 1, "ell must be a positive even integer"),
+    (0, 1, "ell must be a positive even integer"),
+    (2, 0, "average degree must be positive"),
+])
+def test_trace_bound_rhs_refuses_bad_ell_or_degree(ell, d, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        trace_bound_rhs(7, 1, ell, d)
 
 
 def test_theorem_instantiation_factor():
@@ -395,7 +419,7 @@ def test_norm_sound_after_the_basis_loses_orthogonality():
 def test_norm_tol_zero_stops_before_n():
     # tol = 0 asks for machine precision, as ARPACK's does, not for all N steps
     inst = gen_random(14, 4, 50, seed=1, mode="xor-multi")
-    g = signed_even_kikuchi(inst, 3).graph
+    g = signed_even_kikuchi(inst, 3)
     a, gamma = g.adjacency(signs=list(inst.signs)), g.gamma_floats()
     m = _reweighted(a, gamma)[2]
     assert m.shape[0] == 364 and len(_lanczos(m, 0.0, 0)[2]) < 364
