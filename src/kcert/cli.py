@@ -68,7 +68,10 @@ def _cmd_gen(args) -> int:
 def _cmd_cover(args) -> int:
     h = load_hypergraph(args.file)
     if args.action == "verify":
-        indices = [int(t) for t in args.indices.split(",") if t]
+        try:
+            indices = [int(t) for t in args.indices.split(",") if t]
+        except ValueError:
+            raise ValueError("--indices takes comma-separated clause indices") from None
         # a cover is a set of clauses; read as uses, a repeated index cancels out
         seen: set[int] = set()
         for i in indices:

@@ -86,7 +86,7 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class XorInstance:
-    """Hypergraph plus a +/-1 sign per hyperedge."""
+    """Hypergraph plus a +/-1 sign per hyperedge; numpy integer signs are stored as Python ints."""
 
     hypergraph: Hypergraph
     signs: tuple[int, ...]
@@ -94,8 +94,10 @@ class XorInstance:
     def __post_init__(self):
         if len(self.signs) != self.hypergraph.m:
             raise ValueError("signs length must equal the number of hyperedges")
-        if any(s not in (-1, 1) for s in self.signs):
+        if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s not in (-1, 1)
+               for s in self.signs):
             raise ValueError("signs must be +1 or -1")
+        object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
 
     @property
     def n(self) -> int:

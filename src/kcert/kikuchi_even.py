@@ -313,27 +313,27 @@ def signed_even_kikuchi(inst: XorInstance, r: int, caps: Caps = DEFAULT_CAPS) ->
     return build_even_kikuchi(inst.hypergraph, r, caps)
 
 
-def _first_triangle(g: EvenKikuchiGraph) -> Optional[EvenCover]:
-    """The three clauses of the triangle (R, u, v) with R < u < v least in
-    lexicographic order, or None when the graph has no triangle. The graph
-    must have no parallel edges, so each edge has one clause.
+def _wedges(g: EvenKikuchiGraph) -> np.ndarray:
+    """Per edge, the wedges it heads: one per later edge of its s_rank run."""
+    s = g.s_rank
+    return np.cumsum(np.bincount(s, minlength=g.num_vertices))[s] - 1 - np.arange(len(s))
 
-    Every triangle R < u < v is the wedge (u, v) of R's higher neighbours
-    (its edges (R, u) and (R, v)) closed by the edge (u, v). The edges are
-    sorted by (s_rank, t_rank), so edge e heads the wedges (e, e + 1), ...,
-    (e, last edge of its s_rank run), and taking the heads in edge order gives
-    the wedges in lexicographic order. Each wedge's key t_rank(u) * C +
-    t_rank(v) is looked up by binary search in the sorted edge keys,
-    BLOCK_EDGES wedges at a time.
+
+def _triangles(g: EvenKikuchiGraph, heads: np.ndarray):
+    """Yield the edge indices (u, v, w) of the triangles each block of
+    BLOCK_EDGES wedges closes, blocks in lexicographic order; heads is
+    _wedges(g). Every triangle R < a < b is the wedge of R's edges
+    u = (R, a) and v = (R, b) closed by w = (a, b), so with no parallel edges
+    it is yielded once. As the edges are sorted by (s_rank, t_rank), edge e
+    heads the wedges (e, e + 1), ..., (e, last edge of its s_rank run), and
+    each wedge's key t_rank(u) * C + t_rank(v) is looked up by binary search
+    in the sorted edge keys.
     """
-    s, t, keys = g.s_rank, g.t_rank, g.edge_keys
+    t, keys = g.t_rank, g.edge_keys
     nv, key_type = g.num_vertices, keys.dtype.type
-    # edge e heads one wedge per later edge of its s_rank run; the run ends
-    # at the number of edges with s_rank <= s_rank[e]
-    heads = np.cumsum(np.bincount(s, minlength=nv))[s] - 1 - np.arange(len(s))
     before = np.concatenate([[0], np.cumsum(heads)])     # wedges headed by edges < e
     lo = 0
-    while lo < len(s):
+    while lo < len(t):
         hi = max(lo + 1, int(np.searchsorted(before, before[lo] + BLOCK_EDGES, side="right")) - 1)
         count = heads[lo:hi]
         u = np.repeat(np.arange(lo, hi), count)
@@ -342,52 +342,37 @@ def _first_triangle(g: EvenKikuchiGraph) -> Optional[EvenCover]:
         closing = np.minimum(np.searchsorted(keys, wedge), len(keys) - 1)
         hit = np.flatnonzero(keys[closing] == wedge)
         if len(hit):
-            i = hit[0]
-            return EvenCover(frozenset(g.side[[u[i], v[i], closing[i]]].tolist()))
+            yield u[hit], v[hit], closing[hit]
         lo = hi
+
+
+def _first_triangle(g: EvenKikuchiGraph) -> Optional[EvenCover]:
+    """The clauses of the least triangle in lexicographic order, or None; the
+    graph must have no parallel edges, so each edge has one clause."""
+    for u, v, w in _triangles(g, _wedges(g)):
+        return EvenCover(frozenset(g.side[[u[0], v[0], w[0]]].tolist()))
     return None
 
 
-def _triple_clauses(h: Hypergraph, alpha: int) -> np.ndarray:
-    """The clauses that lie in a zero-xor triple of distinct clauses, ascending,
-    in a hypergraph with no duplicate clauses; every clause when the candidate
-    pairs outnumber the m * alpha edges of its Kikuchi graph.
+def _triple_clauses(h: Hypergraph, alpha: int, caps: Caps) -> np.ndarray:
+    """The clauses in a zero-xor triple of distinct clauses, ascending, of a
+    hypergraph with no duplicate clauses; every clause when the wedges of its
+    level-k/2 graph outnumber the m * alpha edges of its level-r graph.
 
-    Ca xor Cb is a k-set only if the clauses share exactly k/2 vertices, one
-    k/2-subset H, and then the triple closes with (Ca - H) | (Cb - H). So each
-    clause's C(k, k/2) (half, complement) incidences are keyed by the colex
-    ranks of both sides, half * C + complement on C = C(n, k/2) subsets, and
-    sorted; the candidate pairs are the incidences with one half, and a pair
-    closes a triple when the key of its two complements is some incidence's.
-    When alpha > 0, k/2 <= r <= n - k/2, so C(n, k/2) <= C(n, r) < 2^32 and
-    the keys fit in 64 bits. Memory is O(m C(k, k/2) + candidate pairs).
+    Such triples are the triangles of the level-k/2 graph: Ca xor Cb is a
+    k-set only if the clauses share exactly k/2 vertices H, and the third is
+    then X | Y, X = Ca - H and Y = Cb - H: the triangle (H, X, Y). A
+    triangle's clauses are distinct, as two edges of one clause share no
+    endpoint. Caps that admit the level-r graph admit this one (alpha > 0
+    means k/2 <= r <= n - k/2, so C(n, k/2) <= C(n, r)).
     """
-    half = h.k // 2
-    # in lexicographic order, row j's complement in range(k) is row -1 - j
-    sides = combination_rows(h.k, half)
-    per, nh = len(sides), comb(h.n, half)
-    key_type = np.min_scalar_type(nh * nh - 1).type
-    c = key_type(nh)
-    clauses = np.array(h.edges, dtype=np.int64).reshape(h.m, h.k)
-    ranks = colex_ranks(clauses[:, sides].reshape(-1, half), binomial_table(h.n, half))
-    ranks = ranks.astype(key_type).reshape(h.m, per)
-    keys = (ranks * c + ranks[:, ::-1]).reshape(-1)
-    order = np.argsort(keys)
-    keys = keys[order]
-    halves, rests = keys // c, keys % c
-    # incidence i pairs with every later one up to the end of its half's run
-    count = np.searchsorted(halves, halves, side="right") - 1 - np.arange(len(keys))
-    total = int(count.sum())
-    if total > h.m * alpha:
+    g = build_even_kikuchi(h, h.k // 2, caps)
+    heads = _wedges(g)
+    if int(heads.sum()) > h.m * alpha:
         return np.arange(h.m)
-    a = np.repeat(np.arange(len(keys)), count)
-    b = a + 1 + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
-    wanted = rests[a] * c + rests[b]
-    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    hit = keys[at] == wanted
     in_triple = np.zeros(h.m, dtype=bool)
-    for i in (a[hit], b[hit], at[hit]):
-        in_triple[order[i] // per] = True
+    for triangle in _triangles(g, heads):
+        in_triple[g.side[np.concatenate(triangle)]] = True
     return np.flatnonzero(in_triple)
 
 
@@ -413,12 +398,13 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
       one from the least vertex R on any triangle: the triangle (R, u, v) with
       u the least neighbour of R on one and v the least neighbour of u that
       closes it. One array pass over the wedges finds it (_first_triangle).
-      A triangle's three clauses are distinct and xor to zero, so the pass
-      runs on the graph of the kept clauses (_triple_clauses: those in such a
-      triple, or all of them where the candidate pairs outnumber the whole
-      graph's edges), with the same n and r and so the same vertex ranks: it
-      holds every triangle of the whole graph and no other, so its least
-      triangle is the same. When every clause is kept, that graph is h's own.
+      A triangle's three clauses are distinct and xor to zero, so above
+      r = k/2 the pass runs on the graph of the kept clauses (_triple_clauses:
+      the triangles of the level-k/2 graph, or every clause where its wedges
+      outnumber the whole graph's edges), with the same n and r and so the
+      same vertex ranks: it holds every triangle of the whole graph and no
+      other, so its least triangle is the same. When every clause is kept,
+      as at r = k/2, that graph is h's own.
     - Length 4 and up: in a graph with no triangle and no parallel edges, no
       closed walk with a nonempty odd-use set is shorter than 4, so the BFS
       stops at its first such 4-step walk; past that it scans every root.
@@ -449,7 +435,7 @@ def shortest_even_cover_via_kikuchi(h: Hypergraph, r: int, caps: Caps = DEFAULT_
             return 2, EvenCover(frozenset(idxs[:2]))
     if cap < 3:
         return None
-    keep = _triple_clauses(h, alpha)
+    keep = np.arange(h.m) if r == h.k // 2 else _triple_clauses(h, alpha, caps)
     part = h if len(keep) == h.m else Hypergraph._of_valid_rows(
         h.n, h.k, tuple(h.edges[i] for i in keep.tolist()))
     g = build_even_kikuchi(part, r, caps) if len(keep) else None

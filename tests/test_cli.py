@@ -92,6 +92,15 @@ def test_cli_cover_verify_rejects_a_repeated_index(tmp_path, capsys):
     assert captured.err == "error: --indices repeats clause index 0\n"
 
 
+def test_cli_cover_verify_names_the_option_of_a_malformed_index(tmp_path, capsys):
+    f = tmp_path / "twice.hyg"
+    f.write_text("hyg 3 2 2\n1 2\n1 2\n")
+    assert main(["cover", "verify", str(f), "--indices", "0,x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --indices takes comma-separated clause indices\n"
+
+
 def test_cli_cover_verify_index_out_of_range(tmp_path, capsys):
     f = tmp_path / "cycle.hyg"
     f.write_text("hyg 12 12 2\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 12)) + "1 12\n")

@@ -43,11 +43,19 @@ def test_hypergraph_refuses_bad_sizes(n, k, match):
 
 @pytest.mark.parametrize("signs, match", [((1,), "signs length must equal"),
                                           ((1, 1, 1), "signs length must equal"),
-                                          ((1, 0), "signs must be \\+1 or -1")])
+                                          ((1, 0), "signs must be \\+1 or -1"),
+                                          ((1.0, -1), "signs must be \\+1 or -1"),
+                                          ((True, -1), "signs must be \\+1 or -1")])
 def test_xor_instance_refuses_bad_signs(signs, match):
     h = Hypergraph(n=4, k=2, edges=((0, 1), (2, 3)))
     with pytest.raises(ValueError, match=match):
         XorInstance(hypergraph=h, signs=signs)
+
+
+def test_numpy_integer_signs_are_stored_as_python_ints():
+    h = Hypergraph(n=4, k=2, edges=((0, 1), (2, 3)))
+    inst = XorInstance(hypergraph=h, signs=tuple(np.array([1, -1])))
+    assert inst.signs == (1, -1) and all(type(s) is int for s in inst.signs)
 
 
 @pytest.mark.parametrize("n, k, m, match", [(3, 4, 0, "k = 4 exceeds n = 3"),

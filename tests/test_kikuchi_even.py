@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,8 @@ from kcert import (CapacityError, Caps, EvenCover, Hypergraph, eval_xor, gen_ran
                    min_even_cover_oracle, verify_even_cover)
 from kcert.core import odd_use_cover
 from kcert import kikuchi_even
-from kcert.kikuchi_even import (_first_triangle, _triple_clauses, build_even_kikuchi, dump_even,
-                                shortest_even_cover_via_kikuchi, signed_even_kikuchi)
+from kcert.kikuchi_even import (_first_triangle, _triple_clauses, _wedges, build_even_kikuchi,
+                                dump_even, shortest_even_cover_via_kikuchi, signed_even_kikuchi)
 from kcert.subsets import combination_rows
 from assignments import random_assignment
 from subset_masks import all_subset_masks_colex
@@ -330,11 +332,11 @@ def test_search_returns_none_when_alpha_times_m_is_zero(h, r):
 
 
 def _brute_triple_clauses(h, alpha):
-    """Every clause where the candidate pairs, two clauses sharing one
-    k/2-subset, outnumber the m * alpha edges; else the clauses in a zero-xor
-    triple of distinct clauses."""
-    pairs = sum(comb(len(set(a) & set(b)), h.k // 2) for a, b in combinations(h.edges, 2))
-    if pairs > h.m * alpha:
+    """Every clause where the wedges of the level-k/2 graph, C(d, 2) at each
+    vertex with d higher-ranked neighbours, outnumber the m * alpha edges;
+    else the clauses in a zero-xor triple of distinct clauses."""
+    higher = Counter(s for s, _, _ in build_even_kikuchi(h, h.k // 2).edges)
+    if sum(comb(d, 2) for d in higher.values()) > h.m * alpha:
         return list(range(h.m))
     masks = h.edge_masks()
     return [i for i in range(h.m) if any(masks[i] ^ masks[j] == masks[c]
@@ -351,8 +353,9 @@ def _triangle_cases(draw):
     """A hypergraph with no duplicate clause and a level r, of one of three
     kinds: 'wide' has n > 64, so vertex masks pass 64 bits, and planted
     zero-xor triples (H | X, H | Y, X | Y for disjoint k/2-sets H, X, Y);
-    'dense' has most k-subsets of a few vertices, so its candidate pairs
-    outnumber the graph's edges; 'small' is random and sparse."""
+    'dense' has most k-subsets of a few vertices, so the wedges of its
+    level-k/2 graph often outnumber the level-r graph's edges; 'small' is
+    random and sparse."""
     k = draw(st.sampled_from([2, 4, 6]))
     kind = draw(st.sampled_from(["wide", "dense", "small"]))
     rng = random.Random(draw(st.integers(0, 2**30 - 1)))
@@ -370,7 +373,7 @@ def _triangle_cases(draw):
         low, high = ((len(every) * 2 // 3, len(every)) if kind == "dense"
                      else (0, min(len(every), 3 * n)))
         edges = rng.sample(every, draw(st.integers(low, high)))
-        r = draw(st.integers(k // 2, k // 2 if kind == "dense" else min(n, k // 2 + 2)))
+        r = draw(st.integers(k // 2, k // 2 + 1 if kind == "dense" else min(n, k // 2 + 2)))
     return _distinct(n, k, edges), r
 
 
@@ -383,58 +386,83 @@ def test_triangle_stage_equals_the_first_triangle_of_the_whole_graph(case):
     got = shortest_even_cover_via_kikuchi(h, r, max_len=3)
     assert got == (None if want is None else (3, want))
     if h.m <= 60:
-        assert _triple_clauses(h, g.alpha).tolist() == _brute_triple_clauses(h, g.alpha)
+        assert _triple_clauses(h, g.alpha, Caps()).tolist() == _brute_triple_clauses(h, g.alpha)
+
+
+@pytest.mark.parametrize("blocks", [1, 5])
+@given(case=_triangle_cases())
+@settings(max_examples=40, deadline=None)
+def test_triple_clauses_match_the_brute_force_in_small_wedge_blocks(blocks, case):
+    # tiny wedge blocks put a block boundary between almost any two wedges
+    h, r = case
+    alpha = build_even_kikuchi(h, r).alpha
+    if h.m <= 60:
+        with mock.patch.object(kikuchi_even, "BLOCK_EDGES", blocks):
+            got = _triple_clauses(h, alpha, Caps())
+        assert got.tolist() == _brute_triple_clauses(h, alpha)
 
 
 def _clause_counts_of_builds(monkeypatch):
-    """A list that gets the clause count of each build_even_kikuchi call the
+    """A list that gets (clause count, r) of each build_even_kikuchi call the
     cover search makes from here on."""
     built = []
-    monkeypatch.setattr(kikuchi_even, "build_even_kikuchi",
-                        lambda hh, r, caps: built.append(hh.m) or build_even_kikuchi(hh, r, caps))
+
+    def spy(hh, r, caps):
+        built.append((hh.m, r))
+        return build_even_kikuchi(hh, r, caps)
+    monkeypatch.setattr(kikuchi_even, "build_even_kikuchi", spy)
     return built
 
 
 def test_dense_inputs_run_the_triangle_pass_on_every_clause(monkeypatch):
-    # every 4-subset of 7 vertices: 35 clauses, 21 halves in 10 clauses each,
-    # so 945 candidate pairs against 35 * alpha = 105 edges
-    h = Hypergraph(n=7, k=4, edges=tuple(combinations(range(7), 4)))
-    g = build_even_kikuchi(h, 2)
-    assert g.alpha == 3 and _triple_clauses(h, g.alpha).tolist() == list(range(35))
+    # every 4-subset of 12 vertices at r = 3: the level-2 graph has 23,364
+    # wedges against the 495 * alpha = 11,880 edges of the level-3 graph
+    h = Hypergraph(n=12, k=4, edges=tuple(combinations(range(12), 4)))
+    g = build_even_kikuchi(h, 3)
+    assert g.alpha == 24 and int(_wedges(build_even_kikuchi(h, 2)).sum()) == 23_364
+    assert _triple_clauses(h, g.alpha, Caps()).tolist() == list(range(495))
     built = _clause_counts_of_builds(monkeypatch)
-    assert shortest_even_cover_via_kikuchi(h, 2) == (3, _first_triangle(g))
-    assert built == [35]
+    assert shortest_even_cover_via_kikuchi(h, 3) == (3, _first_triangle(g))
+    assert built == [(495, 2), (495, 3)]
 
 
 def test_a_triangle_is_found_on_the_clauses_of_zero_xor_triples_alone(monkeypatch):
-    # the cover the CI pins for this instance, found on one build of far fewer
-    # than its 240 clauses
+    # the cover the CI pins for this instance, found on the level-2 graph and
+    # one level-3 build of far fewer than its 240 clauses
     h = gen_random(36, 4, 240, seed=1, mode="hyg")
     built = _clause_counts_of_builds(monkeypatch)
     length, cover = shortest_even_cover_via_kikuchi(h, 3)
     assert (length, sorted(cover.edge_indices)) == (3, [27, 50, 59])
-    assert len(built) == 1 and 3 <= built[0] < h.m
+    assert len(built) == 2 and built[0] == (240, 2)
+    assert built[1][1] == 3 and 3 <= built[1][0] < h.m
 
 
 def test_a_triangle_free_search_builds_the_whole_graph_last(monkeypatch):
     h = Hypergraph(n=8, k=4, edges=((0, 1, 2, 3), (2, 3, 4, 5), (4, 5, 6, 7), (0, 1, 6, 7)))
-    assert _triple_clauses(h, build_even_kikuchi(h, 2).alpha).tolist() == []
+    assert _triple_clauses(h, build_even_kikuchi(h, 3).alpha, Caps()).tolist() == []
     built = _clause_counts_of_builds(monkeypatch)
+    # at r = k/2 the triangle pass runs on the whole graph: one build a search
     assert shortest_even_cover_via_kikuchi(h, 2, max_len=3) is None
-    assert built == []
+    assert built == [(4, 2)]
     assert shortest_even_cover_via_kikuchi(h, 2)[0] == 4
-    assert built == [4]
+    assert built == [(4, 2)] * 2
+    # at r = 3 the level-2 graph keeps no clause, so the whole graph comes
+    # last; no walk on it has a nonempty odd-use set
+    built.clear()
+    assert shortest_even_cover_via_kikuchi(h, 3, max_len=3) is None
+    assert built == [(4, 2)]
+    assert shortest_even_cover_via_kikuchi(h, 3) is None
+    assert built == [(4, 2), (4, 2), (4, 3)]
 
 
 def test_a_dense_triangle_free_search_builds_the_whole_graph_once(monkeypatch):
-    # K(2,3): 9 candidate pairs (two clauses sharing a vertex) against 6 edges,
-    # so the triangle pass runs on every clause; bipartite, so no triangle
+    # K(2,3) at r = k/2 = 1: the triangle pass runs on the whole graph, which
+    # is bipartite, so it has no triangle
     h = _simple_graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
-    assert _triple_clauses(h, 1).tolist() == list(range(6))
     built = _clause_counts_of_builds(monkeypatch)
     assert shortest_even_cover_via_kikuchi(h, 1, max_len=3) is None
     assert shortest_even_cover_via_kikuchi(h, 1)[0] == 4
-    assert built == [6, 6]
+    assert built == [(6, 1), (6, 1)]
 
 
 @st.composite
