@@ -52,7 +52,7 @@ def _eps(text) -> Fraction:
 
 
 def _refutation_decomposition(h, args):
-    """The refutation decomposition of decompose --mode refute and kikuchi --odd."""
+    """The refutation decomposition of decompose --mode refute and of kikuchi on odd k."""
     eps = _eps("1/4" if args.eps is None else args.eps)
     return decompose_for_refutation(h, args.r, eps, enforce_ranges=not args.relax_r_range)
 
@@ -89,7 +89,8 @@ def _cmd_cover(args) -> int:
     if args.action == "oracle":
         res = min_even_cover_oracle(h, args.cap if args.cap is not None else h.m)
     else:
-        res = shortest_even_cover_via_kikuchi(h, args.r, caps=_caps(args), max_len=args.cap)
+        r = h.k // 2 if args.r is None else args.r
+        res = shortest_even_cover_via_kikuchi(h, r, caps=_caps(args), max_len=args.cap)
     if res is None:
         print("none")
     else:
@@ -116,40 +117,34 @@ def _cmd_decompose(args) -> int:
     return 1 if failures else 0
 
 
+def _even_stats(g) -> dict:
+    degree, count = np.unique(g.degrees, return_counts=True)
+    return {"alpha": g.alpha, "degenerate": g.num_edges == 0,
+            "degree_histogram": dict(zip(map(str, degree.tolist()), count.tolist()))}
+
+
+def _colored_stats(g) -> dict:
+    return {"alpha_measured": g.alpha, "alpha_closed_form": g.alpha_closed_form, "groups": g.p}
+
+
 def _cmd_kikuchi(args) -> int:
     h = load_hypergraph(args.file)
-    if args.odd:
+    if h.k % 2:
         g = build_colored_kikuchi(h, _refutation_decomposition(h, args),
                                   1 if args.level is None else args.level, args.r, caps=_caps(args))
-        if args.action == "dump":
-            _write_output(dump_colored(g), args.out)
-        else:
-            stats = {
-                "vertices": g.num_vertices,
-                "edges": g.num_edges,
-                "alpha_measured": g.alpha,
-                "alpha_closed_form": g.alpha_closed_form,
-                "average_degree": str(g.average_degree),
-                "groups": g.p,
-            }
-            _write_output(json.dumps(stats, sort_keys=True, indent=2) + "\n", args.out)
-        return 0
-    if args.level is not None or args.eps is not None or args.relax_r_range:
-        raise KcertError("--level, --eps and --relax-r-range apply to --odd only")
-    g = build_even_kikuchi(h, args.r, caps=_caps(args))
-    if args.action == "dump":
-        _write_output(dump_even(g), args.out)
+        dump, kind_stats = dump_colored, _colored_stats
     else:
-        degree, count = np.unique(g.degrees, return_counts=True)
-        payload = {
-            "alpha": g.alpha,
-            "vertices": g.num_vertices,
-            "edges": g.num_edges,
-            "average_degree": str(g.average_degree),
-            "degree_histogram": dict(zip(map(str, degree.tolist()), count.tolist())),
-            "degenerate": g.num_edges == 0,
-        }
-        _write_output(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        if args.level is not None or args.eps is not None or args.relax_r_range:
+            raise KcertError("--level, --eps and --relax-r-range apply to odd k only")
+        g = build_even_kikuchi(h, args.r, caps=_caps(args))
+        dump, kind_stats = dump_even, _even_stats
+    if args.action == "dump":
+        text = dump(g)
+    else:
+        stats = {"vertices": g.num_vertices, "edges": g.num_edges,
+                 "average_degree": str(g.average_degree), **kind_stats(g)}
+        text = json.dumps(stats, sort_keys=True, indent=2) + "\n"
+    _write_output(text, args.out)
     return 0
 
 
@@ -208,21 +203,22 @@ def _cmd_audit(args) -> int:
                             f"got --ell {args.ell}")
     if h.k % 2:
         raise KcertError(f"k = {h.k} is odd; the trace audit needs even k")
-    if not h.k // 2 <= args.r <= h.n:
-        raise KcertError(f"level parameter must satisfy k/2 <= r <= n, got r = {args.r}")
-    if math.comb(h.n, args.r) > TRACE_DIM_LIMIT:
+    r = h.k // 2 if args.r is None else args.r
+    if not h.k // 2 <= r <= h.n:
+        raise KcertError(f"level parameter must satisfy k/2 <= r <= n, got r = {r}")
+    if math.comb(h.n, r) > TRACE_DIM_LIMIT:
         raise CapacityError(f"exact trace audit supports at most {TRACE_DIM_LIMIT} Kikuchi "
-                            f"vertices, got {math.comb(h.n, args.r)}")
+                            f"vertices, got {math.comb(h.n, r)}")
     res = min_even_cover_oracle(h, args.ell)
     if res is not None:
         print(f"instance has an even cover of size {res[0]} <= ell = {args.ell}; "
               "trace bound precondition fails", file=sys.stderr)
         return 1
-    g = build_even_kikuchi(h, args.r)
+    g = build_even_kikuchi(h, r)
     if g.num_edges == 0:
         raise KcertError("Kikuchi graph has no edges; increase r")
     tr = exact_trace_power(g.adjacency().toarray(), g.gamma_diagonal(), args.ell)
-    rhs = trace_bound_rhs(h.n, args.r, args.ell, g.average_degree)
+    rhs = trace_bound_rhs(h.n, r, args.ell, g.average_degree)
     ok = tr <= rhs
     print(f"trace = {tr}")
     print(f"bound = {rhs}")
@@ -251,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     cf = cover.add_parser("find", help="Kikuchi closed-walk search")
     cf.add_argument("file")
     cf.add_argument("--cap", type=int, default=None, help="longest closed walk searched")
-    cf.add_argument("--r", type=int, default=1)
+    cf.add_argument("--r", type=int, default=None, help="Kikuchi level (default k/2)")
     _add_caps(cf)
     cv = cover.add_parser("verify", help="check that clause indices form an even cover")
     cv.add_argument("file")
@@ -269,14 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--out", "-o", default=None)
     d.set_defaults(func=_cmd_decompose)
 
-    kk = sub.add_parser("kikuchi", help="build Kikuchi graphs: stats or edge dumps")
+    kk = sub.add_parser("kikuchi", help="build a Kikuchi level (colored for odd k): stats or edge dump")
     kk.add_argument("action", choices=("stats", "dump"))
     kk.add_argument("file")
     kk.add_argument("--r", type=int, required=True)
-    kk.add_argument("--odd", action="store_true", help="colored construction from a refutation decomposition")
-    kk.add_argument("--level", type=int, default=None, help="--odd only (default 1)")
-    kk.add_argument("--eps", default=None, help="--odd only (default 1/4)")
-    kk.add_argument("--relax-r-range", action="store_true", help="--odd only")
+    kk.add_argument("--level", type=int, default=None, help="odd k only (default 1)")
+    kk.add_argument("--eps", default=None, help="odd k only (default 1/4)")
+    kk.add_argument("--relax-r-range", action="store_true", help="odd k only")
     kk.add_argument("--out", "-o", default=None)
     _add_caps(kk)
     kk.set_defaults(func=_cmd_kikuchi)
@@ -306,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_parser("girth", help="girth of the graph").add_argument("file")
     at = audit.add_parser("trace", help="exact trace power against the closed-walk bound")
     at.add_argument("file")
-    at.add_argument("--r", type=int, default=1)
+    at.add_argument("--r", type=int, default=None, help="Kikuchi level (default k/2)")
     at.add_argument("--ell", type=int, default=4, help="walk length, a positive even integer")
 
     return ap

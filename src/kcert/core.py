@@ -36,6 +36,10 @@ class CapacityError(KcertError):
     """A hard size limit was exceeded; never degrade to a silently wrong answer."""
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """k-uniform hypergraph on vertices 0..n-1 with an ordered hyperedge list.
@@ -56,7 +60,7 @@ class Hypergraph:
             raise ValueError("uniformity k must be >= 2")
         norm = []
         for e in self.edges:
-            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in e):
+            if not all(_is_int(v) for v in e):
                 raise ValueError(f"hyperedge {e!r} has a vertex that is not an integer")
             t = tuple(sorted(int(v) for v in e))
             if len(t) != self.k or len(set(t)) != self.k:
@@ -94,8 +98,7 @@ class XorInstance:
     def __post_init__(self):
         if len(self.signs) != self.hypergraph.m:
             raise ValueError("signs length must equal the number of hyperedges")
-        if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s not in (-1, 1)
-               for s in self.signs):
+        if not all(_is_int(s) and s in (-1, 1) for s in self.signs):
             raise ValueError("signs must be +1 or -1")
         object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
 
@@ -133,7 +136,7 @@ Assignment = Sequence[int]       # n entries in {-1, +1}
 def _check_assignment(n: int, x: Assignment) -> None:
     if len(x) != n:
         raise ValueError(f"assignment has length {len(x)}, expected {n}")
-    if any(v not in (-1, 1) for v in x):
+    if not all(_is_int(v) and v in (-1, 1) for v in x):
         raise ValueError("assignment entries must be +1 or -1")
 
 
@@ -143,11 +146,12 @@ def verify_even_cover(h: Hypergraph, cover) -> bool:
     The empty cover verifies (it is the zero vector); callers reporting covers
     must reject it separately.
     """
-    indices = cover.edge_indices if isinstance(cover, EvenCover) else frozenset(cover)
-    acc = 0
+    indices = cover.edge_indices if isinstance(cover, EvenCover) else tuple(cover)
     for i in indices:
-        if not 0 <= i < h.m:
+        if not _is_int(i) or not 0 <= i < h.m:
             raise IndexError(f"edge index {i} out of range 0..{h.m - 1}")
+    acc = 0
+    for i in frozenset(indices):
         acc ^= mask_from(h.edges[i])
     return acc == 0
 

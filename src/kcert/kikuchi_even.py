@@ -92,7 +92,7 @@ class KikuchiEdges:
     t_rank: np.ndarray
     side: np.ndarray                         # per-edge side
     of_pair: np.ndarray                      # side of each provenance row
-    alpha: Optional[int]                     # edges per side and per row; None: no rows
+    alpha: int                               # edges per side and per row
     # (rows, alpha) bool over pair_grid; None: every cell
     keep: Optional[np.ndarray] = field(default=None, kw_only=True)
 
@@ -129,7 +129,7 @@ class KikuchiEdges:
         """(rows, alpha) edge indices, read-only: row p holds the edges of
         row p's side in stored order, so cell (p, j) is its j-th edge."""
         sides = int(self.of_pair.max(initial=-1)) + 1
-        grid = stable_order(self.side, sides).reshape(sides, self.alpha or 0)[self.of_pair]
+        grid = stable_order(self.side, sides).reshape(sides, self.alpha)[self.of_pair]
         grid.flags.writeable = False
         return grid
 

@@ -145,8 +145,7 @@ def build_colored_kikuchi(h: Hypergraph, decomp: Decomposition, level: int, r: i
     s_rank, t_rank, side = pattern_edges(sides, 2 * h.n, r, s_pat, t_pat)
     return ColoredKikuchiGraph(n=h.n, k=h.k, r=r, s_rank=s_rank, t_rank=t_rank, t=level,
                                groups=groups, pair_table=pair_table, side=side, of_pair=side_row,
-                               alpha=len(s_pat) if len(pair_table) else None,
-                               alpha_closed_form=closed)
+                               alpha=len(s_pat), alpha_closed_form=closed)
 
 
 @dataclass
@@ -172,7 +171,7 @@ def delete_heavy_edges(g: ColoredKikuchiGraph, eta) -> np.ndarray:
     kept, and the pair grid is not built.
     """
     _check_eta(eta)
-    surviving = np.ones((len(g.pair_table), g.alpha or 0), dtype=bool)
+    surviving = np.ones((len(g.pair_table), g.alpha), dtype=bool)
     if not g.num_edges or 2 * (max(len(grp.clause_indices) for grp in g.groups) - 1) <= eta:
         return surviving
     # one key per (vertex, group, clause) incidence, (group, clause) as its
@@ -206,7 +205,7 @@ def equalize_deletion(g: ColoredKikuchiGraph, surviving: np.ndarray) -> Deletion
     every assignment-induced x, exactly.
     """
     surviving = surviving.copy()
-    if g.alpha is None or not g.num_edges:
+    if not g.num_edges:
         return DeletionResult(surviving=surviving, kappa=None, rho=Fraction(0))
     kappa = g.alpha if surviving.all() else int(surviving.sum(axis=1).min())
     if kappa < g.alpha:
@@ -242,7 +241,7 @@ def predicted_deletion_fraction(k: int, n: int, r: int, level: int, eta,
 def measured_deletion_fractions(g: ColoredKikuchiGraph, surviving: np.ndarray) -> dict:
     """Per ordered pair (group, C, C'), the fraction of its edges that the
     mask surviving deletes."""
-    if g.alpha in (None, 0):
+    if not g.alpha:
         return {}
     return {tuple(key): 1 - Fraction(cnt, g.alpha)
             for key, cnt in zip(g.pair_table[:, :3].tolist(), surviving.sum(axis=1).tolist())}

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,10 @@ from kcert import cli, parse_hypergraph, parse_xor
 from kcert.cli import main
 from kcert.io import ParseError, serialize_hypergraph, serialize_xor
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 TRIANGLE_TEXT = "hyg 3 3 2\n1 2\n2 3\n1 3\n"
+C8_TEXT = "hyg 8 8 2\n" + "\n".join(
+    " ".join(map(str, sorted((i + 1, ((i + 1) % 8) + 1)))) for i in range(8)) + "\n"
 SINGLE_XOR_TEXT = "xor 2 1 2\n+1 1 2\n"
 
 
@@ -227,7 +231,7 @@ def test_cli_refute_rejects_negative_seed(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["refute", "{xor}", "--r", "2", "--seed", "0", "--eps", "1/0"],
     ["decompose", "{hyg}", "--mode", "refute", "--r", "2", "--eps", "1/0"],
-    ["kikuchi", "stats", "{hyg}", "--r", "2", "--odd", "--eps", "1/0"],
+    ["kikuchi", "stats", "{hyg}", "--r", "2", "--eps", "1/0"],
 ], ids=["refute", "decompose", "kikuchi"])
 def test_cli_eps_with_zero_denominator_is_a_usage_error(tmp_path, capsys, argv):
     paths = {"xor": tmp_path / "odd.xor", "hyg": tmp_path / "odd.hyg"}
@@ -241,7 +245,7 @@ def test_cli_eps_with_zero_denominator_is_a_usage_error(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["refute", "{xor}", "--seed", "0", "--eps", "1/4"],
     ["decompose", "{hyg}", "--mode", "refute"],
-    ["kikuchi", "stats", "{hyg}", "--odd"],
+    ["kikuchi", "stats", "{hyg}"],
 ], ids=["refute", "decompose", "kikuchi"])
 def test_cli_relaxed_r_outside_one_to_n_is_a_usage_error(tmp_path, capsys, argv, r):
     # n = 6: the relaxed range still needs 1 <= r <= n before any threshold
@@ -258,18 +262,19 @@ def test_cli_relaxed_r_outside_one_to_n_is_a_usage_error(tmp_path, capsys, argv,
      "--eps and --relax-r-range apply to --mode refute only"),
     (["decompose", "{hyg}", "--r", "2", "--relax-r-range"],
      "--eps and --relax-r-range apply to --mode refute only"),
-    (["kikuchi", "stats", "{hyg}", "--r", "2", "--level", "1"],
-     "--level, --eps and --relax-r-range apply to --odd only"),
-    (["kikuchi", "dump", "{hyg}", "--r", "2", "--eps", "1/4"],
-     "--level, --eps and --relax-r-range apply to --odd only"),
-    (["kikuchi", "dump", "{hyg}", "--r", "2", "--relax-r-range"],
-     "--level, --eps and --relax-r-range apply to --odd only"),
+    (["kikuchi", "stats", "{even}", "--r", "2", "--level", "1"],
+     "--level, --eps and --relax-r-range apply to odd k only"),
+    (["kikuchi", "dump", "{even}", "--r", "2", "--eps", "1/4"],
+     "--level, --eps and --relax-r-range apply to odd k only"),
+    (["kikuchi", "dump", "{even}", "--r", "2", "--relax-r-range"],
+     "--level, --eps and --relax-r-range apply to odd k only"),
 ], ids=["cover-eps", "cover-relax", "even-level", "even-eps", "even-relax"])
 def test_cli_rejects_odd_only_knobs_where_they_do_nothing(tmp_path, capsys, argv, message):
-    hyg = tmp_path / "h.hyg"
+    hyg, even = tmp_path / "h.hyg", tmp_path / "even.hyg"
     hyg.write_text("hyg 5 2 3\n1 2 3\n1 4 5\n")
+    even.write_text("hyg 5 2 4\n1 2 3 4\n1 2 3 5\n")
     out_path = tmp_path / "out.txt"
-    assert main([arg.format(hyg=hyg) for arg in argv] + ["--out", str(out_path)]) == 1
+    assert main([arg.format(hyg=hyg, even=even) for arg in argv] + ["--out", str(out_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_path.exists()
 
@@ -278,7 +283,7 @@ def test_cli_odd_knob_defaults(tmp_path, capsys):
     # --level 1 and --eps 1/4 stay the defaults where they apply
     hyg = tmp_path / "h.hyg"
     hyg.write_text("hyg 9 4 3\n1 2 3\n1 4 5\n1 6 7\n2 8 9\n")
-    for cmd in (["decompose", str(hyg), "--mode", "refute"], ["kikuchi", "dump", str(hyg), "--odd"]):
+    for cmd in (["decompose", str(hyg), "--mode", "refute"], ["kikuchi", "dump", str(hyg)]):
         outputs = []
         for extra in ([], ["--eps", "1/4"] + (["--level", "1"] if cmd[0] == "kikuchi" else [])):
             assert main(cmd + ["--r", "2", "--relax-r-range"] + extra) == 0
@@ -368,7 +373,7 @@ def test_cli_kikuchi_stats_and_dump(tmp_path, capsys):
 
     odd = tmp_path / "odd.hyg"
     odd.write_text("hyg 5 2 3\n1 2 3\n1 4 5\n")
-    assert main(["kikuchi", "dump", str(odd), "--r", "2", "--odd", "--level", "1",
+    assert main(["kikuchi", "dump", str(odd), "--r", "2", "--level", "1",
                  "--relax-r-range"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "kikuchi-odd 5 2 1 1"
@@ -379,11 +384,56 @@ def test_cli_kikuchi_stats_odd_on_the_ci_instance(tmp_path, capsys):
     f = tmp_path / "odd.hyg"
     assert main(["gen", "--type", "hyg", "--n", "9", "--k", "3", "--m", "30", "--seed", "4",
                  "--multi", "-o", str(f)]) == 0
-    assert main(["kikuchi", "stats", str(f), "--r", "2", "--odd", "--level", "1",
+    assert main(["kikuchi", "stats", str(f), "--r", "2", "--level", "1",
                  "--eps", "1/3", "--relax-r-range"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "alpha_closed_form": 4, "alpha_measured": 2, "average_degree": "536/153",
         "edges": 268, "groups": 6, "vertices": 153}
+
+
+def test_cli_kikuchi_has_no_odd_option(tmp_path, capsys):
+    # k picks the construction: odd k the colored level, even k the even one
+    odd = tmp_path / "odd.hyg"
+    odd.write_text("hyg 5 2 3\n1 2 3\n1 4 5\n")
+    assert main(["kikuchi", "dump", str(odd), "--r", "2", "--relax-r-range", "--odd"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --odd" in err
+
+
+def test_cli_level_defaults_to_half_k(tmp_path, capsys):
+    # cover find and audit trace default to r = k/2, the least level
+    square, c8 = tmp_path / "square.hyg", tmp_path / "c8.hyg"
+    assert main(["gen", "--type", "hyg", "--n", "36", "--k", "4", "--m", "240", "--seed", "10",
+                 "-o", str(square)]) == 0
+    c8.write_text(C8_TEXT)
+    for argv, r in ((["cover", "find", str(square)], "2"),
+                    (["audit", "trace", str(c8), "--ell", "4"], "1")):
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--r", r]) == 0
+        assert capsys.readouterr().out == default
+    assert default.endswith("ok\n")
+    assert main(["cover", "find", str(square)]) == 0
+    assert capsys.readouterr().out == "4\n23 102 167 178\n"
+
+
+def _readme_cli_block() -> list[list[str]]:
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", README.read_text(), re.S | re.M).group(1)
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+
+
+def test_cli_readme_block_runs_as_written(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_block()
+    assert sum(argv[0] == "kcert" for argv in lines) >= 10
+    for argv in lines:
+        if argv[0] == "printf":
+            # printf FORMAT > FILE, the format's one escape a newline
+            assert argv[2:3] == [">"] and len(argv) == 4 and "%" not in argv[1]
+            Path(argv[3]).write_text(argv[1].replace("\\n", "\n"))
+            continue
+        assert argv[0] == "kcert"
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
 
 
 def test_cli_decompose(tmp_path, capsys):
@@ -405,8 +455,7 @@ def test_cli_audit(tmp_path, capsys):
     assert rep["girth"] == 3
 
     c8 = tmp_path / "c8.hyg"
-    c8.write_text("hyg 8 8 2\n" + "\n".join(
-        " ".join(map(str, sorted((i + 1, ((i + 1) % 8) + 1)))) for i in range(8)) + "\n")
+    c8.write_text(C8_TEXT)
     assert main(["audit", "trace", str(c8), "--r", "1", "--ell", "4"]) == 0
     out = capsys.readouterr().out
     assert "ok" in out

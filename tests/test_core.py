@@ -106,6 +106,11 @@ def test_verify_even_cover_empty_and_errors():
     assert verify_even_cover(TRIANGLE, set())
     with pytest.raises(IndexError):
         verify_even_cover(TRIANGLE, {5})
+    # True is no clause 1, and 1.0 no index; numpy integers are indices
+    for cover in ([True, 0], [1.0], [1, True]):
+        with pytest.raises(IndexError, match="^edge index (True|1.0) out of range 0..2$"):
+            verify_even_cover(TRIANGLE, cover)
+    assert verify_even_cover(TRIANGLE, np.arange(3))
 
 
 def test_verify_even_cover_keeps_no_reference_to_the_hypergraph():
@@ -398,8 +403,10 @@ def test_eval_xor_examples():
     path = XorInstance(hypergraph=Hypergraph(n=3, k=2, edges=((0, 1), (1, 2))), signs=(1, -1))
     with pytest.raises(ValueError, match="^assignment has length 2, expected 3$"):
         eval_xor(path, (1, 1))
-    with pytest.raises(ValueError, match="^assignment entries must be \\+1 or -1$"):
-        eval_xor(path, (1, 0, 1))
+    for x in ((1, 0, 1), (1, 1.0, 1), (True, 1, 1)):
+        with pytest.raises(ValueError, match="^assignment entries must be \\+1 or -1$"):
+            eval_xor(path, x)
+    assert eval_xor(path, np.array([1, 1, -1])) == 1
     empty = XorInstance(hypergraph=Hypergraph(n=3, k=2, edges=()), signs=())
     with pytest.raises(ValueError, match="^cannot evaluate an empty instance$"):
         eval_xor(empty, (1, 1, 1))

@@ -94,8 +94,8 @@ def test_colored_dump_golden(name, level):
                          ids=lambda row: f"{row['kind']}-n{row['n']}-r{row['r']}")
 def test_dump_digests_above_256_vertices(row):
     """Dumps where the edge sort key is 32 or 64 bits wide; the colored ones
-    are level 1 of the refutation decomposition, as `kcert kikuchi dump --odd
-    --relax-r-range` builds it."""
+    are level 1 of the refutation decomposition, as `kcert kikuchi dump
+    --relax-r-range` builds it for odd k."""
     h = gen_random(row["n"], row["k"], row["m"], seed=row["seed"], mode="hyg-multi")
     if row["kind"] == "even":
         g = build_even_kikuchi(h, row["r"])

@@ -213,7 +213,7 @@ def test_deletion_drops_exactly_the_heavy_edges(seed, eta):
 @settings(max_examples=60, deadline=None)
 def test_equalization_keeps_the_first_kappa_of_each_pair(seed, eta):
     _, g, _ = random_colored_graph(seed)
-    if g.alpha is None or not g.num_edges:
+    if not g.num_edges:
         return
     pre = delete_heavy_edges(g, eta)
     res = equalize_deletion(g, pre)
@@ -300,7 +300,7 @@ def reference_delete_heavy_edges(g, eta) -> np.ndarray:
 
 
 def reference_equalize_deletion(g, pre: np.ndarray) -> Equalized:
-    if g.alpha is None or not g.num_edges:
+    if not g.num_edges:
         return Equalized(surviving=pre.copy(), kappa=None, rho=Fraction(0))
     kappa = int(np.bincount(g.pair_edges[2][pre], minlength=len(g.pair_table)).min())
     # survivors grouped by pair, each pair's in stored (sorted) order; keep the first kappa

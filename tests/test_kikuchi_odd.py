@@ -67,7 +67,9 @@ def test_singleton_group_no_edges():
     grp = Group(center=(0,), clause_indices=(0,))
     d = _decomp_from_groups(h, [grp], 2)
     g = build_colored_kikuchi(h, d, 1, 2)
-    assert g.num_edges == 0 and g.alpha is None
+    # no ordered pairs, but alpha is still each pair's pattern count: half of
+    # alpha_t = C(2, 1) C(2, 1) at k - t = 2
+    assert g.num_edges == 0 and (g.alpha, g.alpha_closed_form) == (2, 4)
 
 
 def test_disjoint_groups_additive():
@@ -294,8 +296,6 @@ def test_measured_alpha_equals_half_closed_form_at_desk_scale():
             if not any(len(g.clause_indices) >= 2 for g in d.groups_at(t)):
                 continue
             g = build_colored_kikuchi(h, d, t, 2)
-            if g.alpha is None:
-                continue
             assert 2 * g.alpha == g.alpha_closed_form
 
 
@@ -317,9 +317,9 @@ def test_predicted_deletion_fraction_at_infinite_eta_and_a_missing_threshold():
 
 def test_measured_deletion_fractions_of_a_level_without_pairs_is_empty():
     # CI's odd instance: every clause lands in a level-1 group, so level 2 has
-    # no ordered pairs and no alpha
+    # no ordered pairs; its alpha is still the per-pair pattern count
     h = gen_random(9, 3, 30, 4, mode="hyg-multi")
     d = decompose_for_refutation(h, 2, Fraction(1, 3), enforce_ranges=False)
     g = build_colored_kikuchi(h, d, 2, 2)
-    assert d.groups_at(2) == () and g.alpha is None
+    assert d.groups_at(2) == () and (g.alpha, g.alpha_closed_form) == (16, 32)
     assert measured_deletion_fractions(g, delete_heavy_edges(g, math.inf)) == {}
